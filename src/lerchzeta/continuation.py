@@ -2,12 +2,13 @@
 
 The principal sheet is anchored at the base point (1/2, 1/2, 1/2) through the
 cut a-plane (downward rays below every integer) and cut c-plane (rays below
-the nonpositive integers).  A principal-sheet value is produced by the
-cheapest applicable route: series, straight-contour integral, the three-term
-transformation formula inside the polycylinder, or a differential-difference
-ladder in s; points with awkward Re c are first moved by the exact index
-shift in c.  The cover value adds the closed-form monodromy of the winding
-vector.
+the nonpositive integers).  The value is 1-periodic in a, so Re a is first
+reduced into [0, 1).  One dispatch then picks the route: the series, the
+straight-contour integral, or, for Re s <= 0, the exact index shift of c
+into 0 < Re c < 1 followed by the three-term transformation formula inside
+the polycylinder.  On the line where Re c is an integer the value is the
+mean over a small c-circle whose nodes take that route.  The cover value
+adds the closed-form monodromy of the winding vector.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .words import BranchState
 
 _TWO_PI = 2.0 * math.pi
 _EPS = 2.220446049250313e-16
+_CIRCLE_CAP = 0.05
 
 
 class RegionTag(Enum):
@@ -79,39 +81,44 @@ def _anchor_check(a: complex, c: complex) -> None:
 
 
 def _core_eval(s: complex, a: complex, c: complex, target: float, depth: int) -> LerchValue:
-    """Dispatch for an anchored point with Re c > 0."""
+    """The one dispatch, for an anchored point with 0 < Re a < 1 when Im a <= 0.
+
+    The series when it meets the target; else the integral when Re s > 0;
+    else the transformation formula, after the index shift of c into
+    0 < Re c < 1, or the mean value over a c-circle when Re c is an integer.
+    If the series ran, the smaller of the two estimates wins, and a failed
+    shift or c-circle keeps the series value.  The series and the integral
+    need Re c > 0.
+    """
     if depth > 8:
         raise NonConvergence("evaluation strategy recursion exceeded its depth budget")
+    best: LerchValue | None = None
     if a.imag > 0.0:
-        best: LerchValue | None = None
         try:
             best = dirichlet_series(s, a, c, target)
             if best.abs_err_estimate <= target:
                 return best
         except NonConvergence:
-            best = None
-        fallback = _core_fallback(s, a, c, target, depth)
-        if fallback is not None and (best is None or fallback.abs_err_estimate < best.abs_err_estimate):
-            return fallback
-        if best is None:
-            raise NonConvergence("no strategy reached the target at this point")
-        return best
+            pass
     if s.real > 0.0:
-        return _integral_eval_raw(s, a, c, ContourSpec.STRAIGHT, target)
-    if 0.0 < a.real < 1.0 and 0.0 < c.real < 1.0:
-        return _transform_value(s, a, c, target, depth)
-    return _ladder_value(s, a, c, target, depth)
-
-
-def _core_fallback(s: complex, a: complex, c: complex, target: float, depth: int) -> LerchValue | None:
-    if s.real > 0.0:
-        return _integral_eval_raw(s, a, c, ContourSpec.STRAIGHT, target)
-    if 0.0 < a.real < 1.0 and 0.0 < c.real < 1.0:
-        return _transform_value(s, a, c, target, depth)
-    try:
-        return _ladder_value(s, a, c, target, depth)
-    except LerchError:
-        return None
+        other = _integral_eval_raw(s, a, c, ContourSpec.STRAIGHT, target)
+    elif 0.0 < a.real < 1.0 and 0.0 < c.real < 1.0:
+        other = _transform_value(s, a, c, target, depth)
+    else:
+        try:
+            if not 0.0 < a.real < 1.0:
+                raise NonConvergence("no strategy reached the target at this point")
+            if c.real == math.floor(c.real):
+                other = _c_circle_value(s, a, c, target, depth)
+            else:
+                other = _shift_c(s, a, c, -math.floor(c.real), target, depth, _transform_value)
+        except LerchError:
+            if best is None:
+                raise
+            return best
+    if best is None or other.abs_err_estimate < best.abs_err_estimate:
+        return other
+    return best
 
 
 def _shift_terms(s: complex, a: complex, c_base: complex, count: int) -> tuple[complex, float]:
@@ -124,44 +131,60 @@ def _shift_terms(s: complex, a: complex, c_base: complex, count: int) -> tuple[c
     return total, absum
 
 
+def _shift_c(
+    s: complex,
+    a: complex,
+    c: complex,
+    n: int,
+    target: float,
+    depth: int,
+    inner: Callable[[complex, complex, complex, float, int], LerchValue],
+) -> LerchValue:
+    """The value at c from inner's value at c + n, by the exact index shift in c."""
+    if n == 0:
+        return inner(s, a, c, target, depth)
+    if n > 0:
+        # zeta(s,a,c) = sum_{j<n} e^{2pi i j a}(j+c)^{-s} + e^{2pi i n a} zeta(s,a,c+n)
+        phase = cmath.exp(2j * math.pi * a * n)
+        scale = abs(phase)
+        shifted = inner(s, a, c + n, 0.5 * target / scale, depth)
+        partial, absum = _shift_terms(s, a, c, n)
+        value = partial + phase * shifted.value
+        err = scale * shifted.abs_err_estimate + 8.0 * _EPS * (absum + abs(value))
+        return LerchValue(value, shifted.method, err)
+
+    # lower c: zeta(s,a,c) = e^{-2pi i m a} (zeta(s,a,c-m) - sum_{j<m} e^{2pi i j a}(j+c-m)^{-s})
+    m = -n
+    phase = cmath.exp(-2j * math.pi * a * m)
+    scale = abs(phase)
+    shifted = inner(s, a, c - m, 0.5 * target / max(scale, 1e-300), depth)
+    partial, absum = _shift_terms(s, a, c - m, m)
+    value = phase * (shifted.value - partial)
+    err = scale * (shifted.abs_err_estimate + 8.0 * _EPS * absum) + 8.0 * _EPS * abs(value)
+    return LerchValue(value, shifted.method, err)
+
+
 def evaluate_principal(s: complex, a: complex, c: complex, target_abs_err: float = 1e-10) -> LerchValue:
-    """Principal-sheet value at an anchored point of the extended domain."""
+    """Principal-sheet value at an anchored point of the extended domain.
+
+    The value is 1-periodic in a (the cut rays are integer translates of
+    each other), so Re a is first reduced into [0, 1).  A reduction that
+    rounds to 1 keeps a as it is when Im a > 0 and raises CutViolation when
+    Im a <= 0, where it lands on a cut.  Points with Re c <= 0.05 that need
+    the series or the integral are moved by the index shift in c; everything
+    else goes straight to the dispatch.
+    """
     s, a, c = complex(s), complex(a), complex(c)
     Point3(s, a, c)  # validity
     _anchor_check(a, c)
-
-    transform_route = (
-        a.imag <= 0.0 and s.real <= 0.0 and 0.0 < a.real < 1.0 and c.real != math.floor(c.real)
-    )
-    if transform_route:
-        n_shift = -int(math.floor(c.real))  # lands Re(c + n_shift) in (0, 1)
-    elif c.real > 0.05:
-        n_shift = 0
-    else:
-        n_shift = int(math.ceil(0.6 - c.real))
-
-    if n_shift == 0:
+    reduced = complex(a.real - math.floor(a.real), a.imag)
+    if reduced.real < 1.0:
+        a = reduced
+    elif a.imag <= 0.0:
+        raise CutViolation(f"a = {a!r} rounds onto a downward cut ray when reduced by its period")
+    if c.real > 0.05 or (s.real <= 0.0 and a.imag <= 0.0):
         return _core_eval(s, a, c, target_abs_err, 0)
-
-    if n_shift > 0:
-        # zeta(s,a,c) = sum_{j<n} e^{2pi i j a}(j+c)^{-s} + e^{2pi i n a} zeta(s,a,c+n)
-        phase = cmath.exp(2j * math.pi * a * n_shift)
-        scale = abs(phase)
-        inner = _core_eval(s, a, c + n_shift, 0.5 * target_abs_err / scale, 0)
-        partial, absum = _shift_terms(s, a, c, n_shift)
-        value = partial + phase * inner.value
-        err = scale * inner.abs_err_estimate + 8.0 * _EPS * (absum + abs(value))
-        return LerchValue(value, inner.method, err)
-
-    # lower c: zeta(s,a,c) = e^{-2pi i m a} (zeta(s,a,c-m) - sum_{j<m} e^{2pi i j a}(j+c-m)^{-s})
-    m = -n_shift
-    phase = cmath.exp(-2j * math.pi * a * m)
-    scale = abs(phase)
-    inner = _core_eval(s, a, c - m, 0.5 * target_abs_err / max(scale, 1e-300), 0)
-    partial, absum = _shift_terms(s, a, c - m, m)
-    value = phase * (inner.value - partial)
-    err = scale * (inner.abs_err_estimate + 8.0 * _EPS * absum) + 8.0 * _EPS * abs(value)
-    return LerchValue(value, inner.method, err)
+    return _shift_c(s, a, c, math.ceil(0.6 - c.real), target_abs_err, 0, _core_eval)
 
 
 def transform_eval(p: Point3, target_abs_err: float = 1e-10) -> LerchValue:
@@ -179,12 +202,18 @@ def transform_eval(p: Point3, target_abs_err: float = 1e-10) -> LerchValue:
     return _transform_value(s, a, c, target_abs_err, 0)
 
 
-def _transform_value(s: complex, a: complex, c: complex, target: float, depth: int) -> LerchValue:
-    """Three-term transformation: the value at s from two evaluations at 1 - s."""
-    sp = 1.0 - s  # Re sp >= 1 here
+def _transform_coefficients(sp: complex, a: complex, c: complex) -> tuple[complex, complex]:
+    """Coefficients of zeta(sp, 1-c, a) and zeta(sp, c, 1-a) in the three-term formula for zeta(1-sp, a, c)."""
     pref = cmath.exp(-sp * math.log(_TWO_PI)) * complex_gamma(sp)
     coef1 = pref * cmath.exp(0.5j * math.pi * sp - 2j * math.pi * a * c)
     coef2 = pref * cmath.exp(-0.5j * math.pi * sp + 2j * math.pi * c * (1.0 - a))
+    return coef1, coef2
+
+
+def _transform_value(s: complex, a: complex, c: complex, target: float, depth: int) -> LerchValue:
+    """Three-term transformation: the value at s from two evaluations at 1 - s."""
+    sp = 1.0 - s  # Re sp >= 1 here
+    coef1, coef2 = _transform_coefficients(sp, a, c)
     t1 = 0.25 * target / max(abs(coef1), 1e-300)
     t2 = 0.25 * target / max(abs(coef2), 1e-300)
     v1 = _core_eval(sp, 1.0 - c, a, t1, depth + 1)
@@ -198,65 +227,18 @@ def _transform_value(s: complex, a: complex, c: complex, target: float, depth: i
     return LerchValue(value, Method.TRANSFORM, err)
 
 
-def _circle_coefficients(
-    values: list[complex], orders: int
-) -> list[complex]:
-    m = len(values)
-    out = []
-    for j in range(orders + 1):
-        acc = 0j
-        for i, v in enumerate(values):
-            acc += v * cmath.exp(-2j * math.pi * j * i / m)
-        out.append(acc / m)
-    return out
+def _circle_radius(clearance: float, puncture: float, cap: float) -> float:
+    """Radius of a Cauchy circle around a point at these distances from the cut rays and punctures.
 
-
-def _ladder_value(s: complex, a: complex, c: complex, target: float, depth: int) -> LerchValue:
-    """Descend in s with the lowering operator expanded to order k.
-
-    Z(s,a,c) = sum_j C(k,j) c^{k-j} (2*pi*i)^{-j} d^j/da^j Z(s+k,a,c), all
-    derivatives taken from one Cauchy circle around a.
+    The circle stays on the principal sheet (inside the ray clearance) and
+    well inside the disk of analyticity (the nearest puncture).
     """
-    k = max(1, int(math.ceil(0.6 - s.real)))
-    sk = s + k
-    clearance = a_ray_clearance(a)
-    punct = a_puncture_distance(a)
-    if clearance < 5e-3:
+    domain = min(0.4 * clearance, 0.22 * puncture)
+    if domain < 2e-3:
         raise DerivativeCircleLeavesDomain(
-            f"a = {a!r} is only {clearance:.2e} from a cut ray; no differentiation circle fits"
+            f"no circle fits: cut-ray clearance {clearance:.2e}, puncture distance {puncture:.2e}"
         )
-    # the circle must stay on the principal sheet (inside the ray clearance);
-    # the sampled element is analytic out to the nearest puncture
-    radius = min(0.2, 0.45 * clearance, 0.22 * punct)
-    nodes = max(32, 4 * k + 8)
-
-    amp = sum(
-        math.comb(k, j) * abs(c) ** (k - j) * (_TWO_PI**-j) * math.factorial(j) * radius**-j
-        for j in range(k + 1)
-    )
-    node_target = max(target / (6.0 * amp), 1e-14)
-    values = []
-    max_node_err = 0.0
-    for i in range(nodes):
-        node = a + radius * cmath.exp(2j * math.pi * i / nodes)
-        lv = _core_eval(sk, node, c, node_target, depth + 1)
-        values.append(lv.value)
-        max_node_err = max(max_node_err, lv.abs_err_estimate)
-    coeffs = _circle_coefficients(values, k)
-
-    max_abs = max(abs(v) for v in values)
-    analytic_radius = 0.9 * punct
-    value = 0j
-    err = 0.0
-    for j in range(k + 1):
-        deriv = math.factorial(j) * coeffs[j] / radius**j
-        weight = math.comb(k, j) * c ** (k - j) * (2j * math.pi) ** -j
-        value += weight * deriv
-        alias = math.factorial(j) * 4.0 * max_abs * radius**nodes / analytic_radius ** (j + nodes)
-        err += abs(weight) * (
-            math.factorial(j) * (max_node_err + 4.0 * _EPS * max_abs) / radius**j + alias
-        )
-    return LerchValue(value, Method.DDE_SHIFT, err + 4e-13 * abs(value))
+    return min(cap, domain)
 
 
 def _cauchy_derivative(
@@ -264,8 +246,30 @@ def _cauchy_derivative(
 ) -> tuple[complex, complex, float]:
     """(f(center), f'(center), max |f| on the circle) by the trapezoid rule."""
     values = [f(center + radius * cmath.exp(2j * math.pi * i / nodes)) for i in range(nodes)]
-    coeffs = _circle_coefficients(values, 1)
-    return coeffs[0], coeffs[1] / radius, max(abs(v) for v in values)
+    mean = sum(values) / nodes
+    first = sum(v * cmath.exp(-2j * math.pi * i / nodes) for i, v in enumerate(values)) / nodes
+    return mean, first / radius, max(abs(v) for v in values)
+
+
+def _c_circle_value(s: complex, a: complex, c: complex, target: float, depth: int) -> LerchValue:
+    """Mean value over a circle around c, for Re c an integer; the nodes take the transform route.
+
+    The node count is odd so that no node lands back on the integer line.
+    """
+    nodes = 25
+    punct = c_puncture_distance(c)
+    r = _circle_radius(c_ray_clearance(c), punct, _CIRCLE_CAP)
+    node_errs: list[float] = []
+
+    def node(cc: complex) -> complex:
+        lv = _core_eval(s, a, cc, 0.5 * target, depth + 1)
+        node_errs.append(lv.abs_err_estimate)
+        return lv.value
+
+    value, _, max_abs = _cauchy_derivative(node, c, r, nodes)
+    alias = 4.0 * max_abs * (r / (0.9 * punct)) ** nodes
+    err = max(node_errs) + 4.0 * _EPS * max_abs + alias
+    return LerchValue(value, Method.DDE_SHIFT, err)
 
 
 def dde_shift(
@@ -289,16 +293,11 @@ def dde_shift(
         raise SZero("the raising relation degenerates at s = 0")
 
     if direction is ShiftDirection.LOWER:
-        clearance = a_ray_clearance(a)
         punct = a_puncture_distance(a)
+        r = _circle_radius(a_ray_clearance(a), punct, radius)
     else:
-        clearance = c_ray_clearance(c)
         punct = c_puncture_distance(c)
-    if clearance < 5e-3:
-        raise DerivativeCircleLeavesDomain(
-            f"differentiation circle of any useful radius leaves the domain (clearance {clearance:.2e})"
-        )
-    r = min(radius, 0.45 * clearance, 0.22 * punct)
+        r = _circle_radius(c_ray_clearance(c), punct, radius)
     analytic_radius = 0.9 * punct
     node_target = max(target_abs_err * r / 8.0, 1e-14)
 
@@ -339,25 +338,11 @@ def _cover_value(s: complex, a: complex, c: complex, b: BranchState, target: flo
     return v
 
 
-def _a_circle_radius(a: complex, cap: float = 0.05) -> float:
-    r = min(cap, 0.4 * a_ray_clearance(a), 0.22 * a_puncture_distance(a))
-    if r < 2e-3:
-        raise DerivativeCircleLeavesDomain("point too close to an a-plane cut ray or puncture")
-    return r
-
-
-def _c_circle_radius(c: complex, cap: float = 0.05) -> float:
-    r = min(cap, 0.4 * c_ray_clearance(c), 0.22 * c_puncture_distance(c))
-    if r < 2e-3:
-        raise DerivativeCircleLeavesDomain("point too close to a c-plane cut ray or puncture")
-    return r
-
-
 def dde_lower_residual(p: Point3, b: BranchState, node_target: float = 1e-12) -> float:
     """| (1/(2*pi*i) d/da + c) Z(s) - Z(s-1) | on the sheet b."""
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
-    r = _a_circle_radius(a)
+    r = _circle_radius(a_ray_clearance(a), a_puncture_distance(a), _CIRCLE_CAP)
     z0, d1, _ = _cauchy_derivative(lambda aa: _cover_value(s, aa, c, b, node_target), a, r)
     low = _cover_value(s - 1, a, c, b, node_target)
     return abs(d1 / (2j * math.pi) + c * z0 - low)
@@ -367,7 +352,7 @@ def dde_raise_residual(p: Point3, b: BranchState, node_target: float = 1e-12) ->
     """| d/dc Z(s) + s Z(s+1) | on the sheet b."""
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
-    r = _c_circle_radius(c)
+    r = _circle_radius(c_ray_clearance(c), c_puncture_distance(c), _CIRCLE_CAP)
     _, d1, _ = _cauchy_derivative(lambda cc: _cover_value(s, a, cc, b, node_target), c, r)
     high = _cover_value(s + 1, a, c, b, node_target)
     return abs(d1 + s * high)
@@ -381,8 +366,8 @@ def pde_residual(p: Point3, b: BranchState, node_target: float = 1e-12, nodes: i
     """
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
-    r_a = _a_circle_radius(a)
-    r_c = _c_circle_radius(c)
+    r_a = _circle_radius(a_ray_clearance(a), a_puncture_distance(a), _CIRCLE_CAP)
+    r_c = _circle_radius(c_ray_clearance(c), c_puncture_distance(c), _CIRCLE_CAP)
 
     def dz_dc(aa: complex) -> complex:
         _, d1, _ = _cauchy_derivative(

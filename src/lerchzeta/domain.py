@@ -8,6 +8,7 @@ anchoring the principal sheet.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -94,7 +95,8 @@ def c_puncture_distance(c: complex) -> float:
 class Point3:
     """A point (s, a, c) in the punctured three-variable domain.
 
-    Raises InvalidPoint if a is an integer or c is a nonpositive integer.
+    Raises InvalidPoint if a coordinate is NaN or infinite, a is an integer
+    or c is a nonpositive integer.
     """
 
     s: complex
@@ -105,6 +107,9 @@ class Point3:
         object.__setattr__(self, "s", complex(self.s))
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "c", complex(self.c))
+        for name in ("s", "a", "c"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise InvalidPoint(f"{name} = {getattr(self, name)!r} is not finite")
         if is_real_integer(self.a):
             raise InvalidPoint(f"a = {self.a!r} is an integer puncture")
         if is_nonpositive_real_integer(self.c):

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .branching import complex_gamma, is_nonpositive_integer, reciprocal_gamma
-from .continuation import evaluate_principal
+from .continuation import _transform_coefficients, evaluate_principal
 from .domain import SymKind
 
-_TWO_PI = 2.0 * math.pi
 _OVERFLOW_SCALE = 1e8
 _POLE_MARGIN = 0.05
 
@@ -79,11 +78,23 @@ def fe_residual(kind: SymKind | str, s: complex, a: complex, c: complex, target_
     """
     kind = SymKind(kind)
     s, a, c = complex(s), complex(a), complex(c)
+    phase = (1j**kind.k) * cmath.exp(-2j * math.pi * a * c)
+    return _reflection_residual(kind, phase, s, a, c, (1.0 - c, a), 0.5 * target_abs_err)
+
+
+def _reflection_residual(
+    kind: SymKind,
+    phase: complex,
+    s: complex,
+    a: complex,
+    c: complex,
+    ac_r: tuple[complex, complex],
+    tgt: float,
+) -> float:
+    """Residual of completed L(s, a, c) = phase * completed L(1-s, *ac_r), in the forms fe_residual describes."""
     k = kind.k
-    phase = (1j**k) * cmath.exp(-2j * math.pi * a * c)
     half_l = 0.5 * (s + k)
     half_r = 0.5 * (1.0 - s + k)
-    tgt = 0.5 * target_abs_err
 
     if is_nonpositive_integer(half_l):
         lhs = cmath.exp(-half_l * math.log(math.pi)) * l_pm(kind, s, a, c, tgt)
@@ -92,7 +103,7 @@ def fe_residual(kind: SymKind | str, s: complex, a: complex, c: complex, target_
             * cmath.exp(-half_r * math.log(math.pi))
             * complex_gamma(half_r)
             * reciprocal_gamma(half_l)
-            * l_pm(kind, 1.0 - s, 1.0 - c, a, tgt)
+            * l_pm(kind, 1.0 - s, *ac_r, tgt)
         )
         return abs(lhs - rhs)
     if is_nonpositive_integer(half_r):
@@ -102,11 +113,11 @@ def fe_residual(kind: SymKind | str, s: complex, a: complex, c: complex, target_
             * reciprocal_gamma(half_r)
             * l_pm(kind, s, a, c, tgt)
         )
-        rhs = phase * cmath.exp(-half_r * math.log(math.pi)) * l_pm(kind, 1.0 - s, 1.0 - c, a, tgt)
+        rhs = phase * cmath.exp(-half_r * math.log(math.pi)) * l_pm(kind, 1.0 - s, *ac_r, tgt)
         return abs(lhs - rhs)
 
     left = completed_l(kind, s, a, c, tgt)
-    right_val = phase * completed_l(kind, 1.0 - s, 1.0 - c, a, tgt).value
+    right_val = phase * completed_l(kind, 1.0 - s, *ac_r, tgt).value
     resid = abs(left.value - right_val)
     if left.scale_overflow or _near_pole(half_l) or _near_pole(half_r):
         return resid / max(1.0, abs(left.value), abs(right_val))
@@ -153,33 +164,7 @@ def fe_iterated_residual(
         return resid
 
     phase = ((-1j) ** k) * cmath.exp(-2j * math.pi * a * c + 2j * math.pi * c)
-    half_l = 0.5 * (s + k)
-    half_r = 0.5 * (1.0 - s + k)
-    if is_nonpositive_integer(half_l):
-        lhs = cmath.exp(-half_l * math.log(math.pi)) * l_pm(kind, s, a, c, tgt)
-        rhs = (
-            phase
-            * cmath.exp(-half_r * math.log(math.pi))
-            * complex_gamma(half_r)
-            * reciprocal_gamma(half_l)
-            * l_pm(kind, 1.0 - s, c, 1.0 - a, tgt)
-        )
-        return abs(lhs - rhs)
-    if is_nonpositive_integer(half_r):
-        lhs = (
-            cmath.exp(-half_l * math.log(math.pi))
-            * complex_gamma(half_l)
-            * reciprocal_gamma(half_r)
-            * l_pm(kind, s, a, c, tgt)
-        )
-        rhs = phase * cmath.exp(-half_r * math.log(math.pi)) * l_pm(kind, 1.0 - s, c, 1.0 - a, tgt)
-        return abs(lhs - rhs)
-    left = completed_l(kind, s, a, c, tgt)
-    right_val = phase * completed_l(kind, 1.0 - s, c, 1.0 - a, tgt).value
-    resid = abs(left.value - right_val)
-    if left.scale_overflow or _near_pole(half_l) or _near_pole(half_r):
-        return resid / max(1.0, abs(left.value), abs(right_val))
-    return resid
+    return _reflection_residual(kind, phase, s, a, c, (c, 1.0 - a), tgt)
 
 
 def three_term_residual(sp: complex, a: complex, c: complex, target_abs_err: float = 1e-10) -> float:
@@ -192,9 +177,7 @@ def three_term_residual(sp: complex, a: complex, c: complex, target_abs_err: flo
     """
     sp, a, c = complex(sp), complex(a), complex(c)
     lhs = evaluate_principal(1.0 - sp, a, c, 0.5 * target_abs_err).value
-    pref = cmath.exp(-sp * math.log(_TWO_PI)) * complex_gamma(sp)
-    coef1 = pref * cmath.exp(0.5j * math.pi * sp - 2j * math.pi * a * c)
-    coef2 = pref * cmath.exp(-0.5j * math.pi * sp + 2j * math.pi * c * (1.0 - a))
+    coef1, coef2 = _transform_coefficients(sp, a, c)
     v1 = evaluate_principal(sp, 1.0 - c, a, 0.25 * target_abs_err / max(abs(coef1), 1e-300)).value
     v2 = evaluate_principal(sp, c, 1.0 - a, 0.25 * target_abs_err / max(abs(coef2), 1e-300)).value
     return abs(lhs - (coef1 * v1 + coef2 * v2))

@@ -29,6 +29,12 @@ Z_3_03_07 = complex(2.8267250536459371788, 0.15953460458991894859)
 # principal-sheet value just right of the downward ray below a = 1, deep in the
 # lower half-plane (from direct quadrature of the integral representation)
 Z_NEAR_CUT = complex(-9.8515975171897576362, 9.3791318783265704326)  # (0.753+1.504i, 1.011-0.1725i, 0.4209-0.2332i)
+# points with Re c an integer, and a point whose series misses 1e-10 at Im a > 0
+# (mpmath lerchphi(exp(2 pi i a), s, c) at 30 digits)
+Z_INT_C_1 = complex(0.062861503412834277473, 0.44120422682893970421)  # (-0.5+0.3i, 0.3-0.1i, 1+0.2i)
+Z_INT_C_2 = complex(-0.15772108850726197806, -0.37427271315190887134)  # (-1.2-0.4i, 0.7-0.05i, 1)
+Z_INT_C_3 = complex(0.034800088635861202174, -0.10807593520464015533)  # (-0.8, 1.6-0.2i, 1-0.25i)
+Z_SERIES_FALLBACK = complex(-0.031992073591436600927, 0.10270279924049466904)
 
 PI2_12 = math.pi**2 / 12.0
 PI2_6 = math.pi**2 / 6.0

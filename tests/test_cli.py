@@ -3,6 +3,8 @@ import json
 import math
 import os
 
+import pytest
+
 from lerchzeta.cli import main
 from lerchzeta import Word, monodromy_generator
 from lerchzeta.words import Generator
@@ -49,6 +51,18 @@ class TestEval:
         rec = json.loads(err)
         assert rec["error"] == "InvalidPoint"
         assert "integer puncture" in rec["message"]
+
+    @pytest.mark.parametrize(
+        "s, a, c",
+        [("nan", "0.3,0.1", "0.5"), ("0.5", "inf", "0.5"), ("0.5", "0.3,0.1", "inf"), ("0.5", "0.3,-inf", "0.5")],
+    )
+    def test_non_finite_input_is_machine_readable_error(self, capsys, s, a, c):
+        code, out, err = run(capsys, "eval", "--s", s, "--a", a, "--c", c)
+        assert code == 2
+        assert out == ""
+        rec = json.loads(err)
+        assert rec["error"] == "InvalidPoint"
+        assert "not finite" in rec["message"]
 
     def test_seventeen_digit_output(self, capsys):
         _, out, _ = run(capsys, "eval", "--s", "2,0", "--a", "0.5,0", "--c", "1,0")

@@ -26,8 +26,12 @@ from conftest import (
     Z_C2,
     Z_NEAR_CUT,
     Z_1_I_1,
+    Z_INT_C_1,
+    Z_INT_C_2,
+    Z_INT_C_3,
     Z_M05_04_06,
     Z_M3_05_05,
+    Z_SERIES_FALLBACK,
 )
 
 
@@ -156,6 +160,49 @@ class TestEvaluatePrincipal:
         # pole passes 0.07 above the contour and the sheet must not flip
         lv = evaluate_principal(0.753 + 1.504j, 1.0110 - 0.1725j, 0.4209 - 0.2332j, 1e-10)
         assert abs(lv.value - Z_NEAR_CUT) < 1e-9
+
+
+class TestRouting:
+    @pytest.mark.parametrize(
+        "s, a, c",
+        [(-0.5 + 0.2j, 0.3 - 0.1j, 0.6), (-1.5 - 0.3j, 0.75 - 0.2j, 0.4 + 0.1j), (-0.2 + 1.0j, 0.45, 0.8 - 0.1j)],
+    )
+    def test_periodic_in_a(self, s, a, c):
+        base = evaluate_principal(s, a, c, 1e-11)
+        for n in (-2, -1, 1, 2):
+            lv = evaluate_principal(s, a + n, c, 1e-11)
+            assert lv.method is Method.TRANSFORM
+            assert abs(lv.value - base.value) < 1e-12
+
+    @pytest.mark.parametrize(
+        "s, a, c, want",
+        [
+            (-0.5 + 0.3j, 0.3 - 0.1j, 1 + 0.2j, Z_INT_C_1),
+            (-1.2 - 0.4j, 0.7 - 0.05j, 1.0, Z_INT_C_2),
+            (-0.8, 1.6 - 0.2j, 1 - 0.25j, Z_INT_C_3),
+        ],
+    )
+    def test_integer_re_c(self, s, a, c, want):
+        lv = evaluate_principal(s, a, c, 1e-10)
+        err = abs(lv.value - want)
+        assert err < 1e-10
+        assert err <= lv.abs_err_estimate
+
+    @pytest.mark.parametrize("n", [0, 2, -1])
+    def test_series_fallback_point(self, n):
+        # Im a > 0 but the series misses the target at Re s < 0, also with Re a outside (0, 1)
+        s = -2.1760155316224776 - 0.5588129495590355j
+        a = 0.38418727940415864 + 0.002948133365388572j + n
+        c = 1.1914584485350448 + 0.2120879772022975j
+        lv = evaluate_principal(s, a, c, 1e-10)
+        err = abs(lv.value - Z_SERIES_FALLBACK)
+        assert err < 1e-10
+        assert err <= lv.abs_err_estimate
+
+    def test_reduction_rounding_onto_cut(self):
+        # -1e-17 + 1 rounds to exactly 1.0, a point on the ray below a = 1
+        with pytest.raises(CutViolation):
+            evaluate_principal(-0.5, -1e-17 - 0.1j, 0.5)
 
 
 class TestEvaluateOnCover:
