@@ -14,9 +14,7 @@ from .branching import (
     reciprocal_gamma,
 )
 from .continuation import (
-    RegionTag,
     ShiftDirection,
-    classify,
     dde_shift,
     evaluate_on_cover,
     evaluate_principal,
@@ -91,7 +89,6 @@ __all__ = [
     "Point3",
     "PoleAtNonpositiveInteger",
     "PrincipalLogConvention",
-    "RegionTag",
     "SZero",
     "ShiftDirection",
     "SymKind",
@@ -99,7 +96,6 @@ __all__ = [
     "WordParseError",
     "abelianize",
     "branched_pow",
-    "classify",
     "complex_gamma",
     "completed_l",
     "compose_check",

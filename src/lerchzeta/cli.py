@@ -2,16 +2,14 @@
 
 Numbers in JSON and CSV output are printed with 17 significant digits so a
 binary64 value round-trips exactly; identical flags (and seed) produce
-byte-identical output.  LERCH_THREADS caps grid parallelism.
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .continuation import evaluate_on_cover
 from .domain import Point3
@@ -164,12 +162,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
             return coord, None
         return coord, (lv.value, lv.abs_err_estimate, lv.method.value)
 
-    threads = max(1, int(os.environ.get("LERCH_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, coords))
-    else:
-        rows = [one(coord) for coord in coords]
+    rows = [one(coord) for coord in coords]
 
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

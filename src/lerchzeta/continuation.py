@@ -3,12 +3,14 @@
 The principal sheet is anchored at the base point (1/2, 1/2, 1/2) through the
 cut a-plane (downward rays below every integer) and cut c-plane (rays below
 the nonpositive integers).  The value is 1-periodic in a, so Re a is first
-reduced into [0, 1).  One dispatch then picks the route: the series, the
-straight-contour integral, or, for Re s <= 0, the exact index shift of c
-into 0 < Re c < 1 followed by the three-term transformation formula inside
-the polycylinder.  On the line where Re c is an integer the value is the
-mean over a small c-circle whose nodes take that route.  The cover value
-adds the closed-form monodromy of the winding vector.
+reduced into [0, 1).  One dispatch then tries, in order, the routes that
+own their convergence regions: the Dirichlet series (Im a > 0, or real a
+with Re s > 0), the straight-contour integral (Re s > 0), and the exact
+index shift of c into 0 < Re c < 1 followed by the three-term
+transformation formula inside the polycylinder.  On the line where Re c is
+an integer the value is the mean over a small c-circle whose nodes take
+that route.  The cover value adds the closed-form monodromy of the winding
+vector.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .domain import (
 from .errors import (
     CutViolation,
     DerivativeCircleLeavesDomain,
+    DivergentSeries,
     InvalidRegion,
     LerchError,
     NonConvergence,
@@ -46,31 +49,9 @@ _EPS = 2.220446049250313e-16
 _CIRCLE_CAP = 0.05
 
 
-class RegionTag(Enum):
-    U_SERIES = "u_series"
-    U_PLUS_INTEGRAL = "u_plus_integral"
-    OMEGA_TILDE = "omega_tilde"
-    TRANSFORM_NEEDED = "transform_needed"
-    DDE_NEEDED = "dde_needed"
-
-
 class ShiftDirection(str, Enum):
     RAISE = "raise"
     LOWER = "lower"
-
-
-def classify(p: Point3) -> RegionTag:
-    """Cheapest applicable strategy family for a valid point."""
-    s, a, c = p.s, p.a, p.c
-    if p.in_u:
-        return RegionTag.U_SERIES
-    if s.real > 0.0 and c.real > 0.0 and not on_a_cut_ray(a):
-        return RegionTag.U_PLUS_INTEGRAL
-    if p.in_omega_tilde:
-        return RegionTag.OMEGA_TILDE
-    if s.real < 1.0 and 0.0 < a.real < 1.0 and c.real != math.floor(c.real):
-        return RegionTag.TRANSFORM_NEEDED
-    return RegionTag.DDE_NEEDED
 
 
 def _anchor_check(a: complex, c: complex) -> None:
@@ -80,55 +61,38 @@ def _anchor_check(a: complex, c: complex) -> None:
         raise CutViolation(f"c = {c!r} lies on a downward cut ray below a nonpositive integer")
 
 
-def _core_eval(s: complex, a: complex, c: complex, target: float, depth: int) -> LerchValue:
+def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     """The one dispatch, for an anchored point with 0 < Re a < 1 when Im a <= 0.
 
-    The series when it meets the target; else the integral when Re s > 0;
-    else the transformation formula, after the index shift of c into
-    0 < Re c < 1, or the mean value over a c-circle when Re c is an integer.
-    If the series ran, the smaller of the two estimates wins, and a failed
-    shift or c-circle keeps the series value.  The series and the integral
-    need Re c > 0.
+    Each route owns its region and the order is the only rule: the series
+    wherever it converges; while it misses the target, the integral when
+    Re s > 0, else the transformation formula after the index shift of c
+    into 0 < Re c < 1, or the mean over a c-circle when Re c is an integer.
+    The smaller of two estimates wins.  Only a failed shift by n != 0 or
+    c-circle falls back to the series value.  Series and integral need Re c > 0.
     """
-    if depth > 8:
-        raise NonConvergence("evaluation strategy recursion exceeded its depth budget")
     best: LerchValue | None = None
-    if a.imag > 0.0:
-        try:
-            best = dirichlet_series(s, a, c, target)
-            if best.abs_err_estimate <= target:
-                return best
-        except NonConvergence:
-            pass
+    try:
+        best = dirichlet_series(s, a, c, target)
+        if best.abs_err_estimate <= target:
+            return best
+    except (DivergentSeries, NonConvergence):
+        pass
     if s.real > 0.0:
         other = _integral_eval_raw(s, a, c, ContourSpec.STRAIGHT, target)
-    elif 0.0 < a.real < 1.0 and 0.0 < c.real < 1.0:
-        other = _transform_value(s, a, c, target, depth)
     else:
         try:
-            if not 0.0 < a.real < 1.0:
-                raise NonConvergence("no strategy reached the target at this point")
             if c.real == math.floor(c.real):
-                other = _c_circle_value(s, a, c, target, depth)
+                other = _c_circle_value(s, a, c, target)
             else:
-                other = _shift_c(s, a, c, -math.floor(c.real), target, depth, _transform_value)
+                other = _shift_c(s, a, c, -math.floor(c.real), target, _transform_value)
         except LerchError:
-            if best is None:
+            if best is None or 0.0 < c.real < 1.0:
                 raise
             return best
     if best is None or other.abs_err_estimate < best.abs_err_estimate:
         return other
     return best
-
-
-def _shift_terms(s: complex, a: complex, c_base: complex, count: int) -> tuple[complex, float]:
-    total = 0j
-    absum = 0.0
-    for j in range(count):
-        term = cmath.exp(2j * math.pi * a * j) * branched_pow(j + c_base, -s)
-        total += term
-        absum += abs(term)
-    return total, absum
 
 
 def _shift_c(
@@ -137,29 +101,25 @@ def _shift_c(
     c: complex,
     n: int,
     target: float,
-    depth: int,
-    inner: Callable[[complex, complex, complex, float, int], LerchValue],
+    inner: Callable[[complex, complex, complex, float], LerchValue],
 ) -> LerchValue:
-    """The value at c from inner's value at c + n, by the exact index shift in c."""
-    if n == 0:
-        return inner(s, a, c, target, depth)
-    if n > 0:
-        # zeta(s,a,c) = sum_{j<n} e^{2pi i j a}(j+c)^{-s} + e^{2pi i n a} zeta(s,a,c+n)
-        phase = cmath.exp(2j * math.pi * a * n)
-        scale = abs(phase)
-        shifted = inner(s, a, c + n, 0.5 * target / scale, depth)
-        partial, absum = _shift_terms(s, a, c, n)
-        value = partial + phase * shifted.value
-        err = scale * shifted.abs_err_estimate + 8.0 * _EPS * (absum + abs(value))
-        return LerchValue(value, shifted.method, err)
+    """The value at c from inner's value at c + n, by the exact index shift in c.
 
-    # lower c: zeta(s,a,c) = e^{-2pi i m a} (zeta(s,a,c-m) - sum_{j<m} e^{2pi i j a}(j+c-m)^{-s})
-    m = -n
-    phase = cmath.exp(-2j * math.pi * a * m)
+    zeta(s,a,c) = e^{2pi i n a} (zeta(s,a,c+n) + sign(n) sum_j e^{2pi i (j-n) a}(j+c)^{-s}),
+    with j running over [0, n) for n > 0 and over [n, 0) for n < 0.
+    """
+    if n == 0:
+        return inner(s, a, c, target)
+    phase = cmath.exp(2j * math.pi * a * n)
     scale = abs(phase)
-    shifted = inner(s, a, c - m, 0.5 * target / max(scale, 1e-300), depth)
-    partial, absum = _shift_terms(s, a, c - m, m)
-    value = phase * (shifted.value - partial)
+    shifted = inner(s, a, c + n, 0.5 * target / max(scale, 1e-300))
+    partial = 0j
+    absum = 0.0
+    for j in range(min(n, 0), max(n, 0)):
+        term = cmath.exp(2j * math.pi * a * (j - n)) * branched_pow(j + c, -s)
+        partial += term
+        absum += abs(term)
+    value = phase * (shifted.value + math.copysign(1.0, n) * partial)
     err = scale * (shifted.abs_err_estimate + 8.0 * _EPS * absum) + 8.0 * _EPS * abs(value)
     return LerchValue(value, shifted.method, err)
 
@@ -183,8 +143,8 @@ def evaluate_principal(s: complex, a: complex, c: complex, target_abs_err: float
     elif a.imag <= 0.0:
         raise CutViolation(f"a = {a!r} rounds onto a downward cut ray when reduced by its period")
     if c.real > 0.05 or (s.real <= 0.0 and a.imag <= 0.0):
-        return _core_eval(s, a, c, target_abs_err, 0)
-    return _shift_c(s, a, c, math.ceil(0.6 - c.real), target_abs_err, 0, _core_eval)
+        return _core_eval(s, a, c, target_abs_err)
+    return _shift_c(s, a, c, math.ceil(0.6 - c.real), target_abs_err, _core_eval)
 
 
 def transform_eval(p: Point3, target_abs_err: float = 1e-10) -> LerchValue:
@@ -199,7 +159,7 @@ def transform_eval(p: Point3, target_abs_err: float = 1e-10) -> LerchValue:
         raise InvalidRegion("transformation formula needs 0 < Re a < 1 and 0 < Re c < 1")
     if not s.real < 1.0:
         raise InvalidRegion("transformation route expects Re s < 1 (use series/integral otherwise)")
-    return _transform_value(s, a, c, target_abs_err, 0)
+    return _transform_value(s, a, c, target_abs_err)
 
 
 def _transform_coefficients(sp: complex, a: complex, c: complex) -> tuple[complex, complex]:
@@ -210,14 +170,18 @@ def _transform_coefficients(sp: complex, a: complex, c: complex) -> tuple[comple
     return coef1, coef2
 
 
-def _transform_value(s: complex, a: complex, c: complex, target: float, depth: int) -> LerchValue:
-    """Three-term transformation: the value at s from two evaluations at 1 - s."""
-    sp = 1.0 - s  # Re sp >= 1 here
+def _transform_value(s: complex, a: complex, c: complex, target: float) -> LerchValue:
+    """Three-term transformation: the value at s from two evaluations at 1 - s.
+
+    Re(1 - s) >= 1 here, where the series or the integral always applies, so
+    the dispatch never recurses past these two evaluations.
+    """
+    sp = 1.0 - s
     coef1, coef2 = _transform_coefficients(sp, a, c)
     t1 = 0.25 * target / max(abs(coef1), 1e-300)
     t2 = 0.25 * target / max(abs(coef2), 1e-300)
-    v1 = _core_eval(sp, 1.0 - c, a, t1, depth + 1)
-    v2 = _core_eval(sp, c, 1.0 - a, t2, depth + 1)
+    v1 = _core_eval(sp, 1.0 - c, a, t1)
+    v2 = _core_eval(sp, c, 1.0 - a, t2)
     value = coef1 * v1.value + coef2 * v2.value
     err = (
         abs(coef1) * v1.abs_err_estimate
@@ -251,7 +215,7 @@ def _cauchy_derivative(
     return mean, first / radius, max(abs(v) for v in values)
 
 
-def _c_circle_value(s: complex, a: complex, c: complex, target: float, depth: int) -> LerchValue:
+def _c_circle_value(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     """Mean value over a circle around c, for Re c an integer; the nodes take the transform route.
 
     The node count is odd so that no node lands back on the integer line.
@@ -262,7 +226,7 @@ def _c_circle_value(s: complex, a: complex, c: complex, target: float, depth: in
     node_errs: list[float] = []
 
     def node(cc: complex) -> complex:
-        lv = _core_eval(s, a, cc, 0.5 * target, depth + 1)
+        lv = _core_eval(s, a, cc, 0.5 * target)
         node_errs.append(lv.abs_err_estimate)
         return lv.value
 
@@ -331,20 +295,13 @@ def evaluate_on_cover(p: Point3, b: BranchState, target_abs_err: float = 1e-10) 
     return LerchValue(value, z0.method, z0.abs_err_estimate + 4.0 * _EPS * abs(extra))
 
 
-def _cover_value(s: complex, a: complex, c: complex, b: BranchState, target: float) -> complex:
-    v = evaluate_principal(s, a, c, target).value
-    if not b.is_zero:
-        v += monodromy_of_branch(b, s, a, c)
-    return v
-
-
 def dde_lower_residual(p: Point3, b: BranchState, node_target: float = 1e-12) -> float:
     """| (1/(2*pi*i) d/da + c) Z(s) - Z(s-1) | on the sheet b."""
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
     r = _circle_radius(a_ray_clearance(a), a_puncture_distance(a), _CIRCLE_CAP)
-    z0, d1, _ = _cauchy_derivative(lambda aa: _cover_value(s, aa, c, b, node_target), a, r)
-    low = _cover_value(s - 1, a, c, b, node_target)
+    z0, d1, _ = _cauchy_derivative(lambda aa: evaluate_on_cover(Point3(s, aa, c), b, node_target).value, a, r)
+    low = evaluate_on_cover(Point3(s - 1, a, c), b, node_target).value
     return abs(d1 / (2j * math.pi) + c * z0 - low)
 
 
@@ -353,8 +310,8 @@ def dde_raise_residual(p: Point3, b: BranchState, node_target: float = 1e-12) ->
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
     r = _circle_radius(c_ray_clearance(c), c_puncture_distance(c), _CIRCLE_CAP)
-    _, d1, _ = _cauchy_derivative(lambda cc: _cover_value(s, a, cc, b, node_target), c, r)
-    high = _cover_value(s + 1, a, c, b, node_target)
+    _, d1, _ = _cauchy_derivative(lambda cc: evaluate_on_cover(Point3(s, a, cc), b, node_target).value, c, r)
+    high = evaluate_on_cover(Point3(s + 1, a, c), b, node_target).value
     return abs(d1 + s * high)
 
 
@@ -371,10 +328,10 @@ def pde_residual(p: Point3, b: BranchState, node_target: float = 1e-12, nodes: i
 
     def dz_dc(aa: complex) -> complex:
         _, d1, _ = _cauchy_derivative(
-            lambda cc: _cover_value(s, aa, cc, b, node_target), c, r_c, nodes
+            lambda cc: evaluate_on_cover(Point3(s, aa, cc), b, node_target).value, c, r_c, nodes
         )
         return d1
 
     g0, dg_da, _ = _cauchy_derivative(dz_dc, a, r_a, nodes)
-    z0 = _cover_value(s, a, c, b, node_target)
+    z0 = evaluate_on_cover(p, b, node_target).value
     return abs(dg_da / (2j * math.pi) + c * g0 + s * z0)

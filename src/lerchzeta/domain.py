@@ -68,10 +68,7 @@ def c_ray_clearance(c: complex) -> float:
     """Distance from c to the union of downward rays below the nonpositive integers."""
     c = complex(c)
     n = min(0, round(c.real))
-    best = math.inf
-    for m in (n - 1, n, min(0, n + 1)):
-        best = min(best, _ray_distance(c.real, c.imag, m))
-    return best
+    return min(_ray_distance(c.real, c.imag, m) for m in (n - 1, n, min(0, n + 1)))
 
 
 def a_puncture_distance(a: complex) -> float:
@@ -85,10 +82,7 @@ def c_puncture_distance(c: complex) -> float:
     """Distance from c to the nearest nonpositive-integer puncture."""
     c = complex(c)
     n = min(0, round(c.real))
-    best = math.inf
-    for m in (n - 1, n, min(0, n + 1)):
-        best = min(best, abs(c - m))
-    return best
+    return min(abs(c - m) for m in (n - 1, n, min(0, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -114,21 +108,6 @@ class Point3:
             raise InvalidPoint(f"a = {self.a!r} is an integer puncture")
         if is_nonpositive_real_integer(self.c):
             raise InvalidPoint(f"c = {self.c!r} is a nonpositive integer puncture")
-
-    @property
-    def in_u(self) -> bool:
-        """Series region: Im a > 0, Re c > 0 (s unrestricted)."""
-        return self.a.imag > 0.0 and self.c.real > 0.0
-
-    @property
-    def in_u_plus(self) -> bool:
-        """Integral region restricted to the upper a half-plane: adds Re s > 0."""
-        return self.s.real > 0.0 and self.in_u
-
-    @property
-    def in_omega_tilde(self) -> bool:
-        """Extended fundamental polycylinder: 0 < Re a < 1, 0 < Re c < 1, s free."""
-        return 0.0 < self.a.real < 1.0 and 0.0 < self.c.real < 1.0
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ from .errors import (
 
 _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
+_EM_SPLIT_CAP = 40_000  # largest Euler-Maclaurin split point the series starts from
+
 
 def _make_em_coeffs(count: int) -> tuple[float, ...]:
     """B_{2j}/(2j)! for j = 1..count, via (-1)^{j+1} 2 zeta(2j) / (2 pi)^{2j}."""
@@ -136,41 +138,31 @@ def _osc_tail(
     x0, beta = alpha.real, alpha.imag
     sigma = s.real
     decay = _TWO_PI * (abs(x0) if x0 != 0.0 else beta)
-    if decay < 1e-6:
-        raise NonConvergence(f"tail oscillation too slow at reduced a = {alpha!r}")
 
+    # rotate the contour toward decay; purely imaginary alpha has no
+    # oscillation and stays on the real axis
+    rot = 1j if x0 > 0.0 else -1j if x0 < 0.0 else 1.0
     grow = max(0.0, -sigma)
-    scale0 = math.exp(-_TWO_PI * beta * n0)
+    # |(n0+c)^{-s}| carries exp(Im s * arg(n0+c)), and along the rotated
+    # contour |(t+c)^{-s}| also grows like e^{Im s * arg(t+c)}
+    scale0 = math.exp(-_TWO_PI * beta * n0 + abs(s.imag) * abs(c.imag) / (n0 + c.real))
+    spin = max(0.0, s.imag * rot.imag) / (n0 + c.real)
+    rate = decay - spin
+    if rate < 1e-6:
+        raise NonConvergence(f"tail oscillation too slow at reduced a = {alpha!r}, n0 = {n0}")
 
     def trunc_bound(y: float) -> float:
-        return scale0 * math.exp(-decay * y) * (n0 + abs(c) + y + 2.0) ** grow / decay
+        return scale0 * math.exp(-rate * y) * (n0 + abs(c) + y + 2.0) ** grow / rate
 
     y_max = (40.0 + 2.0 * abs(sigma)) / decay
     while trunc_bound(y_max) > 0.125 * target and y_max < 1e9:
         y_max *= 2.0
 
     w = 2j * math.pi * alpha
-    if x0 > 0.0:
 
-        def f(y: np.ndarray) -> np.ndarray:
-            t = n0 + 1j * y
-            return np.exp(w * t - s * np.log(t + c))
-
-        rot = 1j
-    elif x0 < 0.0:
-
-        def f(y: np.ndarray) -> np.ndarray:
-            t = n0 - 1j * y
-            return np.exp(w * t - s * np.log(t + c))
-
-        rot = -1j
-    else:  # alpha purely imaginary: no oscillation, integrate along the real axis
-
-        def f(y: np.ndarray) -> np.ndarray:
-            t = n0 + y
-            return np.exp(w * t - s * np.log(t + c))
-
-        rot = 1.0
+    def f(y: np.ndarray) -> np.ndarray:
+        t = n0 + rot * y
+        return np.exp(w * t - s * np.log(t + c))
 
     integral, quad_err, _ = quadrature.integrate(f, 0.0, y_max, 0.125 * target)
     integral *= rot
@@ -252,17 +244,25 @@ def dirichlet_series(s: complex, a: complex, c: complex, target_abs_err: float =
             err = tail_bound(n_direct) + 4.0 * _EPS * absum
             return LerchValue(value, Method.SERIES, err)
 
-    # Euler-Maclaurin tail from a moderate split point
+    # Euler-Maclaurin tail from a moderate split point.  For real a it keeps
+    # the tail contour's phase growth |Im s| / n0 below pi*|alpha|, up to a cap.
     n0 = max(32, int(math.ceil((abs(s) + 64.0) / 3.5)), int(math.ceil(0.75 * abs(s.imag))))
+    if beta == 0.0:
+        split = 2.0 * abs(s.imag) / (_TWO_PI * abs(alpha.real))
+        if split > _EM_SPLIT_CAP:
+            raise NonConvergence(f"real-a split point {split:.3e} exceeds {_EM_SPLIT_CAP}")
+        n0 = max(n0, int(math.ceil(split)))
     best: tuple[complex, float] | None = None
     for _ in range(4):
         tail, tail_err = _osc_tail(s, alpha, c, n0, 0.5 * target_abs_err)
         partial, absum = _partial_sum(s, alpha, c, n0)
-        err = tail_err + 4.0 * _EPS * (absum + abs(tail))
+        # roundoff of exp(-s log(n+c)) carries the phase error |s| log(n+c)
+        phase_err = 1.0 + abs(s) * math.log(n0 + abs(c) + 1.0)
+        err = tail_err + 4.0 * _EPS * (absum + abs(tail)) * phase_err
         value = partial + tail
         if best is None or err < best[1]:
             best = (value, err)
-        if err <= target_abs_err or n0 > 40_000:
+        if err <= target_abs_err or n0 > _EM_SPLIT_CAP:
             break
         n0 *= 2
     value, err = best

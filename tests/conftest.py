@@ -35,6 +35,12 @@ Z_INT_C_1 = complex(0.062861503412834277473, 0.44120422682893970421)  # (-0.5+0.
 Z_INT_C_2 = complex(-0.15772108850726197806, -0.37427271315190887134)  # (-1.2-0.4i, 0.7-0.05i, 1)
 Z_INT_C_3 = complex(0.034800088635861202174, -0.10807593520464015533)  # (-0.8, 1.6-0.2i, 1-0.25i)
 Z_SERIES_FALLBACK = complex(-0.031992073591436600927, 0.10270279924049466904)
+# real a at large |Im s|, where the integral's 1/Gamma(s) cancels catastrophically
+# (mpmath lerchphi(exp(2 pi i a), s, c) at 30 digits, a = 0.3 as a binary64 value)
+Z_REAL_A_30 = complex(-1.9742151518785522633, 2.0858816663986186912)  # (0.5+30i, 0.3, 0.5)
+Z_REAL_A_M45 = complex(2.4267720156948918468, -0.21699913017316621214)  # (0.5-45i, 0.3, 0.5)
+Z_REAL_A_60 = complex(-1.5246989562846352946, -1.3946300958739773701)  # (0.5+60i, 0.3, 0.5)
+Z_REAL_A_30_C = complex(-3429184549553830.6619, -14533184661598375.981)  # (0.5+30i, 0.3, 0.5+1.5i)
 
 PI2_12 = math.pi**2 / 12.0
 PI2_6 = math.pi**2 / 6.0

@@ -1,7 +1,6 @@
 import cmath
 import json
 import math
-import os
 
 import pytest
 
@@ -189,11 +188,7 @@ class TestGrid:
         )
         p1, p2 = str(tmp_path / "g1.csv"), str(tmp_path / "g2.csv")
         assert run(capsys, *args(p1))[0] == 0
-        os.environ["LERCH_THREADS"] = "4"
-        try:
-            assert run(capsys, *args(p2))[0] == 0
-        finally:
-            del os.environ["LERCH_THREADS"]
+        assert run(capsys, *args(p2))[0] == 0
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
 

@@ -1,14 +1,17 @@
+import cmath
+
 import pytest
 
 from lerchzeta import (
     CutViolation,
     InvalidPoint,
     InvalidRegion,
+    LerchError,
+    LerchValue,
     Method,
+    NonConvergence,
     Point3,
-    RegionTag,
     SZero,
-    classify,
     dde_shift,
     dirichlet_series,
     evaluate_on_cover,
@@ -17,6 +20,7 @@ from lerchzeta import (
     pde_residual,
     transform_eval,
 )
+from lerchzeta import continuation
 from lerchzeta.continuation import dde_lower_residual, dde_raise_residual
 from lerchzeta.words import BranchState, Generator
 from conftest import (
@@ -26,43 +30,60 @@ from conftest import (
     Z_C2,
     Z_NEAR_CUT,
     Z_1_I_1,
+    Z_2_I_1,
     Z_INT_C_1,
     Z_INT_C_2,
     Z_INT_C_3,
     Z_M05_04_06,
     Z_M3_05_05,
+    Z_REAL_A_30,
+    Z_REAL_A_30_C,
+    Z_REAL_A_60,
+    Z_REAL_A_M45,
     Z_SERIES_FALLBACK,
 )
 
 
 class TestClassify:
+    """The route the dispatch reports in each region; each route owns its region."""
+
     def test_series_region(self):
-        assert classify(Point3(2.0, 1j, 1.0)) is RegionTag.U_SERIES
+        lv = evaluate_principal(2.0, 1j, 1.0, 1e-12)
+        assert lv.method is Method.SERIES
+        assert abs(lv.value - Z_2_I_1) < 1e-12
 
     def test_polycylinder_any_s(self):
-        assert classify(Point3(-3.0, 0.5, 0.5)) is RegionTag.OMEGA_TILDE
+        assert evaluate_principal(-3.0, 0.5, 0.5).method is Method.TRANSFORM
 
     def test_puncture_rejected(self):
         with pytest.raises(InvalidPoint):
-            classify(Point3(0.5, 0.5, 0.0))
+            evaluate_principal(0.5, 0.5, 0.0)
 
     def test_integral_region(self):
-        assert classify(Point3(1.5, 0.4 - 0.3j, 2.0)) is RegionTag.U_PLUS_INTEGRAL
+        assert evaluate_principal(1.5, 0.4 - 0.3j, 2.0).method is Method.INTEGRAL
 
     def test_transform_needed_for_shiftable_c(self):
-        assert classify(Point3(-1.0, 0.5, -0.5 - 0.2j)) is RegionTag.TRANSFORM_NEEDED
+        assert evaluate_principal(-1.0, 0.5, -0.5 - 0.2j).method is Method.TRANSFORM
 
     def test_ladder_fallback(self):
-        assert classify(Point3(-1.0, 1.5 - 0.2j, 0.5)) is RegionTag.DDE_NEEDED
+        # Re s <= 0, Re a outside (0, 1) and Im a <= 0: the transform after
+        # the reduction of a by its period
+        lv = evaluate_principal(-1.0, 1.5 - 0.2j, 0.5, 1e-11)
+        assert lv.method is Method.TRANSFORM
+        assert abs(lv.value - evaluate_principal(-1.0, 0.5 - 0.2j, 0.5, 1e-11).value) < 1e-12
 
     def test_total_on_valid_points(self, rng):
-        for _ in range(200):
-            p = Point3(
-                complex(rng.uniform(-4, 4), rng.uniform(-4, 4)),
-                complex(rng.uniform(-3, 3) + 0.017, rng.uniform(-2, 2)),
-                complex(rng.uniform(-3, 3) + 0.013, rng.uniform(-2, 2)),
-            )
-            assert classify(p) in RegionTag
+        # on seeded random points only LerchError escapes; every fourth a is
+        # real and every fifth c lies on a line where Re c is an integer
+        for i in range(200):
+            s = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+            a = complex(rng.uniform(-3, 3) + 0.017, rng.uniform(-2, 2) if i % 4 else 0.0)
+            c = complex(rng.uniform(-3, 3) + 0.013 if i % 5 else rng.randint(-2, 3), rng.uniform(-2, 2))
+            try:
+                lv = evaluate_principal(s, a, c)
+            except LerchError:
+                continue
+            assert cmath.isfinite(lv.value)
 
 
 class TestTransform:
@@ -198,6 +219,61 @@ class TestRouting:
         err = abs(lv.value - Z_SERIES_FALLBACK)
         assert err < 1e-10
         assert err <= lv.abs_err_estimate
+
+    @pytest.mark.parametrize(
+        "s, c, want",
+        [
+            (0.5 + 30j, 0.5, Z_REAL_A_30),
+            (0.5 - 45j, 0.5, Z_REAL_A_M45),
+            (0.5 + 60j, 0.5, Z_REAL_A_60),
+            (0.5 + 30j, 0.5 + 1.5j, Z_REAL_A_30_C),
+        ],
+    )
+    def test_real_a_large_im_s(self, s, c, want):
+        # the series owns real a with Re s > 0; the integral would divide by
+        # Gamma(s).  The target is relative to the value, which is near 1e16
+        # for the complex c.
+        target = 1e-10 * max(1.0, abs(want))
+        lv = evaluate_principal(s, 0.3, c, target)
+        err = abs(lv.value - want)
+        assert lv.method is Method.SERIES
+        assert err <= target
+        assert err <= lv.abs_err_estimate
+
+    @pytest.mark.parametrize("s", [0.5 + 500j, 0.5 + 50j])
+    def test_real_a_near_integer_large_im_s(self, s):
+        # the real-a split point would pass 1e7 here; the series declines it
+        # and the point is left to the integral
+        try:
+            lv = evaluate_principal(s, 1e-6, 0.5)
+        except LerchError:
+            return
+        assert cmath.isfinite(lv.value)
+
+    @pytest.mark.parametrize(
+        "s, a, c, route, keeps_series",
+        [
+            (0.5, 0.3, 0.5, "_integral_eval_raw", False),
+            (-1.0, 0.3 + 0.1j, 0.5, "_transform_value", False),
+            (-1.0, 0.3 + 0.1j, 1.5 + 0.1j, "_transform_value", True),
+            (-1.0, 0.3 + 0.1j, 1.0 + 0.1j, "_c_circle_value", True),
+        ],
+    )
+    def test_failure_after_missed_series(self, monkeypatch, s, a, c, route, keeps_series):
+        # the series misses its target and the next route fails: only a
+        # nonzero shift or a c-circle falls back to the series value
+        missed = LerchValue(1.0 + 0j, Method.SERIES, 1.0)
+        monkeypatch.setattr(continuation, "dirichlet_series", lambda *args: missed)
+
+        def fail(*args):
+            raise NonConvergence("route failed")
+
+        monkeypatch.setattr(continuation, route, fail)
+        if keeps_series:
+            assert evaluate_principal(s, a, c) is missed
+        else:
+            with pytest.raises(NonConvergence):
+                evaluate_principal(s, a, c)
 
     def test_reduction_rounding_onto_cut(self):
         # -1e-17 + 1 rounds to exactly 1.0, a point on the ray below a = 1
