@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from enum import Enum
 from typing import Callable
 
@@ -46,6 +47,7 @@ from .words import BranchState
 
 _TWO_PI = 2.0 * math.pi
 _EPS = 2.220446049250313e-16
+_LOG_MAX = math.log(sys.float_info.max)  # cmath.exp overflows above this real part
 _CIRCLE_CAP = 0.05
 
 
@@ -110,6 +112,9 @@ def _shift_c(
     """
     if n == 0:
         return inner(s, a, c, target)
+    # largest real part among the exponents 2 pi i a k below: k = n and the ends of j - n
+    if max(-_TWO_PI * a.imag * k for k in (n, min(n, 0) - n, max(n, 0) - 1 - n)) > _LOG_MAX:
+        raise NonConvergence(f"index shift of c by {n} at Im a = {a.imag:.3g} overflows")
     phase = cmath.exp(2j * math.pi * a * n)
     scale = abs(phase)
     shifted = inner(s, a, c + n, 0.5 * target / max(scale, 1e-300))
@@ -191,18 +196,19 @@ def _transform_value(s: complex, a: complex, c: complex, target: float) -> Lerch
     return LerchValue(value, Method.TRANSFORM, err)
 
 
-def _circle_radius(clearance: float, puncture: float, cap: float) -> float:
+def _circle_radius(clearance: float, puncture: float) -> float:
     """Radius of a Cauchy circle around a point at these distances from the cut rays and punctures.
 
     The circle stays on the principal sheet (inside the ray clearance) and
-    well inside the disk of analyticity (the nearest puncture).
+    well inside the disk of analyticity (the nearest puncture); every circle
+    takes this rule, capped at _CIRCLE_CAP.
     """
     domain = min(0.4 * clearance, 0.22 * puncture)
     if domain < 2e-3:
         raise DerivativeCircleLeavesDomain(
             f"no circle fits: cut-ray clearance {clearance:.2e}, puncture distance {puncture:.2e}"
         )
-    return min(cap, domain)
+    return min(_CIRCLE_CAP, domain)
 
 
 def _cauchy_derivative(
@@ -222,7 +228,7 @@ def _c_circle_value(s: complex, a: complex, c: complex, target: float) -> LerchV
     """
     nodes = 25
     punct = c_puncture_distance(c)
-    r = _circle_radius(c_ray_clearance(c), punct, _CIRCLE_CAP)
+    r = _circle_radius(c_ray_clearance(c), punct)
     node_errs: list[float] = []
 
     def node(cc: complex) -> complex:
@@ -236,18 +242,13 @@ def _c_circle_value(s: complex, a: complex, c: complex, target: float) -> LerchV
     return LerchValue(value, Method.DDE_SHIFT, err)
 
 
-def dde_shift(
-    p: Point3,
-    direction: ShiftDirection | str,
-    target_abs_err: float = 1e-9,
-    radius: float = 1e-2,
-) -> LerchValue:
+def dde_shift(p: Point3, direction: ShiftDirection | str, target_abs_err: float = 1e-9) -> LerchValue:
     """One differential-difference step away from p = (s, a, c).
 
     LOWER returns the value at (s-1, a, c) via (1/(2*pi*i) d/da + c) applied
     at s; RAISE returns the value at (s+1, a, c) via -(1/s) d/dc, undefined at
-    s = 0.  Derivatives are Cauchy-circle based; the circle is clipped to the
-    domain clearance and must not leave the valid region.
+    s = 0.  Derivatives are Cauchy-circle based, with the radius every circle
+    takes (:func:`_circle_radius`, capped at 0.05).
     """
     direction = ShiftDirection(direction)
     s, a, c = p.s, p.a, p.c
@@ -258,10 +259,10 @@ def dde_shift(
 
     if direction is ShiftDirection.LOWER:
         punct = a_puncture_distance(a)
-        r = _circle_radius(a_ray_clearance(a), punct, radius)
+        r = _circle_radius(a_ray_clearance(a), punct)
     else:
         punct = c_puncture_distance(c)
-        r = _circle_radius(c_ray_clearance(c), punct, radius)
+        r = _circle_radius(c_ray_clearance(c), punct)
     analytic_radius = 0.9 * punct
     node_target = max(target_abs_err * r / 8.0, 1e-14)
 
@@ -299,7 +300,7 @@ def dde_lower_residual(p: Point3, b: BranchState, node_target: float = 1e-12) ->
     """| (1/(2*pi*i) d/da + c) Z(s) - Z(s-1) | on the sheet b."""
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
-    r = _circle_radius(a_ray_clearance(a), a_puncture_distance(a), _CIRCLE_CAP)
+    r = _circle_radius(a_ray_clearance(a), a_puncture_distance(a))
     z0, d1, _ = _cauchy_derivative(lambda aa: evaluate_on_cover(Point3(s, aa, c), b, node_target).value, a, r)
     low = evaluate_on_cover(Point3(s - 1, a, c), b, node_target).value
     return abs(d1 / (2j * math.pi) + c * z0 - low)
@@ -309,29 +310,29 @@ def dde_raise_residual(p: Point3, b: BranchState, node_target: float = 1e-12) ->
     """| d/dc Z(s) + s Z(s+1) | on the sheet b."""
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
-    r = _circle_radius(c_ray_clearance(c), c_puncture_distance(c), _CIRCLE_CAP)
+    r = _circle_radius(c_ray_clearance(c), c_puncture_distance(c))
     _, d1, _ = _cauchy_derivative(lambda cc: evaluate_on_cover(Point3(s, a, cc), b, node_target).value, c, r)
     high = evaluate_on_cover(Point3(s + 1, a, c), b, node_target).value
     return abs(d1 + s * high)
 
 
-def pde_residual(p: Point3, b: BranchState, node_target: float = 1e-12, nodes: int = 24) -> float:
+def pde_residual(p: Point3, b: BranchState, node_target: float = 1e-12) -> float:
     """Residual of the second-order relation tying the mixed derivative to -s Z.
 
-    Computes | (1/(2*pi*i) d/da + c) dZ/dc + s Z | by nested Cauchy circles
-    around a and c on the sheet addressed by b.
+    Computes | (1/(2*pi*i) d/da + c) dZ/dc + s Z | by nested 24-node Cauchy
+    circles around a and c on the sheet addressed by b.
     """
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
-    r_a = _circle_radius(a_ray_clearance(a), a_puncture_distance(a), _CIRCLE_CAP)
-    r_c = _circle_radius(c_ray_clearance(c), c_puncture_distance(c), _CIRCLE_CAP)
+    r_a = _circle_radius(a_ray_clearance(a), a_puncture_distance(a))
+    r_c = _circle_radius(c_ray_clearance(c), c_puncture_distance(c))
 
     def dz_dc(aa: complex) -> complex:
         _, d1, _ = _cauchy_derivative(
-            lambda cc: evaluate_on_cover(Point3(s, aa, cc), b, node_target).value, c, r_c, nodes
+            lambda cc: evaluate_on_cover(Point3(s, aa, cc), b, node_target).value, c, r_c
         )
         return d1
 
-    g0, dg_da, _ = _cauchy_derivative(dz_dc, a, r_a, nodes)
+    g0, dg_da, _ = _cauchy_derivative(dz_dc, a, r_a)
     z0 = evaluate_on_cover(p, b, node_target).value
     return abs(dg_da / (2j * math.pi) + c * g0 + s * z0)

@@ -1,8 +1,10 @@
 """Direct evaluation on the native convergence regions.
 
-Two routes: the three-variable Dirichlet series (with Euler-Maclaurin tail
-acceleration, including the conditionally convergent real-a case) and the
-real-axis integral representation over straight or detoured contours.
+Two routes: the three-variable Dirichlet series and the real-axis integral
+representation over straight or detoured contours.  The series sums its
+tail by the Abel-Plana formula, one exponentially convergent integral that
+is exact for every reduced a: the conditionally convergent real-a case,
+integer a and Im a too small for a direct partial sum.
 """
 
 from __future__ import annotations
@@ -26,31 +28,7 @@ from .errors import (
 
 _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
-_EM_SPLIT_CAP = 40_000  # largest Euler-Maclaurin split point the series starts from
-
-
-def _make_em_coeffs(count: int) -> tuple[float, ...]:
-    """B_{2j}/(2j)! for j = 1..count, via (-1)^{j+1} 2 zeta(2j) / (2 pi)^{2j}."""
-    exact = (
-        1.0 / 12.0,
-        -1.0 / 720.0,
-        1.0 / 30240.0,
-        -1.0 / 1209600.0,
-        1.0 / 47900160.0,
-        -691.0 / 1307674368000.0,
-        1.0 / 74724249600.0,
-        -3617.0 / 10670622842880000.0,
-    )
-    out = list(exact[:count])
-    for j in range(len(out) + 1, count + 1):
-        zeta2j = sum(k ** (-2.0 * j) for k in range(1, 40))
-        out.append((1.0 if j % 2 == 1 else -1.0) * 2.0 * zeta2j / (2.0 * math.pi) ** (2 * j))
-    return tuple(out)
-
-
-# Oscillatory boundary corrections shrink like |reduced a|^2 per order, so a
-# phase near 1/2 needs ~27 orders to reach 1e-12; the table is cheap.
-_EM_COEFFS = _make_em_coeffs(32)
+_SPLIT_CAP = 40_000  # largest split point the series tail starts from
 
 
 class Method(str, Enum):
@@ -73,13 +51,6 @@ class LerchValue:
     abs_err_estimate: float
 
 
-def _pochhammer(s: complex, r: int) -> complex:
-    out = 1.0 + 0j
-    for i in range(r):
-        out *= s + i
-    return out
-
-
 def _reduce_a(a: complex) -> complex:
     """Shift a by an integer so Re lands in [-1/2, 1/2]; exact in binary64."""
     return complex(a.real - round(a.real), a.imag)
@@ -90,98 +61,71 @@ def _reduce_a(a: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _hurwitz_series(s: complex, c: complex, target: float) -> tuple[complex, float]:
-    """sum_{n>=0} (n+c)^{-s} for Re s > 1, Re c > 0 (Euler-Maclaurin tail)."""
-    sigma, rc = s.real, c.real
-    terms_j = 6
-    mag_s = abs(s)
+def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) -> tuple[complex, float]:
+    """sum_{n>=n0} g(n), g(t) = exp(2*pi*i*alpha*t) (t+c)^{-s}; alpha reduced, Im alpha >= 0.
 
-    def tail_bound(n: int) -> float:
-        p = abs(_pochhammer(s, 2 * terms_j + 1))
-        safety = abs(s + 2 * terms_j + 1) / (sigma + 2 * terms_j + 1)
-        return abs(_EM_COEFFS[terms_j]) * p * (n + rc) ** (-(sigma + 2 * terms_j + 1)) * safety
+    Abel-Plana formula (DLMF 2.10.2), exact for every such alpha:
 
-    n_terms = max(16, int(math.ceil(0.8 * abs(s.imag))), int(math.ceil(1.4 * (mag_s + 2 * terms_j + 2))))
-    while tail_bound(n_terms) > 0.5 * target and n_terms < 4_000_000:
-        n_terms *= 2
-    n = np.arange(n_terms, dtype=np.float64)
-    terms = np.exp(-s * np.log(n + c))
-    partial = complex(np.sum(terms))
-    w = n_terms + c
-    logw = cmath.log(w)
-    tail = cmath.exp((1 - s) * logw) / (s - 1) + 0.5 * cmath.exp(-s * logw)
-    for j in range(1, terms_j + 1):
-        tail += _EM_COEFFS[j - 1] * _pochhammer(s, 2 * j - 1) * cmath.exp((-s - (2 * j - 1)) * logw)
-    err = tail_bound(n_terms) + 4.0 * _EPS * (float(np.sum(np.abs(terms))) + abs(tail))
-    return partial + tail, err
+        int_{n0}^inf g(t) dt + g(n0)/2 + i int_0^inf (g(n0+iy) - g(n0-iy)) / (e^{2 pi y} - 1) dy.
 
-
-def _g_derivative(s: complex, alpha: complex, c: complex, n: int, m: int) -> complex:
-    """m-th derivative of exp(2*pi*i*alpha*x) * (x+c)^{-s} at x = n."""
-    w = 2j * math.pi * alpha
-    base = cmath.exp(w * n - s * cmath.log(n + c))
-    inv = 1.0 / (n + c)
-    tot = 0j
-    for r in range(m + 1):
-        tot += math.comb(m, r) * w ** (m - r) * (-1) ** r * _pochhammer(s, r) * inv**r
-    return base * tot
-
-
-def _osc_tail(
-    s: complex, alpha: complex, c: complex, n0: int, target: float, em_terms: int = 30
-) -> tuple[complex, float]:
-    """sum_{n>=n0} exp(2*pi*i*alpha*n) (n+c)^{-s}; alpha reduced, Im alpha >= 0, alpha != 0.
-
-    Euler-Maclaurin with the remainder integral taken on a rotated contour so
-    the integrand decays exponentially.
+    The first integral runs on a contour rotated toward decay (the real axis
+    when Re alpha = 0) and is (n0+c)^{1-s}/(s-1) for alpha = 0, which needs
+    Re s > 1.  The second decays like e^{-2 pi (1 - |Re alpha|) y}.
     """
     x0, beta = alpha.real, alpha.imag
     sigma = s.real
-    decay = _TWO_PI * (abs(x0) if x0 != 0.0 else beta)
-
-    # rotate the contour toward decay; purely imaginary alpha has no
-    # oscillation and stays on the real axis
-    rot = 1j if x0 > 0.0 else -1j if x0 < 0.0 else 1.0
-    grow = max(0.0, -sigma)
-    # |(n0+c)^{-s}| carries exp(Im s * arg(n0+c)), and along the rotated
-    # contour |(t+c)^{-s}| also grows like e^{Im s * arg(t+c)}
-    scale0 = math.exp(-_TWO_PI * beta * n0 + abs(s.imag) * abs(c.imag) / (n0 + c.real))
-    spin = max(0.0, s.imag * rot.imag) / (n0 + c.real)
-    rate = decay - spin
-    if rate < 1e-6:
-        raise NonConvergence(f"tail oscillation too slow at reduced a = {alpha!r}, n0 = {n0}")
-
-    def trunc_bound(y: float) -> float:
-        return scale0 * math.exp(-rate * y) * (n0 + abs(c) + y + 2.0) ** grow / rate
-
-    y_max = (40.0 + 2.0 * abs(sigma)) / decay
-    while trunc_bound(y_max) > 0.125 * target and y_max < 1e9:
-        y_max *= 2.0
-
     w = 2j * math.pi * alpha
 
-    def f(y: np.ndarray) -> np.ndarray:
-        t = n0 + rot * y
+    def g(t: np.ndarray) -> np.ndarray:
         return np.exp(w * t - s * np.log(t + c))
 
-    integral, quad_err, _ = quadrature.integrate(f, 0.0, y_max, 0.125 * target)
-    integral *= rot
+    def checked(rate: float) -> float:
+        if rate < 1e-6:
+            raise NonConvergence(f"tail integrand decays too slowly at reduced a = {alpha!r}, n0 = {n0}")
+        return rate
 
-    # asymptotic boundary series: sum to its smallest term, which also sets
-    # the error estimate
-    max_order = min(em_terms, len(_EM_COEFFS))
-    corrections = [
-        _EM_COEFFS[j - 1] * _g_derivative(s, alpha, c, n0, 2 * j - 1)
-        for j in range(1, max_order + 1)
-    ]
-    sizes = [abs(cj) for cj in corrections]
-    j_stop = sizes.index(min(sizes)) + 1
-    corr = 0.5 * _g_derivative(s, alpha, c, n0, 0)
-    for cj in corrections[:j_stop]:
-        corr -= cj
-    next_size = sizes[j_stop] if j_stop < len(sizes) else sizes[j_stop - 1]
-    err = quad_err + trunc_bound(y_max) + 2.0 * next_size
-    return integral + corr, err
+    grow = max(0.0, -sigma)
+    # |(n0+c)^{-s}| carries exp(Im s * arg(n0+c)), and away from n0 the factor
+    # e^{Im s * arg(t+c)} of |(t+c)^{-s}| grows by at most e^{|Im s| |t-n0| / (n0+Re c)}
+    scale0 = math.exp(-_TWO_PI * beta * n0 + abs(s.imag) * abs(c.imag) / (n0 + c.real))
+
+    if alpha == 0:
+        integral, err = cmath.exp((1.0 - s) * cmath.log(n0 + c)) / (s - 1.0), 0.0
+    else:
+        decay = _TWO_PI * (abs(x0) if x0 != 0.0 else beta)
+        # rotate the contour toward decay; purely imaginary alpha has no
+        # oscillation and stays on the real axis
+        rot = 1j if x0 > 0.0 else -1j if x0 < 0.0 else 1.0
+        rate = checked(decay - max(0.0, s.imag * rot.imag) / (n0 + c.real))
+
+        def trunc_bound(y: float) -> float:
+            return scale0 * math.exp(-rate * y) * (n0 + abs(c) + y + 2.0) ** grow / rate
+
+        y_max = (40.0 + 2.0 * abs(sigma)) / decay
+        while trunc_bound(y_max) > 0.125 * target and y_max < 1e9:
+            y_max *= 2.0
+        integral, quad_err, _ = quadrature.integrate(lambda y: g(n0 + rot * y), 0.0, y_max, 0.125 * target)
+        integral *= rot
+        err = quad_err + trunc_bound(y_max)
+
+    # For y >= log(2)/(2 pi), each of |g(n0 +- iy)| / (e^{2 pi y} - 1) is at
+    # most 2 scale0 e^{-rate y} (n0+|c|+y+2)^grow; past y_max >= 2 grow / rate
+    # that integrates to at most twice its value at y_max over rate.
+    rate = checked(_TWO_PI * (1.0 - abs(x0)) - abs(s.imag) / (n0 + c.real))
+
+    def corr_bound(y: float) -> float:
+        return 8.0 * scale0 * math.exp(-rate * y) * (n0 + abs(c) + y + 2.0) ** grow / rate
+
+    y_max = max(0.5, 2.0 * grow / rate)
+    while corr_bound(y_max) > 0.125 * target and y_max < 1e9:
+        y_max *= 1.5
+
+    def corr(y: np.ndarray) -> np.ndarray:
+        return (g(n0 + 1j * y) - g(n0 - 1j * y)) / np.expm1(_TWO_PI * y)
+
+    boundary, corr_err, _ = quadrature.integrate(corr, 0.0, y_max, 0.125 * target)
+    value = integral + 0.5 * cmath.exp(w * n0 - s * cmath.log(n0 + c)) + 1j * boundary
+    return value, err + corr_err + corr_bound(y_max)
 
 
 def _partial_sum(s: complex, alpha: complex, c: complex, n_terms: int) -> tuple[complex, float]:
@@ -193,21 +137,19 @@ def _partial_sum(s: complex, alpha: complex, c: complex, n_terms: int) -> tuple[
 def dirichlet_series(s: complex, a: complex, c: complex, target_abs_err: float = 1e-12) -> LerchValue:
     """Dirichlet-series value of the three-variable zeta at (s, a, c).
 
-    Converges for Im a > 0 (any s), and for real non-integral a when
-    Re s > 0 (conditionally for Re s <= 1; Euler-Maclaurin acceleration).
-    Real integer a is accepted only on the absolutely convergent Re s > 1
-    path.  Requires Re c > 0.
+    Converges for Im a > 0 (any s), for real non-integral a when Re s > 0
+    (conditionally for Re s <= 1) and for real integer a when Re s > 1.
+    Requires Re c > 0.  A direct partial sum serves Im a > 0 when its
+    geometric decay reaches the target cheaply; otherwise the terms before a
+    split point n0 are summed and the rest is the Abel-Plana tail.
     """
     s, a, c = complex(s), complex(a), complex(c)
     if c.real <= 0.0:
         raise DivergentSeries(f"series needs Re c > 0, got c = {c!r}")
-    if is_real_integer(a):
-        if s.real <= 1.0:
-            raise DivergentSeries("integer a requires Re s > 1")
-        value, err = _hurwitz_series(s, c, target_abs_err)
-        return LerchValue(value, Method.SERIES, err)
     if a.imag < 0.0:
         raise DivergentSeries("series diverges for Im a < 0")
+    if is_real_integer(a) and s.real <= 1.0:
+        raise DivergentSeries("integer a requires Re s > 1")
     if a.imag == 0.0 and s.real <= 0.0:
         raise DivergentSeries("real a requires Re s > 0")
 
@@ -244,28 +186,22 @@ def dirichlet_series(s: complex, a: complex, c: complex, target_abs_err: float =
             err = tail_bound(n_direct) + 4.0 * _EPS * absum
             return LerchValue(value, Method.SERIES, err)
 
-    # Euler-Maclaurin tail from a moderate split point.  For real a it keeps
-    # the tail contour's phase growth |Im s| / n0 below pi*|alpha|, up to a cap.
-    n0 = max(32, int(math.ceil((abs(s) + 64.0) / 3.5)), int(math.ceil(0.75 * abs(s.imag))))
-    if beta == 0.0:
+    # n0 >= |Im s| / pi keeps the decay rate of the tail's boundary integral
+    # at pi or more.  Where Re alpha != 0 the split point also keeps the phase
+    # growth |Im s| / n0 of (t+c)^{-s} on the rotated contour below
+    # pi |Re alpha|, up to a cap.
+    n0 = max(1, int(math.ceil(abs(s.imag) / math.pi)))
+    if alpha.real != 0.0:
         split = 2.0 * abs(s.imag) / (_TWO_PI * abs(alpha.real))
-        if split > _EM_SPLIT_CAP:
-            raise NonConvergence(f"real-a split point {split:.3e} exceeds {_EM_SPLIT_CAP}")
+        if split > _SPLIT_CAP:
+            raise NonConvergence(f"split point {split:.3e} exceeds {_SPLIT_CAP}")
         n0 = max(n0, int(math.ceil(split)))
-    best: tuple[complex, float] | None = None
-    for _ in range(4):
-        tail, tail_err = _osc_tail(s, alpha, c, n0, 0.5 * target_abs_err)
-        partial, absum = _partial_sum(s, alpha, c, n0)
-        # roundoff of exp(-s log(n+c)) carries the phase error |s| log(n+c)
-        phase_err = 1.0 + abs(s) * math.log(n0 + abs(c) + 1.0)
-        err = tail_err + 4.0 * _EPS * (absum + abs(tail)) * phase_err
-        value = partial + tail
-        if best is None or err < best[1]:
-            best = (value, err)
-        if err <= target_abs_err or n0 > _EM_SPLIT_CAP:
-            break
-        n0 *= 2
-    value, err = best
+    tail, tail_err = _osc_tail(s, alpha, c, n0, 0.5 * target_abs_err)
+    partial, absum = _partial_sum(s, alpha, c, n0)
+    # roundoff of exp(-s log(n+c)) carries the phase error |s| log(n+c)
+    phase_err = 1.0 + abs(s) * math.log(n0 + abs(c) + 1.0)
+    err = tail_err + 4.0 * _EPS * (absum + abs(tail)) * phase_err
+    value = partial + tail
     if err > max(1e6 * target_abs_err, 1e-6):
         raise NonConvergence(f"series error estimate {err:.3e} far above target {target_abs_err:.3e}")
     return LerchValue(value, Method.SERIES, err)
@@ -486,7 +422,7 @@ def two_sided_series(kind: SymKind | str, s: complex, a: float, c: float) -> com
     with an extra sgn(n+c) factor for the MINUS kind.
 
     Requires Re s > 1 (absolute convergence) and real 0 < a < 1, 0 < c < 1.
-    Tails on both sides are Euler-Maclaurin accelerated; no symmetrized-zeta
+    Tails on both sides are summed by the Abel-Plana formula; no symmetrized-zeta
     identity is used, so this is an independent oracle for those identities.
     """
     kind = SymKind(kind)

@@ -41,6 +41,11 @@ Z_REAL_A_30 = complex(-1.9742151518785522633, 2.0858816663986186912)  # (0.5+30i
 Z_REAL_A_M45 = complex(2.4267720156948918468, -0.21699913017316621214)  # (0.5-45i, 0.3, 0.5)
 Z_REAL_A_60 = complex(-1.5246989562846352946, -1.3946300958739773701)  # (0.5+60i, 0.3, 0.5)
 Z_REAL_A_30_C = complex(-3429184549553830.6619, -14533184661598375.981)  # (0.5+30i, 0.3, 0.5+1.5i)
+# the series tail at integer a (mpmath zeta(s, c)) and at Im a of a few 1e-6 with
+# large |Im s| (mpmath lerchphi(exp(2 pi i a), s, c)), at 30 digits
+Z_INT_A = complex(18.117790319779529831, -1.3158218967621077377)  # (1.5+2i, 0 or 2, 0.3+0.4i)
+Z_SMALL_IM_A_1 = complex(-0.45294697411338934483, 0.97968803499447088054)  # (0.497+20.5i, 0.215+1.8e-6i, 0.895-0.519i)
+Z_SMALL_IM_A_2 = complex(0.21311076988305910749, -0.51015976101964395578)  # (1.43+23.8i, 0.26+3e-6i, 1.02)
 
 PI2_12 = math.pi**2 / 12.0
 PI2_6 = math.pi**2 / 6.0

@@ -164,6 +164,15 @@ class TestEvaluatePrincipal:
         assert errs[1] < 0.2 * errs[0]
         assert errs[2] < 0.2 * errs[1]
 
+    @pytest.mark.parametrize("s, a, c", [(0.5, 0.3 + 2j, -300.5), (-0.5, 0.3 - 0.5j, 300.5)])
+    def test_large_index_shift_in_c(self, s, a, c):
+        # e^{2 pi i a n} over a shift by n ~ 300 leaves the binary64 range
+        try:
+            lv = evaluate_principal(s, a, c)
+        except LerchError:
+            return
+        assert cmath.isfinite(lv.value)
+
     def test_anchoring_cut_violations(self):
         with pytest.raises(CutViolation):
             evaluate_principal(0.5, 1.0 - 0.5j, 0.5)

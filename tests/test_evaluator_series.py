@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import zeta as hurwitz_zeta
@@ -24,7 +25,10 @@ from conftest import (
     TS_PLUS_3_05_05,
     Z_BASE,
     Z_HIGH_IMS,
+    Z_INT_A,
     Z_S0_AI_C1,
+    Z_SMALL_IM_A_1,
+    Z_SMALL_IM_A_2,
 )
 
 
@@ -68,6 +72,29 @@ class TestSeriesValues:
         got = dirichlet_series(3.0, 0.0, 1.5, 1e-13)
         assert got.value == pytest.approx(float(hurwitz_zeta(3.0, 1.5)), abs=1e-12)
 
+    @pytest.mark.parametrize("a", [0.0, 2.0])
+    def test_integer_a_complex_s_and_c(self, a):
+        # integer a takes the same tail as real a, with reduced a = 0
+        lv = dirichlet_series(1.5 + 2j, a, 0.3 + 0.4j, 1e-10)
+        err = abs(lv.value - Z_INT_A)
+        assert err <= 1e-10
+        assert err <= lv.abs_err_estimate
+
+    @pytest.mark.parametrize(
+        "s, a, c, want",
+        [
+            (0.497 + 20.5j, 0.215 + 1.8e-6j, 0.895 - 0.519j, Z_SMALL_IM_A_1),
+            (1.43 + 23.8j, 0.26 + 3e-6j, 1.02, Z_SMALL_IM_A_2),
+        ],
+    )
+    def test_small_im_a_large_im_s(self, s, a, c, want):
+        # the direct sum cannot reach the target at this Im a, so the tail's
+        # split point follows Re a and |Im s| as for real a
+        lv = dirichlet_series(s, a, c, 1e-10)
+        err = abs(lv.value - want)
+        assert err <= 1e-10
+        assert err <= lv.abs_err_estimate
+
     def test_base_point_matches_integral(self):
         p = Point3(0.5, 0.5, 0.5)
         vs = series_eval(p, 1e-10)
@@ -87,6 +114,36 @@ class TestSeriesValues:
             lv = dirichlet_series(s, a, c, 1e-11)
             check = dirichlet_series(s, a, c, 1e-13)
             assert abs(lv.value - check.value) <= lv.abs_err_estimate + check.abs_err_estimate
+
+
+class TestTailOracle:
+    def test_seeded_tail_sweep(self, rng):
+        """The Abel-Plana tail against mpmath at 30 digits: true error <= abs_err_estimate.
+
+        Every point takes the tail: real a with Re s > 0, integer a with
+        Re s > 1 (oracle zeta(s, c)), and 0 < Im a <= 1e-6, where the direct
+        sum cannot reach the target.  The direct-sum branch is not swept
+        here: its roundoff floor lacks the phase-error factor of the tail
+        branch, and it still misses by relative errors near 1e-15 at some
+        points.
+        """
+        for k in range(40):
+            kind = k % 5  # 0, 1: real a; 2: integer a; 3, 4: small Im a
+            s = complex(rng.uniform(1.1 if kind == 2 else 0.1, 3.0), rng.uniform(-15.0, 15.0))
+            if kind == 2:
+                a = complex(rng.randint(-1, 2), 0.0)
+            else:
+                a = complex(rng.uniform(-1.0, 2.0), 0.0 if kind < 2 else 10 ** rng.uniform(-9.0, -6.0))
+            c = complex(rng.uniform(0.1, 2.0), rng.uniform(-0.5, 0.5))
+            lv = dirichlet_series(s, a, c, 1e-10)
+            with mpmath.workdps(30):
+                if kind == 2:
+                    want = mpmath.zeta(mpmath.mpc(s), mpmath.mpc(c))
+                else:
+                    z = mpmath.exp(2j * mpmath.pi * mpmath.mpc(a))
+                    want = mpmath.lerchphi(z, mpmath.mpc(s), mpmath.mpc(c))
+            err = abs(lv.value - complex(want))
+            assert err <= lv.abs_err_estimate, (k, s, a, c, err, lv.abs_err_estimate)
 
 
 class TestSeriesDomain:
