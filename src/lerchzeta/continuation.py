@@ -49,6 +49,7 @@ _TWO_PI = 2.0 * math.pi
 _EPS = 2.220446049250313e-16
 _LOG_MAX = math.log(sys.float_info.max)  # cmath.exp overflows above this real part
 _CIRCLE_CAP = 0.05
+_RESIDUAL_TARGET = 1e-12  # target of every evaluation inside a residual check
 
 
 class ShiftDirection(str, Enum):
@@ -66,13 +67,17 @@ def _anchor_check(a: complex, c: complex) -> None:
 def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     """The one dispatch, for an anchored point with 0 < Re a < 1 when Im a <= 0.
 
-    Each route owns its region and the order is the only rule: the series
-    wherever it converges; while it misses the target, the integral when
-    Re s > 0, else the transformation formula after the index shift of c
-    into 0 < Re c < 1, or the mean over a c-circle when Re c is an integer.
-    The smaller of two estimates wins.  Only a failed shift by n != 0 or
-    c-circle falls back to the series value.  Series and integral need Re c > 0.
+    Series and integral need Re c > 0: where they own the point (Re s > 0
+    or Im a > 0) and Re c <= 0.05, the index shift in c moves it first, the
+    transform's inner evaluations included.  Then each route owns its region
+    and the order is the only rule: the series wherever it converges; while
+    it misses the target, the integral when Re s > 0, else the transformation
+    formula after the index shift of c into 0 < Re c < 1, or the mean over a
+    c-circle when Re c is an integer.  The smaller of two estimates wins.
+    Only a failed shift by n != 0 or c-circle falls back to the series value.
     """
+    if c.real <= 0.05 and (s.real > 0.0 or a.imag > 0.0):
+        return _shift_c(s, a, c, math.ceil(0.6 - c.real), target, _core_eval)
     best: LerchValue | None = None
     try:
         best = dirichlet_series(s, a, c, target)
@@ -135,9 +140,8 @@ def evaluate_principal(s: complex, a: complex, c: complex, target_abs_err: float
     The value is 1-periodic in a (the cut rays are integer translates of
     each other), so Re a is first reduced into [0, 1).  A reduction that
     rounds to 1 keeps a as it is when Im a > 0 and raises CutViolation when
-    Im a <= 0, where it lands on a cut.  Points with Re c <= 0.05 that need
-    the series or the integral are moved by the index shift in c; everything
-    else goes straight to the dispatch.
+    Im a <= 0, where it lands on a cut.  The dispatch :func:`_core_eval`
+    does the rest, the index shift in c included.
     """
     s, a, c = complex(s), complex(a), complex(c)
     Point3(s, a, c)  # validity
@@ -147,9 +151,7 @@ def evaluate_principal(s: complex, a: complex, c: complex, target_abs_err: float
         a = reduced
     elif a.imag <= 0.0:
         raise CutViolation(f"a = {a!r} rounds onto a downward cut ray when reduced by its period")
-    if c.real > 0.05 or (s.real <= 0.0 and a.imag <= 0.0):
-        return _core_eval(s, a, c, target_abs_err)
-    return _shift_c(s, a, c, math.ceil(0.6 - c.real), target_abs_err, _core_eval)
+    return _core_eval(s, a, c, target_abs_err)
 
 
 def transform_eval(p: Point3, target_abs_err: float = 1e-10) -> LerchValue:
@@ -178,8 +180,8 @@ def _transform_coefficients(sp: complex, a: complex, c: complex) -> tuple[comple
 def _transform_value(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     """Three-term transformation: the value at s from two evaluations at 1 - s.
 
-    Re(1 - s) >= 1 here, where the series or the integral always applies, so
-    the dispatch never recurses past these two evaluations.
+    Re(1 - s) >= 1 here, where the series or the integral applies after at
+    most one index shift of c, so the dispatch recurses no deeper than that.
     """
     sp = 1.0 - s
     coef1, coef2 = _transform_coefficients(sp, a, c)
@@ -296,27 +298,27 @@ def evaluate_on_cover(p: Point3, b: BranchState, target_abs_err: float = 1e-10) 
     return LerchValue(value, z0.method, z0.abs_err_estimate + 4.0 * _EPS * abs(extra))
 
 
-def dde_lower_residual(p: Point3, b: BranchState, node_target: float = 1e-12) -> float:
+def dde_lower_residual(p: Point3, b: BranchState) -> float:
     """| (1/(2*pi*i) d/da + c) Z(s) - Z(s-1) | on the sheet b."""
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
     r = _circle_radius(a_ray_clearance(a), a_puncture_distance(a))
-    z0, d1, _ = _cauchy_derivative(lambda aa: evaluate_on_cover(Point3(s, aa, c), b, node_target).value, a, r)
-    low = evaluate_on_cover(Point3(s - 1, a, c), b, node_target).value
+    z0, d1, _ = _cauchy_derivative(lambda aa: evaluate_on_cover(Point3(s, aa, c), b, _RESIDUAL_TARGET).value, a, r)
+    low = evaluate_on_cover(Point3(s - 1, a, c), b, _RESIDUAL_TARGET).value
     return abs(d1 / (2j * math.pi) + c * z0 - low)
 
 
-def dde_raise_residual(p: Point3, b: BranchState, node_target: float = 1e-12) -> float:
+def dde_raise_residual(p: Point3, b: BranchState) -> float:
     """| d/dc Z(s) + s Z(s+1) | on the sheet b."""
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
     r = _circle_radius(c_ray_clearance(c), c_puncture_distance(c))
-    _, d1, _ = _cauchy_derivative(lambda cc: evaluate_on_cover(Point3(s, a, cc), b, node_target).value, c, r)
-    high = evaluate_on_cover(Point3(s + 1, a, c), b, node_target).value
+    _, d1, _ = _cauchy_derivative(lambda cc: evaluate_on_cover(Point3(s, a, cc), b, _RESIDUAL_TARGET).value, c, r)
+    high = evaluate_on_cover(Point3(s + 1, a, c), b, _RESIDUAL_TARGET).value
     return abs(d1 + s * high)
 
 
-def pde_residual(p: Point3, b: BranchState, node_target: float = 1e-12) -> float:
+def pde_residual(p: Point3, b: BranchState) -> float:
     """Residual of the second-order relation tying the mixed derivative to -s Z.
 
     Computes | (1/(2*pi*i) d/da + c) dZ/dc + s Z | by nested 24-node Cauchy
@@ -329,10 +331,10 @@ def pde_residual(p: Point3, b: BranchState, node_target: float = 1e-12) -> float
 
     def dz_dc(aa: complex) -> complex:
         _, d1, _ = _cauchy_derivative(
-            lambda cc: evaluate_on_cover(Point3(s, aa, cc), b, node_target).value, c, r_c
+            lambda cc: evaluate_on_cover(Point3(s, aa, cc), b, _RESIDUAL_TARGET).value, c, r_c
         )
         return d1
 
     g0, dg_da, _ = _cauchy_derivative(dz_dc, a, r_a)
-    z0 = evaluate_on_cover(p, b, node_target).value
+    z0 = evaluate_on_cover(p, b, _RESIDUAL_TARGET).value
     return abs(dg_da / (2j * math.pi) + c * g0 + s * z0)

@@ -29,6 +29,7 @@ from .errors import (
 _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
 _SPLIT_CAP = 40_000  # largest split point the series tail starts from
+_POLE_CLEARANCE = 1e-3  # least distance from an integrand pole to the contour
 
 
 class Method(str, Enum):
@@ -134,14 +135,37 @@ def _partial_sum(s: complex, alpha: complex, c: complex, n_terms: int) -> tuple[
     return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
+def _direct_length(s: complex, alpha: complex, c: complex, tol: float) -> tuple[int, float] | None:
+    """(n, bound) for the first n = 16, 32, ... <= 300000 whose geometric tail bound is below tol, or None.
+
+    The bound is |term(n)| / (1 - ratio), term(n) the first excluded term;
+    |(n+c)^{-s}| carries an extra exp(Im s * arg(n+c)) factor.
+    """
+    sigma, beta, rc = s.real, alpha.imag, c.real
+    n = 16
+    while beta > 0.0 and n <= 300_000:
+        ratio = math.exp(-_TWO_PI * beta) * (1.0 + 1.0 / (n + rc)) ** max(0.0, -sigma)
+        if ratio < 0.999:
+            bound = math.exp(
+                -_TWO_PI * beta * n
+                - sigma * math.log(n + (rc if sigma >= 0 else rc + abs(c.imag)))
+                + abs(s.imag) * abs(c.imag) / (n + rc)
+            ) / (1.0 - ratio)
+            if bound < tol:
+                return n, bound
+        n *= 2
+    return None
+
+
 def dirichlet_series(s: complex, a: complex, c: complex, target_abs_err: float = 1e-12) -> LerchValue:
     """Dirichlet-series value of the three-variable zeta at (s, a, c).
 
     Converges for Im a > 0 (any s), for real non-integral a when Re s > 0
     (conditionally for Re s <= 1) and for real integer a when Re s > 1.
-    Requires Re c > 0.  A direct partial sum serves Im a > 0 when its
-    geometric decay reaches the target cheaply; otherwise the terms before a
-    split point n0 are summed and the rest is the Abel-Plana tail.
+    Requires Re c > 0.  The terms before n0 are summed directly; the rest
+    is 0 with its geometric bound when that bound reaches the target at a
+    cheap n0 (Im a > 0), and the Abel-Plana tail otherwise.  One roundoff
+    rule covers both: 4 eps (sum |terms| + |tail|) (1 + |s| log(n0 + |c| + 1)).
     """
     s, a, c = complex(s), complex(a), complex(c)
     if c.real <= 0.0:
@@ -154,57 +178,29 @@ def dirichlet_series(s: complex, a: complex, c: complex, target_abs_err: float =
         raise DivergentSeries("real a requires Re s > 0")
 
     alpha = _reduce_a(a)
-    sigma, beta = s.real, alpha.imag
-
-    # direct summation when the geometric decay reaches the target cheaply
-    if beta > 0.0:
-        rc = c.real
-        hi = c.real + abs(c.imag)
-
-        def tail_bound(n: int) -> float:
-            # |term(n)| / (1 - ratio); term(n) is the first excluded term, and
-            # |(n+c)^{-s}| carries an extra exp(Im s * arg(n+c)) factor
-            ratio = math.exp(-_TWO_PI * beta) * (1.0 + 1.0 / (n + rc)) ** max(0.0, -sigma)
-            if ratio >= 0.999:
-                return math.inf
-            mag = math.exp(
-                -_TWO_PI * beta * n
-                - sigma * math.log(n + (rc if sigma >= 0 else hi))
-                + abs(s.imag) * abs(c.imag) / (n + rc)
-            )
-            return mag / (1.0 - ratio)
-
-        n_direct = None
-        n = 16
-        while n <= 300_000:
-            if tail_bound(n) < 0.5 * target_abs_err:
-                n_direct = n
-                break
-            n *= 2
-        if n_direct is not None:
-            value, absum = _partial_sum(s, alpha, c, n_direct)
-            err = tail_bound(n_direct) + 4.0 * _EPS * absum
-            return LerchValue(value, Method.SERIES, err)
-
-    # n0 >= |Im s| / pi keeps the decay rate of the tail's boundary integral
-    # at pi or more.  Where Re alpha != 0 the split point also keeps the phase
-    # growth |Im s| / n0 of (t+c)^{-s} on the rotated contour below
-    # pi |Re alpha|, up to a cap.
-    n0 = max(1, int(math.ceil(abs(s.imag) / math.pi)))
-    if alpha.real != 0.0:
-        split = 2.0 * abs(s.imag) / (_TWO_PI * abs(alpha.real))
-        if split > _SPLIT_CAP:
-            raise NonConvergence(f"split point {split:.3e} exceeds {_SPLIT_CAP}")
-        n0 = max(n0, int(math.ceil(split)))
-    tail, tail_err = _osc_tail(s, alpha, c, n0, 0.5 * target_abs_err)
+    direct = _direct_length(s, alpha, c, 0.5 * target_abs_err)
+    if direct is not None:
+        n0, tail_err = direct
+        tail = 0j
+    else:
+        # n0 >= |Im s| / pi keeps the decay rate of the tail's boundary
+        # integral at pi or more.  Where Re alpha != 0 the split point also
+        # keeps the phase growth |Im s| / n0 of (t+c)^{-s} on the rotated
+        # contour below pi |Re alpha|, up to a cap.
+        n0 = max(1, int(math.ceil(abs(s.imag) / math.pi)))
+        if alpha.real != 0.0:
+            split = 2.0 * abs(s.imag) / (_TWO_PI * abs(alpha.real))
+            if split > _SPLIT_CAP:
+                raise NonConvergence(f"split point {split:.3e} exceeds {_SPLIT_CAP}")
+            n0 = max(n0, int(math.ceil(split)))
+        tail, tail_err = _osc_tail(s, alpha, c, n0, 0.5 * target_abs_err)
     partial, absum = _partial_sum(s, alpha, c, n0)
     # roundoff of exp(-s log(n+c)) carries the phase error |s| log(n+c)
     phase_err = 1.0 + abs(s) * math.log(n0 + abs(c) + 1.0)
     err = tail_err + 4.0 * _EPS * (absum + abs(tail)) * phase_err
-    value = partial + tail
     if err > max(1e6 * target_abs_err, 1e-6):
         raise NonConvergence(f"series error estimate {err:.3e} far above target {target_abs_err:.3e}")
-    return LerchValue(value, Method.SERIES, err)
+    return LerchValue(partial + tail, Method.SERIES, err)
 
 
 def series_eval(p: Point3, target_abs_err: float = 1e-12) -> LerchValue:
@@ -246,15 +242,15 @@ def _contour_distance(pole: complex, contour: ContourSpec, t_max: float) -> floa
     )
 
 
-def _check_poles(a: complex, contour: ContourSpec, t_max: float, clearance: float) -> None:
+def _check_poles(a: complex, contour: ContourSpec, t_max: float) -> None:
     col = -_TWO_PI * a.imag  # real part shared by every pole 2*pi*i*(a - k)
-    if col < -(clearance + 1.0) or col > t_max + clearance + 1.0:
+    if col < -(_POLE_CLEARANCE + 1.0) or col > t_max + _POLE_CLEARANCE + 1.0:
         return
     k0 = round(a.real)
     for k in range(k0 - 2, k0 + 3):
         pole = 2j * math.pi * (a - k)
         d = _contour_distance(pole, contour, t_max)
-        if d < clearance:
+        if d < _POLE_CLEARANCE:
             raise ContourHitsPole(
                 f"integrand pole at t = {pole!r} (a-plane index {k}) is {d:.2e} from the contour"
             )
@@ -284,7 +280,7 @@ def _pick_t_max(s: complex, a: complex, c: complex, target: float) -> tuple[floa
 
 
 def _contour_integral(
-    s: complex, a: complex, c: complex, contour: ContourSpec, tol: float, clearance: float
+    s: complex, a: complex, c: complex, contour: ContourSpec, tol: float
 ) -> tuple[complex, float]:
     """Integral of t^{s-1} e^{-ct} / (1 - e^{2*pi*i*a} e^{-t}) over the contour."""
     za = 2j * math.pi * a
@@ -296,7 +292,7 @@ def _contour_integral(
         return np.exp(sm1 * np.log(t) - c * t) / (-np.expm1(w))
 
     t_max, tail_err = _pick_t_max(s, a, c, 0.1 * tol)
-    _check_poles(a, contour, t_max, clearance)
+    _check_poles(a, contour, t_max)
 
     t0 = min(0.5, 0.25 * t_max)
     if not contour.is_straight:
@@ -349,7 +345,6 @@ def integral_eval(
     p: Point3,
     contour: ContourSpec = ContourSpec.STRAIGHT,
     target_abs_err: float = 1e-10,
-    clearance: float = 1e-3,
 ) -> LerchValue:
     """Contour-integral evaluation, valid for Re s > 0, Re c > 0.
 
@@ -357,9 +352,9 @@ def integral_eval(
     contour makes a clockwise semicircular excursion of radius epsilon over
     u.  The integrand's t^{s-1} uses the principal branch continued along the
     contour.  Poles of the integrand sit at t = 2*pi*i*(a - k), k integer;
-    any of them closer than `clearance` to the contour raises ContourHitsPole.
+    any of them closer than 1e-3 to the contour raises ContourHitsPole.
     """
-    return _integral_eval_raw(p.s, p.a, p.c, contour, target_abs_err, clearance)
+    return _integral_eval_raw(p.s, p.a, p.c, contour, target_abs_err)
 
 
 def _integral_eval_raw(
@@ -368,7 +363,6 @@ def _integral_eval_raw(
     c: complex,
     contour: ContourSpec = ContourSpec.STRAIGHT,
     target_abs_err: float = 1e-10,
-    clearance: float = 1e-3,
 ) -> LerchValue:
     s, a, c = complex(s), complex(a), complex(c)
     if s.real <= 0.0:
@@ -377,7 +371,7 @@ def _integral_eval_raw(
         raise InvalidRegion(f"integral needs Re c > 0, got c = {c!r}")
     gam = complex_gamma(s)
     scale = abs(gam)
-    raw, raw_err = _contour_integral(s, a, c, contour, 0.9 * target_abs_err * scale, clearance)
+    raw, raw_err = _contour_integral(s, a, c, contour, 0.9 * target_abs_err * scale)
     value = raw / gam
     err = raw_err / scale + 4e-13 * abs(value)
     return LerchValue(value, Method.INTEGRAL, err)

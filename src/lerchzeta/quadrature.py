@@ -76,31 +76,23 @@ def integrate(
     if hi == lo:
         return 0j, 0.0, 0
     val, err, resabs = _panel(f, lo, hi)
-    heap: list[tuple[float, int, float, float, complex, float]] = []
-    counter = 0
-    heapq.heappush(heap, (-err, counter, lo, hi, val, err))
+    heap = [(-err, 0, lo, hi, val, err)]  # n breaks ties between equal errors
     total_val, total_err = val, err
     floor = 8.0 * _EPS * resabs
     n = 1
     min_width = 1e-14 * (abs(hi - lo) + 1.0)
     while total_err > max(tol, floor) and n < max_panels:
-        neg_err, _, a, b, v, e = heapq.heappop(heap)
-        if b - a < min_width or e <= 0.25 * max(tol, floor) / max(len(heap) + 1, 1):
-            # refining this panel cannot help any more
-            heapq.heappush(heap, (0.0, counter + 1, a, b, v, e))
-            counter += 1
-            if all(item[0] == 0.0 for item in heap):
-                break
-            continue
+        _, _, a, b, v, e = heapq.heappop(heap)
+        if b - a < min_width or e <= 0.25 * max(tol, floor) / (len(heap) + 1):
+            # the worst panel is too narrow to refine, or within its share and so is every other
+            break
         m = 0.5 * (a + b)
         v1, e1, r1 = _panel(f, a, m)
         v2, e2, r2 = _panel(f, m, b)
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e
         floor = max(floor, 8.0 * _EPS * (r1 + r2))
-        counter += 1
-        heapq.heappush(heap, (-e1, counter, a, m, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, m, b, v2, e2))
+        heapq.heappush(heap, (-e1, n, a, m, v1, e1))
+        heapq.heappush(heap, (-e2, n + 1, m, b, v2, e2))
         n += 2
     return total_val, max(total_err, floor), n

@@ -19,7 +19,6 @@ from .evaluator import residue_discrepancy
 from .monodromy import monodromy_generator
 from .words import BranchState, Generator, Word
 
-SUITE_NAMES = ("funceq", "dde", "pde", "monodromy", "residue")
 _TWO_PI = 2.0 * math.pi
 
 
@@ -39,9 +38,9 @@ class CheckResult:
         )
 
 
-def _sample_s(rng: random.Random, re_box=(-3.0, 3.0), im_box=(-5.0, 5.0)) -> complex:
+def _sample_s(rng: random.Random) -> complex:
     while True:
-        s = complex(rng.uniform(*re_box), rng.uniform(*im_box))
+        s = complex(rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
         if abs(s.real - round(s.real)) > 0.12 or abs(s.imag) > 0.12:
             return s
 
@@ -66,13 +65,13 @@ def _sample_cover_point(rng: random.Random) -> Point3:
     return Point3(s, a, c)
 
 
-def _sample_branch(rng: random.Random, max_entries: int = 2, max_wind: int = 2) -> BranchState:
+def _sample_branch(rng: random.Random) -> BranchState:
     kx: dict[int, int] = {}
     ky: dict[int, int] = {}
-    for _ in range(rng.randint(0, max_entries)):
-        kx[rng.randint(0, 1)] = rng.randint(-max_wind, max_wind)
-    for _ in range(rng.randint(0, max_entries)):
-        ky[rng.randint(-1, 1)] = rng.randint(-max_wind, max_wind)
+    for _ in range(rng.randint(0, 2)):
+        kx[rng.randint(0, 1)] = rng.randint(-2, 2)
+    for _ in range(rng.randint(0, 2)):
+        ky[rng.randint(-1, 1)] = rng.randint(-2, 2)
     return BranchState.from_dicts(kx, ky)
 
 
@@ -100,7 +99,7 @@ def _sample_algebra_point(rng: random.Random) -> tuple[complex, complex, complex
     return s, a, c
 
 
-def funceq_suite(samples: int = 20, seed: int = 0) -> list[CheckResult]:
+def funceq_suite(samples: int, seed: int) -> list[CheckResult]:
     rng = random.Random(seed)
     tol = 1e-9
     worst = {"plus": 0.0, "minus": 0.0, "a_reflect": 0.0, "quarter_turn": 0.0, "three_term": 0.0}
@@ -123,7 +122,7 @@ def funceq_suite(samples: int = 20, seed: int = 0) -> list[CheckResult]:
     return [CheckResult(f"funceq.{k}", v < tol, v, tol, samples) for k, v in worst.items()]
 
 
-def dde_suite(samples: int = 10, seed: int = 0) -> list[CheckResult]:
+def dde_suite(samples: int, seed: int) -> list[CheckResult]:
     rng = random.Random(seed)
     tol = 1e-8
     worst_lower = worst_raise = 0.0
@@ -143,7 +142,7 @@ def dde_suite(samples: int = 10, seed: int = 0) -> list[CheckResult]:
     ]
 
 
-def pde_suite(samples: int = 6, seed: int = 0) -> list[CheckResult]:
+def pde_suite(samples: int, seed: int) -> list[CheckResult]:
     rng = random.Random(seed)
     tol = 1e-8
     worst = 0.0
@@ -159,7 +158,7 @@ def pde_suite(samples: int = 6, seed: int = 0) -> list[CheckResult]:
     return [CheckResult("pde.mixed_relation", worst < tol, worst, tol, samples)]
 
 
-def monodromy_suite(samples: int = 50, seed: int = 0) -> list[CheckResult]:
+def monodromy_suite(samples: int, seed: int) -> list[CheckResult]:
     rng = random.Random(seed)
     results = []
 
@@ -212,7 +211,7 @@ def sample_residue_config(rng: random.Random) -> tuple[complex, complex, complex
     return s, a, c, n, u, eps
 
 
-def residue_suite(samples: int = 5, seed: int = 0) -> list[CheckResult]:
+def residue_suite(samples: int, seed: int) -> list[CheckResult]:
     rng = random.Random(seed)
     tol = 1e-7
     worst = 0.0
@@ -224,20 +223,19 @@ def residue_suite(samples: int = 5, seed: int = 0) -> list[CheckResult]:
     return [CheckResult("residue.quadrature_vs_closed_form", worst < tol, worst, tol, samples)]
 
 
+_SUITES = {
+    "funceq": funceq_suite,
+    "dde": dde_suite,
+    "pde": pde_suite,
+    "monodromy": monodromy_suite,
+    "residue": residue_suite,
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name: str, samples: int, seed: int) -> list[CheckResult]:
-    if name == "funceq":
-        return funceq_suite(samples, seed)
-    if name == "dde":
-        return dde_suite(samples, seed)
-    if name == "pde":
-        return pde_suite(samples, seed)
-    if name == "monodromy":
-        return monodromy_suite(samples, seed)
-    if name == "residue":
-        return residue_suite(samples, seed)
     if name == "all":
-        out: list[CheckResult] = []
-        for n in SUITE_NAMES:
-            out.extend(run_suite(n, samples, seed))
-        return out
-    raise ValueError(f"unknown suite {name!r}")
+        return [r for suite in _SUITES.values() for r in suite(samples, seed)]
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return _SUITES[name](samples, seed)

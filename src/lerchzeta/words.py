@@ -65,16 +65,8 @@ class Word:
         object.__setattr__(self, "_syllables", _reduce(syllables))
 
     @classmethod
-    def identity(cls) -> "Word":
-        return cls()
-
-    @classmethod
     def generator(cls, axis: str, index: int, exponent: int = 1) -> "Word":
         return cls([(Generator(axis, index), exponent)])
-
-    @property
-    def syllables(self) -> tuple[Syllable, ...]:
-        return self._syllables
 
     @property
     def is_identity(self) -> bool:
@@ -90,16 +82,6 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         return Word(self._syllables + other._syllables)
-
-    def __pow__(self, n: int) -> "Word":
-        n = int(n)
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        out = Word()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
 
     def inverse(self) -> "Word":
         return Word([(g, -e) for g, e in reversed(self._syllables)])
@@ -200,9 +182,6 @@ class BranchState:
         for n, k in other.ky:
             ky[n] = ky.get(n, 0) + k
         return BranchState.from_dicts(kx, ky)
-
-    def __neg__(self) -> "BranchState":
-        return BranchState(tuple((n, -k) for n, k in self.kx), tuple((n, -k) for n, k in self.ky))
 
 
 def _canonical(items: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

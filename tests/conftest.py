@@ -46,6 +46,12 @@ Z_REAL_A_30_C = complex(-3429184549553830.6619, -14533184661598375.981)  # (0.5+
 Z_INT_A = complex(18.117790319779529831, -1.3158218967621077377)  # (1.5+2i, 0 or 2, 0.3+0.4i)
 Z_SMALL_IM_A_1 = complex(-0.45294697411338934483, 0.97968803499447088054)  # (0.497+20.5i, 0.215+1.8e-6i, 0.895-0.519i)
 Z_SMALL_IM_A_2 = complex(0.21311076988305910749, -0.51015976101964395578)  # (1.43+23.8i, 0.26+3e-6i, 1.02)
+# an inner evaluation of the transform with Re c <= 0.05, and points with Re a
+# near 0 or 1 and real c (mpmath lerchphi(exp(2 pi i a), s, c) at 30 digits;
+# its sheet is the principal one where |z| < 1 or c is real)
+Z_INNER_SHIFT = complex(56287.511103682622504, 0.0)  # (-0.5, 1e-4i, 0.5)
+Z_EDGE_A_0 = complex(-0.080074048827982171519, -0.8683522252590659187)  # (-0.5+0.3i, 0.02-0.2i, 0.4)
+Z_EDGE_A_1 = complex(11.058140708115939726, 7.2358885896334102896)  # (-1.3-0.7i, 0.97-0.1i, 0.65)
 
 PI2_12 = math.pi**2 / 12.0
 PI2_6 = math.pi**2 / 6.0

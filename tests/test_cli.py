@@ -5,6 +5,7 @@ import math
 import pytest
 
 from lerchzeta.cli import main
+from lerchzeta.suites import SUITE_NAMES, run_suite
 from lerchzeta import Word, monodromy_generator
 from lerchzeta.words import Generator
 from conftest import PI2_12
@@ -120,6 +121,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "residue", "--samples", "3", "--seed", "1")
         assert code == 0
         assert out.count("PASS") == 1
+
+
+class TestRunSuite:
+    def test_all_suites_pass_and_repeat(self):
+        first = run_suite("all", 1, 0)
+        assert {r.name.split(".")[0] for r in first} == set(SUITE_NAMES)
+        assert all(r.passed for r in first), [r.line() for r in first if not r.passed]
+        assert [r.line() for r in run_suite("all", 1, 0)] == [r.line() for r in first]
+
+    def test_unknown_suite(self):
+        with pytest.raises(ValueError):
+            run_suite("nonsense", 1, 0)
 
 
 class TestGrid:

@@ -4,6 +4,7 @@ import pytest
 
 from lerchzeta import (
     CutViolation,
+    DerivativeCircleLeavesDomain,
     InvalidPoint,
     InvalidRegion,
     LerchError,
@@ -28,6 +29,9 @@ from conftest import (
     Z_07_03i04_m15,
     Z_BASE,
     Z_C2,
+    Z_EDGE_A_0,
+    Z_EDGE_A_1,
+    Z_INNER_SHIFT,
     Z_NEAR_CUT,
     Z_1_I_1,
     Z_2_I_1,
@@ -284,6 +288,25 @@ class TestRouting:
             with pytest.raises(NonConvergence):
                 evaluate_principal(s, a, c)
 
+    def test_index_shift_inside_transform(self):
+        # Re a = 0, so the transform's first inner evaluation has c = a = 1e-4 i;
+        # the dispatch moves it by the index shift before the series or the
+        # integral sees it, where the integral used to raise InvalidRegion
+        lv = evaluate_principal(-0.5, 1e-4j, 0.5)
+        assert cmath.isfinite(lv.value)
+        assert abs(lv.value - Z_INNER_SHIFT) <= lv.abs_err_estimate
+
+    @pytest.mark.parametrize(
+        "s, a, c, want",
+        [(-0.5 + 0.3j, 0.02 - 0.2j, 0.4, Z_EDGE_A_0), (-1.3 - 0.7j, 0.97 - 0.1j, 0.65, Z_EDGE_A_1)],
+    )
+    def test_re_a_near_an_integer(self, s, a, c, want):
+        # one inner evaluation of the transform has Re c <= 0.05 and takes the index shift
+        lv = evaluate_principal(s, a, c, 1e-10)
+        err = abs(lv.value - want)
+        assert err <= 1e-10
+        assert err <= lv.abs_err_estimate
+
     def test_reduction_rounding_onto_cut(self):
         # -1e-17 + 1 rounds to exactly 1.0, a point on the ray below a = 1
         with pytest.raises(CutViolation):
@@ -343,3 +366,8 @@ class TestDerivativeResiduals:
 
     def test_pde_residual_at_s_zero(self):
         assert pde_residual(Point3(0.0, 0.4 + 0.2j, 0.6), BranchState.zero()) < 1e-8
+
+    def test_circle_too_close_to_a_cut(self):
+        # a sits 1e-3 right of the ray below a = 0: no Cauchy circle fits
+        with pytest.raises(DerivativeCircleLeavesDomain):
+            dde_lower_residual(Point3(0.5, 0.001 - 0.1j, 0.5), BranchState.zero())

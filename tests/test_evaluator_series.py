@@ -122,10 +122,7 @@ class TestTailOracle:
 
         Every point takes the tail: real a with Re s > 0, integer a with
         Re s > 1 (oracle zeta(s, c)), and 0 < Im a <= 1e-6, where the direct
-        sum cannot reach the target.  The direct-sum branch is not swept
-        here: its roundoff floor lacks the phase-error factor of the tail
-        branch, and it still misses by relative errors near 1e-15 at some
-        points.
+        sum cannot reach the target.
         """
         for k in range(40):
             kind = k % 5  # 0, 1: real a; 2: integer a; 3, 4: small Im a
@@ -142,6 +139,29 @@ class TestTailOracle:
                 else:
                     z = mpmath.exp(2j * mpmath.pi * mpmath.mpc(a))
                     want = mpmath.lerchphi(z, mpmath.mpc(s), mpmath.mpc(c))
+            err = abs(lv.value - complex(want))
+            assert err <= lv.abs_err_estimate, (k, s, a, c, err, lv.abs_err_estimate)
+
+
+class TestDirectSumOracle:
+    def test_seeded_direct_sum_sweep(self, rng):
+        """The direct partial sum against mpmath at 30 digits: true error <= abs_err_estimate.
+
+        With Im a >= 0.05 the geometric tail bound reaches the target after a
+        few hundred terms, so every point takes the direct sum.  The 40 points
+        are the first 40 of the conftest seed, drawn once and kept: here the
+        largest error/estimate is 0.69, while a roundoff floor of
+        4 eps sum |terms|, without the phase-error factor |s| log(n0 + |c| + 1),
+        lets 5 of them through with ratios up to 2.7.
+        """
+        for k in range(40):
+            s = complex(rng.uniform(-3.0, 3.0), rng.uniform(-25.0, 25.0))
+            a = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.05, 0.6))
+            c = complex(rng.uniform(0.2, 2.0), rng.uniform(-0.5, 0.5))
+            lv = dirichlet_series(s, a, c, 1e-10)
+            with mpmath.workdps(30):
+                z = mpmath.exp(2j * mpmath.pi * mpmath.mpc(a))
+                want = mpmath.lerchphi(z, mpmath.mpc(s), mpmath.mpc(c))
             err = abs(lv.value - complex(want))
             assert err <= lv.abs_err_estimate, (k, s, a, c, err, lv.abs_err_estimate)
 

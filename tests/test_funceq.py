@@ -72,6 +72,14 @@ class TestReflectionIdentity:
         # reduces to the vanishing of the surviving side
         assert fe_residual(SymKind.PLUS, -2.0, 0.35, 0.6, 1e-10) < 1e-9
 
+    @pytest.mark.parametrize(
+        "kind, s", [(SymKind.PLUS, 1.0), (SymKind.PLUS, 3.0), (SymKind.MINUS, 2.0), (SymKind.PLUS, 2.98)]
+    )
+    def test_at_and_near_right_factor_pole(self, kind, s):
+        # Gamma((1 - s + k)/2) has a pole at the first three points and is 0.01
+        # from one at s = 2.98, where the residual is relative
+        assert fe_residual(kind, s, 0.35, 0.6, 1e-10) < 1e-9
+
     def test_random_polycylinder_points(self, rng):
         checked = 0
         while checked < 25:
