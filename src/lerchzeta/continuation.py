@@ -42,7 +42,7 @@ from .errors import (
     SZero,
 )
 from .evaluator import LerchValue, Method, _integral_eval_raw, dirichlet_series
-from .monodromy import monodromy_of_branch
+from .monodromy import branch_roundoff, monodromy_of_branch
 from .words import BranchState
 
 _TWO_PI = 2.0 * math.pi
@@ -50,6 +50,7 @@ _EPS = 2.220446049250313e-16
 _LOG_MAX = math.log(sys.float_info.max)  # cmath.exp overflows above this real part
 _CIRCLE_CAP = 0.05
 _RESIDUAL_TARGET = 1e-12  # target of every evaluation inside a residual check
+_Route = Callable[[complex, complex, complex, float], LerchValue]  # (s, a, c, target) -> value
 
 
 class ShiftDirection(str, Enum):
@@ -102,14 +103,7 @@ def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     return best
 
 
-def _shift_c(
-    s: complex,
-    a: complex,
-    c: complex,
-    n: int,
-    target: float,
-    inner: Callable[[complex, complex, complex, float], LerchValue],
-) -> LerchValue:
+def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _Route) -> LerchValue:
     """The value at c from inner's value at c + n, by the exact index shift in c.
 
     zeta(s,a,c) = e^{2pi i n a} (zeta(s,a,c+n) + sign(n) sum_j e^{2pi i (j-n) a}(j+c)^{-s}),
@@ -123,8 +117,7 @@ def _shift_c(
     phase = cmath.exp(2j * math.pi * a * n)
     scale = abs(phase)
     shifted = inner(s, a, c + n, 0.5 * target / max(scale, 1e-300))
-    partial = 0j
-    absum = 0.0
+    partial, absum = 0j, 0.0
     for j in range(min(n, 0), max(n, 0)):
         term = cmath.exp(2j * math.pi * a * (j - n)) * branched_pow(j + c, -s)
         partial += term
@@ -138,10 +131,10 @@ def evaluate_principal(s: complex, a: complex, c: complex, target_abs_err: float
     """Principal-sheet value at an anchored point of the extended domain.
 
     The value is 1-periodic in a (the cut rays are integer translates of
-    each other), so Re a is first reduced into [0, 1).  A reduction that
-    rounds to 1 keeps a as it is when Im a > 0 and raises CutViolation when
-    Im a <= 0, where it lands on a cut.  The dispatch :func:`_core_eval`
-    does the rest, the index shift in c included.
+    each other), so Re a is first reduced into [0, 1); a reduction that
+    rounds to 1 keeps a when Im a > 0 and raises CutViolation when Im a <= 0,
+    where it lands on a cut.  The dispatch :func:`_core_eval` does the rest;
+    a value or estimate outside the binary64 range raises NonConvergence.
     """
     s, a, c = complex(s), complex(a), complex(c)
     Point3(s, a, c)  # validity
@@ -151,7 +144,13 @@ def evaluate_principal(s: complex, a: complex, c: complex, target_abs_err: float
         a = reduced
     elif a.imag <= 0.0:
         raise CutViolation(f"a = {a!r} rounds onto a downward cut ray when reduced by its period")
-    return _core_eval(s, a, c, target_abs_err)
+    try:
+        lv = _core_eval(s, a, c, target_abs_err)
+        if cmath.isfinite(lv.value) and math.isfinite(lv.abs_err_estimate):
+            return lv
+    except OverflowError:
+        pass
+    raise NonConvergence(f"the value at s = {s!r}, a = {a!r}, c = {c!r} leaves the binary64 range")
 
 
 def transform_eval(p: Point3, target_abs_err: float = 1e-10) -> LerchValue:
@@ -185,16 +184,11 @@ def _transform_value(s: complex, a: complex, c: complex, target: float) -> Lerch
     """
     sp = 1.0 - s
     coef1, coef2 = _transform_coefficients(sp, a, c)
-    t1 = 0.25 * target / max(abs(coef1), 1e-300)
-    t2 = 0.25 * target / max(abs(coef2), 1e-300)
-    v1 = _core_eval(sp, 1.0 - c, a, t1)
-    v2 = _core_eval(sp, c, 1.0 - a, t2)
+    v1 = _core_eval(sp, 1.0 - c, a, 0.25 * target / max(abs(coef1), 1e-300))
+    v2 = _core_eval(sp, c, 1.0 - a, 0.25 * target / max(abs(coef2), 1e-300))
     value = coef1 * v1.value + coef2 * v2.value
-    err = (
-        abs(coef1) * v1.abs_err_estimate
-        + abs(coef2) * v2.abs_err_estimate
-        + 4e-13 * (abs(coef1 * v1.value) + abs(coef2 * v2.value))
-    )
+    err = abs(coef1) * v1.abs_err_estimate + abs(coef2) * v2.abs_err_estimate
+    err += 4e-13 * (abs(coef1 * v1.value) + abs(coef2 * v2.value))
     return LerchValue(value, Method.TRANSFORM, err)
 
 
@@ -293,9 +287,8 @@ def evaluate_on_cover(p: Point3, b: BranchState, target_abs_err: float = 1e-10) 
     z0 = evaluate_principal(p.s, p.a, p.c, target_abs_err)
     if b.is_zero:
         return z0
-    extra = monodromy_of_branch(b, p.s, p.a, p.c)
-    value = z0.value + extra
-    return LerchValue(value, z0.method, z0.abs_err_estimate + 4.0 * _EPS * abs(extra))
+    value = z0.value + monodromy_of_branch(b, p.s, p.a, p.c)
+    return LerchValue(value, z0.method, z0.abs_err_estimate + branch_roundoff(b, p.s, p.a, p.c))
 
 
 def dde_lower_residual(p: Point3, b: BranchState) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
 
+from .branching import is_nonpositive_integer
 from .errors import InvalidPoint
 
 
@@ -31,11 +32,6 @@ class SymKind(str, Enum):
 def is_real_integer(z: complex) -> bool:
     z = complex(z)
     return z.imag == 0.0 and z.real == round(z.real)
-
-
-def is_nonpositive_real_integer(z: complex) -> bool:
-    z = complex(z)
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
 
 
 def on_a_cut_ray(a: complex) -> bool:
@@ -98,15 +94,13 @@ class Point3:
     c: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s", complex(self.s))
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "c", complex(self.c))
         for name in ("s", "a", "c"):
+            object.__setattr__(self, name, complex(getattr(self, name)))
             if not cmath.isfinite(getattr(self, name)):
                 raise InvalidPoint(f"{name} = {getattr(self, name)!r} is not finite")
         if is_real_integer(self.a):
             raise InvalidPoint(f"a = {self.a!r} is an integer puncture")
-        if is_nonpositive_real_integer(self.c):
+        if is_nonpositive_integer(self.c):
             raise InvalidPoint(f"c = {self.c!r} is a nonpositive integer puncture")
 
 

@@ -4,7 +4,8 @@ Two routes: the three-variable Dirichlet series and the real-axis integral
 representation over straight or detoured contours.  The series sums its
 tail by the Abel-Plana formula, one exponentially convergent integral that
 is exact for every reduced a: the conditionally convergent real-a case,
-integer a and Im a too small for a direct partial sum.
+integer a and Im a too small for a direct partial sum.  The integral sums
+its endpoint piece near t = 0 as a power series and the rest by quadrature.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
 _SPLIT_CAP = 40_000  # largest split point the series tail starts from
 _POLE_CLEARANCE = 1e-3  # least distance from an integrand pole to the contour
+_RING = 64  # samples on the endpoint circle, and terms of the endpoint series
+_K = np.arange(_RING, dtype=np.float64)
+_ROOTS = np.exp((2j * math.pi / _RING) * _K)
+# DFT with phases reduced mod _RING before exp: unreduced ones lose about 1e-13
+_DFT = np.exp((-2j * math.pi / _RING) * (np.outer(_K, _K) % _RING)) / _RING
 
 
 class Method(str, Enum):
@@ -279,44 +285,44 @@ def _pick_t_max(s: complex, a: complex, c: complex, target: float) -> tuple[floa
     raise NonConvergence("could not certify an integral cutoff")
 
 
+def _h(za: complex, c: complex, t: np.ndarray, lead: complex | np.ndarray = 0.0) -> np.ndarray:
+    """e^{lead - ct} / (1 - e^{za - t}): h(t) itself, or t^{s-1} h(t) for lead = (s-1) log t."""
+    w = za - t
+    w = w - (2j * math.pi) * np.round(w.imag / _TWO_PI)
+    return np.exp(lead - c * t) / (-np.expm1(w))
+
+
 def _contour_integral(
     s: complex, a: complex, c: complex, contour: ContourSpec, tol: float
 ) -> tuple[complex, float]:
-    """Integral of t^{s-1} e^{-ct} / (1 - e^{2*pi*i*a} e^{-t}) over the contour."""
+    """Integral of t^{s-1} h(t), h = e^{-ct} / (1 - e^{2*pi*i*a} e^{-t}), over the contour.
+
+    h is analytic in |t| < R = 2*pi*dist(a, Z), so the piece over (0, t0] with
+    t0 <= 0.4 R is t0^s sum_{k<64} H_k / (s+k), H_k = h_k t0^k from 64 samples
+    on |t| = t0.  Adaptive quadrature takes the rest up to a certified cutoff.
+    """
     za = 2j * math.pi * a
     sm1 = s - 1.0
 
     def core(t: np.ndarray) -> np.ndarray:
-        w = za - t
-        w = w - (2j * math.pi) * np.round(w.imag / _TWO_PI)
-        return np.exp(sm1 * np.log(t) - c * t) / (-np.expm1(w))
+        return _h(za, c, t, sm1 * np.log(t))
 
     t_max, tail_err = _pick_t_max(s, a, c, 0.1 * tol)
     _check_poles(a, contour, t_max)
+    # t = 0 lies on the contour, so the pole clearance checked above gives
+    # R >= 1e-3; t0 <= 2/|c| keeps |e^{-ct}| <= e^4 on the circle |t| = 2 t0
+    detour = math.inf if contour.is_straight else 0.5 * (contour.u - contour.epsilon)
+    t0 = min(0.5, 0.25 * t_max, 0.4 * _TWO_PI * abs(a - round(a.real)), 2.0 / abs(c), detour)
 
-    t0 = min(0.5, 0.25 * t_max)
-    if not contour.is_straight:
-        t0 = min(t0, 0.5 * (contour.u - contour.epsilon))
-
-    # endpoint piece (0, t0] on a log scale: t = e^v, integrand becomes e^{s v} g(e^v)
-    sample = np.exp(np.linspace(math.log(t0) - 14.0, math.log(t0), 24))
-    wv = za - sample
-    wv = wv - (2j * math.pi) * np.round(wv.imag / _TWO_PI)
-    g0 = 8.0 * float(np.max(np.abs(np.exp(-c * sample) / (-np.expm1(wv)))))
-    sigma = s.real
-    v_min = min(math.log(t0) - 2.0, math.log(0.1 * tol * sigma / g0) / sigma)
-    trunc_err = g0 * math.exp(sigma * v_min) / sigma
-
-    def f_log(v: np.ndarray) -> np.ndarray:
-        t = np.exp(v)
-        w = za - t
-        w = w - (2j * math.pi) * np.round(w.imag / _TWO_PI)
-        return np.exp(s * v - c * t) / (-np.expm1(w))
-
+    samples = _h(za, c, t0 * _ROOTS)
+    inv = 1.0 / (s + _K)
+    total = cmath.exp(s * math.log(t0)) * complex((_DFT @ samples) @ inv)
+    # |H_k| <= M 2^{-k}, M = max |h| on |t| = 2 t0, bounds aliasing and truncation;
+    # then the roundoff of the samples and of the phase s log t0, then the cutoff tail
+    alias = float(np.max(np.abs(_h(za, c, 2.0 * t0 * _ROOTS)))) * 2.0**-_RING * (4.0 / abs(s) + 2.0 / _RING)
+    roundoff = 4.0 * _EPS * float(np.max(np.abs(samples)) * np.sum(np.abs(inv))) * (1.0 + abs(s) * abs(math.log(t0)))
+    err = t0**s.real * (alias + roundoff) + tail_err
     piece_tol = 0.2 * tol
-    total, err, _ = quadrature.integrate(f_log, v_min, math.log(t0), piece_tol)
-    err += trunc_err + tail_err
-
     if contour.is_straight:
         val, e, _ = quadrature.integrate(core, t0, t_max, 2.0 * piece_tol, max_panels=3000)
         total += val

@@ -16,21 +16,19 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .branching import branched_pow, complex_gamma, reciprocal_gamma
-from .domain import SymKind
+from .branching import branched_pow, complex_gamma, principal_log, reciprocal_gamma
+from .domain import SymKind, is_real_integer
 from .words import BranchState, Generator, Word, abelianize
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _is_real_int(s: complex) -> bool:
-    return s.imag == 0.0 and s.real == round(s.real)
+_EPS = 2.220446049250313e-16
+_LOG_2PI_I = complex(math.log(_TWO_PI), 0.5 * math.pi)
 
 
 def _cexp_minus_one(s: complex, sign: int, k: int = 1) -> complex:
     """exp(sign * 2*pi*i*s*k) - 1, exactly zero whenever s*k is a real integer."""
     sk = complex(s) * k
-    if _is_real_int(sk):
+    if is_real_integer(sk):
         return 0j
     return cmath.exp(sign * 2j * math.pi * sk) - 1.0
 
@@ -43,7 +41,7 @@ def _geometric_factor(k: int, s: complex, sign: int) -> complex:
     """
     if k == 0:
         return 0j
-    if _is_real_int(s):
+    if is_real_integer(s):
         return complex(k)
     lam_m1 = _cexp_minus_one(s, sign)
     if abs(k) <= 64 or abs(lam_m1) < 1e-8:
@@ -102,6 +100,26 @@ def monodromy_of_branch(b: BranchState, s: complex, a: complex, c: complex) -> c
     for n, k in b.ky:
         total += monodromy_power(Generator("Y", n), k, s, a, c)
     return total
+
+
+def branch_roundoff(b: BranchState, s: complex, a: complex, c: complex) -> float:
+    """Roundoff of monodromy_of_branch: 4 eps sum |term| (1 + size of the exponents the term passes to exp).
+
+    X_n passes (s-1) log(a-n), s log(2 pi i) and 2 pi i c (a-n); Y_n passes
+    2 pi i s, 2 pi i n a and s log(c-n); k loops of either pass at most 2 pi i s k.
+    """
+    s, a, c = complex(s), complex(a), complex(c)
+    total = 0.0
+    for axis, pairs in (("X", b.kx), ("Y", b.ky)):
+        for n, k in pairs:
+            term = abs(monodromy_power(Generator(axis, n), k, s, a, c))
+            if term:
+                if axis == "X":
+                    phase = abs((s - 1.0) * principal_log(a - n)) + abs(s * _LOG_2PI_I) + _TWO_PI * abs(c * (a - n))
+                else:
+                    phase = _TWO_PI * (abs(s) + abs(n * a)) + abs(s * principal_log(c - n))
+                total += term * (1.0 + phase + _TWO_PI * abs(s * k))
+    return 4.0 * _EPS * total
 
 
 def monodromy_of_word(w: Word, s: complex, a: complex, c: complex) -> complex:
@@ -198,7 +216,7 @@ class MonodromySpaceBasis:
 def monodromy_space_basis(s: complex) -> MonodromySpaceBasis:
     """Basis of the span of the continued function and its monodromies at fixed s."""
     s = complex(s)
-    if _is_real_int(s):
+    if is_real_integer(s):
         if s.real <= 0:
             return MonodromySpaceBasis(s, "1", "none", "none")
         return MonodromySpaceBasis(s, "infinite", "all n", "none")

@@ -52,6 +52,18 @@ Z_SMALL_IM_A_2 = complex(0.21311076988305910749, -0.51015976101964395578)  # (1.
 Z_INNER_SHIFT = complex(56287.511103682622504, 0.0)  # (-0.5, 1e-4i, 0.5)
 Z_EDGE_A_0 = complex(-0.080074048827982171519, -0.8683522252590659187)  # (-0.5+0.3i, 0.02-0.2i, 0.4)
 Z_EDGE_A_1 = complex(11.058140708115939726, 7.2358885896334102896)  # (-1.3-0.7i, 0.97-0.1i, 0.65)
+# the integral route at small Re s, complex c and Re a near 0 or 1 (mpmath at 40
+# digits: the exact power series on [0, e0] with coefficients from a 256-node
+# trapezoid rule on |t| = 2 e0, plus quadrature from e0 on with breakpoints
+# around the pole column; plain quadrature from 0 is off by up to 3e-2 here)
+Z_INTEGRAL_ROUTE = [
+    ((0.2 + 3j, 0.97 - 0.1j, 0.6 + 0.3j), complex(1.0882850934987281733, 2.8977002976004832902)),
+    ((0.15 - 1.5j, 0.03 - 0.12j, 1.2 - 0.4j), complex(0.10187946032708118614, 0.71966480270655727138)),
+    ((0.3 + 4.5j, 0.96 - 0.05j, 0.35 + 0.8j), complex(176.41961544619051092, 44.571002443785717801)),
+    ((0.25 - 4j, 0.04 - 0.15j, 0.8), complex(0.031038938343360420194, -0.68267165406452004434)),
+    ((0.18 + 1.2j, 0.99 - 0.08j, 1.5 + 0.5j), complex(-0.4556214315765091327, -0.81427133576756517634)),
+    ((0.164 + 4.627j, 0.9639 - 0.3298j, 1.2333 - 0.4131j), complex(0.022270599885529166542, 0.015389276663894925338)),
+]
 
 PI2_12 = math.pi**2 / 12.0
 PI2_6 = math.pi**2 / 6.0

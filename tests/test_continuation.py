@@ -1,6 +1,8 @@
 import cmath
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lerchzeta import (
     CutViolation,
@@ -176,6 +178,26 @@ class TestEvaluatePrincipal:
         except LerchError:
             return
         assert cmath.isfinite(lv.value)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        st.floats(1e-3, 3.0, exclude_min=True),
+        st.floats(-40.0, 40.0),
+        st.one_of(st.floats(0.0, 1.0), st.floats(-1e-3, 1e-3), st.floats(1.0 - 1e-3, 1.0 + 1e-3)),
+        st.floats(-0.5, 0.0, exclude_max=True),
+        st.floats(-300.0, 300.0),
+        st.floats(-3.0, 3.0),
+    )
+    def test_total_on_integral_region(self, sr, si, ar, ai, cr, ci):
+        # Re s > 0 and Im a < 0 is the integral's region: Re a within 1e-3 of an
+        # integer brings a pole to t = 0, and |Re c| up to 300 reaches both
+        # the index-shift overflow guard and a steep e^{-ct}
+        try:
+            lv = evaluate_principal(complex(sr, si), complex(ar, ai), complex(cr, ci))
+        except LerchError:
+            return
+        assert cmath.isfinite(lv.value)
+        assert math.isfinite(lv.abs_err_estimate)
 
     def test_anchoring_cut_violations(self):
         with pytest.raises(CutViolation):

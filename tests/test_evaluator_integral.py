@@ -10,12 +10,14 @@ from lerchzeta import (
     Method,
     Point3,
     dirichlet_series,
+    evaluate_principal,
     integral_eval,
     monodromy_generator,
     residue_discrepancy,
 )
+from lerchzeta import quadrature
 from lerchzeta.words import Generator
-from conftest import PI2_12, Z_BASE, Z_COMPLEX_S
+from conftest import PI2_12, Z_BASE, Z_COMPLEX_S, Z_INTEGRAL_ROUTE
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,6 +59,33 @@ class TestStraightContour:
         # integer brings one pole within the default clearance
         with pytest.raises(ContourHitsPole):
             integral_eval(Point3(1.0, 1e-4 - 0.3j, 1.0))
+
+
+class TestIntegralOracle:
+    @pytest.mark.parametrize("point,want", Z_INTEGRAL_ROUTE)
+    def test_small_re_s_near_integer_a(self, point, want):
+        # Re a within 0.05 of 0 or 1 brings a pole near t = 0, so the endpoint
+        # series runs on the circle |t| = 0.4 R < 0.5 (all but the last point)
+        lv = evaluate_principal(*point, 1e-10)
+        err = abs(lv.value - want)
+        assert lv.method is Method.INTEGRAL
+        assert err <= 1e-10
+        assert err <= lv.abs_err_estimate
+
+    def test_panel_count(self, monkeypatch):
+        # a point at |Im s| = 24.5 that took 1642 panels when the endpoint
+        # piece was integrated in log t; a repeatable work count, not a timing
+        calls = 0
+        panel = quadrature._panel
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return panel(*args)
+
+        monkeypatch.setattr(quadrature, "_panel", counted)
+        integral_eval(Point3(0.33299 + 24.53071j, 0.30537 - 0.39405j, 0.55468))
+        assert calls < 400
 
 
 class TestDetouredContour:
