@@ -42,7 +42,7 @@ from .errors import (
     SZero,
 )
 from .evaluator import LerchValue, Method, _integral_eval_raw, dirichlet_series
-from .monodromy import branch_roundoff, monodromy_of_branch
+from .monodromy import branch_monodromy
 from .words import BranchState
 
 _TWO_PI = 2.0 * math.pi
@@ -287,8 +287,8 @@ def evaluate_on_cover(p: Point3, b: BranchState, target_abs_err: float = 1e-10) 
     z0 = evaluate_principal(p.s, p.a, p.c, target_abs_err)
     if b.is_zero:
         return z0
-    value = z0.value + monodromy_of_branch(b, p.s, p.a, p.c)
-    return LerchValue(value, z0.method, z0.abs_err_estimate + branch_roundoff(b, p.s, p.a, p.c))
+    extra, roundoff = branch_monodromy(b, p.s, p.a, p.c)
+    return LerchValue(z0.value + extra, z0.method, z0.abs_err_estimate + roundoff)
 
 
 def dde_lower_residual(p: Point3, b: BranchState) -> float:

@@ -1,11 +1,11 @@
 """Direct evaluation on the native convergence regions.
 
-Two routes: the three-variable Dirichlet series and the real-axis integral
+Two routes: the three-variable Dirichlet series and the integral
 representation over straight or detoured contours.  The series sums its
 tail by the Abel-Plana formula, one exponentially convergent integral that
 is exact for every reduced a: the conditionally convergent real-a case,
-integer a and Im a too small for a direct partial sum.  The integral sums
-its endpoint piece near t = 0 as a power series and the rest by quadrature.
+integer a and Im a too small for a direct partial sum.  The integral runs
+on one ray; the poles it turns over come from the closed-form monodromy.
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ from .errors import (
     InvalidRegion,
     NonConvergence,
 )
+from .monodromy import branch_monodromy
+from .words import BranchState
 
 _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
 _SPLIT_CAP = 40_000  # largest split point the series tail starts from
-_POLE_CLEARANCE = 1e-3  # least distance from an integrand pole to the contour
+_POLE_CLEARANCE = 1e-3  # least distance from an integrand pole to the contour or the ray
 _RING = 64  # samples on the endpoint circle, and terms of the endpoint series
 _K = np.arange(_RING, dtype=np.float64)
 _ROOTS = np.exp((2j * math.pi / _RING) * _K)
@@ -219,64 +221,76 @@ def series_eval(p: Point3, target_abs_err: float = 1e-12) -> LerchValue:
 # ---------------------------------------------------------------------------
 
 
-def _seg_dist(p: complex, z0: complex, z1: complex) -> float:
-    d = z1 - z0
-    denom = abs(d) ** 2
-    if denom == 0.0:
-        return abs(p - z0)
-    t = ((p - z0).real * d.real + (p - z0).imag * d.imag) / denom
-    t = min(1.0, max(0.0, t))
-    return abs(p - (z0 + t * d))
+def _nearest_pole(a: complex, theta: float, contour: ContourSpec) -> tuple[float, int]:
+    """(distance, k) of the pole t_k = 2*pi*i*(a - k) nearest the ray arg t = theta or the contour.
+
+    That is one of the two around the axis or the ray's crossing of the column Re t = -2*pi*Im a.
+    A detour's semicircle is nearest radially above the axis and at an end below it.
+    """
+    to_ray = lambda q: abs(q.imag) if q.real >= 0.0 else abs(q)
+
+    def distance(p: complex) -> float:
+        d = to_ray(p * cmath.exp(-1j * theta))
+        if contour.is_straight:
+            return min(d, to_ray(p))
+        w, eps = p - contour.u, contour.epsilon
+        arc = abs(abs(w) - eps) if w.imag >= 0.0 else min(abs(w - eps), abs(w + eps))
+        return min(d, arc, to_ray(p) if abs(w.real) >= eps else arc)
+
+    ks = {f(x) for x in (a.real, a.real + a.imag * math.tan(theta)) for f in (math.floor, math.ceil)}
+    return min((distance(2j * math.pi * (a - k)), k) for k in ks)
 
 
-def _arc_dist(p: complex, u: float, eps: float) -> float:
-    d = p - u
-    ang = math.atan2(d.imag, d.real)
-    if 0.0 <= ang <= math.pi:
-        return abs(abs(d) - eps)
-    return min(abs(p - (u - eps)), abs(p - (u + eps)))
+def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[float, BranchState, float]:
+    """(theta, b, sign): the contour's integral is the ray's plus sign * Gamma(s) * M(b), M the monodromy.
 
-
-def _contour_distance(pole: complex, contour: ContourSpec, t_max: float) -> float:
+    For Im s > 16/pi the straight contour's ray turns up to pi/2 - 8/Im s -
+    max(arg c, 0), so Re(c e^{i theta}) > 0 and 1/Gamma(s) loses e^8, not
+    e^{pi Im s / 2}.  Within 1e-3 of a pole it steps toward the axis, onto it
+    if still that close; b = one X_k per pole turned over.  A detour's ray passes
+    over the pole n it encloses, halfway to the nearer of the next pole's
+    angle and pi/2 - arg c; else it is the axis, b = X_n and sign = +1.
+    A pole within 1e-3 of either raises ContourHitsPole.
+    """
+    theta, b, sign, x0 = 0.0, {}, -1.0, -_TWO_PI * a.imag
     if contour.is_straight:
-        return _seg_dist(pole, 0j, complex(t_max))
-    u, eps = contour.u, contour.epsilon
-    return min(
-        _seg_dist(pole, 0j, complex(u - eps)),
-        _arc_dist(pole, u, eps),
-        _seg_dist(pole, complex(u + eps), complex(t_max)),
-    )
+        if s.imag > 16.0 / math.pi:
+            theta = max(0.0, 0.5 * math.pi - 8.0 / s.imag - max(cmath.phase(c), 0.0))
+        d, k = _nearest_pole(a, theta, contour)
+        y = _TWO_PI * (a.real - k)  # step a quarter of the pole spacing below the pole, or to half its height
+        if d < _POLE_CLEARANCE and x0 > 0.0 and y > 0.0:
+            theta = math.atan2(max(y - 0.25 * math.pi, 0.5 * y), x0)
+        if _nearest_pole(a, theta, contour)[0] < _POLE_CLEARANCE:
+            theta = 0.0
+        b = dict.fromkeys(range(math.floor(a.real + a.imag * math.tan(theta)) + 1, math.ceil(a.real)), 1)
+    else:
+        n = round(a.real)
+        w = 2j * math.pi * (a - n) - contour.u
+        angle, limit = math.atan2(w.imag, x0), min(math.atan2(w.imag + _TWO_PI, x0), 0.5 * math.pi - cmath.phase(c))
+        if w.imag > 0.0 and abs(w) < contour.epsilon:  # the pole n lies under the semicircle
+            theta, b, sign = (0.5 * (angle + limit), {}, -1.0) if limit > angle else (0.0, {n: 1}, 1.0)
+    d, k = _nearest_pole(a, theta, contour)
+    if d < _POLE_CLEARANCE:
+        raise ContourHitsPole(f"integrand pole at t = {2j * math.pi * (a - k)!r} (a-plane index {k}) is {d:.2e} away")
+    return theta, BranchState.from_dicts(b), sign
 
 
-def _check_poles(a: complex, contour: ContourSpec, t_max: float) -> None:
-    col = -_TWO_PI * a.imag  # real part shared by every pole 2*pi*i*(a - k)
-    if col < -(_POLE_CLEARANCE + 1.0) or col > t_max + _POLE_CLEARANCE + 1.0:
-        return
-    k0 = round(a.real)
-    for k in range(k0 - 2, k0 + 3):
-        pole = 2j * math.pi * (a - k)
-        d = _contour_distance(pole, contour, t_max)
-        if d < _POLE_CLEARANCE:
-            raise ContourHitsPole(
-                f"integrand pole at t = {pole!r} (a-plane index {k}) is {d:.2e} from the contour"
-            )
-
-
-def _pick_t_max(s: complex, a: complex, c: complex, target: float) -> tuple[float, float]:
-    """Cutoff T with a certified bound on the discarded [T, inf) piece."""
-    sigma, rc = s.real, c.real
+def _pick_t_max(s: complex, a: complex, c: complex, target: float, theta: float) -> tuple[float, float]:
+    """Cutoff T on the ray arg t = theta with a certified bound on the discarded [T, inf) piece."""
+    # |t^{s-1} e^{-ct}| = r^{sigma-1} e^{-Im s theta - rc r}, |1 - e^{2 pi i a - t}| >= 1 - e^{log_abs_z - r cos}
+    sigma, rc, cos = s.real, (c * cmath.exp(1j * theta)).real, math.cos(theta)
     log_abs_z = -_TWO_PI * a.imag
 
     def bound(t: float) -> float | None:
-        if t < log_abs_z + math.log(2.0):
+        if t * cos < log_abs_z + math.log(2.0):
             return None
         if sigma > 1.0 and rc * t < 2.0 * (sigma - 1.0):
             return None
-        d = 1.0 - math.exp(log_abs_z - t)
-        base = math.exp((sigma - 1.0) * math.log(t) - rc * t) / rc
+        d = 1.0 - math.exp(log_abs_z - t * cos)
+        base = math.exp((sigma - 1.0) * math.log(t) - rc * t - s.imag * theta) / rc
         return (2.0 if sigma > 1.0 else 1.0) * base / d
 
-    t = max(2.0, log_abs_z + 1.0, 2.0 * (sigma - 1.0) / rc if sigma > 1.0 else 0.0)
+    t = max(2.0, (log_abs_z + 1.0) / cos, 2.0 * (sigma - 1.0) / rc if sigma > 1.0 else 0.0)
     for _ in range(400):
         b = bound(t)
         if b is not None and b <= target:
@@ -292,59 +306,36 @@ def _h(za: complex, c: complex, t: np.ndarray, lead: complex | np.ndarray = 0.0)
     return np.exp(lead - c * t) / (-np.expm1(w))
 
 
-def _contour_integral(
-    s: complex, a: complex, c: complex, contour: ContourSpec, tol: float
-) -> tuple[complex, float]:
-    """Integral of t^{s-1} h(t), h = e^{-ct} / (1 - e^{2*pi*i*a} e^{-t}), over the contour.
+def _contour_integral(s: complex, a: complex, c: complex, theta: float, tol: float) -> tuple[complex, float]:
+    """Integral of t^{s-1} h(t), h = e^{-ct} / (1 - e^{2*pi*i*a} e^{-t}), over the ray t = r e^{i theta}.
 
-    h is analytic in |t| < R = 2*pi*dist(a, Z), so the piece over (0, t0] with
-    t0 <= 0.4 R is t0^s sum_{k<64} H_k / (s+k), H_k = h_k t0^k from 64 samples
-    on |t| = t0.  Adaptive quadrature takes the rest up to a certified cutoff.
+    h is analytic in |t| < R = 2*pi*dist(a, Z), so the piece over r in (0, t0]
+    with t0 <= 0.4 R is T^s sum_{k<64} H_k / (s+k), T = t0 e^{i theta},
+    H_k = h_k T^k from 64 samples on |t| = t0.  One adaptive quadrature takes
+    the rest up to a certified cutoff, in real arithmetic when theta = 0.
     """
     za = 2j * math.pi * a
     sm1 = s - 1.0
+    rot = cmath.exp(1j * theta)
+    t_max, tail_err = _pick_t_max(s, a, c, 0.1 * tol, theta)
+    # a pole within 1e-3 of t = 0 has raised, so R >= 1e-3; t0 <= 2/|c| keeps
+    # |e^{-ct}| <= e^4 on the circle |t| = 2 t0
+    t0 = min(0.5, 0.25 * t_max, 0.4 * _TWO_PI * abs(a - round(a.real)), 2.0 / abs(c))
+    log_t0 = complex(math.log(t0), theta)
 
-    def core(t: np.ndarray) -> np.ndarray:
-        return _h(za, c, t, sm1 * np.log(t))
-
-    t_max, tail_err = _pick_t_max(s, a, c, 0.1 * tol)
-    _check_poles(a, contour, t_max)
-    # t = 0 lies on the contour, so the pole clearance checked above gives
-    # R >= 1e-3; t0 <= 2/|c| keeps |e^{-ct}| <= e^4 on the circle |t| = 2 t0
-    detour = math.inf if contour.is_straight else 0.5 * (contour.u - contour.epsilon)
-    t0 = min(0.5, 0.25 * t_max, 0.4 * _TWO_PI * abs(a - round(a.real)), 2.0 / abs(c), detour)
-
-    samples = _h(za, c, t0 * _ROOTS)
+    samples = _h(za, c, t0 * rot * _ROOTS)
     inv = 1.0 / (s + _K)
-    total = cmath.exp(s * math.log(t0)) * complex((_DFT @ samples) @ inv)
+    total = cmath.exp(s * log_t0) * complex((_DFT @ samples) @ inv)
     # |H_k| <= M 2^{-k}, M = max |h| on |t| = 2 t0, bounds aliasing and truncation;
-    # then the roundoff of the samples and of the phase s log t0, then the cutoff tail
-    alias = float(np.max(np.abs(_h(za, c, 2.0 * t0 * _ROOTS)))) * 2.0**-_RING * (4.0 / abs(s) + 2.0 / _RING)
-    roundoff = 4.0 * _EPS * float(np.max(np.abs(samples)) * np.sum(np.abs(inv))) * (1.0 + abs(s) * abs(math.log(t0)))
-    err = t0**s.real * (alias + roundoff) + tail_err
-    piece_tol = 0.2 * tol
-    if contour.is_straight:
-        val, e, _ = quadrature.integrate(core, t0, t_max, 2.0 * piece_tol, max_panels=3000)
-        total += val
-        err += e
-    else:
-        u, eps = contour.u, contour.epsilon
-        val, e, _ = quadrature.integrate(core, t0, u - eps, piece_tol)
-        total += val
-        err += e
-
-        def f_arc(phi: np.ndarray) -> np.ndarray:
-            ring = np.exp(1j * phi)
-            return core(u + eps * ring) * (1j * eps * ring)
-
-        # clockwise over the top: phi runs pi -> 0
-        val, e, _ = quadrature.integrate(f_arc, 0.0, math.pi, piece_tol)
-        total -= val
-        err += e
-        val, e, _ = quadrature.integrate(core, u + eps, t_max, piece_tol, max_panels=3000)
-        total += val
-        err += e
-    return total, err
+    # then the roundoff of the samples and of the phase s log T, then the cutoff tail
+    alias = float(np.max(np.abs(_h(za, c, 2.0 * t0 * rot * _ROOTS)))) * 2.0**-_RING * (4.0 / abs(s) + 2.0 / _RING)
+    roundoff = 4.0 * _EPS * float(np.max(np.abs(samples)) * np.sum(np.abs(inv))) * (1.0 + abs(s) * abs(log_t0))
+    err = t0**s.real * math.exp(-s.imag * theta) * (alias + roundoff) + tail_err
+    f = lambda r: _h(za, c, r * rot, sm1 * (np.log(r) + 1j * theta)) * rot
+    if theta == 0.0:  # real arithmetic on the axis
+        f = lambda r: _h(za, c, r, sm1 * np.log(r))
+    val, e, _ = quadrature.integrate(f, t0, t_max, 0.4 * tol, max_panels=3000)
+    return total + val, err + e
 
 
 def integral_eval(
@@ -357,8 +348,9 @@ def integral_eval(
     The straight contour runs along the positive real t-axis; a detoured
     contour makes a clockwise semicircular excursion of radius epsilon over
     u.  The integrand's t^{s-1} uses the principal branch continued along the
-    contour.  Poles of the integrand sit at t = 2*pi*i*(a - k), k integer;
-    any of them closer than 1e-3 to the contour raises ContourHitsPole.
+    contour.  The integral runs on one ray (:func:`_ray`); the poles
+    t = 2*pi*i*(a - k) between the two come from the closed-form monodromy,
+    and any pole closer than 1e-3 to either raises ContourHitsPole.
     """
     return _integral_eval_raw(p.s, p.a, p.c, contour, target_abs_err)
 
@@ -375,11 +367,18 @@ def _integral_eval_raw(
         raise InvalidRegion(f"integral needs Re s > 0, got s = {s!r}")
     if c.real <= 0.0:
         raise InvalidRegion(f"integral needs Re c > 0, got c = {c!r}")
+    if contour.is_straight and s.imag < -16.0 / math.pi:  # conj zeta(s, a, c) = zeta(conj s, -conj a, conj c)
+        lv = _integral_eval_raw(s.conjugate(), -a.conjugate(), c.conjugate(), contour, target_abs_err)
+        return LerchValue(lv.value.conjugate(), lv.method, lv.abs_err_estimate)
     gam = complex_gamma(s)
+    if gam == 0:
+        raise NonConvergence(f"Gamma(s) underflows at s = {s!r}")
+    theta, b, sign = _ray(s, a, c, contour)
     scale = abs(gam)
-    raw, raw_err = _contour_integral(s, a, c, contour, 0.9 * target_abs_err * scale)
-    value = raw / gam
-    err = raw_err / scale + 4e-13 * abs(value)
+    raw, raw_err = _contour_integral(s, a, c, theta, 0.9 * target_abs_err * scale)
+    poles, poles_err = branch_monodromy(b, s, a, c)
+    value = raw / gam + sign * poles
+    err = raw_err / scale + 4e-13 * abs(value) + poles_err
     return LerchValue(value, Method.INTEGRAL, err)
 
 
@@ -397,9 +396,9 @@ def residue_discrepancy(
     Defined when a sits in the half-disk between the straight and detoured
     cuts below the puncture at n, i.e. a = (n - i*u/(2*pi)) + delta with
     Re delta > 0 and 2*pi*|delta| < epsilon, so the contour deformation
-    crosses exactly the k = n pole.  Equals
-    -(2*pi*i)^s / Gamma(s) * (a-n)^{s-1} * exp(-2*pi*i*c*(a-n)) up to the
-    combined quadrature error.
+    crosses exactly the k = n pole, which the detour's ray carries by
+    quadrature.  Equals -(2*pi*i)^s / Gamma(s) * (a-n)^{s-1} * exp(-2*pi*i*c*(a-n))
+    up to the combined quadrature error.
     """
     s, a, c = complex(s), complex(a), complex(c)
     delta = a - (n - 1j * u / _TWO_PI)

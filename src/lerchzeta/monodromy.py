@@ -102,24 +102,25 @@ def monodromy_of_branch(b: BranchState, s: complex, a: complex, c: complex) -> c
     return total
 
 
-def branch_roundoff(b: BranchState, s: complex, a: complex, c: complex) -> float:
-    """Roundoff of monodromy_of_branch: 4 eps sum |term| (1 + size of the exponents the term passes to exp).
+def branch_monodromy(b: BranchState, s: complex, a: complex, c: complex) -> tuple[complex, float]:
+    """(monodromy_of_branch, its roundoff 4 eps sum |term| (1 + size of the exponents the term passes to exp)).
 
-    X_n passes (s-1) log(a-n), s log(2 pi i) and 2 pi i c (a-n); Y_n passes
-    2 pi i s, 2 pi i n a and s log(c-n); k loops of either pass at most 2 pi i s k.
+    One pass, summed in monodromy_of_branch's order.  X_n passes (s-1) log(a-n), s log(2 pi i) and
+    2 pi i c (a-n); Y_n passes 2 pi i s, 2 pi i n a and s log(c-n); k loops of either pass at most 2 pi i s k.
     """
     s, a, c = complex(s), complex(a), complex(c)
-    total = 0.0
+    total, roundoff = 0j, 0.0
     for axis, pairs in (("X", b.kx), ("Y", b.ky)):
         for n, k in pairs:
-            term = abs(monodromy_power(Generator(axis, n), k, s, a, c))
+            term = monodromy_power(Generator(axis, n), k, s, a, c)
+            total += term
             if term:
                 if axis == "X":
                     phase = abs((s - 1.0) * principal_log(a - n)) + abs(s * _LOG_2PI_I) + _TWO_PI * abs(c * (a - n))
                 else:
                     phase = _TWO_PI * (abs(s) + abs(n * a)) + abs(s * principal_log(c - n))
-                total += term * (1.0 + phase + _TWO_PI * abs(s * k))
-    return 4.0 * _EPS * total
+                roundoff += abs(term) * (1.0 + phase + _TWO_PI * abs(s * k))
+    return total, 4.0 * _EPS * roundoff
 
 
 def monodromy_of_word(w: Word, s: complex, a: complex, c: complex) -> complex:

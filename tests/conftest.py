@@ -64,6 +64,18 @@ Z_INTEGRAL_ROUTE = [
     ((0.18 + 1.2j, 0.99 - 0.08j, 1.5 + 0.5j), complex(-0.4556214315765091327, -0.81427133576756517634)),
     ((0.164 + 4.627j, 0.9639 - 0.3298j, 1.2333 - 0.4131j), complex(0.022270599885529166542, 0.015389276663894925338)),
 ]
+# the integral route at large |Im s|, where the real-axis integral loses e^{pi |Im s| / 2}
+# to 1/Gamma(s) (mpmath lerchphi(exp(2 pi i a), s, c) at 80 and 120 digits, which agree;
+# at 30 digits it is wrong here), and a point whose nominal ray runs through the pole
+# t_0 = 2 pi i a (30 and 50 digits agree)
+Z_INTEGRAL_RAY = [
+    ((0.5 + 100j, 0.3 - 0.1j, 0.5), complex(-116249459341313.6201174185, -37613705136092.4912915245)),
+    ((0.5 - 120j, 0.3 - 0.1j, 0.5), complex(19645524.03374437096861702, 8903658.638851088629210959)),
+    (
+        (0.7 + 8j, 0.08175377099900369 - 0.12732395447351627j, 0.6),
+        complex(-1240.284093868614760918193, -2840.495114647266249340864),
+    ),
+]
 
 PI2_12 = math.pi**2 / 12.0
 PI2_6 = math.pi**2 / 6.0

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from lerchzeta import (
@@ -8,6 +9,7 @@ from lerchzeta import (
     ContourSpec,
     InvalidRegion,
     Method,
+    NonConvergence,
     Point3,
     dirichlet_series,
     evaluate_principal,
@@ -17,7 +19,7 @@ from lerchzeta import (
 )
 from lerchzeta import quadrature
 from lerchzeta.words import Generator
-from conftest import PI2_12, Z_BASE, Z_COMPLEX_S, Z_INTEGRAL_ROUTE
+from conftest import PI2_12, Z_BASE, Z_COMPLEX_S, Z_INTEGRAL_RAY, Z_INTEGRAL_ROUTE
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,6 +62,29 @@ class TestStraightContour:
         with pytest.raises(ContourHitsPole):
             integral_eval(Point3(1.0, 1e-4 - 0.3j, 1.0))
 
+    @pytest.mark.parametrize("s,c", [(0.5 + 500j, 0.5), (1.5 + 600j, 0.7)])
+    def test_gamma_underflow_raises(self, s, c):
+        # complex_gamma(s) underflows to 0 here, so the integral cannot divide by it
+        with pytest.raises(NonConvergence):
+            evaluate_principal(s, 0.3 - 0.1j, c)
+        with pytest.raises(NonConvergence):
+            integral_eval(Point3(s, 0.3 - 0.1j, c))
+
+    @pytest.mark.parametrize("contour", [ContourSpec.STRAIGHT, ContourSpec(0.5, 0.2)])
+    def test_one_quadrature_call(self, monkeypatch, contour):
+        # the straight contour and the detour both run on one ray
+        calls = 0
+        integrate = quadrature.integrate
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", counted)
+        integral_eval(Point3(0.6 + 20j, 1 - 0.5j / TWO_PI + 0.01, 0.5), contour)
+        assert calls == 1
+
 
 class TestIntegralOracle:
     @pytest.mark.parametrize("point,want", Z_INTEGRAL_ROUTE)
@@ -71,6 +96,36 @@ class TestIntegralOracle:
         assert lv.method is Method.INTEGRAL
         assert err <= 1e-10
         assert err <= lv.abs_err_estimate
+
+    @pytest.mark.parametrize("point,want", Z_INTEGRAL_RAY)
+    def test_rotated_ray(self, point, want):
+        # on the real axis 1/Gamma(s) costs e^{pi |Im s| / 2}, an error of 2.1e52
+        # and 1.2e65 at the first two points; the third steps off the pole on its
+        # nominal ray
+        lv = evaluate_principal(*point, 1e-10)
+        err = abs(lv.value - want)
+        assert lv.method is Method.INTEGRAL
+        assert err <= lv.abs_err_estimate
+        assert err <= 1e-11 * max(1.0, abs(want))
+
+    def test_seeded_integral_sweep(self, rng):
+        """The integral route against mpmath at 30 digits at 6 <= |Im s| <= 30.
+
+        Real c keeps lerchphi on the principal sheet.  On the real axis 11 of
+        these 20 points miss 1e-10 relative, by up to 9e3 at |value| 1.2e5.
+        """
+        for k in range(20):
+            s = complex(rng.uniform(0.1, 3.0), rng.choice((-1.0, 1.0)) * rng.uniform(6.0, 30.0))
+            a = complex(rng.uniform(0.05, 0.95), rng.uniform(-0.4, -0.02))
+            c = rng.uniform(0.1, 2.0)
+            lv = evaluate_principal(s, a, c, 1e-10)
+            with mpmath.workdps(30):
+                z = mpmath.exp(2j * mpmath.pi * mpmath.mpc(a))
+                want = complex(mpmath.lerchphi(z, mpmath.mpc(s), c))
+            err = abs(lv.value - want)
+            assert lv.method is Method.INTEGRAL
+            assert err <= lv.abs_err_estimate, (k, s, a, c, err, lv.abs_err_estimate)
+            assert err <= 1e-10 * max(1.0, abs(want)), (k, s, a, c, err)
 
     def test_panel_count(self, monkeypatch):
         # a point at |Im s| = 24.5 that took 1642 panels when the endpoint
@@ -143,6 +198,26 @@ class TestResidueDiscrepancy:
         v1 = residue_discrepancy(s, a, c, n, u, 0.2, 1e-10)
         v2 = residue_discrepancy(s, a, c, n, u, 0.1, 1e-10)
         assert abs(v1 - v2) < 1e-8
+
+    @pytest.mark.parametrize("s", [0.6 + 20j, 0.6 - 20j])
+    def test_rotated_straight_ray(self, s):
+        # the straight contour's ray turns up (or, mirrored, down) past the pole
+        n, u, eps = 1, 0.5, 0.2
+        a = n - 0.5j / TWO_PI + 0.01
+        got = residue_discrepancy(s, a, 0.5, n, u, eps, 1e-10)
+        want = monodromy_generator(Generator("X", n), s, a, 0.5)
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+    @pytest.mark.parametrize("c", [0.3 + 0.9j, 0.2 - 0.9j, 0.2 + 0.9j])
+    def test_steep_c(self, c):
+        # at c = 0.3+0.9i a ray through the top of the semicircle has Re(c e^{i theta}) < 0;
+        # at c = 0.2+0.9i no ray above the pole has Re(c e^{i theta}) > 0, so the
+        # detour adds the closed form M(X_n) to the real axis
+        n, u, eps = 1, 0.5, 0.4
+        a = n - 0.5j / TWO_PI + 0.02
+        got = residue_discrepancy(0.8, a, c, n, u, eps, 1e-10)
+        want = monodromy_generator(Generator("X", n), 0.8, a, c)
+        assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_pole_not_enclosed_rejected(self):
         n, u, eps = 1, 0.5, 0.2

@@ -15,7 +15,8 @@ from lerchzeta import (
     monodromy_space_basis,
     word_fold_monodromy,
 )
-from lerchzeta.words import BranchState, Generator
+from lerchzeta import monodromy
+from lerchzeta.words import BranchState, Generator, abelianize
 
 
 def random_word(rng, max_len=16, index_range=(-2, 2)):
@@ -139,6 +140,29 @@ class TestWords:
         b = BranchState.from_dicts({0: 2}, {1: 7})
         s, a, c = 0.3, 0.4, 0.6
         assert monodromy_of_branch(b, s, a, c) == monodromy_power(Generator("X", 0), 2, s, a, c)
+
+    def test_branch_monodromy_is_one_pass(self, rng, monkeypatch):
+        # the value is monodromy_of_branch's to the bit, and each term is computed once
+        calls = 0
+        power = monodromy.monodromy_power
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return power(*args)
+
+        monkeypatch.setattr(monodromy, "monodromy_power", counted)
+        for _ in range(30):
+            b = abelianize(random_word(rng, 8))
+            s = complex(rng.uniform(-1.5, 2.5), rng.uniform(-3.0, 3.0))
+            a = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.5, 0.5))
+            c = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.5, 0.5))
+            want = monodromy_of_branch(b, s, a, c)
+            calls = 0
+            value, roundoff = monodromy.branch_monodromy(b, s, a, c)
+            assert value == want
+            assert calls == len(b.kx) + len(b.ky)
+            assert roundoff >= 4.0 * 2.220446049250313e-16 * abs(value)
 
 
 class TestComposition:
