@@ -282,13 +282,20 @@ def evaluate_on_cover(p: Point3, b: BranchState, target_abs_err: float = 1e-10) 
 
     Principal-sheet value plus the closed-form monodromy of b; entries
     ky[n] with n >= 1 contribute nothing.  Requires the endpoint to be off
-    the anchoring cut rays in both the a- and c-planes.
+    the anchoring cut rays in both the a- and c-planes.  A monodromy, value
+    or estimate outside the binary64 range raises NonConvergence.
     """
     z0 = evaluate_principal(p.s, p.a, p.c, target_abs_err)
     if b.is_zero:
         return z0
-    extra, roundoff = branch_monodromy(b, p.s, p.a, p.c)
-    return LerchValue(z0.value + extra, z0.method, z0.abs_err_estimate + roundoff)
+    try:
+        extra, roundoff = branch_monodromy(b, p.s, p.a, p.c)
+        value, err = z0.value + extra, z0.abs_err_estimate + roundoff
+        if cmath.isfinite(value) and math.isfinite(err):
+            return LerchValue(value, z0.method, err)
+    except OverflowError:
+        pass
+    raise NonConvergence(f"the monodromy of {b!r} at {p!r} leaves the binary64 range")
 
 
 def dde_lower_residual(p: Point3, b: BranchState) -> float:

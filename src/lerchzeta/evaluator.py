@@ -370,7 +370,10 @@ def _integral_eval_raw(
     if contour.is_straight and s.imag < -16.0 / math.pi:  # conj zeta(s, a, c) = zeta(conj s, -conj a, conj c)
         lv = _integral_eval_raw(s.conjugate(), -a.conjugate(), c.conjugate(), contour, target_abs_err)
         return LerchValue(lv.value.conjugate(), lv.method, lv.abs_err_estimate)
-    gam = complex_gamma(s)
+    try:  # for Re s < 1/2 the reflection's sin(pi s) overflows where Gamma(s) underflows
+        gam = complex_gamma(s)
+    except OverflowError:
+        gam = 0j
     if gam == 0:
         raise NonConvergence(f"Gamma(s) underflows at s = {s!r}")
     theta, b, sign = _ray(s, a, c, contour)

@@ -1,9 +1,17 @@
 """Adaptive Gauss-Kronrod (G7/K15) panels for complex-valued integrands.
 
-Integrands map a real-parameter numpy array to a complex array; contour
-pieces are handled by the callers via parameterization.  The returned error
-is the accumulated |K15 - G7| panel estimate plus a roundoff floor, intended
-as an upper-bound style estimate, not a proof.
+Integrands map a real-parameter numpy array, of any shape, elementwise to a
+complex array; contour pieces are handled by the callers via
+parameterization.  The returned error is the accumulated |K15 - G7| panel
+estimate plus a roundoff floor, intended as an upper-bound style estimate,
+not a proof.
+
+The integrand is called once for the first panel and once per bisection, on
+the 15 nodes of both halves at once.  Each panel's value, error and
+roundoff scale are bit-identical to evaluating it alone: the rows are
+reduced by an elementwise product and a per-row sum (a matrix product
+rounds differently), and the panel error takes Python's ``abs`` of a
+Python complex (``np.abs`` differs in the last bit).
 """
 
 from __future__ import annotations
@@ -53,16 +61,16 @@ _EPS = 2.220446049250313e-16
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 
-def _panel(f: Integrand, lo: float, hi: float) -> tuple[complex, float, float]:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid + half * _XGK
-    y = np.asarray(f(x), dtype=np.complex128)
-    k15 = half * complex(np.sum(_WGK * y))
-    g7 = half * complex(np.sum(_WG * y[1::2]))
-    resabs = half * float(np.sum(_WGK * np.abs(y)))
-    err = abs(k15 - g7) + 4.0 * _EPS * resabs
-    return k15, err, resabs
+def _panels(f: Integrand, edges: list[float]) -> list[tuple[complex, float, float]]:
+    """(K15 value, error, resabs) of each panel between consecutive edges, from one call of f."""
+    e = np.array(edges, dtype=float)
+    mid = 0.5 * (e[:-1] + e[1:])
+    half = 0.5 * (e[1:] - e[:-1])
+    y = np.asarray(f(mid[:, None] + half[:, None] * _XGK), dtype=np.complex128)
+    k15 = half * (_WGK * y).sum(axis=1)
+    g7 = half * (_WG * y[:, 1::2]).sum(axis=1)
+    resabs = half * (_WGK * np.abs(y)).sum(axis=1)
+    return [(v, abs(v - g) + 4.0 * _EPS * r, r) for v, g, r in zip(k15.tolist(), g7.tolist(), resabs.tolist())]
 
 
 def integrate(
@@ -75,7 +83,7 @@ def integrate(
     """Integrate f over [lo, hi] adaptively; returns (value, err_estimate, n_panels)."""
     if hi == lo:
         return 0j, 0.0, 0
-    val, err, resabs = _panel(f, lo, hi)
+    ((val, err, resabs),) = _panels(f, [lo, hi])
     heap = [(-err, 0, lo, hi, val, err)]  # n breaks ties between equal errors
     total_val, total_err = val, err
     floor = 8.0 * _EPS * resabs
@@ -87,8 +95,7 @@ def integrate(
             # the worst panel is too narrow to refine, or within its share and so is every other
             break
         m = 0.5 * (a + b)
-        v1, e1, r1 = _panel(f, a, m)
-        v2, e2, r2 = _panel(f, m, b)
+        (v1, e1, r1), (v2, e2, r2) = _panels(f, [a, m, b])
         total_val += v1 + v2 - v
         total_err += e1 + e2 - e
         floor = max(floor, 8.0 * _EPS * (r1 + r2))

@@ -368,6 +368,20 @@ class TestEvaluateOnCover:
             v0 = evaluate_on_cover(p, BranchState.zero(), 1e-11).value
             assert abs(v12 - v1 - v2 + v0) < 1e-12
 
+    @pytest.mark.parametrize(
+        "p,kx",
+        [
+            # e^{2 pi i s} - 1 in the X_1^{-1} loop's geometric factor overflows
+            (Point3(0.5 - 120j, 0.3 - 0.1j, 0.5), {1: -1}),
+            # three X_0 loops overflow to a non-finite sum without raising
+            (Point3(0.5 - 50j, 0.4 - 0.3j, 0.5), {0: 3}),
+        ],
+    )
+    def test_monodromy_overflow_raises(self, p, kx):
+        assert cmath.isfinite(evaluate_on_cover(p, BranchState.zero()).value)
+        with pytest.raises(NonConvergence):
+            evaluate_on_cover(p, BranchState.from_dicts(kx))
+
 
 class TestDerivativeResiduals:
     def test_lowering_residual_on_cover(self):
