@@ -6,11 +6,10 @@ the nonpositive integers).  The value is 1-periodic in a, so Re a is first
 reduced into [0, 1).  One dispatch then tries, in order, the routes that
 own their convergence regions: the Dirichlet series (Im a > 0, or real a
 with Re s > 0), the straight-contour integral (Re s > 0), and the exact
-index shift of c into 0 < Re c < 1 followed by the three-term
-transformation formula inside the polycylinder.  On the line where Re c is
-an integer the value is the mean over a small c-circle whose nodes take
-that route.  The cover value adds the closed-form monodromy of the winding
-vector.
+index shift of c into 0 < Re c <= 1 followed by the three-term
+transformation formula, read on Re c = 1 as its limit from Re c < 1, or
+within 0.01 of c = 1 on that line as its Taylor series in c about 1.  The
+cover value adds the closed-form monodromy of the winding vector.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .errors import (
     NonConvergence,
     SZero,
 )
-from .evaluator import LerchValue, Method, _integral_eval_raw, dirichlet_series
+from .evaluator import LerchValue, Method, _integral_eval_raw, _series, dirichlet_series
 from .monodromy import branch_monodromy
 from .words import BranchState
 
@@ -49,6 +48,9 @@ _TWO_PI = 2.0 * math.pi
 _EPS = 2.220446049250313e-16
 _LOG_MAX = math.log(sys.float_info.max)  # cmath.exp overflows above this real part
 _CIRCLE_CAP = 0.05
+_NODES = 24  # trapezoid nodes on every Cauchy circle
+_TAYLOR_RADIUS = 0.01  # |Im c| on Re c = 1 below which the value is the Taylor series about c = 1
+_TAYLOR_TERMS = 60
 _RESIDUAL_TARGET = 1e-12  # target of every evaluation inside a residual check
 _Route = Callable[[complex, complex, complex, float], LerchValue]  # (s, a, c, target) -> value
 
@@ -68,14 +70,15 @@ def _anchor_check(a: complex, c: complex) -> None:
 def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     """The one dispatch, for an anchored point with 0 < Re a < 1 when Im a <= 0.
 
+    The transform's inner ones may have Re a = 0 or 1 (see :func:`_transform_value`).
     Series and integral need Re c > 0: where they own the point (Re s > 0
     or Im a > 0) and Re c <= 0.05, the index shift in c moves it first, the
     transform's inner evaluations included.  Then each route owns its region
     and the order is the only rule: the series wherever it converges; while
     it misses the target, the integral when Re s > 0, else the transformation
-    formula after the index shift of c into 0 < Re c < 1, or the mean over a
-    c-circle when Re c is an integer.  The smaller of two estimates wins.
-    Only a failed shift by n != 0 or c-circle falls back to the series value.
+    formula after the index shift of c into 0 < Re c <= 1.  The smaller of
+    two estimates wins.  A failed transform falls back to the series value
+    unless 0 < Re c < 1.
     """
     if c.real <= 0.05 and (s.real > 0.0 or a.imag > 0.0):
         return _shift_c(s, a, c, math.ceil(0.6 - c.real), target, _core_eval)
@@ -90,10 +93,7 @@ def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
         other = _integral_eval_raw(s, a, c, ContourSpec.STRAIGHT, target)
     else:
         try:
-            if c.real == math.floor(c.real):
-                other = _c_circle_value(s, a, c, target)
-            else:
-                other = _shift_c(s, a, c, -math.floor(c.real), target, _transform_value)
+            other = _shift_c(s, a, c, 1 - math.ceil(c.real), target, _transform_value)
         except LerchError:
             if best is None or 0.0 < c.real < 1.0:
                 raise
@@ -177,19 +177,66 @@ def _transform_coefficients(sp: complex, a: complex, c: complex) -> tuple[comple
 
 
 def _transform_value(s: complex, a: complex, c: complex, target: float) -> LerchValue:
-    """Three-term transformation: the value at s from two evaluations at 1 - s.
+    """Three-term transformation: the value at s from two evaluations at 1 - s, for 0 < Re c <= 1.
 
-    Re(1 - s) >= 1 here, where the series or the integral applies after at
-    most one index shift of c, so the dispatch recurses no deeper than that.
+    The dispatch calls it with Re(1 - s) >= 1, where the series or the
+    integral applies after at most one index shift of c, so it recurses no
+    deeper than that.  On Re c = 1 it is the limit from Re c < 1: the
+    integral reads the inner a-variables 1 - c and c from inside
+    0 < Re a < 1.  At c = 1 these are 0 and 1, and each inner value a Hurwitz
+    zeta with the pole 1/(-s); the pole enters once, as
+    -2 (2 pi)^{s-1} Gamma(1-s) e^{-2 pi i a} sin(pi s/2)/s.  That needs no
+    integral and holds for every s but the positive integers.  Within
+    _TAYLOR_RADIUS of c = 1 on the line, :func:`_c_taylor_value` answers.
     """
+    if c.real == 1.0 and 0.0 < abs(c.imag) < _TAYLOR_RADIUS:
+        return _c_taylor_value(s, a, c, target)
     sp = 1.0 - s
     coef1, coef2 = _transform_coefficients(sp, a, c)
-    v1 = _core_eval(sp, 1.0 - c, a, 0.25 * target / max(abs(coef1), 1e-300))
-    v2 = _core_eval(sp, c, 1.0 - a, 0.25 * target / max(abs(coef2), 1e-300))
-    value = coef1 * v1.value + coef2 * v2.value
+    target1 = 0.25 * target / max(abs(coef1), 1e-300)
+    target2 = 0.25 * target / max(abs(coef2), 1e-300)
+    if c == 1.0:  # the series' pole-free parts, after the index shift in c to Re >= 0.6
+        v1 = _shift_c(sp, 0j, a, max(0, math.ceil(0.6 - a.real)), target1, _series)
+        v2 = _shift_c(sp, 0j, 1.0 - a, max(0, math.ceil(0.6 - (1.0 - a).real)), target2, _series)
+        pole = -2.0 * cmath.exp(-sp * math.log(_TWO_PI) - 2j * math.pi * a) * complex_gamma(sp)
+        pole *= cmath.sin(0.5 * math.pi * s) / s if s != 0 else 0.5 * math.pi
+    else:
+        v1 = _core_eval(sp, 1.0 - c, a, target1)
+        v2 = _core_eval(sp, c, 1.0 - a, target2)
+        pole = 0j
+    value = coef1 * v1.value + coef2 * v2.value + pole
     err = abs(coef1) * v1.abs_err_estimate + abs(coef2) * v2.abs_err_estimate
-    err += 4e-13 * (abs(coef1 * v1.value) + abs(coef2 * v2.value))
+    err += 4e-13 * (abs(coef1 * v1.value) + abs(coef2 * v2.value) + abs(pole))
     return LerchValue(value, Method.TRANSFORM, err)
+
+
+def _c_taylor_value(s: complex, a: complex, c: complex, target: float) -> LerchValue:
+    """The value at c = 1 + h, h = i Im c, from the Taylor series in c about 1.
+
+    zeta(s, a, 1 + h) = sum_k binom(-s, k) h^k zeta(s + k, a, 1), since d/dc zeta = -s zeta(s + 1);
+    it converges for |h| < 1, the distance to the puncture c = 0.  The transform at c itself
+    puts one inner integrand pole within 2 pi |h| of t = 0.  At c = 1 the transform needs no
+    integral, and it holds for every s + k the sum reaches: where s + k is a positive integer,
+    s is a nonpositive integer and the weight vanishes first.  Coefficient k gets the target
+    2^-k / 4 of its term's.  The sum stops once the weights shrink at least twofold from term
+    to term and the next weight, times twice the largest coefficient so far (at least 1), is
+    below a quarter of the target.
+    """
+    h = c - 1.0
+    weight, value, err, absum, biggest = 1.0 + 0j, 0j, 0.0, 0.0, 1.0
+    for k in range(_TAYLOR_TERMS):
+        lv = _transform_value(s + k, a, 1.0 + 0j, 0.25 * target * 0.5**k / abs(weight))
+        value += weight * lv.value
+        absum += abs(weight * lv.value)
+        err += abs(weight) * lv.abs_err_estimate
+        biggest = max(biggest, abs(lv.value))
+        weight *= -(s + k) * h / (k + 1)
+        # |weight| shrinks by at most |h| max(1, (|s| + j) / (j + 1)) from term j >= k + 1 on
+        ratio = abs(h) * max(1.0, (abs(s) + k + 1) / (k + 2))
+        tail = 2.0 * abs(weight) * biggest
+        if ratio <= 0.5 and tail <= 0.25 * target:
+            return LerchValue(value, Method.TRANSFORM, err + tail + 4e-13 * absum)
+    raise NonConvergence(f"Taylor series in c about 1 misses the target after {_TAYLOR_TERMS} terms at h = {h!r}")
 
 
 def _circle_radius(clearance: float, puncture: float) -> float:
@@ -197,7 +244,7 @@ def _circle_radius(clearance: float, puncture: float) -> float:
 
     The circle stays on the principal sheet (inside the ray clearance) and
     well inside the disk of analyticity (the nearest puncture); every circle
-    takes this rule, capped at _CIRCLE_CAP.
+    (:func:`dde_shift`, the residual checks) takes this rule, capped at _CIRCLE_CAP.
     """
     domain = min(0.4 * clearance, 0.22 * puncture)
     if domain < 2e-3:
@@ -207,35 +254,12 @@ def _circle_radius(clearance: float, puncture: float) -> float:
     return min(_CIRCLE_CAP, domain)
 
 
-def _cauchy_derivative(
-    f: Callable[[complex], complex], center: complex, radius: float, nodes: int = 24
-) -> tuple[complex, complex, float]:
-    """(f(center), f'(center), max |f| on the circle) by the trapezoid rule."""
-    values = [f(center + radius * cmath.exp(2j * math.pi * i / nodes)) for i in range(nodes)]
-    mean = sum(values) / nodes
-    first = sum(v * cmath.exp(-2j * math.pi * i / nodes) for i, v in enumerate(values)) / nodes
+def _cauchy_derivative(f: Callable[[complex], complex], center: complex, radius: float) -> tuple[complex, complex, float]:
+    """(f(center), f'(center), max |f| on the circle) by the _NODES-point trapezoid rule."""
+    values = [f(center + radius * cmath.exp(2j * math.pi * i / _NODES)) for i in range(_NODES)]
+    mean = sum(values) / _NODES
+    first = sum(v * cmath.exp(-2j * math.pi * i / _NODES) for i, v in enumerate(values)) / _NODES
     return mean, first / radius, max(abs(v) for v in values)
-
-
-def _c_circle_value(s: complex, a: complex, c: complex, target: float) -> LerchValue:
-    """Mean value over a circle around c, for Re c an integer; the nodes take the transform route.
-
-    The node count is odd so that no node lands back on the integer line.
-    """
-    nodes = 25
-    punct = c_puncture_distance(c)
-    r = _circle_radius(c_ray_clearance(c), punct)
-    node_errs: list[float] = []
-
-    def node(cc: complex) -> complex:
-        lv = _core_eval(s, a, cc, 0.5 * target)
-        node_errs.append(lv.abs_err_estimate)
-        return lv.value
-
-    value, _, max_abs = _cauchy_derivative(node, c, r, nodes)
-    alias = 4.0 * max_abs * (r / (0.9 * punct)) ** nodes
-    err = max(node_errs) + 4.0 * _EPS * max_abs + alias
-    return LerchValue(value, Method.DDE_SHIFT, err)
 
 
 def dde_shift(p: Point3, direction: ShiftDirection | str, target_abs_err: float = 1e-9) -> LerchValue:
@@ -249,7 +273,6 @@ def dde_shift(p: Point3, direction: ShiftDirection | str, target_abs_err: float 
     direction = ShiftDirection(direction)
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
-    nodes = 24
     if direction is ShiftDirection.RAISE and s == 0:
         raise SZero("the raising relation degenerates at s = 0")
 
@@ -264,15 +287,15 @@ def dde_shift(p: Point3, direction: ShiftDirection | str, target_abs_err: float 
 
     if direction is ShiftDirection.LOWER:
         f = lambda aa: evaluate_principal(s, aa, c, node_target).value
-        z0, d1, max_abs = _cauchy_derivative(f, a, r, nodes)
+        z0, d1, max_abs = _cauchy_derivative(f, a, r)
         value = d1 / (2j * math.pi) + c * z0
         amp = 1.0 / (_TWO_PI * r) + abs(c)
     else:
         f = lambda cc: evaluate_principal(s, a, cc, node_target).value
-        z0, d1, max_abs = _cauchy_derivative(f, c, r, nodes)
+        z0, d1, max_abs = _cauchy_derivative(f, c, r)
         value = -d1 / s
         amp = 1.0 / (abs(s) * r)
-    alias = 4.0 * max_abs * (r / analytic_radius) ** (nodes - 1) / analytic_radius
+    alias = 4.0 * max_abs * (r / analytic_radius) ** (_NODES - 1) / analytic_radius
     err = amp * (node_target + 4.0 * _EPS * max_abs) + alias + 4e-13 * abs(value)
     return LerchValue(value, Method.DDE_SHIFT, err)
 

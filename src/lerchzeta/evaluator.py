@@ -19,9 +19,10 @@ import numpy as np
 
 from . import quadrature
 from .branching import complex_gamma
-from .domain import ContourSpec, Point3, SymKind, is_real_integer
+from .domain import ContourSpec, Point3, SymKind, is_real_integer, on_a_cut_ray
 from .errors import (
     ContourHitsPole,
+    CutViolation,
     DivergentSeries,
     InvalidRegion,
     NonConvergence,
@@ -44,7 +45,7 @@ class Method(str, Enum):
     SERIES = "series"
     INTEGRAL = "integral"
     TRANSFORM = "transform"
-    DDE_SHIFT = "dde_shift"
+    DDE_SHIFT = "dde_shift"  # only dde_shift returns it; no route of evaluate_principal does
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,8 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
         int_{n0}^inf g(t) dt + g(n0)/2 + i int_0^inf (g(n0+iy) - g(n0-iy)) / (e^{2 pi y} - 1) dy.
 
     The first integral runs on a contour rotated toward decay (the real axis
-    when Re alpha = 0) and is (n0+c)^{1-s}/(s-1) for alpha = 0, which needs
-    Re s > 1.  The second decays like e^{-2 pi (1 - |Re alpha|) y}.
+    when Re alpha = 0); for alpha = 0 it is (n0+c)^{1-s}/(s-1), returned less
+    its pole 1/(s-1).  The second decays like e^{-2 pi (1 - |Re alpha|) y}.
     """
     x0, beta = alpha.real, alpha.imag
     sigma = s.real
@@ -98,8 +99,9 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
     # e^{Im s * arg(t+c)} of |(t+c)^{-s}| grows by at most e^{|Im s| |t-n0| / (n0+Re c)}
     scale0 = math.exp(-_TWO_PI * beta * n0 + abs(s.imag) * abs(c.imag) / (n0 + c.real))
 
-    if alpha == 0:
-        integral, err = cmath.exp((1.0 - s) * cmath.log(n0 + c)) / (s - 1.0), 0.0
+    if alpha == 0:  # ((n0+c)^{1-s} - 1)/(s-1), which is -log(n0+c) at s = 1
+        log_n0, err = cmath.log(n0 + c), 0.0
+        integral = complex(np.expm1((1.0 - s) * log_n0)) / (s - 1.0) if s != 1 else -log_n0
     else:
         decay = _TWO_PI * (abs(x0) if x0 != 0.0 else beta)
         # rotate the contour toward decay; purely imaginary alpha has no
@@ -169,23 +171,29 @@ def dirichlet_series(s: complex, a: complex, c: complex, target_abs_err: float =
     """Dirichlet-series value of the three-variable zeta at (s, a, c).
 
     Converges for Im a > 0 (any s), for real non-integral a when Re s > 0
-    (conditionally for Re s <= 1) and for real integer a when Re s > 1.
-    Requires Re c > 0.  The terms before n0 are summed directly; the rest
-    is 0 with its geometric bound when that bound reaches the target at a
-    cheap n0 (Im a > 0), and the Abel-Plana tail otherwise.  One roundoff
-    rule covers both: 4 eps (sum |terms| + |tail|) (1 + |s| log(n0 + |c| + 1)).
+    (conditionally for Re s <= 1) and for real integer a when Re s >= 1 and
+    s != 1, where the tail is Hermite's formula.  Requires Re c > 0.  The
+    terms before n0 are summed directly; the rest is 0 with its geometric
+    bound when that bound reaches the target at a cheap n0 (Im a > 0), and
+    the Abel-Plana tail otherwise.  One roundoff rule covers both:
+    4 eps (sum |terms| + |tail|) (1 + |s| log(n0 + |c| + 1)).
     """
     s, a, c = complex(s), complex(a), complex(c)
     if c.real <= 0.0:
         raise DivergentSeries(f"series needs Re c > 0, got c = {c!r}")
     if a.imag < 0.0:
         raise DivergentSeries("series diverges for Im a < 0")
-    if is_real_integer(a) and s.real <= 1.0:
-        raise DivergentSeries("integer a requires Re s > 1")
+    if is_real_integer(a) and (s.real < 1.0 or s == 1):
+        raise DivergentSeries("integer a requires Re s >= 1 and s != 1")
     if a.imag == 0.0 and s.real <= 0.0:
         raise DivergentSeries("real a requires Re s > 0")
+    lv = _series(s, _reduce_a(a), c, target_abs_err)
+    pole = 1.0 / (s - 1.0) if is_real_integer(a) else 0.0
+    return LerchValue(lv.value + pole, Method.SERIES, lv.abs_err_estimate + 4.0 * _EPS * abs(pole))
 
-    alpha = _reduce_a(a)
+
+def _series(s: complex, alpha: complex, c: complex, target_abs_err: float) -> LerchValue:
+    """The unchecked series at reduced alpha; at alpha = 0 less its pole 1/(s-1), so entire in s."""
     direct = _direct_length(s, alpha, c, 0.5 * target_abs_err)
     if direct is not None:
         n0, tail_err = direct
@@ -225,14 +233,15 @@ def _nearest_pole(a: complex, theta: float, contour: ContourSpec) -> tuple[float
     """(distance, k) of the pole t_k = 2*pi*i*(a - k) nearest the ray arg t = theta or the contour.
 
     That is one of the two around the axis or the ray's crossing of the column Re t = -2*pi*Im a.
-    A detour's semicircle is nearest radially above the axis and at an end below it.
+    A detour's semicircle is nearest radially above the axis and at an end below it.  The pole
+    on the axis at Re a = 0 or 1 lies to one side of the straight contour (see :func:`_ray`).
     """
     to_ray = lambda q: abs(q.imag) if q.real >= 0.0 else abs(q)
 
     def distance(p: complex) -> float:
         d = to_ray(p * cmath.exp(-1j * theta))
         if contour.is_straight:
-            return min(d, to_ray(p))
+            return d if p.imag == 0.0 and a.real in (0.0, 1.0) else min(d, to_ray(p))
         w, eps = p - contour.u, contour.epsilon
         arc = abs(abs(w) - eps) if w.imag >= 0.0 else min(abs(w - eps), abs(w + eps))
         return min(d, arc, to_ray(p) if abs(w.real) >= eps else arc)
@@ -247,13 +256,17 @@ def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[floa
     For Im s > 16/pi the straight contour's ray turns up to pi/2 - 8/Im s -
     max(arg c, 0), so Re(c e^{i theta}) > 0 and 1/Gamma(s) loses e^8, not
     e^{pi Im s / 2}.  Within 1e-3 of a pole it steps toward the axis, onto it
-    if still that close; b = one X_k per pole turned over.  A detour's ray passes
-    over the pole n it encloses, halfway to the nearer of the next pole's
-    angle and pi/2 - arg c; else it is the axis, b = X_n and sign = +1.
-    A pole within 1e-3 of either raises ContourHitsPole.
+    if still that close.  At Re a = 0 (1) and Im a < 0 a pole lies on the axis,
+    read as the limit from inside 0 < Re a < 1: just above (below) it.  A ray
+    left on the axis tilts away from that pole, by at most half the angle
+    that keeps Re(c e^{i theta}) > 0.  b = one X_k per pole turned over.  A
+    detour's ray passes over the pole n it encloses, halfway to the nearer
+    of the next pole's angle and pi/2 - arg c; else it is the axis, b = X_n
+    and sign = +1.  A pole within 1e-3 of either raises ContourHitsPole.
     """
     theta, b, sign, x0 = 0.0, {}, -1.0, -_TWO_PI * a.imag
     if contour.is_straight:
+        side = (a.real == 0.0) - (a.real == 1.0) if x0 > 0.0 else 0  # +1: on-axis pole above, -1: below
         if s.imag > 16.0 / math.pi:
             theta = max(0.0, 0.5 * math.pi - 8.0 / s.imag - max(cmath.phase(c), 0.0))
         d, k = _nearest_pole(a, theta, contour)
@@ -262,7 +275,13 @@ def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[floa
             theta = math.atan2(max(y - 0.25 * math.pi, 0.5 * y), x0)
         if _nearest_pole(a, theta, contour)[0] < _POLE_CLEARANCE:
             theta = 0.0
-        b = dict.fromkeys(range(math.floor(a.real + a.imag * math.tan(theta)) + 1, math.ceil(a.real)), 1)
+        if theta == 0.0 and side:
+            # pass pi/4 from the pole at its column, keeping Re(c e^{i theta}) > 0
+            tilt = min(math.atan2(0.25 * math.pi, x0), 0.5 * (0.5 * math.pi + side * cmath.phase(c)))
+            theta = -side * tilt
+        first = math.floor(a.real + a.imag * math.tan(theta)) + 1
+        last = math.ceil(a.real) + (side > 0)  # a ray turned up at Re a = 0 passes over t_0
+        b = dict.fromkeys(range(first, last), 1)
     else:
         n = round(a.real)
         w = 2j * math.pi * (a - n) - contour.u
@@ -350,8 +369,11 @@ def integral_eval(
     u.  The integrand's t^{s-1} uses the principal branch continued along the
     contour.  The integral runs on one ray (:func:`_ray`); the poles
     t = 2*pi*i*(a - k) between the two come from the closed-form monodromy,
-    and any pole closer than 1e-3 to either raises ContourHitsPole.
+    and any pole closer than 1e-3 to either raises ContourHitsPole.  An a on
+    a cut ray raises CutViolation.
     """
+    if on_a_cut_ray(p.a):
+        raise CutViolation(f"a = {p.a!r} lies on a downward cut ray below an integer")
     return _integral_eval_raw(p.s, p.a, p.c, contour, target_abs_err)
 
 
@@ -367,8 +389,9 @@ def _integral_eval_raw(
         raise InvalidRegion(f"integral needs Re s > 0, got s = {s!r}")
     if c.real <= 0.0:
         raise InvalidRegion(f"integral needs Re c > 0, got c = {c!r}")
-    if contour.is_straight and s.imag < -16.0 / math.pi:  # conj zeta(s, a, c) = zeta(conj s, -conj a, conj c)
-        lv = _integral_eval_raw(s.conjugate(), -a.conjugate(), c.conjugate(), contour, target_abs_err)
+    if contour.is_straight and s.imag < -16.0 / math.pi:
+        # conj zeta(s, a, c) = zeta(conj s, 1 - conj a, conj c); -conj a would flip the side Re a = 0 is read from
+        lv = _integral_eval_raw(s.conjugate(), 1.0 - a.conjugate(), c.conjugate(), contour, target_abs_err)
         return LerchValue(lv.value.conjugate(), lv.method, lv.abs_err_estimate)
     try:  # for Re s < 1/2 the reflection's sin(pi s) overflows where Gamma(s) underflows
         gam = complex_gamma(s)
@@ -379,7 +402,8 @@ def _integral_eval_raw(
     theta, b, sign = _ray(s, a, c, contour)
     scale = abs(gam)
     raw, raw_err = _contour_integral(s, a, c, theta, 0.9 * target_abs_err * scale)
-    poles, poles_err = branch_monodromy(b, s, a, c)
+    # a pole on the axis is turned over only at Re a = 0, from the right: arg a = -pi/2 just right of the cut
+    poles, poles_err = branch_monodromy(b, s, complex(a.real or math.ulp(0.0), a.imag), c)
     value = raw / gam + sign * poles
     err = raw_err / scale + 4e-13 * abs(value) + poles_err
     return LerchValue(value, Method.INTEGRAL, err)

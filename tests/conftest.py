@@ -35,6 +35,44 @@ Z_INT_C_1 = complex(0.062861503412834277473, 0.44120422682893970421)  # (-0.5+0.
 Z_INT_C_2 = complex(-0.15772108850726197806, -0.37427271315190887134)  # (-1.2-0.4i, 0.7-0.05i, 1)
 Z_INT_C_3 = complex(0.034800088635861202174, -0.10807593520464015533)  # (-0.8, 1.6-0.2i, 1-0.25i)
 Z_SERIES_FALLBACK = complex(-0.031992073591436600927, 0.10270279924049466904)
+# more points on integer lines Re c (mpmath lerchphi at 30 digits, which agrees with
+# 50 digits to 2e-29): real c = 1 and 2 with real and complex a; c = 1 +- 0.2i with
+# |Im s| = 8, where the inner integral's ray turns over or away from a pole on the
+# t-axis; real c near the pole s = 0 of the transform's two Hurwitz values
+Z_INT_RE_C = [
+    ((-0.5 + 0.5j, 0.3, 1.0), complex(0.34792081307636056394, 0.60329207550361515284)),
+    ((-1.5, 0.45, 2.0), complex(0.86777102161823411227, 0.21350609028941277191)),
+    ((-0.5, 0.3 - 0.2j, 1.0), complex(0.032164228707269376259, 0.142972046377978427)),
+    ((-1.2 + 0.7j, 0.6 - 0.35j, 2.0), complex(0.088271435082991752805, -0.066962575293647698814)),
+    ((-0.5 - 8j, 0.3 - 0.1j, 1 + 0.2j), complex(1.515965953021583046, -0.14637634424749119885)),
+    ((-0.5 + 8j, 0.3 - 0.1j, 1 - 0.2j), complex(-31.141096405716843327, 14.661743394340644103)),
+    ((-0.5 + 8j, 0.3 - 0.1j, 1 + 0.2j), complex(-52.860031953455294395, 47.810509242609310831)),
+    ((-0.5 - 8j, 0.3 - 0.1j, 1 - 0.2j), complex(11.060537554845273523, 1.5568790747807951414)),
+    ((0.0, 0.3 - 0.1j, 1.0), complex(0.27842404632503361177, 0.31429721685799501706)),
+    ((0.0, 0.7 - 0.25j, 2.0), complex(0.091707011751284598546, -0.16873501596956391567)),
+    ((1e-9j, 0.3 - 0.1j, 1.0), complex(0.27842404627471239195, 0.31429721718133081788)),
+    ((1e-9j, 0.7 - 0.25j, 2.0), complex(0.091707011706503490048, -0.16873501595610030596)),
+    ((-1e-7, 0.3 - 0.1j, 1.0), complex(0.27842401399145343553, 0.314297211825872233)),
+    ((-1e-7, 0.7 - 0.25j, 2.0), complex(0.091707010404923529417, -0.16873502044767466605)),
+    ((2j, 0.3 - 0.1j, 1.0), complex(0.53268060979688544098, 1.4997569440972159724)),
+    ((2j, 0.7 - 0.25j, 2.0), complex(0.017473294038139556706, -0.17106919920170360555)),
+]
+# just off the integer lines Re c, where the transform at c would put an inner integrand
+# pole within 2 pi |Im c| of t = 0 (mpmath lerchphi at 30 digits, which agrees with 50
+# digits to 1e-29).  The last two have Re a within 1.5e-4 of an integer and Im a < 0,
+# where lerchphi leaves the principal sheet at non-real c: they are the Taylor series in
+# c about the integer, 40 terms of mpmath lerchphi at real c and 40 digits (30 digits
+# agree to 7e-29), and the integral at Re(s + k) > 0 would meet a pole near its axis
+Z_NEAR_RE_C = [
+    ((-0.5, 0.3 - 0.1j, 1 + 1e-5j), complex(0.11798301362927952742, 0.2675840099158623069)),
+    ((-0.5, 0.3 - 0.1j, 1 - 1e-5j), complex(0.11798622776701609387, 0.26757966279849623374)),
+    ((-0.5, 0.3 - 0.1j, 2 + 1e-9j), complex(0.2811712655660772336, 0.40340189583239178862)),
+    ((-0.5 + 8j, 0.3 - 0.1j, 1 + 1e-3j), complex(-41.973238105438210778, 27.357821359125938213)),
+    ((0.0, 0.45, 3 - 1e-6j), complex(0.5, 0.079192220162268129043)),
+    ((-1.5 - 4j, 0.6 - 0.2j, 2 - 5e-3j), complex(1.9255285044611982912, -0.10761666600906205244)),
+    ((-0.5 - 3j, 0.999999 - 0.2j, 2 - 5e-3j), complex(-42.231834854102999934, 24.829789520362518912)),
+    ((-0.5 + 2j, 1.5e-4 - 0.3j, 3 + 2e-3j), complex(0.020647750867068118136, 0.071701119203977296212)),
+]
 # real a at large |Im s|, where the integral's 1/Gamma(s) cancels catastrophically
 # (mpmath lerchphi(exp(2 pi i a), s, c) at 30 digits, a = 0.3 as a binary64 value)
 Z_REAL_A_30 = complex(-1.9742151518785522633, 2.0858816663986186912)  # (0.5+30i, 0.3, 0.5)
@@ -75,6 +113,24 @@ Z_INTEGRAL_RAY = [
         (0.7 + 8j, 0.08175377099900369 - 0.12732395447351627j, 0.6),
         complex(-1240.284093868614760918193, -2840.495114647266249340864),
     ),
+]
+
+# the integral at Re a = 0 or 1 with Im a < 0, where the pole t_k, k = Re a, lies on the
+# t-axis: the limit from inside 0 < Re a < 1 (mpmath quad at 40 digits over a ray tilted
+# away from the axis to the pole's far side, which agrees at a second angle to 6e-27
+# relative): the ray turned up over the pole at Re a = 0, its mirror image at Re a = 1 by
+# conjugation, a ray tilted off the axis both ways, the tilt bounded by Re(c e^{i theta}) > 0,
+# and the ray turned up above the pole at Re a = 1
+Z_AXIS_POLE = [
+    ((1.5 + 8j, -0.2j, 0.3 - 0.1j), complex(64958.233212580298975, -23123.112316915853747)),
+    ((1.5 - 8j, 1 - 0.2j, 0.3 + 0.1j), complex(64958.233212580298975, 23123.112316915853747)),
+    ((1.5, -0.2j, 0.3 - 0.1j), complex(4.2297522279309787086, 5.5049555460060994683)),
+    ((1.5, 1 - 0.3j, 1.05 + 0.9j), complex(-1.2130745526326849325, 0.30041699755095102947)),
+    (
+        (1.9417165351487475 - 0.876311283328608j, 1 - 0.5992864491233267j, 0.1395413006423473 + 0.6862524871519032j),
+        complex(3.8747602465097248522, 16.625451664056742025),
+    ),
+    ((1.5 + 8j, 1 - 0.2j, 0.3 - 0.1j), complex(-0.047253865571246334258, -1.3031254457262048943)),
 ]
 
 PI2_12 = math.pi**2 / 12.0

@@ -64,6 +64,11 @@ class TestEval:
         assert rec["error"] == "InvalidPoint"
         assert "not finite" in rec["message"]
 
+    def test_integer_re_c_takes_the_transform(self, capsys):
+        code, out, _ = run(capsys, "eval", "--s", "-0.5,0", "--a", "0.3,-0.1", "--c", "1,0.2")
+        assert code == 0
+        assert json.loads(out)["method"] == "transform"
+
     def test_seventeen_digit_output(self, capsys):
         _, out, _ = run(capsys, "eval", "--s", "2,0", "--a", "0.5,0", "--c", "1,0")
         rec = json.loads(out)
@@ -160,6 +165,16 @@ class TestGrid:
         assert not any("skipped" in ln for ln in lines)
         # middle row is exactly c = 2
         assert lines[2].startswith("2,0,")
+
+    def test_integer_c_row_at_negative_s(self, tmp_path, capsys):
+        out_path = tmp_path / "grid.csv"
+        code, _, _ = run(
+            capsys, "grid", "--axis", "c", "--re", "1.5,2.5,3", "--im", "0,0,1",
+            "--fixed-s", "-0.5,0", "--fixed-a", "0.3,-0.1", "--out", str(out_path),
+        )
+        assert code == 0
+        row = out_path.read_text().strip().splitlines()[2]
+        assert row.startswith("2,0,") and row.endswith(",transform")
 
     def test_puncture_row_skipped(self, tmp_path, capsys):
         out_path = tmp_path / "grid.csv"

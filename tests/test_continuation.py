@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,7 +41,9 @@ from conftest import (
     Z_INT_C_1,
     Z_INT_C_2,
     Z_INT_C_3,
+    Z_INT_RE_C,
     Z_M05_04_06,
+    Z_NEAR_RE_C,
     Z_M3_05_05,
     Z_REAL_A_30,
     Z_REAL_A_30_C,
@@ -236,13 +239,60 @@ class TestRouting:
             (-0.5 + 0.3j, 0.3 - 0.1j, 1 + 0.2j, Z_INT_C_1),
             (-1.2 - 0.4j, 0.7 - 0.05j, 1.0, Z_INT_C_2),
             (-0.8, 1.6 - 0.2j, 1 - 0.25j, Z_INT_C_3),
+            *[(*point, want) for point, want in Z_INT_RE_C],
+            *[(*point, want) for point, want in Z_NEAR_RE_C],
         ],
     )
     def test_integer_re_c(self, s, a, c, want):
+        # the index shift moves c onto Re c = 1, where the transform is read from Re c < 1;
+        # for 0 < |Im c| < 0.01 it is the Taylor series in c about 1
         lv = evaluate_principal(s, a, c, 1e-10)
         err = abs(lv.value - want)
+        assert lv.method is Method.TRANSFORM
         assert err < 1e-10
         assert err <= lv.abs_err_estimate
+
+    def test_seeded_integer_re_c_sweep(self, rng):
+        """The transform on integer lines Re c against mpmath lerchphi at 30 digits.
+
+        Re a stays in [0.15, 0.85] modulo 1, with -0.25 <= Im a <= -0.02 or a
+        real, and |Im c| <= 0.5: lerchphi is not the principal sheet for
+        Im a < 0 and non-real c when Re a is near 0 or 1, nor at some points
+        with |Im a| and |Im c| both above about 0.3.  |Im s| <= 8 turns the
+        inner integral's ray at about a third of the points.
+        """
+        for k in range(40):
+            s = complex(rng.uniform(-1.5, 0.0), rng.uniform(-8.0, 8.0))
+            a = complex(rng.uniform(0.15, 0.85) + rng.randint(-1, 1), 0.0 if k % 5 == 2 else rng.uniform(-0.25, -0.02))
+            c = complex(rng.randint(1, 3), 0.0 if k % 4 == 0 else rng.uniform(-0.5, 0.5))
+            lv = evaluate_principal(s, a, c, 1e-10)
+            with mpmath.workdps(30):
+                want = complex(mpmath.lerchphi(mpmath.exp(2j * mpmath.pi * mpmath.mpc(a)), mpmath.mpc(s), mpmath.mpc(c)))
+            err = abs(lv.value - want)
+            assert lv.method is Method.TRANSFORM
+            assert err <= 1e-10, (k, s, a, c, err)
+            assert err <= lv.abs_err_estimate, (k, s, a, c, err, lv.abs_err_estimate)
+
+    def test_seeded_near_integer_re_c_sweep(self, rng):
+        """0 < |Im c| < 0.01 on integer lines Re c, with a near an integer too, against mpmath.
+
+        Re a near 0 or 1 is taken with Im a = 0 or with Im a > 0, where lerchphi
+        is the principal sheet; Im a > 0 at Re s < 0 reaches the Taylor series
+        where the Dirichlet series misses the target.
+        """
+        for k in range(20):
+            s = complex(rng.uniform(-1.5, 0.0), rng.uniform(-8.0, 8.0))
+            if k % 2:
+                a = complex(rng.choice([1e-6, 0.999999]), rng.choice([0.0, 1e-7, 0.3]))
+            else:
+                a = complex(rng.uniform(0.15, 0.85), rng.uniform(-0.25, 0.0))
+            c = complex(rng.randint(1, 3), rng.choice([-1, 1]) * 10.0 ** rng.uniform(-10.0, -2.0))
+            lv = evaluate_principal(s, a, c, 1e-10)
+            with mpmath.workdps(30):
+                want = complex(mpmath.lerchphi(mpmath.exp(2j * mpmath.pi * mpmath.mpc(a)), mpmath.mpc(s), mpmath.mpc(c)))
+            err = abs(lv.value - want)
+            assert err <= 1e-10 * max(1.0, abs(want)), (k, s, a, c, err)
+            assert err <= lv.abs_err_estimate, (k, s, a, c, err, lv.abs_err_estimate)
 
     @pytest.mark.parametrize("n", [0, 2, -1])
     def test_series_fallback_point(self, n):
@@ -291,12 +341,12 @@ class TestRouting:
             (0.5, 0.3, 0.5, "_integral_eval_raw", False),
             (-1.0, 0.3 + 0.1j, 0.5, "_transform_value", False),
             (-1.0, 0.3 + 0.1j, 1.5 + 0.1j, "_transform_value", True),
-            (-1.0, 0.3 + 0.1j, 1.0 + 0.1j, "_c_circle_value", True),
+            (-1.0, 0.3 + 0.1j, 1.0 + 0.1j, "_transform_value", True),
         ],
     )
     def test_failure_after_missed_series(self, monkeypatch, s, a, c, route, keeps_series):
         # the series misses its target and the next route fails: only a
-        # nonzero shift or a c-circle falls back to the series value
+        # transform outside 0 < Re c < 1 falls back to the series value
         missed = LerchValue(1.0 + 0j, Method.SERIES, 1.0)
         monkeypatch.setattr(continuation, "dirichlet_series", lambda *args: missed)
 

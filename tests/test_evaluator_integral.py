@@ -7,6 +7,7 @@ import pytest
 from lerchzeta import (
     ContourHitsPole,
     ContourSpec,
+    CutViolation,
     InvalidRegion,
     Method,
     NonConvergence,
@@ -18,8 +19,9 @@ from lerchzeta import (
     residue_discrepancy,
 )
 from lerchzeta import quadrature
-from lerchzeta.words import Generator
-from conftest import PI2_12, Z_BASE, Z_COMPLEX_S, Z_INTEGRAL_RAY, Z_INTEGRAL_ROUTE
+from lerchzeta.evaluator import _integral_eval_raw, _ray
+from lerchzeta.words import BranchState, Generator
+from conftest import PI2_12, Z_AXIS_POLE, Z_BASE, Z_COMPLEX_S, Z_INTEGRAL_RAY, Z_INTEGRAL_ROUTE
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,6 +150,50 @@ class TestIntegralOracle:
         monkeypatch.setattr(quadrature, "integrate", counted)
         integral_eval(Point3(0.33299 + 24.53071j, 0.30537 - 0.39405j, 0.55468))
         assert panels < 400
+
+
+class TestPoleOnAxis:
+    """Re a = 0 or 1 with Im a < 0, as the transform's inner evaluations on Re c = 1 reach it:
+    the value is the limit from inside 0 < Re a < 1."""
+
+    @pytest.mark.parametrize("point,want", Z_AXIS_POLE)
+    def test_limit_from_inside(self, point, want):
+        lv = _integral_eval_raw(*point, target_abs_err=1e-10)
+        err = abs(lv.value - want)
+        assert err <= lv.abs_err_estimate
+        assert err <= 1e-10 * max(1.0, abs(want))
+
+    def test_ray_counts_the_pole_it_turns_over(self):
+        # at Re a = 0 the pole t_0 lies just above the axis, so the ray turned up
+        # passes over it (X_0, whose closed form takes arg a = -pi/2); at Re a = 1
+        # the pole t_1 lies just below and is not turned over
+        theta, b, _ = _ray(1.5 + 8j, -0.2j, 0.3 - 0.1j, ContourSpec.STRAIGHT)
+        assert theta > 0.0 and b == BranchState.from_dicts({0: 1})
+        theta, b, _ = _ray(1.5 + 8j, 1 - 0.2j, 0.3 - 0.1j, ContourSpec.STRAIGHT)
+        assert theta > 0.0 and b.is_zero
+
+    @pytest.mark.parametrize("a, sign", [(-0.2j, -1.0), (1 - 0.2j, 1.0)])
+    def test_ray_tilts_away_from_the_pole(self, a, sign):
+        theta, b, _ = _ray(1.5, a, 0.3 - 0.1j, ContourSpec.STRAIGHT)
+        assert sign * theta > 0.0 and b.is_zero
+
+    def test_tilt_keeps_re_c_positive(self):
+        # arg c = 1.37: a tilt of 0.21 toward the next pole would make Re(c e^{i theta}) < 0,
+        # where no cutoff of the integral can be certified
+        c = 0.1395413006423473 + 0.6862524871519032j
+        theta, _, _ = _ray(1.94 - 0.88j, 1 - 0.5992864491233267j, c, ContourSpec.STRAIGHT)
+        assert 0.0 < theta <= 0.5 * (0.5 * math.pi - cmath.phase(c))
+        assert (c * cmath.exp(1j * theta)).real > 0.0
+
+    def test_other_integer_lines_raise(self):
+        with pytest.raises(ContourHitsPole):
+            _integral_eval_raw(1.5, 2 - 0.2j, 0.3 - 0.1j)
+
+    @pytest.mark.parametrize("a", [-0.2j, 1 - 0.2j, 2 - 0.2j])
+    def test_public_route_rejects_a_on_a_cut(self, a):
+        # the one-sided reading depends on the integer below a, so it stays private
+        with pytest.raises(CutViolation):
+            integral_eval(Point3(1.5, a, 0.3 - 0.1j))
 
 
 class TestDetouredContour:

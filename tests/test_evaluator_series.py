@@ -179,6 +179,19 @@ class TestSeriesDomain:
         with pytest.raises(DivergentSeries):
             dirichlet_series(0.9, 1.0, 1.0)
 
+    @pytest.mark.parametrize("a", [0.0, 2.0])
+    def test_integer_a_on_re_s_one(self, a):
+        # Hermite's formula makes the tail exact on Re s = 1 as well; s = 1 is the pole
+        c = 0.3 + 0.4j
+        lv = dirichlet_series(1 + 2j, a, c, 1e-10)
+        with mpmath.workdps(30):
+            want = complex(mpmath.zeta(mpmath.mpc(1, 2), mpmath.mpc(c)))
+        err = abs(lv.value - want)
+        assert err <= 1e-10
+        assert err <= lv.abs_err_estimate
+        with pytest.raises(DivergentSeries):
+            dirichlet_series(1.0, a, c)
+
     def test_nonpositive_re_c_rejected(self):
         with pytest.raises(DivergentSeries):
             dirichlet_series(2.0, 0.5j, -0.5)
