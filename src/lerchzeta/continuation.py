@@ -20,7 +20,9 @@ import sys
 from enum import Enum
 from typing import Callable
 
-from .branching import branched_pow, complex_gamma
+import numpy as np
+
+from .branching import complex_gamma
 from .domain import (
     ContourSpec,
     Point3,
@@ -45,6 +47,7 @@ from .monodromy import branch_monodromy
 from .words import BranchState
 
 _TWO_PI = 2.0 * math.pi
+_HALF_PI = 0.5 * math.pi
 _EPS = 2.220446049250313e-16
 _LOG_MAX = math.log(sys.float_info.max)  # cmath.exp overflows above this real part
 _CIRCLE_CAP = 0.05
@@ -117,11 +120,19 @@ def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _
     phase = cmath.exp(2j * math.pi * a * n)
     scale = abs(phase)
     shifted = inner(s, a, c + n, 0.5 * target / max(scale, 1e-300))
-    partial, absum = 0j, 0.0
-    for j in range(min(n, 0), max(n, 0)):
-        term = cmath.exp(2j * math.pi * a * (j - n)) * branched_pow(j + c, -s)
-        partial += term
-        absum += abs(term)
+    j = np.arange(min(n, 0), max(n, 0))
+    x, y = j + c.real, c.imag  # j + c
+    if y <= 0.0 and (x == 0.0).any():
+        raise CutViolation(f"j + c lies on the branch cut {{-i*t : t >= 0}} for c = {c!r}, n = {n}")
+    # branched_pow(j + c, -s): principal_log's argument in (-pi/2, 3pi/2], the sign
+    # of Re(j + c) deciding an atan2 that rounds to exactly -pi/2
+    theta = np.arctan2(y, x)
+    theta += _TWO_PI * ((theta < -_HALF_PI) | ((theta == -_HALF_PI) & (x < 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.exp(2j * math.pi * a * (j - n)) * np.exp(-s * (np.log(np.hypot(x, y)) + 1j * theta))
+        partial, absum = complex(terms.sum()), float(np.abs(terms).sum())
+    if not (cmath.isfinite(partial) and math.isfinite(absum)):
+        raise OverflowError(f"index-shift partial sum for c = {c!r}, n = {n} leaves the binary64 range")
     value = phase * (shifted.value + math.copysign(1.0, n) * partial)
     err = scale * (shifted.abs_err_estimate + 8.0 * _EPS * absum) + 8.0 * _EPS * abs(value)
     return LerchValue(value, shifted.method, err)

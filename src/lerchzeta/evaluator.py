@@ -321,7 +321,7 @@ def _pick_t_max(s: complex, a: complex, c: complex, target: float, theta: float)
 def _h(za: complex, c: complex, t: np.ndarray, lead: complex | np.ndarray = 0.0) -> np.ndarray:
     """e^{lead - ct} / (1 - e^{za - t}): h(t) itself, or t^{s-1} h(t) for lead = (s-1) log t."""
     w = za - t
-    w = w - (2j * math.pi) * np.round(w.imag / _TWO_PI)
+    w = w - (2j * math.pi) * np.rint(w.imag / _TWO_PI)
     return np.exp(lead - c * t) / (-np.expm1(w))
 
 

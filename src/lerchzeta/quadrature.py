@@ -6,17 +6,16 @@ parameterization.  The returned error is the accumulated |K15 - G7| panel
 estimate plus a roundoff floor, intended as an upper-bound style estimate,
 not a proof.
 
-The integrand is called once for the first panel and once per bisection, on
-the 15 nodes of both halves at once.  Each panel's value, error and
-roundoff scale are bit-identical to evaluating it alone: the rows are
-reduced by an elementwise product and a per-row sum (a matrix product
-rounds differently), and the panel error takes Python's ``abs`` of a
-Python complex (``np.abs`` differs in the last bit).
+The integrand is called once for the first panel and once per sweep, on
+the 15 nodes of both halves of every panel the sweep bisects at once.  Each
+panel's value, error and roundoff scale are bit-identical to evaluating it
+alone: the rows are reduced by an elementwise product and a per-row sum (a
+matrix product rounds differently), and the panel error takes Python's
+``abs`` of a Python complex (``np.abs`` differs in the last bit).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable
 
 import numpy as np
@@ -61,11 +60,12 @@ _EPS = 2.220446049250313e-16
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 
-def _panels(f: Integrand, edges: list[float]) -> list[tuple[complex, float, float]]:
-    """(K15 value, error, resabs) of each panel between consecutive edges, from one call of f."""
-    e = np.array(edges, dtype=float)
-    mid = 0.5 * (e[:-1] + e[1:])
-    half = 0.5 * (e[1:] - e[:-1])
+def _panels(f: Integrand, lo: list[float], hi: list[float]) -> list[tuple[complex, float, float]]:
+    """(K15 value, error, resabs) of each panel [lo[i], hi[i]], from one call of f."""
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
     y = np.asarray(f(mid[:, None] + half[:, None] * _XGK), dtype=np.complex128)
     k15 = half * (_WGK * y).sum(axis=1)
     g7 = half * (_WG * y[:, 1::2]).sum(axis=1)
@@ -80,26 +80,46 @@ def integrate(
     tol: float,
     max_panels: int = 1500,
 ) -> tuple[complex, float, int]:
-    """Integrate f over [lo, hi] adaptively; returns (value, err_estimate, n_panels)."""
+    """Integrate f over [lo, hi] adaptively; returns (value, err_estimate, n_panels).
+
+    Each sweep orders the live panels by error and bisects the fewest worst
+    ones whose errors sum to at least the excess over max(tol, floor),
+    skipping panels narrower than min_width and taking at most half the
+    panels left in max_panels (at least one).  n_panels counts every panel
+    evaluated; the value is the sum over the live panels at the end.
+    """
     if hi == lo:
         return 0j, 0.0, 0
-    ((val, err, resabs),) = _panels(f, [lo, hi])
-    heap = [(-err, 0, lo, hi, val, err)]  # n breaks ties between equal errors
-    total_val, total_err = val, err
+    ((val, err, resabs),) = _panels(f, [lo], [hi])
+    live = [(err, lo, hi, val)]
+    total_err = err
     floor = 8.0 * _EPS * resabs
     n = 1
     min_width = 1e-14 * (abs(hi - lo) + 1.0)
     while total_err > max(tol, floor) and n < max_panels:
-        _, _, a, b, v, e = heapq.heappop(heap)
-        if b - a < min_width or e <= 0.25 * max(tol, floor) / (len(heap) + 1):
-            # the worst panel is too narrow to refine, or within its share and so is every other
+        live.sort(key=lambda p: p[0], reverse=True)
+        excess = total_err - max(tol, floor)
+        cap = max(1, (max_panels - n) // 2)
+        picked, kept = [], []
+        for p in live:
+            if excess > 0.0 and len(picked) < cap and p[2] - p[1] >= min_width:
+                picked.append(p)
+                excess -= p[0]
+            else:
+                kept.append(p)
+        if not picked:  # every panel that would count is too narrow to refine
             break
-        m = 0.5 * (a + b)
-        (v1, e1, r1), (v2, e2, r2) = _panels(f, [a, m, b])
-        total_val += v1 + v2 - v
-        total_err += e1 + e2 - e
-        floor = max(floor, 8.0 * _EPS * (r1 + r2))
-        heapq.heappush(heap, (-e1, n, a, m, v1, e1))
-        heapq.heappush(heap, (-e2, n + 1, m, b, v2, e2))
-        n += 2
-    return total_val, max(total_err, floor), n
+        los, his = [], []
+        for _, a, b, _ in picked:
+            m = 0.5 * (a + b)
+            los += [a, m]
+            his += [m, b]
+        halves = _panels(f, los, his)
+        for i in range(0, len(halves), 2):
+            (v1, e1, r1), (v2, e2, r2) = halves[i], halves[i + 1]
+            kept += [(e1, los[i], his[i], v1), (e2, los[i + 1], his[i + 1], v2)]
+            floor = max(floor, 8.0 * _EPS * (r1 + r2))
+        live = kept
+        total_err = sum(p[0] for p in live)
+        n += len(halves)
+    return sum(p[3] for p in live), max(total_err, floor), n

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import pytest
@@ -25,6 +26,7 @@ from lerchzeta import (
     transform_eval,
 )
 from lerchzeta import continuation
+from lerchzeta.branching import branched_pow
 from lerchzeta.continuation import dde_lower_residual, dde_raise_residual
 from lerchzeta.words import BranchState, Generator
 from conftest import (
@@ -152,6 +154,59 @@ class TestDdeShift:
         lv = dde_shift(Point3(1.0, 1j, 1.0), "raise", 1e-9)
         want = dirichlet_series(2.0, 1j, 1.0, 1e-13).value
         assert abs(lv.value - want) < 1e-9
+
+
+def _zero_route(s, a, c, target):
+    return LerchValue(0j, Method.SERIES, 0.0)
+
+
+def _shift_c_loop(s, a, c, n):
+    """The index shift's correction term, summed one term at a time with branched_pow."""
+    partial = sum(
+        cmath.exp(2j * math.pi * a * (j - n)) * branched_pow(j + c, -s) for j in range(min(n, 0), max(n, 0))
+    )
+    return cmath.exp(2j * math.pi * a * n) * math.copysign(1.0, n) * partial
+
+
+class TestShiftC:
+    @pytest.mark.parametrize("n", [1, 3, -1, -3])
+    @pytest.mark.parametrize(
+        "s, a, c",
+        [
+            (-0.5 + 2j, 0.3 - 0.1j, -2.7 - 0.4j),
+            (0.7 - 3j, 0.45 + 0.2j, -0.3 - 1.2j),
+            # atan2(Im, Re) of j + c rounds to -pi/2 at j = 0; the sign of Re picks the side
+            (1.5 - 0.5j, 0.2 + 0.1j, -1e-300 - 1j),
+            (1.5 - 0.5j, 0.2 + 0.1j, 1e-300 - 1j),
+        ],
+    )
+    def test_partial_sum_matches_loop(self, s, a, c, n):
+        # Re(j + c) < 0 for every j when n < 0, and Im c < 0 throughout
+        lv = continuation._shift_c(s, a, c, n, 1e-10, _zero_route)
+        assert abs(lv.value - _shift_c_loop(s, a, c, n)) <= lv.abs_err_estimate
+
+    @pytest.mark.parametrize("n", [-10000, 10000])
+    def test_ten_thousand_terms_match_loop(self, n):
+        lv = continuation._shift_c(-0.5, 0.3, 1e4 + 0.5, n, 1e-10, _zero_route)
+        assert abs(lv.value - _shift_c_loop(-0.5, 0.3, 1e4 + 0.5, n)) <= lv.abs_err_estimate
+
+    def test_far_re_c_against_mpmath(self):
+        lv = evaluate_principal(-0.5, 0.3, 1e4 + 0.5)
+        with mpmath.workdps(30):
+            want = complex(mpmath.lerchphi(mpmath.exp(0.6j * mpmath.pi), -0.5, mpmath.mpf(10000.5)))
+        assert abs(lv.value - want) <= lv.abs_err_estimate
+
+    def test_overflowing_term_raises_without_a_warning(self):
+        # |j + c|^{-s} reaches 1e800 at s = -200; evaluate_principal turns the OverflowError into NonConvergence
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                continuation._shift_c(-200.0, 0.3, 1e4 + 0.5, -10000, 1e-10, _zero_route)
+
+    def test_term_on_the_cut_raises(self):
+        # j + c = -0.5i at j = 2
+        with pytest.raises(CutViolation):
+            continuation._shift_c(0.5, 0.2, -2.0 - 0.5j, 3, 1e-10, _zero_route)
 
 
 class TestEvaluatePrincipal:

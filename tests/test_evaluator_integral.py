@@ -151,6 +151,23 @@ class TestIntegralOracle:
         integral_eval(Point3(0.33299 + 24.53071j, 0.30537 - 0.39405j, 0.55468))
         assert panels < 400
 
+    def test_integrand_call_count(self, monkeypatch):
+        # the same point: 76 integrand calls when each call bisected one panel, 13 with one call per sweep
+        calls = 0
+        integrate = quadrature.integrate
+
+        def counted(f, *args, **kwargs):
+            def g(x):
+                nonlocal calls
+                calls += 1
+                return f(x)
+
+            return integrate(g, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", counted)
+        integral_eval(Point3(0.33299 + 24.53071j, 0.30537 - 0.39405j, 0.55468))
+        assert calls <= 16
+
 
 class TestPoleOnAxis:
     """Re a = 0 or 1 with Im a < 0, as the transform's inner evaluations on Re c = 1 reach it:

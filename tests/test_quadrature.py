@@ -26,7 +26,7 @@ class TestPanels:
     def test_degree_22_is_exact(self):
         # K15 integrates polynomials of degree <= 3*7 + 1 exactly; x^24 it does not
         def one_panel(k: int, lo: float, hi: float) -> float:
-            ((value, _, _),) = quadrature._panels(lambda x: x**k + 0j, [lo, hi])
+            ((value, _, _),) = quadrature._panels(lambda x: x**k + 0j, [lo], [hi])
             want = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
             return abs(value - want) / abs(want)
 
@@ -35,12 +35,11 @@ class TestPanels:
         assert one_panel(24, -1.0, 1.0) > 1e-9
 
     def test_batch_matches_single_panels(self):
-        # one call on [a, m, b] gives both halves to the bit
-        a, b = 0.3, 1.7
-        m = 0.5 * (a + b)
-        assert quadrature._panels(near_pole, [a, m, b]) == (
-            quadrature._panels(near_pole, [a, m]) + quadrature._panels(near_pole, [m, b])
-        )
+        # one call on panels that are not adjacent, out of order and of unequal widths gives each to the bit
+        lo, hi = [0.3, 1.7, 0.9, 0.0], [0.95, 2.0, 1.1, 1e-9]
+        assert quadrature._panels(near_pole, lo, hi) == [
+            quadrature._panels(near_pole, [a], [b])[0] for a, b in zip(lo, hi)
+        ]
 
 
 class TestIntegrate:
@@ -59,21 +58,35 @@ class TestIntegrate:
         assert abs(value - (F(2.0) - F(0.0))) <= err <= 1e-9
 
     def test_near_pole_bits(self):
-        # frozen from the per-panel rule, one integrand call per panel
+        # frozen from the sweep rule: value, estimate and panel count to the bit, and the closed form within err
         value, err, n = quadrature.integrate(near_pole, 0.0, 2.0, 1e-10)
         assert (value.real.hex(), value.imag.hex(), err.hex(), n) == (
-            "0x1.000000000000ep+0",
+            "0x1.0000000000010p+0",
             "0x1.91d8ccb71db78p+1",
-            "0x1.77519d3283414p-34",
+            "0x1.7756299be0210p-34",
             71,
         )
+        F = lambda t: t + cmath.log(1.0 - cmath.exp(ZA - t))
+        assert abs(value - (F(2.0) - F(0.0))) <= err
 
-    def test_one_call_per_bisection(self):
-        for f, lo, hi in [(near_pole, 0.0, 2.0), (lambda x: np.exp((1.0 + 3.0j) * x), 0.0, 5.0)]:
+    def test_one_call_per_sweep(self):
+        # the first panel alone, then every panel a sweep bisects in one (2k, 15) call
+        for f, lo, hi, shapes in [
+            (near_pole, 0.0, 2.0, [1, 2, 4, 4, 4, 6, 8, 8, 8, 8, 8, 6, 4]),
+            (lambda x: np.exp((1.0 + 3.0j) * x), 0.0, 5.0, [1, 2, 4, 6]),
+        ]:
             counted, calls = counting(f)
             _, _, n = quadrature.integrate(counted, lo, hi, 1e-10)
-            assert len(calls) == 1 + (n - 1) // 2
-            assert calls == [(1, 15)] + [(2, 15)] * ((n - 1) // 2)
+            assert calls == [(k, 15) for k in shapes]
+            assert sum(shapes) == n
+
+    def test_sweep_respects_max_panels(self):
+        # a sweep takes at most half the panels left, and at least one bisection
+        counted, calls = counting(near_pole)
+        _, err, n = quadrature.integrate(counted, 0.0, 2.0, 1e-14, max_panels=20)
+        assert err > 1e-14
+        assert calls == [(k, 15) for k in [1, 2, 4, 8, 4, 2]]
+        assert n == 21
 
     def test_empty_interval(self):
         counted, calls = counting(near_pole)
