@@ -7,9 +7,9 @@ reduced into [0, 1).  One dispatch then tries, in order, the routes that
 own their convergence regions: the Dirichlet series (Im a > 0, or real a
 with Re s > 0), the straight-contour integral (Re s > 0), and the exact
 index shift of c into 0 < Re c <= 1 followed by the three-term
-transformation formula, read on Re c = 1 as its limit from Re c < 1, or
-within 0.01 of c = 1 on that line as its Taylor series in c about 1.  The
-cover value adds the closed-form monodromy of the winding vector.
+transformation formula, or within 0.01 of c = 1 on Re c = 1 its Taylor
+series in c about 1.  The cover value adds the closed-form monodromy of the
+winding vector.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ def _anchor_check(a: complex, c: complex) -> None:
 def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     """The one dispatch, for an anchored point with 0 < Re a < 1 when Im a <= 0.
 
-    The transform's inner ones may have Re a = 0 or 1 (see :func:`_transform_value`).
     Series and integral need Re c > 0: where they own the point (Re s > 0
     or Im a > 0) and Re c <= 0.05, the index shift in c moves it first, the
     transform's inner evaluations included.  Then each route owns its region
@@ -134,7 +133,9 @@ def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _
     if not (cmath.isfinite(partial) and math.isfinite(absum)):
         raise OverflowError(f"index-shift partial sum for c = {c!r}, n = {n} leaves the binary64 range")
     value = phase * (shifted.value + math.copysign(1.0, n) * partial)
-    err = scale * (shifted.abs_err_estimate + 8.0 * _EPS * absum) + 8.0 * _EPS * abs(value)
+    # roundoff of exp(-s log(j + c)) carries the phase error |s| log|j + c|, as in the series
+    phase_err = 1.0 + abs(s) * math.log(abs(n) + abs(c) + 1.0)
+    err = scale * (shifted.abs_err_estimate + 8.0 * _EPS * absum * phase_err) + 8.0 * _EPS * abs(value)
     return LerchValue(value, shifted.method, err)
 
 
@@ -192,8 +193,8 @@ def _transform_value(s: complex, a: complex, c: complex, target: float) -> Lerch
 
     The dispatch calls it with Re(1 - s) >= 1, where the series or the
     integral applies after at most one index shift of c, so it recurses no
-    deeper than that.  On Re c = 1 it is the limit from Re c < 1: the
-    integral reads the inner a-variables 1 - c and c from inside
+    deeper than that.  On Re c = 1 it is the limit from Re c < 1, read at
+    Re c = 1 - 2^-53, so the inner a-variables 1 - c and c lie inside
     0 < Re a < 1.  At c = 1 these are 0 and 1, and each inner value a Hurwitz
     zeta with the pole 1/(-s); the pole enters once, as
     -2 (2 pi)^{s-1} Gamma(1-s) e^{-2 pi i a} sin(pi s/2)/s.  That needs no
@@ -212,6 +213,7 @@ def _transform_value(s: complex, a: complex, c: complex, target: float) -> Lerch
         pole = -2.0 * cmath.exp(-sp * math.log(_TWO_PI) - 2j * math.pi * a) * complex_gamma(sp)
         pole *= cmath.sin(0.5 * math.pi * s) / s if s != 0 else 0.5 * math.pi
     else:
+        c = complex(min(c.real, 1.0 - 2.0**-53), c.imag)
         v1 = _core_eval(sp, 1.0 - c, a, target1)
         v2 = _core_eval(sp, c, 1.0 - a, target2)
         pole = 0j

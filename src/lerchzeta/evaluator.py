@@ -33,7 +33,7 @@ from .words import BranchState
 _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
 _SPLIT_CAP = 40_000  # largest split point the series tail starts from
-_POLE_CLEARANCE = 1e-3  # least distance from an integrand pole to the contour or the ray
+_POLE_CLEARANCE = 1e-3  # least distance from an integrand pole to the ray or a detour
 _RING = 64  # samples on the endpoint circle, and terms of the endpoint series
 _K = np.arange(_RING, dtype=np.float64)
 _ROOTS = np.exp((2j * math.pi / _RING) * _K)
@@ -230,18 +230,18 @@ def series_eval(p: Point3, target_abs_err: float = 1e-12) -> LerchValue:
 
 
 def _nearest_pole(a: complex, theta: float, contour: ContourSpec) -> tuple[float, int]:
-    """(distance, k) of the pole t_k = 2*pi*i*(a - k) nearest the ray arg t = theta or the contour.
+    """(distance, k) of the pole t_k = 2*pi*i*(a - k) nearest the ray arg t = theta, or the detour.
 
     That is one of the two around the axis or the ray's crossing of the column Re t = -2*pi*Im a.
-    A detour's semicircle is nearest radially above the axis and at an end below it.  The pole
-    on the axis at Re a = 0 or 1 lies to one side of the straight contour (see :func:`_ray`).
+    The straight contour's poles need clearance from the ray only: the closed form carries the
+    ones it turns over.  A detour's semicircle is nearest radially above the axis and at an end below it.
     """
     to_ray = lambda q: abs(q.imag) if q.real >= 0.0 else abs(q)
 
     def distance(p: complex) -> float:
         d = to_ray(p * cmath.exp(-1j * theta))
         if contour.is_straight:
-            return d if p.imag == 0.0 and a.real in (0.0, 1.0) else min(d, to_ray(p))
+            return d
         w, eps = p - contour.u, contour.epsilon
         arc = abs(abs(w) - eps) if w.imag >= 0.0 else min(abs(w - eps), abs(w + eps))
         return min(d, arc, to_ray(p) if abs(w.real) >= eps else arc)
@@ -256,17 +256,15 @@ def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[floa
     For Im s > 16/pi the straight contour's ray turns up to pi/2 - 8/Im s -
     max(arg c, 0), so Re(c e^{i theta}) > 0 and 1/Gamma(s) loses e^8, not
     e^{pi Im s / 2}.  Within 1e-3 of a pole it steps toward the axis, onto it
-    if still that close.  At Re a = 0 (1) and Im a < 0 a pole lies on the axis,
-    read as the limit from inside 0 < Re a < 1: just above (below) it.  A ray
-    left on the axis tilts away from that pole, by at most half the angle
-    that keeps Re(c e^{i theta}) > 0.  b = one X_k per pole turned over.  A
-    detour's ray passes over the pole n it encloses, halfway to the nearer
-    of the next pole's angle and pi/2 - arg c; else it is the axis, b = X_n
-    and sign = +1.  A pole within 1e-3 of either raises ContourHitsPole.
+    if still that close.  An axis still that close to a pole tilts away from
+    it, by at most half the angle that keeps Re(c e^{i theta}) > 0.  b = one
+    X_k per pole turned over.  A detour's ray passes over the pole n it
+    encloses, halfway to the nearer of the next pole's angle and
+    pi/2 - arg c; else it is the axis, b = X_n and sign = +1.  A pole within
+    1e-3 of the ray or the detour raises ContourHitsPole.
     """
     theta, b, sign, x0 = 0.0, {}, -1.0, -_TWO_PI * a.imag
     if contour.is_straight:
-        side = (a.real == 0.0) - (a.real == 1.0) if x0 > 0.0 else 0  # +1: on-axis pole above, -1: below
         if s.imag > 16.0 / math.pi:
             theta = max(0.0, 0.5 * math.pi - 8.0 / s.imag - max(cmath.phase(c), 0.0))
         d, k = _nearest_pole(a, theta, contour)
@@ -275,13 +273,13 @@ def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[floa
             theta = math.atan2(max(y - 0.25 * math.pi, 0.5 * y), x0)
         if _nearest_pole(a, theta, contour)[0] < _POLE_CLEARANCE:
             theta = 0.0
-        if theta == 0.0 and side:
+        d, k = _nearest_pole(a, theta, contour)
+        if d < _POLE_CLEARANCE and x0 > 0.0:
             # pass pi/4 from the pole at its column, keeping Re(c e^{i theta}) > 0
-            tilt = min(math.atan2(0.25 * math.pi, x0), 0.5 * (0.5 * math.pi + side * cmath.phase(c)))
-            theta = -side * tilt
+            side = math.copysign(1.0, a.real - k)  # +1: the pole lies above the axis
+            theta = -side * min(math.atan2(0.25 * math.pi, x0), 0.5 * (0.5 * math.pi + side * cmath.phase(c)))
         first = math.floor(a.real + a.imag * math.tan(theta)) + 1
-        last = math.ceil(a.real) + (side > 0)  # a ray turned up at Re a = 0 passes over t_0
-        b = dict.fromkeys(range(first, last), 1)
+        b = dict.fromkeys(range(first, math.ceil(a.real)), 1)
     else:
         n = round(a.real)
         w = 2j * math.pi * (a - n) - contour.u
@@ -369,8 +367,8 @@ def integral_eval(
     u.  The integrand's t^{s-1} uses the principal branch continued along the
     contour.  The integral runs on one ray (:func:`_ray`); the poles
     t = 2*pi*i*(a - k) between the two come from the closed-form monodromy,
-    and any pole closer than 1e-3 to either raises ContourHitsPole.  An a on
-    a cut ray raises CutViolation.
+    and any pole closer than 1e-3 to the ray or a detour raises
+    ContourHitsPole.  An a on a cut ray raises CutViolation.
     """
     if on_a_cut_ray(p.a):
         raise CutViolation(f"a = {p.a!r} lies on a downward cut ray below an integer")
@@ -390,7 +388,7 @@ def _integral_eval_raw(
     if c.real <= 0.0:
         raise InvalidRegion(f"integral needs Re c > 0, got c = {c!r}")
     if contour.is_straight and s.imag < -16.0 / math.pi:
-        # conj zeta(s, a, c) = zeta(conj s, 1 - conj a, conj c); -conj a would flip the side Re a = 0 is read from
+        # conj zeta(s, a, c) = zeta(conj s, 1 - conj a, conj c)
         lv = _integral_eval_raw(s.conjugate(), 1.0 - a.conjugate(), c.conjugate(), contour, target_abs_err)
         return LerchValue(lv.value.conjugate(), lv.method, lv.abs_err_estimate)
     try:  # for Re s < 1/2 the reflection's sin(pi s) overflows where Gamma(s) underflows
@@ -402,8 +400,7 @@ def _integral_eval_raw(
     theta, b, sign = _ray(s, a, c, contour)
     scale = abs(gam)
     raw, raw_err = _contour_integral(s, a, c, theta, 0.9 * target_abs_err * scale)
-    # a pole on the axis is turned over only at Re a = 0, from the right: arg a = -pi/2 just right of the cut
-    poles, poles_err = branch_monodromy(b, s, complex(a.real or math.ulp(0.0), a.imag), c)
+    poles, poles_err = branch_monodromy(b, s, a, c)
     value = raw / gam + sign * poles
     err = raw_err / scale + 4e-13 * abs(value) + poles_err
     return LerchValue(value, Method.INTEGRAL, err)

@@ -46,6 +46,7 @@ from conftest import (
     Z_INT_RE_C,
     Z_M05_04_06,
     Z_NEAR_RE_C,
+    Z_NEXT_TO_RE_C,
     Z_M3_05_05,
     Z_REAL_A_30,
     Z_REAL_A_30_C,
@@ -257,6 +258,27 @@ class TestEvaluatePrincipal:
         assert cmath.isfinite(lv.value)
         assert math.isfinite(lv.abs_err_estimate)
 
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        st.floats(-3.0, 0.0),
+        st.floats(-12.0, 12.0),
+        st.floats(0.0, 1.0),
+        st.floats(-0.5, 0.5),
+        st.integers(-3, 3),
+        st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)),
+        st.one_of(st.floats(-0.5, 0.5), st.floats(-1e-3, 1e-3)),
+    )
+    def test_total_next_to_integer_re_c(self, sr, si, ar, ai, m, dr, ci):
+        # Re s <= 0 with Re c on or next to an integer: after the index shift an inner
+        # a-variable of the three-term formula lies next to an integer, and with it an
+        # integrand pole next to the t-axis or t = 0
+        try:
+            lv = evaluate_principal(complex(sr, si), complex(ar, ai), complex(m + dr, ci))
+        except LerchError:
+            return
+        assert cmath.isfinite(lv.value)
+        assert math.isfinite(lv.abs_err_estimate)
+
     def test_anchoring_cut_violations(self):
         with pytest.raises(CutViolation):
             evaluate_principal(0.5, 1.0 - 0.5j, 0.5)
@@ -348,6 +370,21 @@ class TestRouting:
             err = abs(lv.value - want)
             assert err <= 1e-10 * max(1.0, abs(want)), (k, s, a, c, err)
             assert err <= lv.abs_err_estimate, (k, s, a, c, err, lv.abs_err_estimate)
+
+    def test_seeded_next_to_integer_re_c_sweep(self):
+        """Re c on or within 1e-4 of an integer with 3e-4 <= |Im c| <= 0.3, against frozen mpmath values.
+
+        After the index shift an inner a-variable of the three-term formula lies
+        next to an integer, so with Im a < 0 an integrand pole lies next to the
+        t-axis and the ray tilts away from it.  Where that pole lies within about
+        2e-3 of t = 0 (c = m - 1e-9 +- 3e-4i) a tilt capped by Re(c e^{i theta}) > 0
+        may not clear it, and the point raises ContourHitsPole; this seed draws none.
+        """
+        for k, (point, want) in enumerate(Z_NEXT_TO_RE_C):
+            lv = evaluate_principal(*point, 1e-10)
+            err = abs(lv.value - want)
+            assert err <= 1e-10 * max(1.0, abs(want)), (k, point, err)
+            assert err <= lv.abs_err_estimate, (k, point, err, lv.abs_err_estimate)
 
     @pytest.mark.parametrize("n", [0, 2, -1])
     def test_series_fallback_point(self, n):

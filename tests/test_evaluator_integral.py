@@ -19,9 +19,18 @@ from lerchzeta import (
     residue_discrepancy,
 )
 from lerchzeta import quadrature
-from lerchzeta.evaluator import _integral_eval_raw, _ray
+from lerchzeta.evaluator import _ray
 from lerchzeta.words import BranchState, Generator
-from conftest import PI2_12, Z_AXIS_POLE, Z_BASE, Z_COMPLEX_S, Z_INTEGRAL_RAY, Z_INTEGRAL_ROUTE
+from conftest import (
+    PI2_12,
+    Z_AXIS_POLE,
+    Z_BASE,
+    Z_COMPLEX_S,
+    Z_INTEGRAL_RAY,
+    Z_INTEGRAL_ROUTE,
+    Z_LINE_2_RIGHT,
+    Z_NEAR_AXIS,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,11 +67,17 @@ class TestStraightContour:
         with pytest.raises(InvalidRegion):
             integral_eval(Point3(1.0, 0.5, -0.2))
 
-    def test_pole_near_contour_detected(self):
-        # Im a < 0 puts the pole column on the positive real t-axis; Re a near an
-        # integer brings one pole within the default clearance
+    def test_pole_near_axis_off_the_ray(self):
+        # Im a < 0 puts the pole column on the positive real t-axis, and Re a = 1e-4
+        # puts t_0 within 1e-3 of the axis; the ray tilts away from it
+        lv = integral_eval(Point3(1.0, 1e-4 - 0.3j, 1.0))
+        err = abs(lv.value - Z_NEAR_AXIS)
+        assert err <= 1e-12 and err <= lv.abs_err_estimate
+
+    def test_pole_near_origin_detected(self):
+        # t_0 = 2 pi i a lies within 1e-3 of t = 0, so no ray clears it
         with pytest.raises(ContourHitsPole):
-            integral_eval(Point3(1.0, 1e-4 - 0.3j, 1.0))
+            integral_eval(Point3(1.0, 1e-4 - 1e-5j, 1.0))
 
     @pytest.mark.parametrize("s,c", [(0.5 + 500j, 0.5), (1.5 + 600j, 0.7)])
     def test_gamma_underflow_raises(self, s, c):
@@ -169,46 +184,58 @@ class TestIntegralOracle:
         assert calls <= 16
 
 
+def inside(a: complex) -> complex:
+    """a with Re a = 0 or 1 moved 2^-53 into 0 < Re a < 1, as the transform passes it on Re c = 1."""
+    return complex(min(max(a.real, 2.0**-53), 1.0 - 2.0**-53), a.imag)
+
+
 class TestPoleOnAxis:
-    """Re a = 0 or 1 with Im a < 0, as the transform's inner evaluations on Re c = 1 reach it:
-    the value is the limit from inside 0 < Re a < 1."""
+    """The limit from inside 0 < Re a < 1 at Re a = 0 or 1 with Im a < 0, read 2^-53 inside
+    as the transform's inner evaluations on Re c = 1 reach it: the pole t_0 (t_1) then lies
+    just above (below) the t-axis."""
 
     @pytest.mark.parametrize("point,want", Z_AXIS_POLE)
     def test_limit_from_inside(self, point, want):
-        lv = _integral_eval_raw(*point, target_abs_err=1e-10)
+        s, a, c = point
+        lv = integral_eval(Point3(s, inside(a), c), target_abs_err=1e-10)
         err = abs(lv.value - want)
         assert err <= lv.abs_err_estimate
         assert err <= 1e-10 * max(1.0, abs(want))
 
     def test_ray_counts_the_pole_it_turns_over(self):
-        # at Re a = 0 the pole t_0 lies just above the axis, so the ray turned up
-        # passes over it (X_0, whose closed form takes arg a = -pi/2); at Re a = 1
-        # the pole t_1 lies just below and is not turned over
-        theta, b, _ = _ray(1.5 + 8j, -0.2j, 0.3 - 0.1j, ContourSpec.STRAIGHT)
+        # just right of Re a = 0 the pole t_0 lies just above the axis, so the ray
+        # turned up passes over it (X_0); just left of Re a = 1 the pole t_1 lies
+        # just below and is not turned over
+        theta, b, _ = _ray(1.5 + 8j, inside(-0.2j), 0.3 - 0.1j, ContourSpec.STRAIGHT)
         assert theta > 0.0 and b == BranchState.from_dicts({0: 1})
-        theta, b, _ = _ray(1.5 + 8j, 1 - 0.2j, 0.3 - 0.1j, ContourSpec.STRAIGHT)
+        theta, b, _ = _ray(1.5 + 8j, inside(1 - 0.2j), 0.3 - 0.1j, ContourSpec.STRAIGHT)
         assert theta > 0.0 and b.is_zero
 
     @pytest.mark.parametrize("a, sign", [(-0.2j, -1.0), (1 - 0.2j, 1.0)])
     def test_ray_tilts_away_from_the_pole(self, a, sign):
-        theta, b, _ = _ray(1.5, a, 0.3 - 0.1j, ContourSpec.STRAIGHT)
+        theta, b, _ = _ray(1.5, inside(a), 0.3 - 0.1j, ContourSpec.STRAIGHT)
         assert sign * theta > 0.0 and b.is_zero
 
     def test_tilt_keeps_re_c_positive(self):
         # arg c = 1.37: a tilt of 0.21 toward the next pole would make Re(c e^{i theta}) < 0,
         # where no cutoff of the integral can be certified
         c = 0.1395413006423473 + 0.6862524871519032j
-        theta, _, _ = _ray(1.94 - 0.88j, 1 - 0.5992864491233267j, c, ContourSpec.STRAIGHT)
+        theta, _, _ = _ray(1.94 - 0.88j, inside(1 - 0.5992864491233267j), c, ContourSpec.STRAIGHT)
         assert 0.0 < theta <= 0.5 * (0.5 * math.pi - cmath.phase(c))
         assert (c * cmath.exp(1j * theta)).real > 0.0
 
-    def test_other_integer_lines_raise(self):
-        with pytest.raises(ContourHitsPole):
-            _integral_eval_raw(1.5, 2 - 0.2j, 0.3 - 0.1j)
+    def test_either_side_of_another_integer_line(self):
+        # the pole t_2 lies 2 pi 1e-9 above (below) the axis; the ray tilts away from
+        # it, and the two sides differ by the jump M(X_2) across the cut below a = 2
+        right = integral_eval(Point3(1.5, 2 + 1e-9 - 0.2j, 0.3))
+        left = integral_eval(Point3(1.5, 2 - 1e-9 - 0.2j, 0.3))
+        for lv, want in ((right, Z_LINE_2_RIGHT), (left, Z_LINE_2_RIGHT.conjugate())):
+            assert abs(lv.value - want) <= min(1e-11, lv.abs_err_estimate)
+        jump = monodromy_generator(Generator("X", 2), 1.5, 2 + 1e-9 - 0.2j, 0.3)
+        assert abs(left.value - right.value - jump) <= 1e-7
 
     @pytest.mark.parametrize("a", [-0.2j, 1 - 0.2j, 2 - 0.2j])
     def test_public_route_rejects_a_on_a_cut(self, a):
-        # the one-sided reading depends on the integer below a, so it stays private
         with pytest.raises(CutViolation):
             integral_eval(Point3(1.5, a, 0.3 - 0.1j))
 
