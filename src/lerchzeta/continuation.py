@@ -128,14 +128,14 @@ def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _
     theta = np.arctan2(y, x)
     theta += _TWO_PI * ((theta < -_HALF_PI) | ((theta == -_HALF_PI) & (x < 0.0)))
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.exp(2j * math.pi * a * (j - n)) * np.exp(-s * (np.log(np.hypot(x, y)) + 1j * theta))
-        partial, absum = complex(terms.sum()), float(np.abs(terms).sum())
+        lg = np.log(np.hypot(x, y)) + 1j * theta
+        terms = np.exp(2j * math.pi * a * (j - n)) * np.exp(-s * lg)
+        # roundoff of exp(-s log(j + c)) carries the phase error |s log(j + c)|
+        partial, absum = complex(terms.sum()), float(np.abs(terms) @ (1.0 + abs(s) * np.abs(lg)))
     if not (cmath.isfinite(partial) and math.isfinite(absum)):
         raise OverflowError(f"index-shift partial sum for c = {c!r}, n = {n} leaves the binary64 range")
     value = phase * (shifted.value + math.copysign(1.0, n) * partial)
-    # roundoff of exp(-s log(j + c)) carries the phase error |s| log|j + c|, as in the series
-    phase_err = 1.0 + abs(s) * math.log(abs(n) + abs(c) + 1.0)
-    err = scale * (shifted.abs_err_estimate + 8.0 * _EPS * absum * phase_err) + 8.0 * _EPS * abs(value)
+    err = scale * (shifted.abs_err_estimate + 8.0 * _EPS * absum) + 8.0 * _EPS * abs(value)
     return LerchValue(value, shifted.method, err)
 
 
@@ -193,8 +193,9 @@ def _transform_value(s: complex, a: complex, c: complex, target: float) -> Lerch
 
     The dispatch calls it with Re(1 - s) >= 1, where the series or the
     integral applies after at most one index shift of c, so it recurses no
-    deeper than that.  On Re c = 1 it is the limit from Re c < 1, read at
-    Re c = 1 - 2^-53, so the inner a-variables 1 - c and c lie inside
+    deeper than that.  Re c is read inside [2^-53, 1 - 2^-53]: on Re c = 1
+    that is the limit from Re c < 1, and near Re c = 0 it keeps 1 - c from
+    rounding to Re 1, so the inner a-variables 1 - c and c lie inside
     0 < Re a < 1.  At c = 1 these are 0 and 1, and each inner value a Hurwitz
     zeta with the pole 1/(-s); the pole enters once, as
     -2 (2 pi)^{s-1} Gamma(1-s) e^{-2 pi i a} sin(pi s/2)/s.  That needs no
@@ -213,7 +214,7 @@ def _transform_value(s: complex, a: complex, c: complex, target: float) -> Lerch
         pole = -2.0 * cmath.exp(-sp * math.log(_TWO_PI) - 2j * math.pi * a) * complex_gamma(sp)
         pole *= cmath.sin(0.5 * math.pi * s) / s if s != 0 else 0.5 * math.pi
     else:
-        c = complex(min(c.real, 1.0 - 2.0**-53), c.imag)
+        c = complex(min(max(c.real, 2.0**-53), 1.0 - 2.0**-53), c.imag)
         v1 = _core_eval(sp, 1.0 - c, a, target1)
         v2 = _core_eval(sp, c, 1.0 - a, target2)
         pole = 0j

@@ -53,6 +53,8 @@ from conftest import (
     Z_REAL_A_60,
     Z_REAL_A_M45,
     Z_SERIES_FALLBACK,
+    Z_SHIFT_SMALL_C,
+    Z_TINY_RE_C,
 )
 
 
@@ -204,6 +206,12 @@ class TestShiftC:
             with pytest.raises(OverflowError):
                 continuation._shift_c(-200.0, 0.3, 1e4 + 0.5, -10000, 1e-10, _zero_route)
 
+    @pytest.mark.parametrize("point, want", Z_SHIFT_SMALL_C)
+    def test_phase_error_of_a_small_term(self, point, want):
+        # the j = 0 term c^{-s} dominates; its phase error is |s log c|, about 38 (14 + i pi)
+        lv = evaluate_principal(*point)
+        assert abs(lv.value - want) <= lv.abs_err_estimate
+
     def test_term_on_the_cut_raises(self):
         # j + c = -0.5i at j = 2
         with pytest.raises(CutViolation):
@@ -278,6 +286,16 @@ class TestEvaluatePrincipal:
             return
         assert cmath.isfinite(lv.value)
         assert math.isfinite(lv.abs_err_estimate)
+
+    @pytest.mark.parametrize("point, want", Z_TINY_RE_C)
+    def test_tiny_re_c_read_inside(self, point, want):
+        # at Re c <= 2^-54 the transform's 1 - c would round onto Re 1, the cut below
+        # a = 1 when Im c > 0; the value is the limit from inside, as at Re c = 2^-52
+        s, a, c = point
+        lv = evaluate_principal(s, a, c)
+        near = evaluate_principal(s, a, complex(2.0**-52, c.imag))
+        assert abs(lv.value - want) <= min(lv.abs_err_estimate, 1e-12)
+        assert abs(lv.value - near.value) <= lv.abs_err_estimate
 
     def test_anchoring_cut_violations(self):
         with pytest.raises(CutViolation):
