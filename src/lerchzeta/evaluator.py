@@ -71,6 +71,11 @@ def _reduce_a(a: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _even_edges(y_max: float) -> list[float]:
+    """Edges of 8 equal first panels over [0, y_max], the last exactly y_max."""
+    return [y_max * k / 8 for k in range(9)]
+
+
 def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) -> tuple[complex, float]:
     """sum_{n>=n0} g(n), g(t) = exp(2*pi*i*alpha*t) (t+c)^{-s}; alpha reduced, Im alpha >= 0.
 
@@ -115,7 +120,7 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
         y_max = (40.0 + 2.0 * abs(sigma)) / decay
         while trunc_bound(y_max) > 0.125 * target and y_max < 1e9:
             y_max *= 2.0
-        integral, quad_err, _ = quadrature.integrate(lambda y: g(n0 + rot * y), 0.0, y_max, 0.125 * target)
+        integral, quad_err, _ = quadrature.integrate(lambda y: g(n0 + rot * y), _even_edges(y_max), tol=0.125 * target)
         integral *= rot
         err = quad_err + trunc_bound(y_max)
 
@@ -132,9 +137,11 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
         y_max *= 1.5
 
     def corr(y: np.ndarray) -> np.ndarray:
-        return (g(n0 + 1j * y) - g(n0 - 1j * y)) / np.expm1(_TWO_PI * y)
+        with np.errstate(over="ignore"):  # e^{2 pi y} overflows to inf past y ~ 113, where the quotient is 0
+            damp = np.expm1(_TWO_PI * y)
+        return (g(n0 + 1j * y) - g(n0 - 1j * y)) / damp
 
-    boundary, corr_err, _ = quadrature.integrate(corr, 0.0, y_max, 0.125 * target)
+    boundary, corr_err, _ = quadrature.integrate(corr, _even_edges(y_max), tol=0.125 * target)
     value = integral + 0.5 * cmath.exp(w * n0 - s * cmath.log(n0 + c)) + 1j * boundary
     return value, err + corr_err + corr_bound(y_max)
 
@@ -351,7 +358,9 @@ def _contour_integral(s: complex, a: complex, c: complex, theta: float, tol: flo
     f = lambda r: _h(za, c, r * rot, sm1 * (np.log(r) + 1j * theta)) * rot
     if theta == 0.0:  # real arithmetic on the axis
         f = lambda r: _h(za, c, r, sm1 * np.log(r))
-    val, e, _ = quadrature.integrate(f, t0, t_max, 0.4 * tol, max_panels=3000)
+    # t^{s-1} turns its phase uniformly in log t, so the first panels are equal in log t
+    inner = [t0 * (t_max / t0) ** (k / 16) for k in range(1, 16)]
+    val, e, _ = quadrature.integrate(f, [t0, *inner, t_max], tol=0.4 * tol, max_panels=3000)
     return total + val, err + e
 
 

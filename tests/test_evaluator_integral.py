@@ -167,7 +167,8 @@ class TestIntegralOracle:
         assert panels < 400
 
     def test_integrand_call_count(self, monkeypatch):
-        # the same point: 76 integrand calls when each call bisected one panel, 13 with one call per sweep
+        # the same point: 76 integrand calls when each call bisected one panel, 13 with one call per
+        # sweep from a single first panel, 6 from 16 first panels equal in log t
         calls = 0
         integrate = quadrature.integrate
 
@@ -181,7 +182,7 @@ class TestIntegralOracle:
 
         monkeypatch.setattr(quadrature, "integrate", counted)
         integral_eval(Point3(0.33299 + 24.53071j, 0.30537 - 0.39405j, 0.55468))
-        assert calls <= 16
+        assert calls <= 8
 
 
 def inside(a: complex) -> complex:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from lerchzeta import (
     NonConvergence,
     Point3,
     dirichlet_series,
+    evaluate_principal,
     integral_eval,
     series_eval,
     two_sided_series,
@@ -105,6 +107,14 @@ class TestSeriesValues:
     def test_large_imaginary_s(self):
         got = dirichlet_series(0.5 + 5j, 0.35, 0.65, 1e-11)
         assert abs(got.value - Z_HIGH_IMS) < 1e-10
+
+    def test_tail_overflow_stays_silent(self):
+        # the Abel-Plana boundary integrand divides by e^{2 pi y} - 1, which
+        # overflows to inf past y ~ 113, where the quotient is rightly 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lv = evaluate_principal(-1.9532 + 13.7579j, -0.6735 - 0.5980j, -47.507)
+        assert cmath.isfinite(lv.value)
 
     def test_error_estimate_is_reported_bound(self, rng):
         for _ in range(20):
