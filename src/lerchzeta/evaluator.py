@@ -37,6 +37,7 @@ _POLE_CLEARANCE = 1e-3  # least distance from an integrand pole to the ray or a 
 _RING = 64  # samples on the endpoint circle, and terms of the endpoint series
 _K = np.arange(_RING, dtype=np.float64)
 _ROOTS = np.exp((2j * math.pi / _RING) * _K)
+_RINGS = np.concatenate([_ROOTS, 2.0 * _ROOTS])  # the endpoint circle and the circle of twice its radius
 # DFT with phases reduced mod _RING before exp: unreduced ones lose about 1e-13
 _DFT = np.exp((-2j * math.pi / _RING) * (np.outer(_K, _K) % _RING)) / _RING
 
@@ -71,9 +72,9 @@ def _reduce_a(a: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _even_edges(y_max: float) -> list[float]:
-    """Edges of 8 equal first panels over [0, y_max], the last exactly y_max."""
-    return [y_max * k / 8 for k in range(9)]
+def _tail_edges(y_max: float) -> list[float]:
+    """First edges over [0, y_max]: 8 equal panels, the first split at y_max/64, /32 and /16, the last edge exactly y_max."""
+    return [0.0, y_max / 64, y_max / 32, y_max / 16] + [y_max * k / 8 for k in range(1, 9)]
 
 
 def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) -> tuple[complex, float]:
@@ -120,7 +121,7 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
         y_max = (40.0 + 2.0 * abs(sigma)) / decay
         while trunc_bound(y_max) > 0.125 * target and y_max < 1e9:
             y_max *= 2.0
-        integral, quad_err, _ = quadrature.integrate(lambda y: g(n0 + rot * y), _even_edges(y_max), tol=0.125 * target)
+        integral, quad_err, _ = quadrature.integrate(lambda y: g(n0 + rot * y), _tail_edges(y_max), tol=0.125 * target)
         integral *= rot
         err = quad_err + trunc_bound(y_max)
 
@@ -137,11 +138,16 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
         y_max *= 1.5
 
     def corr(y: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # e^{2 pi y} overflows to inf past y ~ 113, where the quotient is 0
+        # g(n0+iy) - g(n0-iy) = 2 e^mean sinh(half) keeps its relative accuracy as y -> 0, where the
+        # difference cancels; e^{2 pi y} (and the sinh) overflow to inf past y ~ 113, where the quotient is 0
+        mean = w * n0 - 0.5 * s * (np.log(n0 + c + 1j * y) + np.log(n0 + c - 1j * y))
+        half = 1j * w * y - s * np.arctanh(1j * y / (n0 + c))
+        with np.errstate(over="ignore", invalid="ignore"):
             damp = np.expm1(_TWO_PI * y)
-        return (g(n0 + 1j * y) - g(n0 - 1j * y)) / damp
+            quotient = 2.0 * np.exp(mean) * np.sinh(half) / damp
+        return np.where(np.isinf(damp), 0.0, quotient)
 
-    boundary, corr_err, _ = quadrature.integrate(corr, _even_edges(y_max), tol=0.125 * target)
+    boundary, corr_err, _ = quadrature.integrate(corr, _tail_edges(y_max), tol=0.125 * target)
     value = integral + 0.5 * cmath.exp(w * n0 - s * cmath.log(n0 + c)) + 1j * boundary
     return value, err + corr_err + corr_bound(y_max)
 
@@ -257,8 +263,8 @@ def _nearest_pole(a: complex, theta: float, contour: ContourSpec) -> tuple[float
     return min((distance(2j * math.pi * (a - k)), k) for k in ks)
 
 
-def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[float, BranchState, float]:
-    """(theta, b, sign): the contour's integral is the ray's plus sign * Gamma(s) * M(b), M the monodromy.
+def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[float, BranchState, float, float, int]:
+    """(theta, b, sign, d, k): the contour's integral is the ray's plus sign * Gamma(s) * M(b), M the monodromy.
 
     For Im s > 16/pi the straight contour's ray turns up to pi/2 - 8/Im s -
     max(arg c, 0), so Re(c e^{i theta}) > 0 and 1/Gamma(s) loses e^8, not
@@ -268,7 +274,8 @@ def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[floa
     X_k per pole turned over.  A detour's ray passes over the pole n it
     encloses, halfway to the nearer of the next pole's angle and
     pi/2 - arg c; else it is the axis, b = X_n and sign = +1.  A pole within
-    1e-3 of the ray or the detour raises ContourHitsPole.
+    1e-3 of the ray or the detour raises ContourHitsPole.  (d, k) is the
+    pole nearest the final ray, as :func:`_nearest_pole` gives it.
     """
     theta, b, sign, x0 = 0.0, {}, -1.0, -_TWO_PI * a.imag
     if contour.is_straight:
@@ -278,13 +285,15 @@ def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[floa
         y = _TWO_PI * (a.real - k)  # step a quarter of the pole spacing below the pole, or to half its height
         if d < _POLE_CLEARANCE and x0 > 0.0 and y > 0.0:
             theta = math.atan2(max(y - 0.25 * math.pi, 0.5 * y), x0)
-        if _nearest_pole(a, theta, contour)[0] < _POLE_CLEARANCE:
+            d, k = _nearest_pole(a, theta, contour)
+        if d < _POLE_CLEARANCE and theta != 0.0:
             theta = 0.0
-        d, k = _nearest_pole(a, theta, contour)
+            d, k = _nearest_pole(a, theta, contour)
         if d < _POLE_CLEARANCE and x0 > 0.0:
             # pass pi/4 from the pole at its column, keeping Re(c e^{i theta}) > 0
             side = math.copysign(1.0, a.real - k)  # +1: the pole lies above the axis
             theta = -side * min(math.atan2(0.25 * math.pi, x0), 0.5 * (0.5 * math.pi + side * cmath.phase(c)))
+            d, k = _nearest_pole(a, theta, contour)
         first = math.floor(a.real + a.imag * math.tan(theta)) + 1
         b = dict.fromkeys(range(first, math.ceil(a.real)), 1)
     else:
@@ -293,10 +302,10 @@ def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[floa
         angle, limit = math.atan2(w.imag, x0), min(math.atan2(w.imag + _TWO_PI, x0), 0.5 * math.pi - cmath.phase(c))
         if w.imag > 0.0 and abs(w) < contour.epsilon:  # the pole n lies under the semicircle
             theta, b, sign = (0.5 * (angle + limit), {}, -1.0) if limit > angle else (0.0, {n: 1}, 1.0)
-    d, k = _nearest_pole(a, theta, contour)
+        d, k = _nearest_pole(a, theta, contour)
     if d < _POLE_CLEARANCE:
         raise ContourHitsPole(f"integrand pole at t = {2j * math.pi * (a - k)!r} (a-plane index {k}) is {d:.2e} away")
-    return theta, BranchState.from_dicts(b), sign
+    return theta, BranchState.from_dicts(b), sign, d, k
 
 
 def _pick_t_max(s: complex, a: complex, c: complex, target: float, theta: float) -> tuple[float, float]:
@@ -330,13 +339,18 @@ def _h(za: complex, c: complex, t: np.ndarray, lead: complex | np.ndarray = 0.0)
     return np.exp(lead - c * t) / (-np.expm1(w))
 
 
-def _contour_integral(s: complex, a: complex, c: complex, theta: float, tol: float) -> tuple[complex, float]:
+def _contour_integral(
+    s: complex, a: complex, c: complex, theta: float, tol: float, d: float, k: int
+) -> tuple[complex, float]:
     """Integral of t^{s-1} h(t), h = e^{-ct} / (1 - e^{2*pi*i*a} e^{-t}), over the ray t = r e^{i theta}.
 
     h is analytic in |t| < R = 2*pi*dist(a, Z), so the piece over r in (0, t0]
     with t0 <= 0.4 R is T^s sum_{k<64} H_k / (s+k), T = t0 e^{i theta},
     H_k = h_k T^k from 64 samples on |t| = t0.  One adaptive quadrature takes
-    the rest up to a certified cutoff, in real arithmetic when theta = 0.
+    the rest up to a certified cutoff, in real arithmetic when theta = 0.  Its
+    first edges are equal in log t, and graded toward the foot of the pole
+    t_k = 2*pi*i*(a - k) on the ray when that pole's distance d to the ray
+    (both from :func:`_ray`) is below 3.
     """
     za = 2j * math.pi * a
     sm1 = s - 1.0
@@ -347,20 +361,29 @@ def _contour_integral(s: complex, a: complex, c: complex, theta: float, tol: flo
     t0 = min(0.5, 0.25 * t_max, 0.4 * _TWO_PI * abs(a - round(a.real)), 2.0 / abs(c))
     log_t0 = complex(math.log(t0), theta)
 
-    samples = _h(za, c, t0 * rot * _ROOTS)
+    samples, outer = np.split(_h(za, c, t0 * rot * _RINGS), 2)
     inv = 1.0 / (s + _K)
     total = cmath.exp(s * log_t0) * complex((_DFT @ samples) @ inv)
     # |H_k| <= M 2^{-k}, M = max |h| on |t| = 2 t0, bounds aliasing and truncation;
     # then the roundoff of the samples and of the phase s log T, then the cutoff tail
-    alias = float(np.max(np.abs(_h(za, c, 2.0 * t0 * rot * _ROOTS)))) * 2.0**-_RING * (4.0 / abs(s) + 2.0 / _RING)
+    alias = float(np.max(np.abs(outer))) * 2.0**-_RING * (4.0 / abs(s) + 2.0 / _RING)
     roundoff = 4.0 * _EPS * float(np.max(np.abs(samples)) * np.sum(np.abs(inv))) * (1.0 + abs(s) * abs(log_t0))
     err = t0**s.real * math.exp(-s.imag * theta) * (alias + roundoff) + tail_err
     f = lambda r: _h(za, c, r * rot, sm1 * (np.log(r) + 1j * theta)) * rot
     if theta == 0.0:  # real arithmetic on the axis
         f = lambda r: _h(za, c, r, sm1 * np.log(r))
-    # t^{s-1} turns its phase uniformly in log t, so the first panels are equal in log t
-    inner = [t0 * (t_max / t0) ** (k / 16) for k in range(1, 16)]
-    val, e, _ = quadrature.integrate(f, [t0, *inner, t_max], tol=0.4 * tol, max_panels=3000)
+    # t^{s-1} turns its phase uniformly in log t, so the first panels are equal in log t; a pole
+    # within 3 of the ray adds edges at its foot and d 2^j to either side, graded to its distance d
+    inner = {t0 * (t_max / t0) ** (j / 16) for j in range(1, 16)}
+    foot = (2j * math.pi * (a - k) / rot).real
+    if d < 3.0 and t0 < foot < t_max:
+        inner.add(foot)
+        step = d
+        while step < 0.25 * foot:
+            inner.update((foot - step, foot + step))
+            step *= 2.0
+    edges = [t0, *sorted(t for t in inner if t0 < t < t_max), t_max]
+    val, e, _ = quadrature.integrate(f, edges, tol=0.4 * tol, max_panels=3000)
     return total + val, err + e
 
 
@@ -406,9 +429,9 @@ def _integral_eval_raw(
         gam = 0j
     if gam == 0:
         raise NonConvergence(f"Gamma(s) underflows at s = {s!r}")
-    theta, b, sign = _ray(s, a, c, contour)
+    theta, b, sign, d, k = _ray(s, a, c, contour)
     scale = abs(gam)
-    raw, raw_err = _contour_integral(s, a, c, theta, 0.9 * target_abs_err * scale)
+    raw, raw_err = _contour_integral(s, a, c, theta, 0.9 * target_abs_err * scale, d, k)
     poles, poles_err = branch_monodromy(b, s, a, c)
     value = raw / gam + sign * poles
     err = raw_err / scale + 4e-13 * abs(value) + poles_err

@@ -7,10 +7,14 @@ estimate plus a roundoff floor, intended as an upper-bound style estimate,
 not a proof.
 
 The caller chooses the first panels, matched to its integrand (QUADPACK's
-``dqagpe`` starts from user breakpoints the same way); a single panel over
-the whole interval needs several sweeps before the panels fit.  The
-integrand is called once on the 15 nodes of every first panel, then once
-per sweep on the 15 nodes of both halves of every panel the sweep bisects.
+``dqagpe`` starts from user breakpoints at known trouble spots the same
+way); a single panel over the whole interval needs several sweeps before
+the panels fit.  The integrand is called once on the 15 nodes of every
+first panel, then once per sweep on the 15 nodes of every piece of the
+panels the sweep splits.  A G7 panel's error falls like h^15, so a sweep
+splits each panel it picks into q = 2, 4 or 8 equal pieces, the fewest
+whose q^15 covers the ratio of the total error to the goal: an error far
+above the goal takes one deep sweep, not several bisections.
 Each panel's value, error and roundoff scale are bit-identical to
 evaluating it alone: the rows are reduced by an elementwise product and a
 per-row sum (a matrix product rounds differently), and the panel error
@@ -93,13 +97,18 @@ def integrate(
     """Integrate f over [edges[0], edges[-1]] adaptively; returns (value, err_estimate, n_panels).
 
     The first sweep evaluates every panel between consecutive edges in one
-    call of f.  Each later sweep orders the live panels by error and bisects
-    the fewest worst ones whose errors sum to at least the excess over
-    max(tol, floor), skipping panels narrower than min_width and taking at
-    most half the panels left in max_panels (at least one).  The floor is
-    at least 16 eps times the first panels' summed resabs.  n_panels counts
-    every panel evaluated; the value is the sum over the live panels at the
-    end.
+    call of f.  Each later sweep orders the live panels by error and picks
+    the fewest worst ones whose errors sum to at least the excess over the
+    goal max(tol, floor), skipping panels narrower than min_width and taking
+    at most half the panels left in max_panels (at least one).  It splits
+    every picked panel into q equal pieces by repeated bisection, all in one
+    call of f, where q is the smallest of 2, 4, 8 with q^15 >= total error /
+    goal (8 if none is), lowered while q times the picked panels exceeds the panels left,
+    down to 2; so n_panels passes max_panels by at most one, unless the
+    first panels alone do.  The floor is at least 16 eps times the first panels'
+    summed resabs, and at least that of the pieces of any one split panel.
+    n_panels counts every panel evaluated; the value is the sum over the
+    live panels at the end.
     """
     lo, hi = edges[0], edges[-1]
     if hi == lo:
@@ -113,7 +122,8 @@ def integrate(
     min_width = 1e-14 * (abs(hi - lo) + 1.0)
     while total_err > max(tol, floor) and n < max_panels:
         live.sort(key=lambda p: p[0], reverse=True)
-        excess = total_err - max(tol, floor)
+        goal = max(tol, floor)
+        excess = total_err - goal
         cap = max(1, (max_panels - n) // 2)
         picked, kept = [], []
         for p in live:
@@ -124,17 +134,29 @@ def integrate(
                 kept.append(p)
         if not picked:  # every panel that would count is too narrow to refine
             break
+        # a panel's error falls like h^15: split deep enough to meet the goal in one sweep
+        ratio = total_err / goal
+        q = 2 if ratio <= 2.0**15 else 4 if ratio <= 2.0**30 else 8
+        while q > 2 and q * len(picked) > max_panels - n:
+            q //= 2
         los, his = [], []
         for _, a, b, _ in picked:
-            m = 0.5 * (a + b)
-            los += [a, m]
-            his += [m, b]
-        halves = _panels(f, los, his)
-        for i in range(0, len(halves), 2):
-            (v1, e1, r1), (v2, e2, r2) = halves[i], halves[i + 1]
-            kept += [(e1, los[i], his[i], v1), (e2, los[i + 1], his[i + 1], v2)]
-            floor = max(floor, 16.0 * _EPS * (r1 + r2))
+            cuts = _split(a, b, q)
+            los += cuts[:-1]
+            his += cuts[1:]
+        pieces = _panels(f, los, his)
+        kept += [(e, a, b, v) for (v, e, _), a, b in zip(pieces, los, his)]
+        for i in range(0, len(pieces), q):
+            floor = max(floor, 16.0 * _EPS * sum(r for _, _, r in pieces[i : i + q]))
         live = kept
         total_err = sum(p[0] for p in live)
-        n += len(halves)
+        n += len(pieces)
     return sum(p[3] for p in live), max(total_err, floor), n
+
+
+def _split(a: float, b: float, q: int) -> list[float]:
+    """Edges of q = 2, 4 or 8 equal pieces of [a, b] by repeated bisection; q = 2 gives [a, (a+b)/2, b]."""
+    cuts = [a, b]
+    while len(cuts) <= q:
+        cuts = [x for lo, hi in zip(cuts, cuts[1:]) for x in (lo, 0.5 * (lo + hi))] + [b]
+    return cuts

@@ -30,6 +30,7 @@ from conftest import (
     Z_INTEGRAL_ROUTE,
     Z_LINE_2_RIGHT,
     Z_NEAR_AXIS,
+    Z_NEAR_RAY_POLE,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -168,21 +169,36 @@ class TestIntegralOracle:
 
     def test_integrand_call_count(self, monkeypatch):
         # the same point: 76 integrand calls when each call bisected one panel, 13 with one call per
-        # sweep from a single first panel, 6 from 16 first panels equal in log t
-        calls = 0
-        integrate = quadrature.integrate
+        # sweep from a single first panel, 6 from 16 first panels equal in log t, 3 with sweeps
+        # that split a panel as many ways as its error asks
+        _, calls = integrand_calls(monkeypatch, Point3(0.33299 + 24.53071j, 0.30537 - 0.39405j, 0.55468))
+        assert calls <= 4
 
-        def counted(f, *args, **kwargs):
-            def g(x):
-                nonlocal calls
-                calls += 1
-                return f(x)
+    def test_near_ray_pole_call_count(self, monkeypatch):
+        # the pole t_0 lies 0.006 from the tilted ray: 11 integrand calls from the 16 panels equal
+        # in log t alone, 2 with first edges graded toward the pole's foot on the ray
+        p = Point3(0.43104904329137717 + 27.350430761804013j, 0.5138958835661489 - 0.15373238814105197j, 0.9622958181043063)
+        lv, calls = integrand_calls(monkeypatch, p)
+        assert calls <= 4
+        assert abs(lv.value - Z_NEAR_RAY_POLE) <= lv.abs_err_estimate
 
-            return integrate(g, *args, **kwargs)
 
-        monkeypatch.setattr(quadrature, "integrate", counted)
-        integral_eval(Point3(0.33299 + 24.53071j, 0.30537 - 0.39405j, 0.55468))
-        assert calls <= 8
+def integrand_calls(monkeypatch, p: Point3):
+    """integral_eval(p) and the number of integrand calls its quadratures make."""
+    calls = 0
+    integrate = quadrature.integrate
+
+    def counted(f, *args, **kwargs):
+        def g(x):
+            nonlocal calls
+            calls += 1
+            return f(x)
+
+        return integrate(g, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counted)
+    lv = integral_eval(p)
+    return lv, calls
 
 
 def inside(a: complex) -> complex:
@@ -207,21 +223,21 @@ class TestPoleOnAxis:
         # just right of Re a = 0 the pole t_0 lies just above the axis, so the ray
         # turned up passes over it (X_0); just left of Re a = 1 the pole t_1 lies
         # just below and is not turned over
-        theta, b, _ = _ray(1.5 + 8j, inside(-0.2j), 0.3 - 0.1j, ContourSpec.STRAIGHT)
+        theta, b, *_ = _ray(1.5 + 8j, inside(-0.2j), 0.3 - 0.1j, ContourSpec.STRAIGHT)
         assert theta > 0.0 and b == BranchState.from_dicts({0: 1})
-        theta, b, _ = _ray(1.5 + 8j, inside(1 - 0.2j), 0.3 - 0.1j, ContourSpec.STRAIGHT)
+        theta, b, *_ = _ray(1.5 + 8j, inside(1 - 0.2j), 0.3 - 0.1j, ContourSpec.STRAIGHT)
         assert theta > 0.0 and b.is_zero
 
     @pytest.mark.parametrize("a, sign", [(-0.2j, -1.0), (1 - 0.2j, 1.0)])
     def test_ray_tilts_away_from_the_pole(self, a, sign):
-        theta, b, _ = _ray(1.5, inside(a), 0.3 - 0.1j, ContourSpec.STRAIGHT)
+        theta, b, *_ = _ray(1.5, inside(a), 0.3 - 0.1j, ContourSpec.STRAIGHT)
         assert sign * theta > 0.0 and b.is_zero
 
     def test_tilt_keeps_re_c_positive(self):
         # arg c = 1.37: a tilt of 0.21 toward the next pole would make Re(c e^{i theta}) < 0,
         # where no cutoff of the integral can be certified
         c = 0.1395413006423473 + 0.6862524871519032j
-        theta, _, _ = _ray(1.94 - 0.88j, inside(1 - 0.5992864491233267j), c, ContourSpec.STRAIGHT)
+        theta, *_ = _ray(1.94 - 0.88j, inside(1 - 0.5992864491233267j), c, ContourSpec.STRAIGHT)
         assert 0.0 < theta <= 0.5 * (0.5 * math.pi - cmath.phase(c))
         assert (c * cmath.exp(1j * theta)).real > 0.0
 

@@ -18,6 +18,7 @@ from lerchzeta import (
     series_eval,
     two_sided_series,
 )
+from lerchzeta import quadrature
 from conftest import (
     PI2_6,
     PI2_12,
@@ -115,6 +116,25 @@ class TestSeriesValues:
             warnings.simplefilter("error", RuntimeWarning)
             lv = evaluate_principal(-1.9532 + 13.7579j, -0.6735 - 0.5980j, -47.507)
         assert cmath.isfinite(lv.value)
+
+    def test_tail_below_roundoff_ends_below_max_panels(self, monkeypatch):
+        # an index shift in c asks the boundary integral for 7.7e-25; as the difference
+        # g(n0+iy) - g(n0-iy), which cancels as y -> 0, it ran to max_panels = 1500
+        integrate = quadrature.integrate
+        ends = []
+
+        def counted(*args, **kwargs):
+            result = integrate(*args, **kwargs)
+            ends.append((result[2], kwargs.get("max_panels", 1500)))
+            return result
+
+        monkeypatch.setattr(quadrature, "integrate", counted)
+        lv = evaluate_principal(-1.0184 + 12.6086j, 2.1746 - 0.5493j, -7.7024)
+        assert ends and all(n < cap for n, cap in ends)
+        # the value and estimate the difference gave
+        value, estimate = -3.4988645147520396e27 + 1.2947798453965262e27j, 279408929736871.8
+        assert abs(lv.value - value) <= lv.abs_err_estimate
+        assert abs(lv.abs_err_estimate - estimate) <= lv.abs_err_estimate
 
     def test_error_estimate_is_reported_bound(self, rng):
         for _ in range(20):

@@ -1,7 +1,9 @@
 import cmath
+import math
 
 import mpmath
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from lerchzeta import evaluate_principal, quadrature
 
@@ -10,6 +12,28 @@ ZA = 1.0 + 1e-3j  # the pole t = ZA of 1/(1 - e^{ZA - t}) sits 1e-3 above the ax
 
 def near_pole(t: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 - np.exp(ZA - t))
+
+
+def near_pole_antiderivative(t: float) -> complex:
+    # the log's argument stays in Im < 0 on [0, 2]
+    return t + cmath.log(1.0 - cmath.exp(ZA - t))
+
+
+def exp_k(x: np.ndarray) -> np.ndarray:
+    return np.exp((1.0 + 3.0j) * x)
+
+
+def near_pole_variation() -> float:
+    # the integral of |f'| over [0, 2]: with u = e^{1-t}, that of 1 / |1 - u e^{i delta}|^2 over [1/e, e]
+    d = ZA.imag
+    return (math.atan((math.e - math.cos(d)) / math.sin(d)) - math.atan((1.0 / math.e - math.cos(d)) / math.sin(d))) / math.sin(d)
+
+
+# integrand, interval, antiderivative and the integral of |f'| over the interval
+CLOSED_FORMS = {
+    "near_pole": (near_pole, 0.0, 2.0, near_pole_antiderivative, near_pole_variation()),
+    "exp": (exp_k, 0.0, 5.0, lambda t: cmath.exp((1.0 + 3.0j) * t) / (1.0 + 3.0j), abs(1.0 + 3.0j) * math.expm1(5.0)),
+}
 
 
 def counting(f):
@@ -62,19 +86,19 @@ class TestIntegrate:
         # frozen from the sweep rule: value, estimate and panel count to the bit, and the closed form within err
         value, err, n = quadrature.integrate(near_pole, [0.0, 2.0], 1e-10)
         assert (value.real.hex(), value.imag.hex(), err.hex(), n) == (
-            "0x1.0000000000010p+0",
-            "0x1.91d8ccb71db78p+1",
-            "0x1.7756299be0210p-34",
-            71,
+            "0x1.0000000000007p+0",
+            "0x1.91d8ccb71db81p+1",
+            "0x1.962d2078e20f2p-34",
+            57,
         )
         F = lambda t: t + cmath.log(1.0 - cmath.exp(ZA - t))
         assert abs(value - (F(2.0) - F(0.0))) <= err
 
     def test_one_call_per_sweep(self):
-        # the first panel alone, then every panel a sweep bisects in one (2k, 15) call
+        # the first panel alone, then the q pieces of every panel a sweep splits in one (kq, 15) call
         for f, lo, hi, shapes in [
-            (near_pole, 0.0, 2.0, [1, 2, 4, 4, 4, 6, 8, 8, 8, 8, 8, 6, 4]),
-            (lambda x: np.exp((1.0 + 3.0j) * x), 0.0, 5.0, [1, 2, 4, 6]),
+            (near_pole, 0.0, 2.0, [1, 8, 16, 16, 12, 4]),
+            (lambda x: np.exp((1.0 + 3.0j) * x), 0.0, 5.0, [1, 8]),
         ]:
             counted, calls = counting(f)
             _, _, n = quadrature.integrate(counted, [lo, hi], 1e-10)
@@ -82,12 +106,23 @@ class TestIntegrate:
             assert sum(shapes) == n
 
     def test_sweep_respects_max_panels(self):
-        # a sweep takes at most half the panels left, and at least one bisection
+        # a sweep takes at most half the panels left, and at least one bisection; it splits
+        # 8 ways only while that fits, 2 ways from 3 panels left
         counted, calls = counting(near_pole)
         _, err, n = quadrature.integrate(counted, [0.0, 2.0], 1e-14, max_panels=20)
         assert err > 1e-14
-        assert calls == [(k, 15) for k in [1, 2, 4, 8, 4, 2]]
+        assert calls == [(k, 15) for k in [1, 8, 8, 2, 2]]
         assert n == 21
+
+    def test_split_depth_follows_error(self):
+        # the panel's K15 - G7 error falls like h^15: an estimate within 2^15 of the tolerance is
+        # bisected, one within 2^30 split 4 ways and a larger one 8 ways, in one call
+        ((_, e0, r0),) = quadrature._panels(near_pole, [0.0], [2.0])
+        for ratio, q in [(2.0**14, 2), (2.0**15, 2), (2.0**16, 4), (2.0**30, 4), (2.0**31, 8), (2.0**46, 8)]:
+            assert e0 / ratio > 16.0 * quadrature._EPS * r0  # the tolerance, not the roundoff floor, is the goal
+            counted, calls = counting(near_pole)
+            quadrature.integrate(counted, [0.0, 2.0], e0 / ratio)
+            assert calls[:2] == [(1, 15), (q, 15)]
 
     def test_first_panels_in_one_call(self):
         # a k-panel start is one (k, 15) call, and each first panel is the one _panels gives alone
@@ -132,3 +167,27 @@ class TestIntegrate:
         counted, calls = counting(near_pole)
         assert quadrature.integrate(counted, [1.0, 1.0], 1e-10) == (0j, 0.0, 0)
         assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.sampled_from(sorted(CLOSED_FORMS)),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=8),
+    log_tol=st.floats(-20.0, -3.0),
+    max_panels=st.integers(1, 200),
+)
+def test_integrate_properties(case, cuts, log_tol, max_panels):
+    # from any first edges: at most max_panels + 1 panels past the first sweep, one integrand
+    # call per sweep, and an estimate that covers the closed form.  A node t carries a rounding
+    # error of up to eps |t|, so f's value one of eps |t f'(t)|; no estimate from f's values sees
+    # it, and within 1e-3 of near_pole's pole it passes the roundoff floor (by up to 1.6x at
+    # tolerances below 1e-13).  The check allows eps * hi * (the integral of |f'|) for it.
+    f, lo, hi, F, variation = CLOSED_FORMS[case]
+    edges = [lo, *sorted(lo + (hi - lo) * u for u in cuts), hi]
+    counted, calls = counting(f)
+    value, err, n = quadrature.integrate(counted, edges, 10.0**log_tol, max_panels=max_panels)
+    assert n <= max(max_panels + 1, len(edges) - 1)
+    assert calls[0] == (len(edges) - 1, 15)
+    assert all(k % 2 == 0 and width == 15 for k, width in calls[1:])
+    assert sum(k for k, _ in calls) == n
+    assert abs(value - (F(hi) - F(lo))) <= err + quadrature._EPS * hi * variation
