@@ -14,9 +14,9 @@ import sys
 from .continuation import evaluate_on_cover
 from .domain import Point3
 from .errors import LerchError
-from .monodromy import monodromy_power
+from .monodromy import monodromy_terms
 from .suites import SUITE_NAMES, run_suite
-from .words import BranchState, Generator, Word, abelianize, parse_branch
+from .words import BranchState, Word, abelianize, parse_branch
 
 _CSV_HEADER = "coord_re,coord_im,z_re,z_im,abs_err,method"
 
@@ -98,21 +98,16 @@ def cmd_monodromy(args: argparse.Namespace) -> int:
     try:
         word = Word.parse(args.word)
         branch = abelianize(word)
-        contributions = []
-        total = 0j
-        for axis, items in (("X", branch.kx), ("Y", branch.ky)):
-            for n, k in items:
-                value = monodromy_power(Generator(axis, n), k, args.s, args.a, args.c)
-                total += value
-                contributions.append(
-                    {"generator": f"{axis}{n}", "winding": k, "value": _complex_json(value)}
-                )
+        terms = monodromy_terms(branch, args.s, args.a, args.c)
     except LerchError as exc:
         return _error_exit(exc)
+    total = 0j  # monodromy_of_branch's sum, in its order
+    for _, _, value in terms:
+        total += value
     record = {
         "value": _complex_json(total),
         "abelianization": _branch_json(branch),
-        "contributions": contributions,
+        "contributions": [{"generator": str(g), "winding": k, "value": _complex_json(v)} for g, k, v in terms],
     }
     print(_to_json(record))
     return 0

@@ -26,10 +26,7 @@ from .branching import complex_gamma
 from .domain import (
     ContourSpec,
     Point3,
-    a_puncture_distance,
-    a_ray_clearance,
-    c_puncture_distance,
-    c_ray_clearance,
+    cut_distances,
     on_a_cut_ray,
     on_c_cut_ray,
 )
@@ -130,12 +127,13 @@ def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _
     with np.errstate(over="ignore", invalid="ignore"):
         lg = np.log(np.hypot(x, y)) + 1j * theta
         terms = np.exp(2j * math.pi * a * (j - n)) * np.exp(-s * lg)
-        # roundoff of exp(-s log(j + c)) carries the phase error |s log(j + c)|
-        partial, absum = complex(terms.sum()), float(np.abs(terms) @ (1.0 + abs(s) * np.abs(lg)))
+        # roundoff of each term carries the phase errors 2 pi |a| |j - n| and |s log(j + c)| of its exps
+        weight = 1.0 + _TWO_PI * abs(a) * np.abs(j - n) + abs(s) * np.abs(lg)
+        partial, absum = complex(terms.sum()), float(np.abs(terms) @ weight)
     if not (cmath.isfinite(partial) and math.isfinite(absum)):
         raise OverflowError(f"index-shift partial sum for c = {c!r}, n = {n} leaves the binary64 range")
     value = phase * (shifted.value + math.copysign(1.0, n) * partial)
-    err = scale * (shifted.abs_err_estimate + 8.0 * _EPS * absum) + 8.0 * _EPS * abs(value)
+    err = scale * (shifted.abs_err_estimate + 8.0 * _EPS * absum) + 8.0 * _EPS * abs(value) * (1.0 + _TWO_PI * abs(a * n))
     return LerchValue(value, shifted.method, err)
 
 
@@ -253,19 +251,20 @@ def _c_taylor_value(s: complex, a: complex, c: complex, target: float) -> LerchV
     raise NonConvergence(f"Taylor series in c about 1 misses the target after {_TAYLOR_TERMS} terms at h = {h!r}")
 
 
-def _circle_radius(clearance: float, puncture: float) -> float:
-    """Radius of a Cauchy circle around a point at these distances from the cut rays and punctures.
+def _circle(z: complex, plane: str) -> tuple[float, float]:
+    """(radius, puncture distance) of the Cauchy circle around z in the "a"- or "c"-plane.
 
     The circle stays on the principal sheet (inside the ray clearance) and
     well inside the disk of analyticity (the nearest puncture); every circle
     (:func:`dde_shift`, the residual checks) takes this rule, capped at _CIRCLE_CAP.
     """
+    clearance, puncture = cut_distances(z, plane)
     domain = min(0.4 * clearance, 0.22 * puncture)
     if domain < 2e-3:
         raise DerivativeCircleLeavesDomain(
             f"no circle fits: cut-ray clearance {clearance:.2e}, puncture distance {puncture:.2e}"
         )
-    return min(_CIRCLE_CAP, domain)
+    return min(_CIRCLE_CAP, domain), puncture
 
 
 def _cauchy_derivative(f: Callable[[complex], complex], center: complex, radius: float) -> tuple[complex, complex, float]:
@@ -282,7 +281,7 @@ def dde_shift(p: Point3, direction: ShiftDirection | str, target_abs_err: float 
     LOWER returns the value at (s-1, a, c) via (1/(2*pi*i) d/da + c) applied
     at s; RAISE returns the value at (s+1, a, c) via -(1/s) d/dc, undefined at
     s = 0.  Derivatives are Cauchy-circle based, with the radius every circle
-    takes (:func:`_circle_radius`, capped at 0.05).
+    takes (:func:`_circle`, capped at 0.05).
     """
     direction = ShiftDirection(direction)
     s, a, c = p.s, p.a, p.c
@@ -290,12 +289,7 @@ def dde_shift(p: Point3, direction: ShiftDirection | str, target_abs_err: float 
     if direction is ShiftDirection.RAISE and s == 0:
         raise SZero("the raising relation degenerates at s = 0")
 
-    if direction is ShiftDirection.LOWER:
-        punct = a_puncture_distance(a)
-        r = _circle_radius(a_ray_clearance(a), punct)
-    else:
-        punct = c_puncture_distance(c)
-        r = _circle_radius(c_ray_clearance(c), punct)
+    r, punct = _circle(a, "a") if direction is ShiftDirection.LOWER else _circle(c, "c")
     analytic_radius = 0.9 * punct
     node_target = max(target_abs_err * r / 8.0, 1e-14)
 
@@ -339,7 +333,7 @@ def dde_lower_residual(p: Point3, b: BranchState) -> float:
     """| (1/(2*pi*i) d/da + c) Z(s) - Z(s-1) | on the sheet b."""
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
-    r = _circle_radius(a_ray_clearance(a), a_puncture_distance(a))
+    r, _ = _circle(a, "a")
     z0, d1, _ = _cauchy_derivative(lambda aa: evaluate_on_cover(Point3(s, aa, c), b, _RESIDUAL_TARGET).value, a, r)
     low = evaluate_on_cover(Point3(s - 1, a, c), b, _RESIDUAL_TARGET).value
     return abs(d1 / (2j * math.pi) + c * z0 - low)
@@ -349,7 +343,7 @@ def dde_raise_residual(p: Point3, b: BranchState) -> float:
     """| d/dc Z(s) + s Z(s+1) | on the sheet b."""
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
-    r = _circle_radius(c_ray_clearance(c), c_puncture_distance(c))
+    r, _ = _circle(c, "c")
     _, d1, _ = _cauchy_derivative(lambda cc: evaluate_on_cover(Point3(s, a, cc), b, _RESIDUAL_TARGET).value, c, r)
     high = evaluate_on_cover(Point3(s + 1, a, c), b, _RESIDUAL_TARGET).value
     return abs(d1 + s * high)
@@ -363,8 +357,8 @@ def pde_residual(p: Point3, b: BranchState) -> float:
     """
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
-    r_a = _circle_radius(a_ray_clearance(a), a_puncture_distance(a))
-    r_c = _circle_radius(c_ray_clearance(c), c_puncture_distance(c))
+    r_a, _ = _circle(a, "a")
+    r_c, _ = _circle(c, "c")
 
     def dz_dc(aa: complex) -> complex:
         _, d1, _ = _cauchy_derivative(

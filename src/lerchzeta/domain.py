@@ -46,39 +46,17 @@ def on_c_cut_ray(c: complex) -> bool:
     return c.imag <= 0.0 and c.real <= 0.0 and c.real == round(c.real)
 
 
-def _ray_distance(x: float, y: float, n: float) -> float:
-    # distance from (x, y) to the ray {(n, t) : t <= 0}
-    if y <= 0.0:
-        return abs(x - n)
-    return math.hypot(x - n, y)
-
-
-def a_ray_clearance(a: complex) -> float:
-    """Distance from a to the union of downward rays below the integers."""
-    a = complex(a)
-    n = round(a.real)
-    return min(_ray_distance(a.real, a.imag, n - 1), _ray_distance(a.real, a.imag, n), _ray_distance(a.real, a.imag, n + 1))
-
-
-def c_ray_clearance(c: complex) -> float:
-    """Distance from c to the union of downward rays below the nonpositive integers."""
-    c = complex(c)
-    n = min(0, round(c.real))
-    return min(_ray_distance(c.real, c.imag, m) for m in (n - 1, n, min(0, n + 1)))
-
-
-def a_puncture_distance(a: complex) -> float:
-    """Distance from a to the nearest integer puncture."""
-    a = complex(a)
-    n = round(a.real)
-    return min(abs(a - (n - 1)), abs(a - n), abs(a - (n + 1)))
-
-
-def c_puncture_distance(c: complex) -> float:
-    """Distance from c to the nearest nonpositive-integer puncture."""
-    c = complex(c)
-    n = min(0, round(c.real))
-    return min(abs(c - m) for m in (n - 1, n, min(0, n + 1)))
+def cut_distances(z: complex, plane: str) -> tuple[float, float]:
+    """(cut-ray clearance, puncture distance) of z in the "a"-plane (punctures at the integers) or "c"-plane (at n <= 0)."""
+    z = complex(z)
+    n = round(z.real)
+    if plane == "c":
+        n = min(0, n)
+        near = (n - 1, n, min(0, n + 1))
+    else:
+        near = (n - 1, n, n + 1)
+    rays = min(abs(z.real - m) if z.imag <= 0.0 else math.hypot(z.real - m, z.imag) for m in near)
+    return rays, min(abs(z - m) for m in near)
 
 
 @dataclass(frozen=True)

@@ -347,10 +347,9 @@ def _contour_integral(
     h is analytic in |t| < R = 2*pi*dist(a, Z), so the piece over r in (0, t0]
     with t0 <= 0.4 R is T^s sum_{k<64} H_k / (s+k), T = t0 e^{i theta},
     H_k = h_k T^k from 64 samples on |t| = t0.  One adaptive quadrature takes
-    the rest up to a certified cutoff, in real arithmetic when theta = 0.  Its
-    first edges are equal in log t, and graded toward the foot of the pole
-    t_k = 2*pi*i*(a - k) on the ray when that pole's distance d to the ray
-    (both from :func:`_ray`) is below 3.
+    the rest up to a certified cutoff.  Its first edges are equal in log t,
+    and graded toward the foot of the pole t_k = 2*pi*i*(a - k) on the ray
+    when that pole's distance d to the ray (both from :func:`_ray`) is below 3.
     """
     za = 2j * math.pi * a
     sm1 = s - 1.0
@@ -361,7 +360,8 @@ def _contour_integral(
     t0 = min(0.5, 0.25 * t_max, 0.4 * _TWO_PI * abs(a - round(a.real)), 2.0 / abs(c))
     log_t0 = complex(math.log(t0), theta)
 
-    samples, outer = np.split(_h(za, c, t0 * rot * _RINGS), 2)
+    rings = _h(za, c, t0 * rot * _RINGS)
+    samples, outer = rings[:_RING], rings[_RING:]
     inv = 1.0 / (s + _K)
     total = cmath.exp(s * log_t0) * complex((_DFT @ samples) @ inv)
     # |H_k| <= M 2^{-k}, M = max |h| on |t| = 2 t0, bounds aliasing and truncation;
@@ -370,8 +370,6 @@ def _contour_integral(
     roundoff = 4.0 * _EPS * float(np.max(np.abs(samples)) * np.sum(np.abs(inv))) * (1.0 + abs(s) * abs(log_t0))
     err = t0**s.real * math.exp(-s.imag * theta) * (alias + roundoff) + tail_err
     f = lambda r: _h(za, c, r * rot, sm1 * (np.log(r) + 1j * theta)) * rot
-    if theta == 0.0:  # real arithmetic on the axis
-        f = lambda r: _h(za, c, r, sm1 * np.log(r))
     # t^{s-1} turns its phase uniformly in log t, so the first panels are equal in log t; a pole
     # within 3 of the ray adds edges at its foot and d 2^j to either side, graded to its distance d
     inner = {t0 * (t_max / t0) ** (j / 16) for j in range(1, 16)}

@@ -92,34 +92,41 @@ def monodromy_power(g: Generator, k: int, s: complex, a: complex, c: complex) ->
     return _geometric_factor(k, s, _loop_multiplier_sign(g)) * base
 
 
+def monodromy_terms(b: BranchState, s: complex, a: complex, c: complex) -> list[tuple[Generator, int, complex]]:
+    """[(generator, count, monodromy of generator^count)] for the nonzero counts of b, X before Y, in index order."""
+    terms = []
+    for axis, pairs in (("X", b.kx), ("Y", b.ky)):
+        for n, k in pairs:
+            g = Generator(axis, n)
+            terms.append((g, k, monodromy_power(g, k, s, a, c)))
+    return terms
+
+
 def monodromy_of_branch(b: BranchState, s: complex, a: complex, c: complex) -> complex:
-    """Total monodromy for a winding vector: sum over generators with nonzero count."""
+    """Total monodromy for a winding vector: the sum of its :func:`monodromy_terms`, in order."""
     total = 0j
-    for n, k in b.kx:
-        total += monodromy_power(Generator("X", n), k, s, a, c)
-    for n, k in b.ky:
-        total += monodromy_power(Generator("Y", n), k, s, a, c)
+    for _, _, term in monodromy_terms(b, s, a, c):
+        total += term
     return total
 
 
 def branch_monodromy(b: BranchState, s: complex, a: complex, c: complex) -> tuple[complex, float]:
     """(monodromy_of_branch, its roundoff 4 eps sum |term| (1 + size of the exponents the term passes to exp)).
 
-    One pass, summed in monodromy_of_branch's order.  X_n passes (s-1) log(a-n), s log(2 pi i) and
+    One pass over :func:`monodromy_terms`, summed in order.  X_n passes (s-1) log(a-n), s log(2 pi i) and
     2 pi i c (a-n); Y_n passes 2 pi i s, 2 pi i n a and s log(c-n); k loops of either pass at most 2 pi i s k.
     """
     s, a, c = complex(s), complex(a), complex(c)
     total, roundoff = 0j, 0.0
-    for axis, pairs in (("X", b.kx), ("Y", b.ky)):
-        for n, k in pairs:
-            term = monodromy_power(Generator(axis, n), k, s, a, c)
-            total += term
-            if term:
-                if axis == "X":
-                    phase = abs((s - 1.0) * principal_log(a - n)) + abs(s * _LOG_2PI_I) + _TWO_PI * abs(c * (a - n))
-                else:
-                    phase = _TWO_PI * (abs(s) + abs(n * a)) + abs(s * principal_log(c - n))
-                roundoff += abs(term) * (1.0 + phase + _TWO_PI * abs(s * k))
+    for g, k, term in monodromy_terms(b, s, a, c):
+        total += term
+        if term:
+            n = g.index
+            if g.axis == "X":
+                phase = abs((s - 1.0) * principal_log(a - n)) + abs(s * _LOG_2PI_I) + _TWO_PI * abs(c * (a - n))
+            else:
+                phase = _TWO_PI * (abs(s) + abs(n * a)) + abs(s * principal_log(c - n))
+            roundoff += abs(term) * (1.0 + phase + _TWO_PI * abs(s * k))
     return total, 4.0 * _EPS * roundoff
 
 

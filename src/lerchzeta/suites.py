@@ -10,6 +10,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from . import funceq, monodromy
 from .continuation import dde_lower_residual, dde_raise_residual, pde_residual
@@ -122,20 +123,27 @@ def funceq_suite(samples: int, seed: int) -> list[CheckResult]:
     return [CheckResult(f"funceq.{k}", v < tol, v, tol, samples) for k, v in worst.items()]
 
 
-def dde_suite(samples: int, seed: int) -> list[CheckResult]:
-    rng = random.Random(seed)
-    tol = 1e-8
-    worst_lower = worst_raise = 0.0
+def _worst_on_cover(
+    rng: random.Random, samples: int, residuals: tuple[Callable[[Point3, BranchState], float], ...]
+) -> list[float]:
+    """Worst of each residual(p, b), in order, over samples cover draws; a LerchError redraws, keeping earlier worsts."""
+    worst = [0.0] * len(residuals)
     n = 0
     while n < samples:
         p = _sample_cover_point(rng)
         b = _sample_branch(rng)
         try:
-            worst_lower = max(worst_lower, dde_lower_residual(p, b))
-            worst_raise = max(worst_raise, dde_raise_residual(p, b))
+            for i, residual in enumerate(residuals):
+                worst[i] = max(worst[i], residual(p, b))
         except LerchError:
             continue
         n += 1
+    return worst
+
+
+def dde_suite(samples: int, seed: int) -> list[CheckResult]:
+    tol = 1e-8
+    worst_lower, worst_raise = _worst_on_cover(random.Random(seed), samples, (dde_lower_residual, dde_raise_residual))
     return [
         CheckResult("dde.lowering", worst_lower < tol, worst_lower, tol, samples),
         CheckResult("dde.raising", worst_raise < tol, worst_raise, tol, samples),
@@ -143,18 +151,8 @@ def dde_suite(samples: int, seed: int) -> list[CheckResult]:
 
 
 def pde_suite(samples: int, seed: int) -> list[CheckResult]:
-    rng = random.Random(seed)
     tol = 1e-8
-    worst = 0.0
-    n = 0
-    while n < samples:
-        p = _sample_cover_point(rng)
-        b = _sample_branch(rng)
-        try:
-            worst = max(worst, pde_residual(p, b))
-        except LerchError:
-            continue
-        n += 1
+    (worst,) = _worst_on_cover(random.Random(seed), samples, (pde_residual,))
     return [CheckResult("pde.mixed_relation", worst < tol, worst, tol, samples)]
 
 

@@ -10,6 +10,7 @@ import time
 
 from lerchzeta import (
     ContourSpec,
+    LerchError,
     Point3,
     SymKind,
     Word,
@@ -240,7 +241,7 @@ def test_criterion_6_dde_pde_residuals():
             worst_lower = max(worst_lower, dde_lower_residual(p, b))
             worst_raise = max(worst_raise, dde_raise_residual(p, b))
             worst_pde = max(worst_pde, pde_residual(p, b))
-        except Exception:
+        except LerchError:
             continue
         n_points += 1
         n_branched += 0 if b.is_zero else 1

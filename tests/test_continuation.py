@@ -53,6 +53,7 @@ from conftest import (
     Z_REAL_A_60,
     Z_REAL_A_M45,
     Z_SERIES_FALLBACK,
+    Z_SHIFT_LONG_PHASE,
     Z_SHIFT_SMALL_C,
     Z_TINY_RE_C,
 )
@@ -211,6 +212,12 @@ class TestShiftC:
         # the j = 0 term c^{-s} dominates; its phase error is |s log c|, about 38 (14 + i pi)
         lv = evaluate_principal(*point)
         assert abs(lv.value - want) <= lv.abs_err_estimate
+
+    def test_phase_error_of_the_exponentials(self):
+        # the shift by -48 passes phases up to 2 pi |a| 48, about 110, to exp; without their
+        # roundoff in the estimate the error is 2.6e-15 against an estimate of 9.2e-16
+        lv = evaluate_principal(-0.114 - 0.222j, -0.169 - 0.362j, 48.43)
+        assert abs(lv.value - Z_SHIFT_LONG_PHASE) <= lv.abs_err_estimate
 
     def test_term_on_the_cut_raises(self):
         # j + c = -0.5i at j = 2

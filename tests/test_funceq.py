@@ -97,6 +97,20 @@ class TestIteratedIdentities:
     def test_a_reflection_plus(self):
         assert fe_iterated_residual(SymKind.PLUS, "a_reflect", 0.3, 0.4, 0.6) < 1e-10
 
+    @pytest.mark.parametrize(
+        "kind, s",
+        [
+            # (s + k)/2 at the archimedean factor's poles 0, -1: the undivided residual
+            (SymKind.PLUS, -2.0),
+            (SymKind.MINUS, -1.0),
+            # within the pole margin of -1: the residual divided by the factor's size
+            (SymKind.PLUS, -2.0 + 0.01j),
+            (SymKind.MINUS, -2.98),
+        ],
+    )
+    def test_a_reflection_at_and_near_factor_poles(self, kind, s):
+        assert fe_iterated_residual(kind, "a_reflect", s, 0.35 + 0.1j, 0.6 - 0.05j) < 1e-12
+
     def test_quarter_turn_minus(self):
         assert fe_iterated_residual(SymKind.MINUS, "quarter_turn", 0.7, 0.6, 0.4) < 1e-10
 

@@ -1,5 +1,7 @@
 import cmath
 import math
+
+import mpmath
 import pytest
 
 from lerchzeta import (
@@ -84,6 +86,25 @@ class TestPowerLaws:
         base = monodromy_generator(g, 2.0, self.a, self.c)
         got = monodromy_power(g, 3, 2.0, self.a, self.c)
         assert got == pytest.approx(3.0 * base, rel=1e-14)
+
+    @pytest.mark.parametrize("k", [65, -65, 200, -130])
+    @pytest.mark.parametrize("axis", ["X", "Y"])
+    def test_closed_ratio_beyond_64_loops(self, axis, k):
+        # |k| > 64 loops take (lambda^k - 1)/(lambda - 1) in closed form, not the sum of powers
+        g = Generator(axis, 0)
+        s = 0.3137 + 0.002j  # s k is no integer
+        with mpmath.workdps(30):
+            lam = mpmath.exp((1 if axis == "X" else -1) * 2j * mpmath.pi * mpmath.mpc(s))
+            ratio = complex((lam**k - 1) / (lam - 1))
+        want = ratio * monodromy_generator(g, s, self.a, self.c)
+        assert abs(monodromy_power(g, k, s, self.a, self.c) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("axis", ["X", "Y"])
+    def test_closed_ratio_is_exactly_zero_at_integer_s_k(self, axis):
+        # lambda^200 = 1 at s = 1/2
+        g = Generator(axis, 0)
+        assert monodromy._geometric_factor(200, 0.5, 1 if axis == "X" else -1) == 0
+        assert monodromy_power(g, 200, 0.5, self.a, self.c) == 0
 
     @pytest.mark.parametrize("axis", ["X", "Y"])
     def test_telescoping(self, axis, rng):
