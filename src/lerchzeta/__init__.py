@@ -49,6 +49,7 @@ from .funceq import (
     IteratedVariant,
     completed_l,
     fe_iterated_residual,
+    fe_monodromy_residual,
     fe_residual,
     l_pm,
     three_term_residual,
@@ -56,7 +57,6 @@ from .funceq import (
 from .monodromy import (
     MonodromySpaceBasis,
     compose_check,
-    fe_monodromy_residual,
     monodromy_generator,
     monodromy_of_branch,
     monodromy_of_word,

@@ -8,6 +8,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -202,7 +203,9 @@ def _allow_negative_values(parser: argparse.ArgumentParser) -> argparse.Argument
     return parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The lerchz parser, built once per process: parsing leaves it unchanged."""
     parser = _allow_negative_values(argparse.ArgumentParser(prog="lerchz", description=__doc__))
     sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda **kw: _allow_negative_values(argparse.ArgumentParser(**kw)))
 

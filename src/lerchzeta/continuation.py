@@ -178,14 +178,6 @@ def transform_eval(p: Point3, target_abs_err: float = 1e-10) -> LerchValue:
     return _transform_value(s, a, c, target_abs_err)
 
 
-def _transform_coefficients(sp: complex, a: complex, c: complex) -> tuple[complex, complex]:
-    """Coefficients of zeta(sp, 1-c, a) and zeta(sp, c, 1-a) in the three-term formula for zeta(1-sp, a, c)."""
-    pref = cmath.exp(-sp * math.log(_TWO_PI)) * complex_gamma(sp)
-    coef1 = pref * cmath.exp(0.5j * math.pi * sp - 2j * math.pi * a * c)
-    coef2 = pref * cmath.exp(-0.5j * math.pi * sp + 2j * math.pi * c * (1.0 - a))
-    return coef1, coef2
-
-
 def _transform_value(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     """Three-term transformation: the value at s from two evaluations at 1 - s, for 0 < Re c <= 1.
 
@@ -202,8 +194,10 @@ def _transform_value(s: complex, a: complex, c: complex, target: float) -> Lerch
     """
     if c.real == 1.0 and 0.0 < abs(c.imag) < _TAYLOR_RADIUS:
         return _c_taylor_value(s, a, c, target)
-    sp = 1.0 - s
-    coef1, coef2 = _transform_coefficients(sp, a, c)
+    sp = 1.0 - s  # coefficients of zeta(sp, 1-c, a) and zeta(sp, c, 1-a)
+    pref = cmath.exp(-sp * math.log(_TWO_PI)) * complex_gamma(sp)
+    coef1 = pref * cmath.exp(0.5j * math.pi * sp - 2j * math.pi * a * c)
+    coef2 = pref * cmath.exp(-0.5j * math.pi * sp + 2j * math.pi * c * (1.0 - a))
     target1 = 0.25 * target / max(abs(coef1), 1e-300)
     target2 = 0.25 * target / max(abs(coef2), 1e-300)
     if c == 1.0:  # the series' pole-free parts, after the index shift in c to Re >= 0.6

@@ -1,11 +1,11 @@
-"""Symmetrized combinations, their completed forms, and residual checks.
+"""The functional equations and their residual checks, each written once.
 
 The two-term combinations L± pair the value at (s,a,c) with the reflected
-point (s,1-a,1-c); multiplied by the archimedean factor
-pi^{-(s+k)/2} Gamma((s+k)/2) (k = 0 for PLUS, 1 for MINUS) they satisfy
-exact reflection identities relating s to 1-s, which this module turns into
-numerical residuals.  Near (or at) poles of the archimedean factor the
-residuals switch to a normalized form so the checks remain meaningful.
+point (s,1-a,1-c); times the archimedean factor pi^{-(s+k)/2} Gamma((s+k)/2)
+(k = 0 for PLUS, 1 for MINUS) they satisfy reflection identities relating s
+to 1-s, which the monodromy satisfies too.  Near (or at) a pole of the factor
+the residuals switch to a normalized form so the checks remain meaningful.
+The three-term formula is checked as the dispatch runs it.
 """
 
 from __future__ import annotations
@@ -15,9 +15,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .branching import complex_gamma, is_nonpositive_integer, reciprocal_gamma
-from .continuation import _transform_coefficients, evaluate_principal
-from .domain import SymKind
+from .branching import complex_gamma, is_nonpositive_integer
+from .continuation import evaluate_principal, transform_eval
+from .domain import Point3, SymKind
+from .monodromy import monodromy_of_word
+from .words import Word
 
 _OVERFLOW_SCALE = 1e8
 _POLE_MARGIN = 0.05
@@ -78,8 +80,12 @@ def fe_residual(kind: SymKind | str, s: complex, a: complex, c: complex, target_
     """
     kind = SymKind(kind)
     s, a, c = complex(s), complex(a), complex(c)
-    phase = (1j**kind.k) * cmath.exp(-2j * math.pi * a * c)
-    return _reflection_residual(kind, phase, s, a, c, (1.0 - c, a), 0.5 * target_abs_err)
+    return _reflection_residual(kind, _reflection_phase(kind, a, c), s, a, c, (1.0 - c, a), 0.5 * target_abs_err)
+
+
+def _reflection_phase(kind: SymKind, a: complex, c: complex) -> complex:
+    """i^k e^{-2 pi i a c}: the phase of the reflection sending (s,a,c) to (1-s,1-c,a)."""
+    return (1j**kind.k) * cmath.exp(-2j * math.pi * a * c)
 
 
 def _reflection_residual(
@@ -97,24 +103,9 @@ def _reflection_residual(
     half_r = 0.5 * (1.0 - s + k)
 
     if is_nonpositive_integer(half_l):
-        lhs = cmath.exp(-half_l * math.log(math.pi)) * l_pm(kind, s, a, c, tgt)
-        rhs = (
-            phase
-            * cmath.exp(-half_r * math.log(math.pi))
-            * complex_gamma(half_r)
-            * reciprocal_gamma(half_l)
-            * l_pm(kind, 1.0 - s, *ac_r, tgt)
-        )
-        return abs(lhs - rhs)
+        return abs(cmath.exp(-half_l * math.log(math.pi)) * l_pm(kind, s, a, c, tgt))
     if is_nonpositive_integer(half_r):
-        lhs = (
-            cmath.exp(-half_l * math.log(math.pi))
-            * complex_gamma(half_l)
-            * reciprocal_gamma(half_r)
-            * l_pm(kind, s, a, c, tgt)
-        )
-        rhs = phase * cmath.exp(-half_r * math.log(math.pi)) * l_pm(kind, 1.0 - s, *ac_r, tgt)
-        return abs(lhs - rhs)
+        return abs(phase * cmath.exp(-half_r * math.log(math.pi)) * l_pm(kind, 1.0 - s, *ac_r, tgt))
 
     left = completed_l(kind, s, a, c, tgt)
     right_val = phase * completed_l(kind, 1.0 - s, *ac_r, tgt).value
@@ -168,16 +159,32 @@ def fe_iterated_residual(
 
 
 def three_term_residual(sp: complex, a: complex, c: complex, target_abs_err: float = 1e-10) -> float:
-    """Residual of the asymmetric three-term transformation at exponent sp.
+    """Residual of the asymmetric three-term transformation at s = 1 - sp.
 
-    Compares the directly evaluated value at (1-sp, a, c) against
+    Compares the dispatched value at (s, a, c) against the dispatch's own transform_eval,
     (2*pi)^{-sp} Gamma(sp) [ e^{i*pi*sp/2} e^{-2*pi*i*a*c} zeta(sp, 1-c, a)
     + e^{-i*pi*sp/2} e^{2*pi*i*c*(1-a)} zeta(sp, c, 1-a) ].
-    Requires Re sp > 0 and (a, c) in the open unit strips.
+    Raises InvalidRegion unless Re sp > 0 and (a, c) lie in the open unit strips.
     """
-    sp, a, c = complex(sp), complex(a), complex(c)
-    lhs = evaluate_principal(1.0 - sp, a, c, 0.5 * target_abs_err).value
-    coef1, coef2 = _transform_coefficients(sp, a, c)
-    v1 = evaluate_principal(sp, 1.0 - c, a, 0.25 * target_abs_err / max(abs(coef1), 1e-300)).value
-    v2 = evaluate_principal(sp, c, 1.0 - a, 0.25 * target_abs_err / max(abs(coef2), 1e-300)).value
-    return abs(lhs - (coef1 * v1 + coef2 * v2))
+    s = 1.0 - complex(sp)
+    rhs = transform_eval(Point3(s, a, c), target_abs_err).value
+    return abs(evaluate_principal(s, a, c, 0.5 * target_abs_err).value - rhs)
+
+
+def fe_monodromy_residual(kind: SymKind | str, w: Word, s: complex, a: complex, c: complex) -> float:
+    """Residual of fe_residual's reflection identity with monodromy in place of zeta.
+
+    The four monodromy values enter at the quarter-turn images of the point:
+    (s,a,c), (1-s,1-c,a), (s,1-a,1-c), (1-s,c,1-a), with the words mapped by
+    the order-4 automorphism.
+    """
+    kind = SymKind(kind)
+    s, a, c = complex(s), complex(a), complex(c)
+    sign = 1.0 if kind is SymKind.PLUS else -1.0
+    m0 = monodromy_of_word(w, s, a, c)
+    m1 = monodromy_of_word(w.theta(1), 1.0 - s, 1.0 - c, a)
+    m2 = monodromy_of_word(w.theta(2), s, 1.0 - a, 1.0 - c)
+    m3 = monodromy_of_word(w.theta(3), 1.0 - s, c, 1.0 - a)
+    lhs = archimedean_factor(kind, s) * (m0 + sign * cmath.exp(-2j * math.pi * a) * m2)
+    rhs = archimedean_factor(kind, 1.0 - s) * (m1 + sign * cmath.exp(2j * math.pi * c) * m3)
+    return abs(lhs - _reflection_phase(kind, a, c) * rhs)

@@ -16,8 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .branching import branched_pow, complex_gamma, principal_log, reciprocal_gamma
-from .domain import SymKind, is_real_integer
+from .branching import branched_pow, principal_log, reciprocal_gamma
+from .domain import is_real_integer
 from .words import BranchState, Generator, Word, abelianize
 
 _TWO_PI = 2.0 * math.pi
@@ -177,33 +177,6 @@ def compose_check(w1: Word, w2: Word, s: complex, a: complex, c: complex) -> flo
             part = monodromy_power(gen, k1, s, a, c)
             nested += part * _cexp_minus_one(s, _loop_multiplier_sign(gen), k2)
     return abs(m12 - (m1 + m2 + nested))
-
-
-def fe_monodromy_residual(
-    kind: SymKind | str, w: Word, s: complex, a: complex, c: complex
-) -> float:
-    """Residual of the linear relation the functional equation imposes on monodromy.
-
-    The four monodromy values enter at the quarter-turn images of the point:
-    (s,a,c), (1-s,1-c,a), (s,1-a,1-c), (1-s,c,1-a), with the words mapped by
-    the order-4 automorphism.
-    """
-    kind = SymKind(kind)
-    s, a, c = complex(s), complex(a), complex(c)
-    m0 = monodromy_of_word(w, s, a, c)
-    m1 = monodromy_of_word(w.theta(1), 1 - s, 1 - c, a)
-    m2 = monodromy_of_word(w.theta(2), s, 1 - a, 1 - c)
-    m3 = monodromy_of_word(w.theta(3), 1 - s, c, 1 - a)
-    ea = cmath.exp(-2j * math.pi * a)
-    ec = cmath.exp(2j * math.pi * c)
-    eac = cmath.exp(-2j * math.pi * a * c)
-    if kind is SymKind.PLUS:
-        lhs = cmath.exp(-0.5 * s * math.log(math.pi)) * complex_gamma(0.5 * s) * (m0 + ea * m2)
-        rhs = eac * cmath.exp(-0.5 * (1 - s) * math.log(math.pi)) * complex_gamma(0.5 * (1 - s)) * (m1 + ec * m3)
-    else:
-        lhs = cmath.exp(-0.5 * (s + 1) * math.log(math.pi)) * complex_gamma(0.5 * (s + 1)) * (m0 - ea * m2)
-        rhs = 1j * eac * cmath.exp(-0.5 * (2 - s) * math.log(math.pi)) * complex_gamma(0.5 * (2 - s)) * (m1 - ec * m3)
-    return abs(lhs - rhs)
 
 
 @dataclass(frozen=True)

@@ -189,8 +189,8 @@ def monodromy_suite(samples: int, seed: int) -> list[CheckResult]:
         w = _random_word(rng, max_len=4)
         worst_fe = max(
             worst_fe,
-            monodromy.fe_monodromy_residual(SymKind.PLUS, w, s, a, c),
-            monodromy.fe_monodromy_residual(SymKind.MINUS, w, s, a, c),
+            funceq.fe_monodromy_residual(SymKind.PLUS, w, s, a, c),
+            funceq.fe_monodromy_residual(SymKind.MINUS, w, s, a, c),
         )
     results.append(CheckResult("monodromy.reflection_relations", worst_fe < 1e-10, worst_fe, 1e-10, samples))
     return results

@@ -1,10 +1,15 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from lerchzeta.cli import main
+import lerchzeta
+from lerchzeta.cli import build_parser, main
 from lerchzeta.suites import SUITE_NAMES, run_suite
 from lerchzeta import Word, monodromy_generator
 from lerchzeta.words import Generator
@@ -200,6 +205,22 @@ class TestGrid:
         assert len(rows) == 4
         assert all("z" in row for row in rows)
 
+    def test_json_skipped_rows(self, tmp_path, capsys):
+        out_path = tmp_path / "grid.json"
+        code, _, _ = run(
+            capsys, "grid", "--axis", "c", "--re", "-1,1,3", "--im", "0,0,1",
+            "--fixed-s", "0.7,0", "--fixed-a", "0.3,0.4", "--format", "json", "--out", str(out_path),
+        )
+        assert code == 0
+        text = out_path.read_text()
+        # c = -1 and c = 0 are punctures; c = 1 is evaluated
+        assert text.startswith(
+            '[{"coord": {"re": -1, "im": 0}, "method": "skipped"}, '
+            '{"coord": {"re": 0, "im": 0}, "method": "skipped"}, {"coord": {"re": 1, "im": 0}, "z": '
+        )
+        assert text.endswith("}]\n")
+        assert json.loads(text)[2]["method"] != "skipped"
+
     def test_unwritable_path(self, capsys):
         code, _, err = run(
             capsys, "grid", "--axis", "s", "--re", "0.2,0.8,2", "--im", "0,0,1",
@@ -218,6 +239,95 @@ class TestGrid:
         assert run(capsys, *args(p1))[0] == 0
         assert run(capsys, *args(p2))[0] == 0
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+MONODROMY_ARGS = ("monodromy", "--word", "X0 Y-1^2", "--s", "0.3,0.2", "--a", "0.4", "--c", "0.6")
+GRID_USAGE = (
+    "usage: lerchz grid [-h] --axis {s,a,c,S,A,C} --re RE [--im IM]\n"
+    "                   [--fixed-s FIXED_S] [--fixed-a FIXED_A] [--fixed-c FIXED_C]\n"
+    "                   [--branch BRANCH] [--tol TOL] [--format {csv,json}] --out\n"
+    "                   OUT\n"
+)
+
+
+def run_exit(capsys, *argv):
+    """(exit code, stdout, stderr) of a call that argparse ends with SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.fixture
+def columns80(monkeypatch):
+    # argparse wraps usage lines at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+@pytest.mark.usefixtures("columns80")
+class TestArgumentErrors:
+    def test_bad_complex_value(self, capsys):
+        assert run_exit(capsys, "eval", "--s", "1,2,3", "--a", "0.5", "--c", "0.5") == (
+            2,
+            "",
+            "usage: lerchz eval [-h] --s S --a A --c C [--branch BRANCH] [--tol TOL]\n"
+            "lerchz eval: error: argument --s: expected 're' or 're,im', got '1,2,3'\n",
+        )
+
+    def test_bad_range_value(self, capsys):
+        got = run_exit(capsys, "grid", "--axis", "s", "--re", "0,1", "--fixed-a", "0.5", "--fixed-c", "0.5",
+                       "--out", "unused.csv")
+        assert got == (2, "", GRID_USAGE + "lerchz grid: error: argument --re: expected 'lo,hi,steps', got '0,1'\n")
+
+    def test_range_needs_a_step(self, capsys):
+        got = run_exit(capsys, "grid", "--axis", "s", "--re", "0,1,0", "--fixed-a", "0.5", "--fixed-c", "0.5",
+                       "--out", "unused.csv")
+        assert got == (2, "", GRID_USAGE + "lerchz grid: error: argument --re: steps must be >= 1\n")
+
+    @pytest.mark.parametrize(
+        "axis, fixed, missing",
+        [("s", ("--fixed-a", "0.5"), "c"), ("c", (), "s/a")],
+    )
+    def test_grid_missing_fixed_coordinate(self, tmp_path, capsys, axis, fixed, missing):
+        out_path = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "grid", "--axis", axis, "--re", "0,1,2", *fixed, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == '{"error": "UsageError", "message": "missing --fixed-' + missing + '"}\n'
+        assert not out_path.exists()
+
+    def test_grid_bad_branch(self, tmp_path, capsys):
+        out_path = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "grid", "--axis", "s", "--re", "0,1,2", "--fixed-a", "0.5", "--fixed-c", "0.5",
+                             "--branch", "Q1", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == '{"error": "WordParseError", "message": "bad word token \'Q1\'"}\n'
+        assert not out_path.exists()
+
+    def test_parser_is_built_once_and_survives_an_error(self, capsys):
+        assert build_parser() is build_parser()
+        alone = run(capsys, *MONODROMY_ARGS)
+        assert run_exit(capsys, "monodromy", "--word", "X0", "--s", "0.3,x", "--a", "0.4", "--c", "0.6")[0] == 2
+        assert run(capsys, *MONODROMY_ARGS) == alone
+        assert alone[0] == 0 and alone[2] == ""
+
+
+def run_module(*argv):
+    """(exit code, stdout, stderr) of `python -m lerchzeta argv` in a new process."""
+    src = str(Path(lerchzeta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "lerchzeta", *argv], capture_output=True, env=env)
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+
+class TestModuleEntry:
+    def test_python_dash_m_matches_main(self, capsys):
+        got = run_module(*MONODROMY_ARGS)
+        assert got == run(capsys, *MONODROMY_ARGS)
+        assert got[0] == 0 and got[1].startswith('{"value": ')
+
+    def test_python_dash_m_error_exit(self):
+        got = run_module("monodromy", "--word", "Q0", "--s", "0.3", "--a", "0.4", "--c", "0.6")
+        assert got == (2, "", '{"error": "WordParseError", "message": "bad word token \'Q0\'"}\n')
 
 
 class TestGrammarRoundTrip:

@@ -4,12 +4,14 @@ import math
 import pytest
 
 from lerchzeta import (
+    InvalidRegion,
     IteratedVariant,
     SymKind,
     completed_l,
     evaluate_principal,
     fe_iterated_residual,
     fe_residual,
+    funceq,
     l_pm,
     three_term_residual,
     two_sided_series,
@@ -80,6 +82,24 @@ class TestReflectionIdentity:
         # from one at s = 2.98, where the residual is relative
         assert fe_residual(kind, s, 0.35, 0.6, 1e-10) < 1e-9
 
+    @pytest.mark.parametrize(
+        "kind, s", [(SymKind.PLUS, -2.0), (SymKind.PLUS, 3.0), (SymKind.MINUS, -1.0), (SymKind.MINUS, 2.0)]
+    )
+    def test_pole_form_evaluates_only_the_surviving_side(self, monkeypatch, kind, s):
+        # one factor has a pole, so the divided identity multiplies the other side by an
+        # exact zero 1/Gamma: one l_pm, that is two evaluations, not four
+        calls = 0
+        evaluate = funceq.evaluate_principal
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(funceq, "evaluate_principal", counted)
+        assert fe_residual(kind, s, 0.35 + 0.1j, 0.6 - 0.05j, 1e-10) < 1e-12
+        assert calls == 2
+
     def test_random_polycylinder_points(self, rng):
         checked = 0
         while checked < 25:
@@ -137,3 +157,9 @@ class TestThreeTerm:
             a = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
             c = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
             assert three_term_residual(sp, a, c, 1e-10) < 1e-9
+
+    @pytest.mark.parametrize("sp, a, c", [(0.5, 0.4, 1.2), (0.5, 1.3, 0.6), (-0.1, 0.4, 0.6)])
+    def test_outside_the_strips_raises(self, sp, a, c):
+        # Re c = 1.2, Re a = 1.3 and Re sp = -0.1 are outside the formula's domain
+        with pytest.raises(InvalidRegion):
+            three_term_residual(sp, a, c, 1e-10)
