@@ -198,7 +198,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
 _NEGATIVE_VALUE = re.compile(r"^-\d+(\.\d*)?(e[-+]?\d+)?(,-?\d+(\.\d*)?(e[-+]?\d+)?)*$", re.IGNORECASE)
 
 
-def _allow_negative_values(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+def _lerchz_parser(**kw) -> argparse.ArgumentParser:
+    # help and usage wrap as on an 80-column terminal, whatever COLUMNS says
+    parser = argparse.ArgumentParser(formatter_class=functools.partial(argparse.HelpFormatter, width=78), **kw)
     parser._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
@@ -206,8 +208,8 @@ def _allow_negative_values(parser: argparse.ArgumentParser) -> argparse.Argument
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The lerchz parser, built once per process: parsing leaves it unchanged."""
-    parser = _allow_negative_values(argparse.ArgumentParser(prog="lerchz", description=__doc__))
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda **kw: _allow_negative_values(argparse.ArgumentParser(**kw)))
+    parser = _lerchz_parser(prog="lerchz", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_lerchz_parser)
 
     p_eval = sub.add_parser("eval", help="evaluate on the cover at one point")
     p_eval.add_argument("--s", type=_complex_arg, required=True, help="s as re,im")

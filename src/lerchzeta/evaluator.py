@@ -4,8 +4,9 @@ Two routes: the three-variable Dirichlet series and the integral
 representation over straight or detoured contours.  The series sums its
 tail by the Abel-Plana formula, one exponentially convergent integral that
 is exact for every reduced a: the conditionally convergent real-a case,
-integer a and Im a too small for a direct partial sum.  The integral runs
-on one ray; the poles it turns over come from the closed-form monodromy.
+integer a and Im a too small for a short direct partial sum.  The integral
+runs on one ray; the poles it turns over come from the closed-form
+monodromy.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .words import BranchState
 _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
 _SPLIT_CAP = 40_000  # largest split point the series tail starts from
+_DIRECT_MARGIN = 1024  # a direct sum this much longer than the split point costs more than the Abel-Plana tail
+_MAX_RAY_PANELS = 3000  # quadrature panels on the integral's ray; its first panels take at most half
 _POLE_CLEARANCE = 1e-3  # least distance from an integrand pole to the ray or a detour
 _RING = 64  # samples on the endpoint circle, and terms of the endpoint series
 _K = np.arange(_RING, dtype=np.float64)
@@ -158,15 +161,15 @@ def _partial_sum(s: complex, alpha: complex, c: complex, n_terms: int) -> tuple[
     return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
-def _direct_length(s: complex, alpha: complex, c: complex, tol: float) -> tuple[int, float] | None:
-    """(n, bound) for the first n = 16, 32, ... <= 300000 whose geometric tail bound is below tol, or None.
+def _direct_length(s: complex, alpha: complex, c: complex, tol: float, limit: int) -> tuple[int, float] | None:
+    """(n, bound) for the first n = 16, 32, ... <= limit whose geometric tail bound is below tol, or None.
 
     The bound is |term(n)| / (1 - ratio), term(n) the first excluded term;
     |(n+c)^{-s}| carries an extra exp(Im s * arg(n+c)) factor.
     """
     sigma, beta, rc = s.real, alpha.imag, c.real
     n = 16
-    while beta > 0.0 and n <= 300_000:
+    while beta > 0.0 and n <= limit:
         ratio = math.exp(-_TWO_PI * beta) * (1.0 + 1.0 / (n + rc)) ** max(0.0, -sigma)
         if ratio < 0.999:
             bound = math.exp(
@@ -178,6 +181,22 @@ def _direct_length(s: complex, alpha: complex, c: complex, tol: float) -> tuple[
                 return n, bound
         n *= 2
     return None
+
+
+def _split_point(s: complex, alpha: complex) -> int | None:
+    """n0 where the Abel-Plana tail starts, or None above _SPLIT_CAP.
+
+    n0 >= |Im s| / pi keeps the decay rate of the tail's boundary integral at
+    pi or more.  Where Re alpha != 0 it also keeps the phase growth
+    |Im s| / n0 of (t+c)^{-s} on the rotated contour below pi |Re alpha|.
+    """
+    n0 = max(1, int(math.ceil(abs(s.imag) / math.pi)))
+    if alpha.real != 0.0:
+        split = 2.0 * abs(s.imag) / (_TWO_PI * abs(alpha.real))
+        if split > _SPLIT_CAP:
+            return None
+        n0 = max(n0, int(math.ceil(split)))
+    return n0
 
 
 def dirichlet_series(s: complex, a: complex, c: complex, target_abs_err: float = 1e-12) -> LerchValue:
@@ -206,28 +225,32 @@ def dirichlet_series(s: complex, a: complex, c: complex, target_abs_err: float =
 
 
 def _series(s: complex, alpha: complex, c: complex, target_abs_err: float) -> LerchValue:
-    """The unchecked series at reduced alpha; at alpha = 0 less its pole 1/(s-1), so entire in s."""
-    direct = _direct_length(s, alpha, c, 0.5 * target_abs_err)
+    """The unchecked series at reduced alpha; at alpha = 0 less its pole 1/(s-1), so entire in s.
+
+    A direct partial sum with its geometric tail bound (Im alpha > 0) serves
+    while it is at most _DIRECT_MARGIN terms longer than the Abel-Plana split
+    point, or up to 300000 terms where the split point exceeds _SPLIT_CAP; the
+    Abel-Plana tail from the split point serves otherwise.
+    """
+    split = _split_point(s, alpha)
+    limit = 300_000 if split is None else split + _DIRECT_MARGIN
+    direct = _direct_length(s, alpha, c, 0.5 * target_abs_err, limit)
     if direct is not None:
         n0, tail_err = direct
         tail = 0j
+    elif split is None:
+        raise NonConvergence(f"split point exceeds {_SPLIT_CAP} at s = {s!r}, reduced a = {alpha!r}")
     else:
-        # n0 >= |Im s| / pi keeps the decay rate of the tail's boundary
-        # integral at pi or more.  Where Re alpha != 0 the split point also
-        # keeps the phase growth |Im s| / n0 of (t+c)^{-s} on the rotated
-        # contour below pi |Re alpha|, up to a cap.
-        n0 = max(1, int(math.ceil(abs(s.imag) / math.pi)))
-        if alpha.real != 0.0:
-            split = 2.0 * abs(s.imag) / (_TWO_PI * abs(alpha.real))
-            if split > _SPLIT_CAP:
-                raise NonConvergence(f"split point {split:.3e} exceeds {_SPLIT_CAP}")
-            n0 = max(n0, int(math.ceil(split)))
-        tail, tail_err = _osc_tail(s, alpha, c, n0, 0.5 * target_abs_err)
+        n0 = split
+        try:
+            tail, tail_err = _osc_tail(s, alpha, c, n0, 0.5 * target_abs_err)
+        except OverflowError as exc:  # its truncation bounds grow like y^{-Re s} before they decay
+            raise NonConvergence(f"series tail bound overflows at s = {s!r}, n0 = {n0}") from exc
     partial, absum = _partial_sum(s, alpha, c, n0)
     # roundoff of exp(-s log(n+c)) carries the phase error |s| log(n+c)
     phase_err = 1.0 + abs(s) * math.log(n0 + abs(c) + 1.0)
     err = tail_err + 4.0 * _EPS * (absum + abs(tail)) * phase_err
-    if err > max(1e6 * target_abs_err, 1e-6):
+    if not err <= max(1e6 * target_abs_err, 1e-6):  # so does a NaN estimate, from a sum that overflows
         raise NonConvergence(f"series error estimate {err:.3e} far above target {target_abs_err:.3e}")
     return LerchValue(partial + tail, Method.SERIES, err)
 
@@ -347,9 +370,12 @@ def _contour_integral(
     h is analytic in |t| < R = 2*pi*dist(a, Z), so the piece over r in (0, t0]
     with t0 <= 0.4 R is T^s sum_{k<64} H_k / (s+k), T = t0 e^{i theta},
     H_k = h_k T^k from 64 samples on |t| = t0.  One adaptive quadrature takes
-    the rest up to a certified cutoff.  Its first edges are equal in log t,
-    and graded toward the foot of the pole t_k = 2*pi*i*(a - k) on the ray
-    when that pole's distance d to the ray (both from :func:`_ray`) is below 3.
+    the rest up to a certified cutoff t_max.  Its first edges are equal in
+    log t, max(16, ceil(|Im s| log(t_max / t0) / 2)) panels so the phase of
+    t^{s-1} turns at most 2 radians over each, and at most half of
+    _MAX_RAY_PANELS; edges graded toward the foot of the pole
+    t_k = 2*pi*i*(a - k) on the ray join them when that pole's distance d to
+    the ray (both from :func:`_ray`) is below 3.
     """
     za = 2j * math.pi * a
     sm1 = s - 1.0
@@ -370,9 +396,10 @@ def _contour_integral(
     roundoff = 4.0 * _EPS * float(np.max(np.abs(samples)) * np.sum(np.abs(inv))) * (1.0 + abs(s) * abs(log_t0))
     err = t0**s.real * math.exp(-s.imag * theta) * (alias + roundoff) + tail_err
     f = lambda r: _h(za, c, r * rot, sm1 * (np.log(r) + 1j * theta)) * rot
-    # t^{s-1} turns its phase uniformly in log t, so the first panels are equal in log t; a pole
-    # within 3 of the ray adds edges at its foot and d 2^j to either side, graded to its distance d
-    inner = {t0 * (t_max / t0) ** (j / 16) for j in range(1, 16)}
+    # t^{s-1} turns its phase by |Im s| per unit of log t; a pole within 3 of the ray adds edges at
+    # its foot and d 2^j to either side, graded to its distance d
+    m = min(max(16, math.ceil(0.5 * abs(s.imag) * math.log(t_max / t0))), _MAX_RAY_PANELS // 2)
+    inner = {t0 * (t_max / t0) ** (j / m) for j in range(1, m)}
     foot = (2j * math.pi * (a - k) / rot).real
     if d < 3.0 and t0 < foot < t_max:
         inner.add(foot)
@@ -381,7 +408,7 @@ def _contour_integral(
             inner.update((foot - step, foot + step))
             step *= 2.0
     edges = [t0, *sorted(t for t in inner if t0 < t < t_max), t_max]
-    val, e, _ = quadrature.integrate(f, edges, tol=0.4 * tol, max_panels=3000)
+    val, e, _ = quadrature.integrate(f, edges, tol=0.4 * tol, max_panels=_MAX_RAY_PANELS)
     return total + val, err + e
 
 
@@ -429,7 +456,10 @@ def _integral_eval_raw(
         raise NonConvergence(f"Gamma(s) underflows at s = {s!r}")
     theta, b, sign, d, k = _ray(s, a, c, contour)
     scale = abs(gam)
-    raw, raw_err = _contour_integral(s, a, c, theta, 0.9 * target_abs_err * scale, d, k)
+    with np.errstate(over="ignore", invalid="ignore"):  # t^{s-1} e^{-ct} may pass binary64's range
+        raw, raw_err = _contour_integral(s, a, c, theta, 0.9 * target_abs_err * scale, d, k)
+    if not (cmath.isfinite(raw) and math.isfinite(raw_err)):
+        raise NonConvergence(f"ray integral overflows at s = {s!r}")
     poles, poles_err = branch_monodromy(b, s, a, c)
     value = raw / gam + sign * poles
     err = raw_err / scale + 4e-13 * abs(value) + poles_err

@@ -311,6 +311,24 @@ class TestArgumentErrors:
         assert alone[0] == 0 and alone[2] == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grid", "--axis", "s", "--re", "0,1", "--fixed-a", "0.5", "--fixed-c", "0.5", "--out", "unused.csv"),
+        ("eval", "--s", "1,2,3", "--a", "0.5", "--c", "0.5"),
+        ("--help",),
+        ("grid", "--help"),
+    ],
+)
+def test_usage_bytes_ignore_terminal_width(monkeypatch, capsys, argv):
+    printed = []
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        printed.append(run_exit(capsys, *argv))
+    assert printed[0] == printed[1] == printed[2]
+    assert printed[0][1] or printed[0][2]
+
+
 def run_module(*argv):
     """(exit code, stdout, stderr) of `python -m lerchzeta argv` in a new process."""
     src = str(Path(lerchzeta.__file__).resolve().parents[1])

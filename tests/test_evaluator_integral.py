@@ -19,7 +19,7 @@ from lerchzeta import (
     residue_discrepancy,
 )
 from lerchzeta import quadrature
-from lerchzeta.evaluator import _ray
+from lerchzeta.evaluator import _MAX_RAY_PANELS, _contour_integral, _ray
 from lerchzeta.words import BranchState, Generator
 from conftest import (
     PI2_12,
@@ -31,6 +31,7 @@ from conftest import (
     Z_LINE_2_RIGHT,
     Z_NEAR_AXIS,
     Z_NEAR_RAY_POLE,
+    Z_PHASE_PANELS,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -181,6 +182,52 @@ class TestIntegralOracle:
         lv, calls = integrand_calls(monkeypatch, p)
         assert calls <= 4
         assert abs(lv.value - Z_NEAR_RAY_POLE) <= lv.abs_err_estimate
+
+
+class TestPhasePanels:
+    """The ray's first panels are equal in log t, at least 16 and each turning the phase of
+    t^{s-1} by at most 2 radians, up to half the ray's max_panels."""
+
+    @pytest.mark.parametrize("point,want,most_calls", Z_PHASE_PANELS)
+    def test_pool_points_at_large_im_s(self, monkeypatch, point, want, most_calls):
+        lv, calls = integrand_calls(monkeypatch, Point3(*point))
+        assert calls <= most_calls
+        assert abs(lv.value - want) <= lv.abs_err_estimate
+
+    @pytest.mark.parametrize("s", [0.5 + 3j, 0.5 - 3j, 1.5 + 0.5j])
+    def test_small_im_s_starts_from_16_panels(self, monkeypatch, s):
+        # a = 1/2 keeps every integrand pole pi from the t-axis, so no edge is graded toward one
+        first = first_edges(monkeypatch)
+        integral_eval(Point3(s, 0.5, 0.5))
+        assert [len(e) - 1 for e in first] == [16]
+
+    def test_first_panels_stay_within_the_cap(self, monkeypatch):
+        # at Im s = 600 the phase turns about 1800 radians over the ray; Gamma(s) underflows
+        # there, so the ray's integral is called directly
+        s, a, c = 2 + 600j, 0.3 + 1j, 0.4
+        theta, _, _, d, k = _ray(s, a, c, ContourSpec.STRAIGHT)
+        assert d >= 3.0  # no edge is graded toward a pole
+        first = first_edges(monkeypatch, stop=True)
+        _contour_integral(s, a, c, theta, 1e-10, d, k)
+        assert [len(e) - 1 for e in first] == [_MAX_RAY_PANELS // 2]
+
+    def test_overflow_raises(self):
+        # t^{s-1} e^{-ct} peaks near e^{720} on the ray at s = 141.5
+        with pytest.raises(NonConvergence, match="overflows"):
+            integral_eval(Point3(141.5, 0.6, 0.3 + 0.1j))
+
+
+def first_edges(monkeypatch, stop: bool = False) -> list[list[float]]:
+    """The first edges of every quadrature.integrate call from now on; with stop, calls integrate nothing."""
+    seen = []
+    integrate = quadrature.integrate
+
+    def recorded(f, edges, *args, **kwargs):
+        seen.append(list(edges))
+        return (0j, 0.0, len(edges) - 1) if stop else integrate(f, edges, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", recorded)
+    return seen
 
 
 def integrand_calls(monkeypatch, p: Point3):

@@ -8,17 +8,19 @@ import pytest
 from scipy.special import zeta as hurwitz_zeta
 
 from lerchzeta import (
+    BranchState,
     DivergentSeries,
     Method,
     NonConvergence,
     Point3,
     dirichlet_series,
+    evaluate_on_cover,
     evaluate_principal,
     integral_eval,
     series_eval,
     two_sided_series,
 )
-from lerchzeta import quadrature
+from lerchzeta import evaluator, quadrature
 from conftest import (
     PI2_6,
     PI2_12,
@@ -27,11 +29,14 @@ from conftest import (
     TS_PLUS_3_03_07,
     TS_PLUS_3_05_05,
     Z_BASE,
+    Z_FAR_LEFT,
     Z_HIGH_IMS,
     Z_INT_A,
+    Z_LONG_DIRECT,
     Z_S0_AI_C1,
     Z_SMALL_IM_A_1,
     Z_SMALL_IM_A_2,
+    Z_SMALL_IM_A_3,
 )
 
 
@@ -194,6 +199,46 @@ class TestDirectSumOracle:
                 want = mpmath.lerchphi(z, mpmath.mpc(s), mpmath.mpc(c))
             err = abs(lv.value - complex(want))
             assert err <= lv.abs_err_estimate, (k, s, a, c, err, lv.abs_err_estimate)
+
+
+class TestDirectOrAbelPlana:
+    """A direct sum serves only while it is at most _DIRECT_MARGIN terms longer than the
+    Abel-Plana split point; a longer one gives way to the tail."""
+
+    @pytest.mark.parametrize("point,branch,want", Z_LONG_DIRECT)
+    def test_pool_points_sum_no_longer_than_the_margin(self, monkeypatch, point, branch, want):
+        lengths = []
+        partial_sum = evaluator._partial_sum
+
+        def recorded(s, alpha, c, n_terms):
+            lengths.append((n_terms, evaluator._split_point(s, alpha)))
+            return partial_sum(s, alpha, c, n_terms)
+
+        monkeypatch.setattr(evaluator, "_partial_sum", recorded)
+        lv = evaluate_on_cover(Point3(*point), BranchState.from_dicts(*branch), 1e-10)
+        assert lengths and all(n <= split + evaluator._DIRECT_MARGIN for n, split in lengths)
+        assert abs(lv.value - want) <= lv.abs_err_estimate
+
+    def test_small_im_a_answers_by_series(self):
+        # a direct sum would need 32768 terms; while any up to 300 000 terms served, the series
+        # missed its target there and the transform answered
+        lv = evaluate_principal(-0.5 + 2j, 0.3 + 0.0002j, 0.7, 1e-10)
+        assert lv.method is Method.SERIES
+        assert abs(lv.value - Z_SMALL_IM_A_3) <= min(lv.abs_err_estimate, 1e-10)
+
+    @pytest.mark.parametrize("point,want", Z_FAR_LEFT)
+    def test_far_left_goes_on_to_the_transform(self, point, want):
+        # the series' estimate is NaN at the first and, after the index shift in c, at the third
+        # point; the tail's truncation bounds overflow at the second.  The series raises
+        # NonConvergence for both, so the dispatch goes on to the transform
+        lv = evaluate_principal(*point, 1e-10)
+        assert lv.method is Method.TRANSFORM
+        assert abs(lv.value - want) <= lv.abs_err_estimate
+
+    @pytest.mark.parametrize("point", [p for p, _ in Z_FAR_LEFT[:2]])
+    def test_far_left_series_raises(self, point):
+        with pytest.raises(NonConvergence):
+            dirichlet_series(*point, 1e-10)
 
 
 class TestSeriesDomain:

@@ -1,0 +1,62 @@
+"""Work counts over the benchmark's point-scan pool.
+
+Counts of integrand calls and partial-sum terms repeat exactly on every
+machine, so unlike timings they can gate a change in Tier-1.  The pool is
+read from bench/data/point_scan_oracle.jsonl and never written.
+"""
+
+import json
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from lerchzeta import BranchState, Point3, evaluate_on_cover, evaluator, quadrature
+
+POOL = Path(__file__).resolve().parents[1] / "bench" / "data" / "point_scan_oracle.jsonl"
+
+
+def pool_points():
+    with open(POOL, encoding="utf-8") as fh:
+        for line in fh:
+            r = json.loads(line)
+            point = Point3(complex(*r["s"]), complex(*r["a"]), complex(*r["c"]))
+            yield r["stratum"], point, BranchState.from_dicts(dict(r["kx"]), dict(r["ky"]))
+
+
+@pytest.fixture(scope="module")
+def pool_counts():
+    """Integrand calls and partial-sum terms by stratum over one pass at the benchmark's 1e-10."""
+    counts = {}
+    stratum = None
+    integrate, partial_sum = quadrature.integrate, evaluator._partial_sum
+
+    def counted_integrate(f, *args, **kwargs):
+        def g(x):
+            counts[stratum]["integrand_calls"] += 1
+            return f(x)
+
+        return integrate(g, *args, **kwargs)
+
+    def counted_partial_sum(s, alpha, c, n_terms):
+        counts[stratum]["terms"] += n_terms
+        return partial_sum(s, alpha, c, n_terms)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "integrate", counted_integrate)
+        mp.setattr(evaluator, "_partial_sum", counted_partial_sum)
+        for stratum, point, branch in pool_points():
+            counts.setdefault(stratum, Counter())
+            evaluate_on_cover(point, branch, 1e-10)
+    return counts
+
+
+def test_integral_stratum_integrand_calls(pool_counts):
+    # 524 from 16 first panels on every ray; 366 with first panels sized to the phase of t^{s-1}
+    assert pool_counts["integral"]["integrand_calls"] <= 400
+
+
+def test_pool_partial_sum_terms(pool_counts):
+    # 97,714 when any direct sum up to 300,000 terms served; 56,696 when one serves only
+    # while it is at most 1024 terms longer than the Abel-Plana split point
+    assert sum(c["terms"] for c in pool_counts.values()) <= 62_000
