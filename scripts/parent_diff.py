@@ -1,0 +1,254 @@
+"""Compare the working tree's numbers and CLI bytes with those of a parent revision.
+
+    python3 scripts/parent_diff.py --parent HEAD~1
+
+Extracts REV's committed ``src/`` into a temporary directory (``git
+archive``, so the repository's ``.git`` is left as it was), runs one fixed
+probe against it and against the working tree's ``src/``, each in a fresh
+interpreter, removes the directory and prints, item by item,
+"bit-identical" or what moved:
+
+- pool: the point-scan pool (``bench/data/point_scan_oracle.jsonl`` of the
+  working tree), one ``evaluate_on_cover`` per point at target 1e-10: value,
+  estimate, method or exception class, and the pass's ``quadrature.integrate``
+  calls and panels;
+- fuzz: 1500 seeded ``evaluate_principal`` points in a fixed box, with their
+  exception classes and whether numpy warned;
+- verify: the stdout and exit code of ``lerchz verify --suite all --samples 3
+  --seed 1``;
+- monodromy: the stdout, stderr and exit code of ``lerchz monodromy`` for 500
+  seeded words.
+
+A moved value reports the largest absolute move, the largest relative move
+|new - old| / |old| and the largest relative move of the estimate.  The exit
+code is 0 when every item is bit-identical, 1 when one moved and 2 when
+git cannot extract REV.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+import tarfile
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+POOL_FILE = ROOT / "bench" / "data" / "point_scan_oracle.jsonl"
+TARGET = 1e-10
+FUZZ_SEED, FUZZ_POINTS = 7, 1500
+WORD_SEED, WORDS = 5, 500
+VERIFY_ARGS = ["verify", "--suite", "all", "--samples", "3", "--seed", "1"]
+SHOWN = 5  # changed records printed per item
+
+
+# -- probe: runs in a fresh interpreter against one tree's src/ ----------------------------------
+
+
+def _outcome(fn) -> list:
+    """[re, im, estimate, method, warned], or ["raise", class name, None, None, warned]."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            lv = fn()
+            row = [lv.value.real, lv.value.imag, lv.abs_err_estimate, lv.method.value]
+        except Exception as exc:  # a class the parent raised and the change does not is a finding
+            row = ["raise", type(exc).__name__, None, None]
+    return row + [bool(caught)]
+
+
+def _fuzz_points(seed: int, n: int) -> list[tuple[complex, complex, complex]]:
+    """|Re s| <= 6, |Im s| <= 30, |Re a| <= 2, |Im a| <= 1, |Re c| <= 50, |Im c| <= 3; 15% of c on or within 1e-5 of an integer Re c."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(n):
+        s = complex(rng.uniform(-6, 6), rng.uniform(-30, 30))
+        a = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+        c = complex(rng.uniform(-50, 50), rng.uniform(-3, 3))
+        if rng.random() < 0.15:
+            c = complex(round(c.real) + rng.choice([0.0, 1e-9, -1e-9, 1e-5, -1e-5]), rng.choice([0.0, 1e-3, -1e-3, c.imag]))
+        points.append((s, a, c))
+    return points
+
+
+def _words(seed: int, n: int) -> list[list[str]]:
+    """lerchz monodromy argument lists: 1-6 letters X_k or Y_k, k in [-3, 3], exponent in +-[1, 3]."""
+    rng = random.Random(seed)
+    fmt = lambda z: f"{z.real!r},{z.imag!r}"
+    out = []
+    for _ in range(n):
+        letters = []
+        for _ in range(rng.randint(1, 6)):
+            e = rng.choice([-3, -2, -1, 1, 2, 3])
+            letters.append(f"{rng.choice('XY')}{rng.randint(-3, 3)}" + ("" if e == 1 else f"^{e}"))
+        s = complex(rng.uniform(-4, 4), rng.uniform(-10, 10))
+        a = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+        c = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
+        out.append(["monodromy", "--word", " ".join(letters), "--s", fmt(s), "--a", fmt(a), "--c", fmt(c)])
+    return out
+
+
+def _cli(main, argv: list[str]) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def probe(pool_file: Path) -> dict:
+    from lerchzeta import BranchState, Point3, cli, evaluate_on_cover, evaluate_principal, quadrature
+
+    work = {"integrate_calls": 0, "panels": 0}
+    integrate = quadrature.integrate
+
+    def counted(*args, **kwargs):
+        result = integrate(*args, **kwargs)
+        work["integrate_calls"] += 1
+        work["panels"] += result[2]
+        return result
+
+    pool = []
+    quadrature.integrate = counted
+    try:
+        with open(pool_file, encoding="utf-8") as fh:
+            for line in fh:
+                r = json.loads(line)
+                point = Point3(complex(*r["s"]), complex(*r["a"]), complex(*r["c"]))
+                branch = BranchState.from_dicts(dict(r["kx"]), dict(r["ky"]))
+                pool.append(_outcome(lambda: evaluate_on_cover(point, branch, TARGET)))
+    finally:
+        quadrature.integrate = integrate
+    fuzz = [_outcome(lambda: evaluate_principal(*p, TARGET)) for p in _fuzz_points(FUZZ_SEED, FUZZ_POINTS)]
+    return {
+        "pool": pool,
+        "pool_work": work,
+        "fuzz": fuzz,
+        "verify": _cli(cli.main, VERIFY_ARGS),
+        "monodromy": [_cli(cli.main, argv) for argv in _words(WORD_SEED, WORDS)],
+    }
+
+
+# -- driver --------------------------------------------------------------------------------------
+
+
+def run_probe(tree: Path, out: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--probe", str(out)]
+    subprocess.run(cmd, env=env, cwd=out.parent, check=True)
+    with open(out, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def extract(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], check=True, stdout=subprocess.PIPE).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def _moves(old: list, new: list) -> list[str]:
+    """Lines describing what moved between two lists of outcome rows; empty when bit-identical."""
+    changed = [i for i, (o, n) in enumerate(zip(old, new)) if json.dumps(o) != json.dumps(n)]  # NaN equals NaN
+    if not changed:
+        return []
+    lines = [f"{len(changed)} of {len(old)} records changed"]
+    d_abs = d_rel = d_est = 0.0
+    classes, methods, warned = [], [], []
+    for i in changed:
+        o, n = old[i], new[i]
+        if (o[0] == "raise") != (n[0] == "raise") or (o[0] == "raise" and o[1] != n[1]):
+            classes.append(f"  #{i}: {o[1] if o[0] == 'raise' else o[3]} -> {n[1] if n[0] == 'raise' else n[3]}")
+            continue
+        if o[4] != n[4]:
+            warned.append(f"  #{i}: warned {o[4]} -> {n[4]}")
+        if o[0] == "raise":
+            continue
+        if o[3] != n[3]:
+            methods.append(f"  #{i}: method {o[3]} -> {n[3]}")
+        move, size = abs(complex(n[0], n[1]) - complex(o[0], o[1])), abs(complex(o[0], o[1]))
+        d_abs = max(d_abs, move)
+        d_rel = max(d_rel, move / size if size else math.inf if move else 0.0)
+        if n[2] != o[2]:
+            d_est = max(d_est, abs(n[2] - o[2]) / o[2] if o[2] else math.inf)
+    lines.append(f"largest moves: absolute {d_abs:.3e}, relative {d_rel:.3e}, estimate (relative) {d_est:.3e}")
+    for title, items in (("exception classes", classes), ("methods", methods), ("warnings", warned)):
+        if items:
+            lines.append(f"{len(items)} changed {title}:")
+            lines += items[:SHOWN] + (["  ..."] if len(items) > SHOWN else [])
+    return lines
+
+
+def _byte_moves(old: list, new: list) -> list[str]:
+    """Lines naming the CLI calls whose exit code or bytes changed; empty when identical."""
+    changed = [i for i, (o, n) in enumerate(zip(old, new)) if o != n]
+    if not changed:
+        return []
+    lines = [f"{len(changed)} of {len(old)} calls changed"]
+    for i in changed[:SHOWN]:
+        lines.append(f"  #{i}: exit {old[i][0]} -> {new[i][0]}")
+        for stream, o, n in (("stdout", old[i][1], new[i][1]), ("stderr", old[i][2], new[i][2])):
+            for lo, ln in zip(o.splitlines(), n.splitlines()):
+                if lo != ln:
+                    lines += [f"    {stream} - {lo}", f"    {stream} + {ln}"]
+    return lines
+
+
+def _tally(rows: list) -> str:
+    raised = sum(r[0] == "raise" for r in rows)
+    return f"{len(rows)} points: {len(rows) - raised} answered, {raised} raised, {sum(r[4] for r in rows)} warned"
+
+
+def compare(old: dict, new: dict) -> list[tuple[str, str, list[str]]]:
+    """(item, what the working tree gave, lines of what moved) per item."""
+    work = new["pool_work"]
+    pool = _moves(old["pool"], new["pool"])
+    if old["pool_work"] != work:
+        pool.append(f"work: {old['pool_work']} -> {work}")
+    verify = new["verify"]
+    return [
+        ("pool", f"{_tally(new['pool'])}; {work['integrate_calls']} integrate calls, {work['panels']} panels", pool),
+        ("fuzz", _tally(new["fuzz"]), _moves(old["fuzz"], new["fuzz"])),
+        ("verify", f"{len(verify[1].splitlines())} lines, exit {verify[0]}", _byte_moves([old["verify"]], [verify])),
+        ("monodromy", f"{len(new['monodromy'])} calls", _byte_moves(old["monodromy"], new["monodromy"])),
+    ]
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", help="revision to compare the working tree with, e.g. HEAD~1")
+    ap.add_argument("--probe", metavar="OUT", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.probe:
+        with open(args.probe, "w", encoding="utf-8") as fh:
+            json.dump(probe(POOL_FILE), fh)
+        return 0
+    if not args.parent:
+        ap.error("--parent is required")
+    with tempfile.TemporaryDirectory(prefix="parent_diff_") as tmp:
+        tmp = Path(tmp)
+        try:
+            extract(args.parent, tmp / "parent")
+        except subprocess.CalledProcessError:
+            return 2  # git has said why on stderr
+        old = run_probe(tmp / "parent", tmp / "parent.json")
+        new = run_probe(ROOT, tmp / "work.json")
+    report = compare(old, new)
+    print(f"parent {args.parent} against the working tree")
+    for name, summary, lines in report:
+        print(f"{name} ({summary}): {'changed' if lines else 'bit-identical'}")
+        for line in lines:
+            print("  " + line)
+    identical = not any(lines for _, _, lines in report)
+    print("bit-identical" if identical else "changed")
+    return 0 if identical else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -43,6 +43,7 @@ _ROOTS = np.exp((2j * math.pi / _RING) * _K)
 _RINGS = np.concatenate([_ROOTS, 2.0 * _ROOTS])  # the endpoint circle and the circle of twice its radius
 # DFT with phases reduced mod _RING before exp: unreduced ones lose about 1e-13
 _DFT = np.exp((-2j * math.pi / _RING) * (np.outer(_K, _K) % _RING)) / _RING
+_NO_POLES = BranchState()  # the ray turns over no pole
 
 
 class Method(str, Enum):
@@ -235,18 +236,20 @@ def _series(s: complex, alpha: complex, c: complex, target_abs_err: float) -> Le
     split = _split_point(s, alpha)
     limit = 300_000 if split is None else split + _DIRECT_MARGIN
     direct = _direct_length(s, alpha, c, 0.5 * target_abs_err, limit)
-    if direct is not None:
-        n0, tail_err = direct
-        tail = 0j
-    elif split is None:
-        raise NonConvergence(f"split point exceeds {_SPLIT_CAP} at s = {s!r}, reduced a = {alpha!r}")
-    else:
-        n0 = split
-        try:
-            tail, tail_err = _osc_tail(s, alpha, c, n0, 0.5 * target_abs_err)
-        except OverflowError as exc:  # its truncation bounds grow like y^{-Re s} before they decay
-            raise NonConvergence(f"series tail bound overflows at s = {s!r}, n0 = {n0}") from exc
-    partial, absum = _partial_sum(s, alpha, c, n0)
+    # far left in s the terms and the tail's integrands may pass binary64's range; the check below ends them
+    with np.errstate(over="ignore", invalid="ignore"):
+        if direct is not None:
+            n0, tail_err = direct
+            tail = 0j
+        elif split is None:
+            raise NonConvergence(f"split point exceeds {_SPLIT_CAP} at s = {s!r}, reduced a = {alpha!r}")
+        else:
+            n0 = split
+            try:
+                tail, tail_err = _osc_tail(s, alpha, c, n0, 0.5 * target_abs_err)
+            except OverflowError as exc:  # its truncation bounds grow like y^{-Re s} before they decay
+                raise NonConvergence(f"series tail bound overflows at s = {s!r}, n0 = {n0}") from exc
+        partial, absum = _partial_sum(s, alpha, c, n0)
     # roundoff of exp(-s log(n+c)) carries the phase error |s| log(n+c)
     phase_err = 1.0 + abs(s) * math.log(n0 + abs(c) + 1.0)
     err = tail_err + 4.0 * _EPS * (absum + abs(tail)) * phase_err
@@ -328,7 +331,7 @@ def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[floa
         d, k = _nearest_pole(a, theta, contour)
     if d < _POLE_CLEARANCE:
         raise ContourHitsPole(f"integrand pole at t = {2j * math.pi * (a - k)!r} (a-plane index {k}) is {d:.2e} away")
-    return theta, BranchState.from_dicts(b), sign, d, k
+    return theta, BranchState.from_dicts(b) if b else _NO_POLES, sign, d, k
 
 
 def _pick_t_max(s: complex, a: complex, c: complex, target: float, theta: float) -> tuple[float, float]:
@@ -387,13 +390,13 @@ def _contour_integral(
     log_t0 = complex(math.log(t0), theta)
 
     rings = _h(za, c, t0 * rot * _RINGS)
-    samples, outer = rings[:_RING], rings[_RING:]
     inv = 1.0 / (s + _K)
-    total = cmath.exp(s * log_t0) * complex((_DFT @ samples) @ inv)
+    total = cmath.exp(s * log_t0) * complex((_DFT @ rings[:_RING]) @ inv)
     # |H_k| <= M 2^{-k}, M = max |h| on |t| = 2 t0, bounds aliasing and truncation;
-    # then the roundoff of the samples and of the phase s log T, then the cutoff tail
-    alias = float(np.max(np.abs(outer))) * 2.0**-_RING * (4.0 / abs(s) + 2.0 / _RING)
-    roundoff = 4.0 * _EPS * float(np.max(np.abs(samples)) * np.sum(np.abs(inv))) * (1.0 + abs(s) * abs(log_t0))
+    # then the roundoff of the samples (max |h| on |t| = t0) and of the phase s log T, then the cutoff tail
+    h_max, outer_max = np.abs(rings).reshape(2, _RING).max(axis=1).tolist()
+    alias = outer_max * 2.0**-_RING * (4.0 / abs(s) + 2.0 / _RING)
+    roundoff = 4.0 * _EPS * float(h_max * np.sum(np.abs(inv))) * (1.0 + abs(s) * abs(log_t0))
     err = t0**s.real * math.exp(-s.imag * theta) * (alias + roundoff) + tail_err
     f = lambda r: _h(za, c, r * rot, sm1 * (np.log(r) + 1j * theta)) * rot
     # t^{s-1} turns its phase by |Im s| per unit of log t; a pole within 3 of the ray adds edges at

@@ -15,11 +15,14 @@ panels the sweep splits.  A G7 panel's error falls like h^15, so a sweep
 splits each panel it picks into q = 2, 4 or 8 equal pieces, the fewest
 whose q^15 covers the ratio of the total error to the goal: an error far
 above the goal takes one deep sweep, not several bisections.
-Each panel's value, error and roundoff scale are bit-identical to
-evaluating it alone: the rows are reduced by an elementwise product and a
-per-row sum (a matrix product rounds differently), and the panel error
-takes Python's ``abs`` of a Python complex (``np.abs`` differs in the last
-bit).
+Panels come back as three numpy arrays (K15 values, errors, resabs), and
+each row is bit-identical to evaluating that panel alone: the rows are
+reduced by an elementwise product and a per-row sum (a matrix product
+rounds differently), and the panel error takes ``np.hypot`` of K15 - G7,
+which gives the bits of Python's ``abs`` of a complex (``np.abs`` differs
+in the last bit).  A first pass that meets its goal returns at once, with
+the Python sums of those arrays in edge order; only a sweep builds the list
+of live panels.
 
 The quadrature stops at a roundoff floor of 16 eps times the first panels'
 summed resabs (the integral of |f|), as ``dqagse`` stops at its roundoff
@@ -75,17 +78,17 @@ _EPS = 2.220446049250313e-16
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 
-def _panels(f: Integrand, lo: list[float], hi: list[float]) -> list[tuple[complex, float, float]]:
-    """(K15 value, error, resabs) of each panel [lo[i], hi[i]], from one call of f."""
+def _panels(f: Integrand, lo: list[float], hi: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K15 values, errors and resabs of the panels [lo[i], hi[i]], from one call of f."""
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     y = np.asarray(f(mid[:, None] + half[:, None] * _XGK), dtype=np.complex128)
     k15 = half * (_WGK * y).sum(axis=1)
-    g7 = half * (_WG * y[:, 1::2]).sum(axis=1)
+    d = k15 - half * (_WG * y[:, 1::2]).sum(axis=1)
     resabs = half * (_WGK * np.abs(y)).sum(axis=1)
-    return [(v, abs(v - g) + 4.0 * _EPS * r, r) for v, g, r in zip(k15.tolist(), g7.tolist(), resabs.tolist())]
+    return k15, np.hypot(d.real, d.imag) + 4.0 * _EPS * resabs, resabs
 
 
 def integrate(
@@ -114,11 +117,14 @@ def integrate(
     if hi == lo:
         return 0j, 0.0, 0
     los, his = list(edges[:-1]), list(edges[1:])
-    first = _panels(f, los, his)
-    live = [(e, a, b, v) for (v, e, _), a, b in zip(first, los, his)]
-    total_err = sum(p[0] for p in live)
-    floor = 16.0 * _EPS * sum(r for _, _, r in first)
-    n = len(first)
+    values, errs, resabs = _panels(f, los, his)
+    errs = errs.tolist()
+    total_err = sum(errs)
+    floor = 16.0 * _EPS * sum(resabs.tolist())
+    n = len(errs)
+    if not (total_err > max(tol, floor) and n < max_panels):  # the loop's own exit test, before any sweep
+        return sum(values.tolist()), max(total_err, floor), n
+    live = list(zip(errs, los, his, values.tolist()))
     min_width = 1e-14 * (abs(hi - lo) + 1.0)
     while total_err > max(tol, floor) and n < max_panels:
         live.sort(key=lambda p: p[0], reverse=True)
@@ -144,13 +150,14 @@ def integrate(
             cuts = _split(a, b, q)
             los += cuts[:-1]
             his += cuts[1:]
-        pieces = _panels(f, los, his)
-        kept += [(e, a, b, v) for (v, e, _), a, b in zip(pieces, los, his)]
-        for i in range(0, len(pieces), q):
-            floor = max(floor, 16.0 * _EPS * sum(r for _, _, r in pieces[i : i + q]))
+        values, errs, resabs = _panels(f, los, his)
+        kept += zip(errs.tolist(), los, his, values.tolist())
+        resabs = resabs.tolist()
+        for i in range(0, len(resabs), q):
+            floor = max(floor, 16.0 * _EPS * sum(resabs[i : i + q]))
         live = kept
         total_err = sum(p[0] for p in live)
-        n += len(pieces)
+        n += len(resabs)
     return sum(p[3] for p in live), max(total_err, floor), n
 
 

@@ -1,4 +1,6 @@
 import cmath
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,11 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lerchzeta
 from lerchzeta.cli import build_parser, main
 from lerchzeta.suites import SUITE_NAMES, run_suite
-from lerchzeta import Word, monodromy_generator
+from lerchzeta import LerchError, Word, errors, monodromy_generator
 from lerchzeta.words import Generator
 from conftest import PI2_12
 
@@ -353,3 +356,44 @@ class TestGrammarRoundTrip:
         for text in ("X0", "X0 Y-2^-1 X0^3", "Y5^2 X-3", ""):
             w = Word.parse(text)
             assert Word.parse(str(w)) == w
+
+
+def _complex_flag(re_lo, re_hi, im_lo, im_hi):
+    return st.builds(
+        lambda x, y: f"{x!r},{y!r}",
+        st.floats(re_lo, re_hi, allow_subnormal=False),
+        st.floats(im_lo, im_hi, allow_subnormal=False),
+    )
+
+
+_letter = st.builds(
+    lambda axis, k, e: f"{axis}{k}" + ("" if e == 1 else f"^{e}"),
+    st.sampled_from("XY"),
+    st.integers(-3, 3),
+    st.sampled_from([-2, -1, 1, 2]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    s=_complex_flag(-3.0, 3.0, -40.0, 40.0),
+    a=_complex_flag(-2.0, 2.0, -1.0, 1.0),
+    c=_complex_flag(-5.0, 5.0, -1.0, 1.0),
+    word=st.lists(_letter, max_size=3).map(" ".join),
+)
+def test_eval_fuzz(s, a, c, word):
+    # lerchz eval answers with a finite value and estimate, or exits 2 with the error record;
+    # anything else escaping main would print a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--s", s, "--a", a, "--c", c, "--branch", word])
+    if code == 0:
+        assert err.getvalue() == ""
+        rec = json.loads(out.getvalue())
+        assert math.isfinite(rec["value"]["re"]) and math.isfinite(rec["value"]["im"])
+        assert math.isfinite(rec["abs_err"])
+    else:
+        assert code == 2 and out.getvalue() == ""
+        rec = json.loads(err.getvalue())
+        assert set(rec) == {"error", "message"}
+        assert issubclass(getattr(errors, rec["error"]), LerchError)

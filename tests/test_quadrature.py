@@ -3,6 +3,7 @@ import math
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lerchzeta import evaluate_principal, quadrature
@@ -51,7 +52,7 @@ class TestPanels:
     def test_degree_22_is_exact(self):
         # K15 integrates polynomials of degree <= 3*7 + 1 exactly; x^24 it does not
         def one_panel(k: int, lo: float, hi: float) -> float:
-            ((value, _, _),) = quadrature._panels(lambda x: x**k + 0j, [lo], [hi])
+            (value,), _, _ = quadrature._panels(lambda x: x**k + 0j, [lo], [hi])
             want = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
             return abs(value - want) / abs(want)
 
@@ -62,9 +63,21 @@ class TestPanels:
     def test_batch_matches_single_panels(self):
         # one call on panels that are not adjacent, out of order and of unequal widths gives each to the bit
         lo, hi = [0.3, 1.7, 0.9, 0.0], [0.95, 2.0, 1.1, 1e-9]
-        assert quadrature._panels(near_pole, lo, hi) == [
-            quadrature._panels(near_pole, [a], [b])[0] for a, b in zip(lo, hi)
-        ]
+        batch = quadrature._panels(near_pole, lo, hi)
+        rows = [[column[i : i + 1].tobytes() for column in batch] for i in range(len(lo))]
+        assert rows == [[column.tobytes() for column in quadrature._panels(near_pole, [a], [b])] for a, b in zip(lo, hi)]
+
+    def test_error_column_is_python_abs(self):
+        # np.hypot of K15 - G7 gives what Python's abs of a complex gives, to the bit (np.abs does not)
+        rng = np.random.default_rng(5)
+        cuts = np.sort(rng.uniform(0.0, 2.0, 2001))
+        lo, hi = cuts[:-1].tolist(), cuts[1:].tolist()
+        values, errs, resabs = quadrature._panels(near_pole, lo, hi)
+        a, b = np.array(lo), np.array(hi)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        g7 = half * (quadrature._WG * near_pole(mid[:, None] + half[:, None] * quadrature._XGK)[:, 1::2]).sum(axis=1)
+        want = [abs(v - g) + 4.0 * quadrature._EPS * r for v, g, r in zip(values.tolist(), g7.tolist(), resabs.tolist())]
+        assert [e.hex() for e in errs.tolist()] == [e.hex() for e in want]
 
 
 class TestIntegrate:
@@ -117,7 +130,7 @@ class TestIntegrate:
     def test_split_depth_follows_error(self):
         # the panel's K15 - G7 error falls like h^15: an estimate within 2^15 of the tolerance is
         # bisected, one within 2^30 split 4 ways and a larger one 8 ways, in one call
-        ((_, e0, r0),) = quadrature._panels(near_pole, [0.0], [2.0])
+        _, (e0,), (r0,) = quadrature._panels(near_pole, [0.0], [2.0])
         for ratio, q in [(2.0**14, 2), (2.0**15, 2), (2.0**16, 4), (2.0**30, 4), (2.0**31, 8), (2.0**46, 8)]:
             assert e0 / ratio > 16.0 * quadrature._EPS * r0  # the tolerance, not the roundoff floor, is the goal
             counted, calls = counting(near_pole)
@@ -132,9 +145,40 @@ class TestIntegrate:
         value, err, n = quadrature.integrate(counted, edges, 1e-3)
         assert calls == [(4, 15)]
         assert n == 4
-        alone = [quadrature._panels(f, [a], [b])[0] for a, b in zip(edges, edges[1:])]
+        alone = [[column.item() for column in quadrature._panels(f, [a], [b])] for a, b in zip(edges, edges[1:])]
         assert value == sum(v for v, _, _ in alone)
         assert err == sum(e for _, e, _ in alone)
+
+    def test_first_pass_returns_the_edge_order_sums(self):
+        # a first pass that meets its goal makes one call and returns the Python sums of the panels'
+        # values and errors in edge order, as Python numbers, to the bit; the first edges are 8 equal
+        # panels and edges graded toward the pole's foot t = 1, as the ray grades them
+        edges = sorted({2.0 * k / 8 for k in range(9)} | {1.0 + x * 1e-3 * 2.0**j for j in range(9) for x in (-1, 1)})
+        counted, calls = counting(near_pole)
+        value, err, n = quadrature.integrate(counted, edges, 1e-8)
+        assert calls == [(26, 15)]
+        alone = [[column.item() for column in quadrature._panels(near_pole, [a], [b])] for a, b in zip(edges, edges[1:])]
+        total = 0j
+        for v, _, _ in alone:
+            total += v
+        total_err = sum(e for _, e, _ in alone)
+        assert total_err <= 1e-8
+        assert max(total_err, 16.0 * quadrature._EPS * sum(r for _, _, r in alone)) == total_err
+        assert (value.real.hex(), value.imag.hex(), err.hex(), n) == (total.real.hex(), total.imag.hex(), total_err.hex(), 26)
+        assert (type(value), type(err), type(n)) == (complex, float, int)
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x: np.exp(800.0 * x) + 0j, lambda x: np.full(x.shape, complex(math.nan, 0.0))],
+        ids=["inf", "nan"],
+    )
+    def test_non_finite_integrand_ends_after_the_first_pass(self, f):
+        # inf - inf in K15 - G7 makes the estimate NaN; the loop's exit test is false for NaN, so no sweep
+        counted, calls = counting(f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, err, n = quadrature.integrate(counted, [0.0, 1.0, 2.0], 1e-10)
+        assert calls == [(2, 15)]
+        assert math.isnan(err) and n == 2
 
     def test_below_roundoff_stops_at_floor(self):
         # t^{-4-40i} e^{-t} turns its phase 240 radians over [0.1, 40]; a tolerance
