@@ -14,6 +14,8 @@ interpreter, removes the directory and prints, item by item,
   calls and panels;
 - fuzz: 1500 seeded ``evaluate_principal`` points in a fixed box, with their
   exception classes and whether numpy warned;
+- extreme: 1500 seeded ``evaluate_on_cover`` points far out in s, a and c,
+  on sheets of up to two windings per axis, recorded as the fuzz is;
 - verify: the stdout and exit code of ``lerchz verify --suite all --samples 3
   --seed 1``;
 - monodromy: the stdout, stderr and exit code of ``lerchz monodromy`` for 500
@@ -45,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 POOL_FILE = ROOT / "bench" / "data" / "point_scan_oracle.jsonl"
 TARGET = 1e-10
 FUZZ_SEED, FUZZ_POINTS = 7, 1500
+EXTREME_SEED, EXTREME_POINTS = 11, 1500
 WORD_SEED, WORDS = 5, 500
 VERIFY_ARGS = ["verify", "--suite", "all", "--samples", "3", "--seed", "1"]
 SHOWN = 5  # changed records printed per item
@@ -76,6 +79,23 @@ def _fuzz_points(seed: int, n: int) -> list[tuple[complex, complex, complex]]:
         if rng.random() < 0.15:
             c = complex(round(c.real) + rng.choice([0.0, 1e-9, -1e-9, 1e-5, -1e-5]), rng.choice([0.0, 1e-3, -1e-3, c.imag]))
         points.append((s, a, c))
+    return points
+
+
+def _extreme_points(seed: int, n: int) -> list[tuple[complex, complex, complex, dict, dict]]:
+    """|Re s| <= 200, |Im s| = 10^U(-2, 2.8), |Re a| <= 2, |Im a| = 10^U(-6, 0.5), |Re c| = 10^U(-3, 5), |Im c| <= 3, (kx, ky).
+
+    The box and seed of the extreme sweep in tests/test_continuation.py, which takes its first 500 points.
+    """
+    rng = random.Random(seed)
+    points = []
+    for _ in range(n):
+        s = complex(rng.uniform(-200, 200), rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 2.8))
+        a = complex(rng.uniform(-2, 2), rng.choice((-1, 1)) * 10 ** rng.uniform(-6, 0.5))
+        c = complex(rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 5), rng.uniform(-3, 3))
+        kx = {rng.randint(-1, 2): rng.randint(-2, 2) for _ in range(rng.randint(0, 2))}
+        ky = {rng.randint(-2, 1): rng.randint(-2, 2) for _ in range(rng.randint(0, 2))}
+        points.append((s, a, c, kx, ky))
     return points
 
 
@@ -127,10 +147,15 @@ def probe(pool_file: Path) -> dict:
     finally:
         quadrature.integrate = integrate
     fuzz = [_outcome(lambda: evaluate_principal(*p, TARGET)) for p in _fuzz_points(FUZZ_SEED, FUZZ_POINTS)]
+    extreme = [
+        _outcome(lambda: evaluate_on_cover(Point3(s, a, c), BranchState.from_dicts(kx, ky), TARGET))
+        for s, a, c, kx, ky in _extreme_points(EXTREME_SEED, EXTREME_POINTS)
+    ]
     return {
         "pool": pool,
         "pool_work": work,
         "fuzz": fuzz,
+        "extreme": extreme,
         "verify": _cli(cli.main, VERIFY_ARGS),
         "monodromy": [_cli(cli.main, argv) for argv in _words(WORD_SEED, WORDS)],
     }
@@ -215,6 +240,7 @@ def compare(old: dict, new: dict) -> list[tuple[str, str, list[str]]]:
     return [
         ("pool", f"{_tally(new['pool'])}; {work['integrate_calls']} integrate calls, {work['panels']} panels", pool),
         ("fuzz", _tally(new["fuzz"]), _moves(old["fuzz"], new["fuzz"])),
+        ("extreme", _tally(new["extreme"]), _moves(old["extreme"], new["extreme"])),
         ("verify", f"{len(verify[1].splitlines())} lines, exit {verify[0]}", _byte_moves([old["verify"]], [verify])),
         ("monodromy", f"{len(new['monodromy'])} calls", _byte_moves(old["monodromy"], new["monodromy"])),
     ]

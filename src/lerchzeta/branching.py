@@ -109,11 +109,15 @@ def reciprocal_gamma(s: complex) -> complex:
     """1/Gamma(s), entire; exactly 0 at s = 0, -1, -2, ...
 
     Implemented directly rather than as 1/complex_gamma so the zeros at the
-    nonpositive integers are exact, not rounded.
+    nonpositive integers are exact, not rounded.  Raises OverflowError where
+    Gamma(s) underflows to 0, as complex_gamma does where Gamma(s) overflows.
     """
     s = complex(s)
     if is_nonpositive_integer(s):
         return 0j
     if s.real < 0.5:
         return cmath.sin(math.pi * s) * complex_gamma(1.0 - s) / math.pi
-    return 1.0 / complex_gamma(s)
+    gam = complex_gamma(s)
+    if gam == 0:
+        raise OverflowError(f"1/Gamma(s) overflows at s = {s!r}, where Gamma(s) underflows to 0")
+    return 1.0 / gam

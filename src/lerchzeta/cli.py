@@ -2,7 +2,9 @@
 
 Numbers in JSON and CSV output are printed with 17 significant digits so a
 binary64 value round-trips exactly; identical flags (and seed) produce
-byte-identical output.
+byte-identical output.  Every subcommand ends a LerchError (NonConvergence
+included), an OSError or a usage error in exit code 2 and one JSON error
+record on stderr, written by :func:`main`.
 """
 
 from __future__ import annotations
@@ -73,18 +75,14 @@ def _branch_json(b: BranchState) -> dict:
     }
 
 
-def _error_exit(exc: Exception) -> int:
-    sys.stderr.write(_to_json({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-    return 2
+class UsageError(Exception):
+    """A flag combination argparse cannot reject by itself."""
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        branch = parse_branch(args.branch) if args.branch else BranchState.zero()
-        point = Point3(args.s, args.a, args.c)
-        lv = evaluate_on_cover(point, branch, args.tol)
-    except LerchError as exc:
-        return _error_exit(exc)
+    branch = parse_branch(args.branch) if args.branch else BranchState.zero()
+    point = Point3(args.s, args.a, args.c)
+    lv = evaluate_on_cover(point, branch, args.tol)
     record = {
         "value": _complex_json(lv.value),
         "method": lv.method.value,
@@ -96,12 +94,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_monodromy(args: argparse.Namespace) -> int:
-    try:
-        word = Word.parse(args.word)
-        branch = abelianize(word)
-        terms = monodromy_terms(branch, args.s, args.a, args.c)
-    except LerchError as exc:
-        return _error_exit(exc)
+    word = Word.parse(args.word)
+    branch = abelianize(word)
+    terms = monodromy_terms(branch, args.s, args.a, args.c)
     total = 0j  # monodromy_of_branch's sum, in its order
     for _, _, value in terms:
         total += value
@@ -135,14 +130,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
     needed = [k for k in ("s", "a", "c") if k != axis]
     missing = [k for k in needed if fixed[k] is None]
     if missing:
-        sys.stderr.write(
-            _to_json({"error": "UsageError", "message": f"missing --fixed-{'/'.join(missing)}"}) + "\n"
-        )
-        return 2
-    try:
-        branch = parse_branch(args.branch) if args.branch else BranchState.zero()
-    except LerchError as exc:
-        return _error_exit(exc)
+        raise UsageError(f"missing --fixed-{'/'.join(missing)}")
+    branch = parse_branch(args.branch) if args.branch else BranchState.zero()
 
     coords = [
         complex(re, im) for re in _grid_points(args.re) for im in _grid_points(args.im)
@@ -160,37 +149,34 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
     rows = [one(coord) for coord in coords]
 
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            if args.format == "csv":
-                fh.write(_CSV_HEADER + "\n")
-                for coord, payload in rows:
-                    if payload is None:
-                        fh.write(f"{_fmt(coord.real)},{_fmt(coord.imag)},,,,skipped\n")
-                    else:
-                        value, err, method = payload
-                        fh.write(
-                            f"{_fmt(coord.real)},{_fmt(coord.imag)},{_fmt(value.real)},"
-                            f"{_fmt(value.imag)},{_fmt(err)},{method}\n"
-                        )
-            else:
-                records = []
-                for coord, payload in rows:
-                    if payload is None:
-                        records.append({"coord": _complex_json(coord), "method": "skipped"})
-                    else:
-                        value, err, method = payload
-                        records.append(
-                            {
-                                "coord": _complex_json(coord),
-                                "z": _complex_json(value),
-                                "abs_err": err,
-                                "method": method,
-                            }
-                        )
-                fh.write(_to_json(records) + "\n")
-    except OSError as exc:
-        return _error_exit(exc)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        if args.format == "csv":
+            fh.write(_CSV_HEADER + "\n")
+            for coord, payload in rows:
+                if payload is None:
+                    fh.write(f"{_fmt(coord.real)},{_fmt(coord.imag)},,,,skipped\n")
+                else:
+                    value, err, method = payload
+                    fh.write(
+                        f"{_fmt(coord.real)},{_fmt(coord.imag)},{_fmt(value.real)},"
+                        f"{_fmt(value.imag)},{_fmt(err)},{method}\n"
+                    )
+        else:
+            records = []
+            for coord, payload in rows:
+                if payload is None:
+                    records.append({"coord": _complex_json(coord), "method": "skipped"})
+                else:
+                    value, err, method = payload
+                    records.append(
+                        {
+                            "coord": _complex_json(coord),
+                            "z": _complex_json(value),
+                            "abs_err": err,
+                            "method": method,
+                        }
+                    )
+            fh.write(_to_json(records) + "\n")
     return 0
 
 
@@ -249,7 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (LerchError, OSError, UsageError) as exc:
+        sys.stderr.write(_to_json({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        return 2
 
 
 def entry() -> None:

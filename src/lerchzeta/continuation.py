@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from enum import Enum
 from typing import Callable
 
@@ -39,14 +38,13 @@ from .errors import (
     NonConvergence,
     SZero,
 )
-from .evaluator import LerchValue, Method, _integral_eval_raw, _series, dirichlet_series
+from .evaluator import _FLAT_REL_ERR, LerchValue, Method, _integral_eval_raw, _series, dirichlet_series
 from .monodromy import branch_monodromy
 from .words import BranchState
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 _EPS = 2.220446049250313e-16
-_LOG_MAX = math.log(sys.float_info.max)  # cmath.exp overflows above this real part
 _CIRCLE_CAP = 0.05
 _NODES = 24  # trapezoid nodes on every Cauchy circle
 _TAYLOR_RADIUS = 0.01  # |Im c| on Re c = 1 below which the value is the Taylor series about c = 1
@@ -110,31 +108,29 @@ def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _
     """
     if n == 0:
         return inner(s, a, c, target)
-    # largest real part among the exponents 2 pi i a k below: k = n and the ends of j - n
-    if max(-_TWO_PI * a.imag * k for k in (n, min(n, 0) - n, max(n, 0) - 1 - n)) > _LOG_MAX:
-        raise NonConvergence(f"index shift of c by {n} at Im a = {a.imag:.3g} overflows")
-    phase = cmath.exp(2j * math.pi * a * n)
-    scale = abs(phase)
-    shifted = inner(s, a, c + n, 0.5 * target / max(scale, 1e-300))
-    j = np.arange(min(n, 0), max(n, 0))
-    x, y = j + c.real, c.imag  # j + c
-    if y <= 0.0 and (x == 0.0).any():
-        raise CutViolation(f"j + c lies on the branch cut {{-i*t : t >= 0}} for c = {c!r}, n = {n}")
-    # branched_pow(j + c, -s): principal_log's argument in (-pi/2, 3pi/2], the sign
-    # of Re(j + c) deciding an atan2 that rounds to exactly -pi/2
-    theta = np.arctan2(y, x)
-    theta += _TWO_PI * ((theta < -_HALF_PI) | ((theta == -_HALF_PI) & (x < 0.0)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        lg = np.log(np.hypot(x, y)) + 1j * theta
-        terms = np.exp(2j * math.pi * a * (j - n)) * np.exp(-s * lg)
-        # roundoff of each term carries the phase errors 2 pi |a| |j - n| and |s log(j + c)| of its exps
-        weight = 1.0 + _TWO_PI * abs(a) * np.abs(j - n) + abs(s) * np.abs(lg)
-        partial, absum = complex(terms.sum()), float(np.abs(terms) @ weight)
-    if not (cmath.isfinite(partial) and math.isfinite(absum)):
-        raise OverflowError(f"index-shift partial sum for c = {c!r}, n = {n} leaves the binary64 range")
-    value = phase * (shifted.value + math.copysign(1.0, n) * partial)
-    err = scale * (shifted.abs_err_estimate + 8.0 * _EPS * absum) + 8.0 * _EPS * abs(value) * (1.0 + _TWO_PI * abs(a * n))
-    return LerchValue(value, shifted.method, err)
+    try:  # e^{2 pi i a n} and the terms may pass binary64's range
+        phase = cmath.exp(2j * math.pi * a * n)
+        scale = abs(phase)
+        shifted = inner(s, a, c + n, 0.5 * target / max(scale, 1e-300))
+        j = np.arange(min(n, 0), max(n, 0))
+        x, y = j + c.real, c.imag  # j + c
+        if y <= 0.0 and (x == 0.0).any():
+            raise CutViolation(f"j + c lies on the branch cut {{-i*t : t >= 0}} for c = {c!r}, n = {n}")
+        # branched_pow(j + c, -s): principal_log's argument in (-pi/2, 3pi/2], the sign
+        # of Re(j + c) deciding an atan2 that rounds to exactly -pi/2
+        theta = np.arctan2(y, x)
+        theta += _TWO_PI * ((theta < -_HALF_PI) | ((theta == -_HALF_PI) & (x < 0.0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lg = np.log(np.hypot(x, y)) + 1j * theta
+            terms = np.exp(2j * math.pi * a * (j - n)) * np.exp(-s * lg)
+            # roundoff of each term carries the phase errors 2 pi |a| |j - n| and |s log(j + c)| of its exps
+            weight = 1.0 + _TWO_PI * abs(a) * np.abs(j - n) + abs(s) * np.abs(lg)
+            partial, absum = complex(terms.sum()), float(np.abs(terms) @ weight)
+        value = phase * (shifted.value + math.copysign(1.0, n) * partial)
+        err = scale * (shifted.abs_err_estimate + 8.0 * _EPS * absum) + 8.0 * _EPS * abs(value) * (1.0 + _TWO_PI * abs(a * n))
+        return LerchValue(value, shifted.method, err)
+    except OverflowError as exc:
+        raise NonConvergence(f"index shift of c = {c!r} by {n} overflows at Im a = {a.imag:.3g}") from exc
 
 
 def evaluate_principal(s: complex, a: complex, c: complex, target_abs_err: float = 1e-10) -> LerchValue:
@@ -144,7 +140,7 @@ def evaluate_principal(s: complex, a: complex, c: complex, target_abs_err: float
     each other), so Re a is first reduced into [0, 1); a reduction that
     rounds to 1 keeps a when Im a > 0 and raises CutViolation when Im a <= 0,
     where it lands on a cut.  The dispatch :func:`_core_eval` does the rest;
-    a value or estimate outside the binary64 range raises NonConvergence.
+    each route ends an overflow in NonConvergence (see :class:`LerchValue`).
     """
     s, a, c = complex(s), complex(a), complex(c)
     Point3(s, a, c)  # validity
@@ -154,13 +150,7 @@ def evaluate_principal(s: complex, a: complex, c: complex, target_abs_err: float
         a = reduced
     elif a.imag <= 0.0:
         raise CutViolation(f"a = {a!r} rounds onto a downward cut ray when reduced by its period")
-    try:
-        lv = _core_eval(s, a, c, target_abs_err)
-        if cmath.isfinite(lv.value) and math.isfinite(lv.abs_err_estimate):
-            return lv
-    except OverflowError:
-        pass
-    raise NonConvergence(f"the value at s = {s!r}, a = {a!r}, c = {c!r} leaves the binary64 range")
+    return _core_eval(s, a, c, target_abs_err)
 
 
 def transform_eval(p: Point3, target_abs_err: float = 1e-10) -> LerchValue:
@@ -195,25 +185,28 @@ def _transform_value(s: complex, a: complex, c: complex, target: float) -> Lerch
     if c.real == 1.0 and 0.0 < abs(c.imag) < _TAYLOR_RADIUS:
         return _c_taylor_value(s, a, c, target)
     sp = 1.0 - s  # coefficients of zeta(sp, 1-c, a) and zeta(sp, c, 1-a)
-    pref = cmath.exp(-sp * math.log(_TWO_PI)) * complex_gamma(sp)
-    coef1 = pref * cmath.exp(0.5j * math.pi * sp - 2j * math.pi * a * c)
-    coef2 = pref * cmath.exp(-0.5j * math.pi * sp + 2j * math.pi * c * (1.0 - a))
-    target1 = 0.25 * target / max(abs(coef1), 1e-300)
-    target2 = 0.25 * target / max(abs(coef2), 1e-300)
-    if c == 1.0:  # the series' pole-free parts, after the index shift in c to Re >= 0.6
-        v1 = _shift_c(sp, 0j, a, max(0, math.ceil(0.6 - a.real)), target1, _series)
-        v2 = _shift_c(sp, 0j, 1.0 - a, max(0, math.ceil(0.6 - (1.0 - a).real)), target2, _series)
-        pole = -2.0 * cmath.exp(-sp * math.log(_TWO_PI) - 2j * math.pi * a) * complex_gamma(sp)
-        pole *= cmath.sin(0.5 * math.pi * s) / s if s != 0 else 0.5 * math.pi
-    else:
-        c = complex(min(max(c.real, 2.0**-53), 1.0 - 2.0**-53), c.imag)
-        v1 = _core_eval(sp, 1.0 - c, a, target1)
-        v2 = _core_eval(sp, c, 1.0 - a, target2)
-        pole = 0j
-    value = coef1 * v1.value + coef2 * v2.value + pole
-    err = abs(coef1) * v1.abs_err_estimate + abs(coef2) * v2.abs_err_estimate
-    err += 4e-13 * (abs(coef1 * v1.value) + abs(coef2 * v2.value) + abs(pole))
-    return LerchValue(value, Method.TRANSFORM, err)
+    try:  # Gamma(1 - s) and the exponentials may pass binary64's range
+        pref = cmath.exp(-sp * math.log(_TWO_PI)) * complex_gamma(sp)
+        coef1 = pref * cmath.exp(0.5j * math.pi * sp - 2j * math.pi * a * c)
+        coef2 = pref * cmath.exp(-0.5j * math.pi * sp + 2j * math.pi * c * (1.0 - a))
+        target1 = 0.25 * target / max(abs(coef1), 1e-300)
+        target2 = 0.25 * target / max(abs(coef2), 1e-300)
+        if c == 1.0:  # the series' pole-free parts, after the index shift in c to Re >= 0.6
+            v1 = _shift_c(sp, 0j, a, max(0, math.ceil(0.6 - a.real)), target1, _series)
+            v2 = _shift_c(sp, 0j, 1.0 - a, max(0, math.ceil(0.6 - (1.0 - a).real)), target2, _series)
+            pole = -2.0 * cmath.exp(-sp * math.log(_TWO_PI) - 2j * math.pi * a) * complex_gamma(sp)
+            pole *= cmath.sin(0.5 * math.pi * s) / s if s != 0 else 0.5 * math.pi
+        else:
+            c = complex(min(max(c.real, 2.0**-53), 1.0 - 2.0**-53), c.imag)
+            v1 = _core_eval(sp, 1.0 - c, a, target1)
+            v2 = _core_eval(sp, c, 1.0 - a, target2)
+            pole = 0j
+        value = coef1 * v1.value + coef2 * v2.value + pole
+        err = abs(coef1) * v1.abs_err_estimate + abs(coef2) * v2.abs_err_estimate
+        err += _FLAT_REL_ERR * (abs(coef1 * v1.value) + abs(coef2 * v2.value) + abs(pole))
+        return LerchValue(value, Method.TRANSFORM, err)
+    except OverflowError as exc:
+        raise NonConvergence(f"three-term transformation overflows at s = {s!r}") from exc
 
 
 def _c_taylor_value(s: complex, a: complex, c: complex, target: float) -> LerchValue:
@@ -241,7 +234,7 @@ def _c_taylor_value(s: complex, a: complex, c: complex, target: float) -> LerchV
         ratio = abs(h) * max(1.0, (abs(s) + k + 1) / (k + 2))
         tail = 2.0 * abs(weight) * biggest
         if ratio <= 0.5 and tail <= 0.25 * target:
-            return LerchValue(value, Method.TRANSFORM, err + tail + 4e-13 * absum)
+            return LerchValue(value, Method.TRANSFORM, err + tail + _FLAT_REL_ERR * absum)
     raise NonConvergence(f"Taylor series in c about 1 misses the target after {_TAYLOR_TERMS} terms at h = {h!r}")
 
 
@@ -298,7 +291,7 @@ def dde_shift(p: Point3, direction: ShiftDirection | str, target_abs_err: float 
         value = -d1 / s
         amp = 1.0 / (abs(s) * r)
     alias = 4.0 * max_abs * (r / analytic_radius) ** (_NODES - 1) / analytic_radius
-    err = amp * (node_target + 4.0 * _EPS * max_abs) + alias + 4e-13 * abs(value)
+    err = amp * (node_target + 4.0 * _EPS * max_abs) + alias + _FLAT_REL_ERR * abs(value)
     return LerchValue(value, Method.DDE_SHIFT, err)
 
 
@@ -307,20 +300,14 @@ def evaluate_on_cover(p: Point3, b: BranchState, target_abs_err: float = 1e-10) 
 
     Principal-sheet value plus the closed-form monodromy of b; entries
     ky[n] with n >= 1 contribute nothing.  Requires the endpoint to be off
-    the anchoring cut rays in both the a- and c-planes.  A monodromy, value
-    or estimate outside the binary64 range raises NonConvergence.
+    the anchoring cut rays in both the a- and c-planes.  A monodromy term,
+    value or estimate that overflows raises NonConvergence.
     """
     z0 = evaluate_principal(p.s, p.a, p.c, target_abs_err)
     if b.is_zero:
         return z0
-    try:
-        extra, roundoff = branch_monodromy(b, p.s, p.a, p.c)
-        value, err = z0.value + extra, z0.abs_err_estimate + roundoff
-        if cmath.isfinite(value) and math.isfinite(err):
-            return LerchValue(value, z0.method, err)
-    except OverflowError:
-        pass
-    raise NonConvergence(f"the monodromy of {b!r} at {p!r} leaves the binary64 range")
+    extra, roundoff = branch_monodromy(b, p.s, p.a, p.c)
+    return LerchValue(z0.value + extra, z0.method, z0.abs_err_estimate + roundoff)
 
 
 def dde_lower_residual(p: Point3, b: BranchState) -> float:

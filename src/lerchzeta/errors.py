@@ -1,4 +1,9 @@
-"""Exception hierarchy for the lerchzeta package."""
+"""Exception hierarchy for the lerchzeta package.
+
+A number outside binary64 ends in NonConvergence: LerchValue refuses a
+non-finite value or estimate, and each function that does the arithmetic
+turns Python's OverflowError into it.  The primitives keep OverflowError.
+"""
 
 
 class LerchError(Exception):
@@ -26,7 +31,7 @@ class DivergentSeries(LerchError):
 
 
 class NonConvergence(LerchError):
-    """The error target could not be met within the work budget."""
+    """The error target could not be met within the work budget, or a number overflowed binary64."""
 
 
 class ContourHitsPole(LerchError):

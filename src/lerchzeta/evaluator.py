@@ -44,6 +44,9 @@ _RINGS = np.concatenate([_ROOTS, 2.0 * _ROOTS])  # the endpoint circle and the c
 # DFT with phases reduced mod _RING before exp: unreduced ones lose about 1e-13
 _DFT = np.exp((-2j * math.pi / _RING) * (np.outer(_K, _K) % _RING)) / _RING
 _NO_POLES = BranchState()  # the ray turns over no pole
+# flat relative error charged to a value that passes through Gamma (here and in continuation): it stands
+# in for complex_gamma's Lanczos error, until a charge derived from that error replaces it
+_FLAT_REL_ERR = 4e-13
 
 
 class Method(str, Enum):
@@ -59,11 +62,17 @@ class LerchValue:
 
     abs_err_estimate comes from the tail/quadrature estimators plus roundoff
     accounting; it is an estimate in the upper-bound style, not a guess.
+    Both are finite: a value or estimate that overflows binary64 (numpy's
+    inf or NaN) raises NonConvergence here, so every route ends it alike.
     """
 
     value: complex
     method: Method
     abs_err_estimate: float
+
+    def __post_init__(self) -> None:
+        if not (cmath.isfinite(self.value) and math.isfinite(self.abs_err_estimate)):
+            raise NonConvergence(f"value {self.value!r} or its estimate {self.abs_err_estimate!r} overflows")
 
 
 def _reduce_a(a: complex) -> complex:
@@ -233,29 +242,28 @@ def _series(s: complex, alpha: complex, c: complex, target_abs_err: float) -> Le
     point, or up to 300000 terms where the split point exceeds _SPLIT_CAP; the
     Abel-Plana tail from the split point serves otherwise.
     """
-    split = _split_point(s, alpha)
-    limit = 300_000 if split is None else split + _DIRECT_MARGIN
-    direct = _direct_length(s, alpha, c, 0.5 * target_abs_err, limit)
-    # far left in s the terms and the tail's integrands may pass binary64's range; the check below ends them
-    with np.errstate(over="ignore", invalid="ignore"):
-        if direct is not None:
-            n0, tail_err = direct
-            tail = 0j
-        elif split is None:
-            raise NonConvergence(f"split point exceeds {_SPLIT_CAP} at s = {s!r}, reduced a = {alpha!r}")
-        else:
-            n0 = split
-            try:
+    try:  # far left in s the terms, tail bounds and tail integrands may pass binary64's range
+        split = _split_point(s, alpha)
+        limit = 300_000 if split is None else split + _DIRECT_MARGIN
+        direct = _direct_length(s, alpha, c, 0.5 * target_abs_err, limit)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if direct is not None:
+                n0, tail_err = direct
+                tail = 0j
+            elif split is None:
+                raise NonConvergence(f"split point exceeds {_SPLIT_CAP} at s = {s!r}, reduced a = {alpha!r}")
+            else:
+                n0 = split
                 tail, tail_err = _osc_tail(s, alpha, c, n0, 0.5 * target_abs_err)
-            except OverflowError as exc:  # its truncation bounds grow like y^{-Re s} before they decay
-                raise NonConvergence(f"series tail bound overflows at s = {s!r}, n0 = {n0}") from exc
-        partial, absum = _partial_sum(s, alpha, c, n0)
-    # roundoff of exp(-s log(n+c)) carries the phase error |s| log(n+c)
-    phase_err = 1.0 + abs(s) * math.log(n0 + abs(c) + 1.0)
-    err = tail_err + 4.0 * _EPS * (absum + abs(tail)) * phase_err
-    if not err <= max(1e6 * target_abs_err, 1e-6):  # so does a NaN estimate, from a sum that overflows
-        raise NonConvergence(f"series error estimate {err:.3e} far above target {target_abs_err:.3e}")
-    return LerchValue(partial + tail, Method.SERIES, err)
+            partial, absum = _partial_sum(s, alpha, c, n0)
+        # roundoff of exp(-s log(n+c)) carries the phase error |s| log(n+c)
+        phase_err = 1.0 + abs(s) * math.log(n0 + abs(c) + 1.0)
+        err = tail_err + 4.0 * _EPS * (absum + abs(tail)) * phase_err
+        if err > max(1e6 * target_abs_err, 1e-6):
+            raise NonConvergence(f"series error estimate {err:.3e} far above target {target_abs_err:.3e}")
+        return LerchValue(partial + tail, Method.SERIES, err)
+    except OverflowError as exc:
+        raise NonConvergence(f"series overflows at s = {s!r}, reduced a = {alpha!r}, c = {c!r}") from exc
 
 
 def series_eval(p: Point3, target_abs_err: float = 1e-12) -> LerchValue:
@@ -451,22 +459,19 @@ def _integral_eval_raw(
         # conj zeta(s, a, c) = zeta(conj s, 1 - conj a, conj c)
         lv = _integral_eval_raw(s.conjugate(), 1.0 - a.conjugate(), c.conjugate(), contour, target_abs_err)
         return LerchValue(lv.value.conjugate(), lv.method, lv.abs_err_estimate)
-    try:  # for Re s < 1/2 the reflection's sin(pi s) overflows where Gamma(s) underflows
+    try:  # Gamma(s) (or, for Re s < 1/2, the reflection's sin(pi s)) and the cutoff's bound may overflow
         gam = complex_gamma(s)
-    except OverflowError:
-        gam = 0j
-    if gam == 0:
-        raise NonConvergence(f"Gamma(s) underflows at s = {s!r}")
-    theta, b, sign, d, k = _ray(s, a, c, contour)
-    scale = abs(gam)
-    with np.errstate(over="ignore", invalid="ignore"):  # t^{s-1} e^{-ct} may pass binary64's range
-        raw, raw_err = _contour_integral(s, a, c, theta, 0.9 * target_abs_err * scale, d, k)
-    if not (cmath.isfinite(raw) and math.isfinite(raw_err)):
-        raise NonConvergence(f"ray integral overflows at s = {s!r}")
-    poles, poles_err = branch_monodromy(b, s, a, c)
-    value = raw / gam + sign * poles
-    err = raw_err / scale + 4e-13 * abs(value) + poles_err
-    return LerchValue(value, Method.INTEGRAL, err)
+        if gam == 0:  # no tolerance to give the quadrature
+            raise NonConvergence(f"Gamma(s) underflows at s = {s!r}")
+        theta, b, sign, d, k = _ray(s, a, c, contour)
+        scale = abs(gam)
+        with np.errstate(over="ignore", invalid="ignore"):  # t^{s-1} e^{-ct} may pass binary64's range
+            raw, raw_err = _contour_integral(s, a, c, theta, 0.9 * target_abs_err * scale, d, k)
+        poles, poles_err = branch_monodromy(b, s, a, c)
+        value = raw / gam + sign * poles
+        return LerchValue(value, Method.INTEGRAL, raw_err / scale + _FLAT_REL_ERR * abs(value) + poles_err)
+    except OverflowError as exc:
+        raise NonConvergence(f"integral overflows at s = {s!r}") from exc
 
 
 def residue_discrepancy(

@@ -18,6 +18,7 @@ from enum import Enum
 from .branching import complex_gamma, is_nonpositive_integer
 from .continuation import evaluate_principal, transform_eval
 from .domain import Point3, SymKind
+from .errors import NonConvergence
 from .monodromy import monodromy_of_word
 from .words import Word
 
@@ -51,10 +52,13 @@ class CompletedL:
 
 
 def archimedean_factor(kind: SymKind | str, s: complex) -> complex:
-    """pi^{-(s+k)/2} Gamma((s+k)/2); poles at s+k in {0, -2, -4, ...}."""
+    """pi^{-(s+k)/2} Gamma((s+k)/2); poles at s+k in {0, -2, -4, ...}.  Raises NonConvergence where it overflows."""
     k = SymKind(kind).k
     half = 0.5 * (complex(s) + k)
-    return cmath.exp(-half * math.log(math.pi)) * complex_gamma(half)
+    try:
+        return cmath.exp(-half * math.log(math.pi)) * complex_gamma(half)
+    except OverflowError as exc:
+        raise NonConvergence(f"archimedean factor overflows at s = {s!r}") from exc
 
 
 def completed_l(kind: SymKind | str, s: complex, a: complex, c: complex, target_abs_err: float = 1e-11) -> CompletedL:

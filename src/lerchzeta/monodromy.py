@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .branching import branched_pow, principal_log, reciprocal_gamma
 from .domain import is_real_integer
+from .errors import NonConvergence
 from .words import BranchState, Generator, Word, abelianize
 
 _TWO_PI = 2.0 * math.pi
@@ -95,10 +96,13 @@ def monodromy_power(g: Generator, k: int, s: complex, a: complex, c: complex) ->
 def monodromy_terms(b: BranchState, s: complex, a: complex, c: complex) -> list[tuple[Generator, int, complex]]:
     """[(generator, count, monodromy of generator^count)] for the nonzero counts of b, X before Y, in index order."""
     terms = []
-    for axis, pairs in (("X", b.kx), ("Y", b.ky)):
-        for n, k in pairs:
-            g = Generator(axis, n)
-            terms.append((g, k, monodromy_power(g, k, s, a, c)))
+    try:  # 1/Gamma(s), (2 pi)^s, a kernel or a geometric factor may overflow
+        for axis, pairs in (("X", b.kx), ("Y", b.ky)):
+            for n, k in pairs:
+                g = Generator(axis, n)
+                terms.append((g, k, monodromy_power(g, k, s, a, c)))
+    except OverflowError as exc:
+        raise NonConvergence(f"monodromy of {b!r} overflows at s = {s!r}, a = {a!r}, c = {c!r}") from exc
     return terms
 
 

@@ -125,6 +125,12 @@ class TestGamma:
 
 
 class TestReciprocalGamma:
+    def test_gamma_underflow_overflows(self):
+        # Gamma(0.5 + 500i) underflows to 0, so its reciprocal overflows as complex_gamma's own would
+        assert complex_gamma(0.5 + 500j) == 0
+        with pytest.raises(OverflowError):
+            reciprocal_gamma(0.5 + 500j)
+
     def test_exact_zeros(self):
         for n in (0, -1, -2, -3, -10):
             assert reciprocal_gamma(complex(n)) == 0j

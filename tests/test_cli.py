@@ -136,6 +136,34 @@ class TestVerify:
         assert out.count("PASS") == 1
 
 
+class TestErrorRecord:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--s", "0.5,500", "--a", "0.3,0.2", "--c", "0.4,0", "--branch", "X0"),
+            ("monodromy", "--word", "X0", "--s", "0.5,500", "--a", "0.3,0", "--c", "0.4,0"),
+            ("monodromy", "--word", "X0", "--s", "400,0", "--a", "0.3,0", "--c", "0.4,0"),
+            ("monodromy", "--word", "X0", "--s", "-400.5,0", "--a", "0.3,0", "--c", "0.4,0"),
+        ],
+    )
+    def test_overflow_is_a_record(self, capsys, argv):
+        # 1/Gamma(s) in M(X_0) overflows at the first two s, Gamma(s) itself at the last two
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "NonConvergence"
+
+    def test_verify_non_convergence_is_a_record(self, capsys, monkeypatch):
+        def fails(*args):
+            raise errors.NonConvergence("no suite converged")
+
+        monkeypatch.setattr(lerchzeta.cli, "run_suite", fails)
+        code, out, err = run(capsys, "verify", "--suite", "monodromy")
+        assert (code, out) == (2, "")
+        assert err == '{"error": "NonConvergence", "message": "no suite converged"}\n'
+
+
 class TestRunSuite:
     def test_all_suites_pass_and_repeat(self):
         first = run_suite("all", 1, 0)

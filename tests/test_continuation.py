@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import warnings
 
 import mpmath
@@ -115,6 +116,11 @@ class TestTransform:
         lv = evaluate_principal(-3.0, 0.5, 0.5, 1e-10)
         assert abs(lv.value - Z_M3_05_05) < 1e-9
 
+    def test_gamma_overflow_raises(self):
+        # the coefficients at s = -200.5 carry Gamma(201.5), past binary64
+        with pytest.raises(NonConvergence, match="overflows"):
+            transform_eval(Point3(-200.5, 0.3, 0.4))
+
     def test_outside_polycylinder_rejected(self):
         with pytest.raises(InvalidRegion):
             transform_eval(Point3(0.5, 1.2, 0.5))
@@ -201,10 +207,10 @@ class TestShiftC:
         assert abs(lv.value - want) <= lv.abs_err_estimate
 
     def test_overflowing_term_raises_without_a_warning(self):
-        # |j + c|^{-s} reaches 1e800 at s = -200; evaluate_principal turns the OverflowError into NonConvergence
+        # |j + c|^{-s} reaches 1e800 at s = -200; the non-finite sum ends in LerchValue's NonConvergence
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError):
+            with pytest.raises(NonConvergence, match="overflows"):
                 continuation._shift_c(-200.0, 0.3, 1e4 + 0.5, -10000, 1e-10, _zero_route)
 
     @pytest.mark.parametrize("point, want", Z_SHIFT_SMALL_C)
@@ -548,6 +554,43 @@ class TestEvaluateOnCover:
         assert cmath.isfinite(evaluate_on_cover(p, BranchState.zero()).value)
         with pytest.raises(NonConvergence):
             evaluate_on_cover(p, BranchState.from_dicts(kx))
+
+    def test_reciprocal_gamma_overflow_raises(self):
+        # Gamma(0.5 + 500i) underflows to 0, so M(X_0)'s 1/Gamma(s) overflows
+        p = Point3(0.5 + 500j, 0.3 + 0.2j, 0.4)
+        assert cmath.isfinite(evaluate_on_cover(p, BranchState.zero()).value)
+        with pytest.raises(NonConvergence, match="overflows"):
+            evaluate_on_cover(p, BranchState.from_dicts({0: 1}))
+
+
+class TestLerchValue:
+    @pytest.mark.parametrize("value, err", [(complex("inf"), 0.0), (0j, float("nan"))])
+    def test_non_finite_raises(self, value, err):
+        with pytest.raises(NonConvergence, match="overflows"):
+            LerchValue(value, Method.SERIES, err)
+
+
+def _extreme_points(n: int):
+    """Seeded points far out in s, a and c, with up to two windings per axis (the box is fixed)."""
+    rng = random.Random(11)
+    for _ in range(n):
+        s = complex(rng.uniform(-200, 200), rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 2.8))
+        a = complex(rng.uniform(-2, 2), rng.choice((-1, 1)) * 10 ** rng.uniform(-6, 0.5))
+        c = complex(rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 5), rng.uniform(-3, 3))
+        kx = {rng.randint(-1, 2): rng.randint(-2, 2) for _ in range(rng.randint(0, 2))}
+        ky = {rng.randint(-2, 1): rng.randint(-2, 2) for _ in range(rng.randint(0, 2))}
+        yield s, a, c, kx, ky
+
+
+def test_extreme_sweep_is_total():
+    # every point gives a finite value and estimate or a LerchError; a numpy warning fails the test, and so
+    # does any other exception, such as ZeroDivisionError from 1/Gamma(s) at point 468 (s = 25.69 + 555.33i)
+    for i, (s, a, c, kx, ky) in enumerate(_extreme_points(500)):
+        try:
+            lv = evaluate_on_cover(Point3(s, a, c), BranchState.from_dicts(kx, ky))
+        except LerchError:
+            continue
+        assert cmath.isfinite(lv.value) and math.isfinite(lv.abs_err_estimate), i
 
 
 class TestDerivativeResiduals:

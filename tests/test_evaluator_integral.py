@@ -89,6 +89,17 @@ class TestStraightContour:
         with pytest.raises(NonConvergence):
             integral_eval(Point3(s, 0.3 - 0.1j, c))
 
+    def test_gamma_overflow_says_so(self):
+        # Gamma(400) is about 1e846: it overflows, it does not underflow
+        with pytest.raises(NonConvergence, match="overflows") as info:
+            integral_eval(Point3(400, 0.3 - 0.1j, 0.4))
+        assert "underflows" not in str(info.value)
+
+    def test_cutoff_bound_overflow_raises(self):
+        # at Re c = 0.01 the cutoff's bound t^{99} e^{-ct} passes math.exp's range before it decays
+        with pytest.raises(NonConvergence, match="overflows"):
+            integral_eval(Point3(100, 0.3 - 0.1j, 0.01))
+
     def test_gamma_reflection_overflow_raises(self):
         # Re s < 1/2: Gamma(s) comes from the reflection formula, whose
         # sin(pi s) overflows at |Im s| = 277 before Gamma(s) reaches 0

@@ -310,6 +310,11 @@ class TestSeriesDomain:
         with pytest.raises(NonConvergence):
             dirichlet_series(0.5, 1e-9, 0.5, 1e-10)
 
+    def test_direct_sum_bound_overflow_raises(self):
+        # the direct sum's geometric bound carries n^{300}, past math.exp's range
+        with pytest.raises(NonConvergence, match="overflows"):
+            dirichlet_series(-300, 0.3 + 1j, 1000)
+
 
 class TestSeriesInvariants:
     def test_periodicity_exact_at_dyadic_a(self):

@@ -6,6 +6,7 @@ import pytest
 from lerchzeta import (
     InvalidRegion,
     IteratedVariant,
+    NonConvergence,
     SymKind,
     completed_l,
     evaluate_principal,
@@ -65,6 +66,11 @@ class TestCompletedForms:
 class TestReflectionIdentity:
     def test_plus_instance(self):
         assert fe_residual(SymKind.PLUS, 0.4, 0.3, 0.7, 1e-10) < 1e-10
+
+    def test_archimedean_overflow_raises(self):
+        # the factor at s = 400 is Gamma(200), past binary64
+        with pytest.raises(NonConvergence):
+            fe_residual("plus", 400.0, 0.3, 0.4)
 
     def test_minus_instance_high_in_strip(self):
         assert fe_residual(SymKind.MINUS, 0.5 + 2j, 0.25, 0.75, 1e-10) < 1e-9
@@ -157,6 +163,11 @@ class TestThreeTerm:
             a = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
             c = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
             assert three_term_residual(sp, a, c, 1e-10) < 1e-9
+
+    def test_gamma_overflow_raises(self):
+        # the transform at s = -399.5 needs Gamma(400.5), past binary64
+        with pytest.raises(NonConvergence):
+            three_term_residual(400.5, 0.3, 0.4)
 
     @pytest.mark.parametrize("sp, a, c", [(0.5, 0.4, 1.2), (0.5, 1.3, 0.6), (-0.1, 0.4, 0.6)])
     def test_outside_the_strips_raises(self, sp, a, c):
