@@ -19,7 +19,11 @@ interpreter, removes the directory and prints, item by item,
 - verify: the stdout and exit code of ``lerchz verify --suite all --samples 3
   --seed 1``;
 - monodromy: the stdout, stderr and exit code of ``lerchz monodromy`` for 500
-  seeded words.
+  seeded words;
+- algebra: 800 seeded pairs of words, a quarter each at moderate,
+  nonpositive-integer, extreme and steep s, through ``monodromy_of_word``,
+  ``word_fold_monodromy``, ``compose_check`` and ``fe_monodromy_residual`` of
+  both kinds: each value, or its exception class.
 
 A moved value reports the largest absolute move, the largest relative move
 |new - old| / |old| and the largest relative move of the estimate.  The exit
@@ -49,6 +53,7 @@ TARGET = 1e-10
 FUZZ_SEED, FUZZ_POINTS = 7, 1500
 EXTREME_SEED, EXTREME_POINTS = 11, 1500
 WORD_SEED, WORDS = 5, 500
+ALGEBRA_SEED, ALGEBRA_CASES = 13, 800
 VERIFY_ARGS = ["verify", "--suite", "all", "--samples", "3", "--seed", "1"]
 SHOWN = 5  # changed records printed per item
 
@@ -56,13 +61,16 @@ SHOWN = 5  # changed records printed per item
 # -- probe: runs in a fresh interpreter against one tree's src/ ----------------------------------
 
 
-def _outcome(fn) -> list:
-    """[re, im, estimate, method, warned], or ["raise", class name, None, None, warned]."""
+def _lerch_row(lv) -> list:
+    return [lv.value.real, lv.value.imag, lv.abs_err_estimate, lv.method.value]
+
+
+def _outcome(fn, as_row=_lerch_row) -> list:
+    """as_row(fn()) + [warned]: by default [re, im, estimate, method, warned]; or ["raise", class name, None, None, warned]."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            lv = fn()
-            row = [lv.value.real, lv.value.imag, lv.abs_err_estimate, lv.method.value]
+            row = as_row(fn())
         except Exception as exc:  # a class the parent raised and the change does not is a finding
             row = ["raise", type(exc).__name__, None, None]
     return row + [bool(caught)]
@@ -99,21 +107,70 @@ def _extreme_points(seed: int, n: int) -> list[tuple[complex, complex, complex, 
     return points
 
 
+def _word_text(rng: random.Random) -> str:
+    """1-6 letters X_k or Y_k, k in [-3, 3], exponent in +-[1, 3]."""
+    letters = []
+    for _ in range(rng.randint(1, 6)):
+        e = rng.choice([-3, -2, -1, 1, 2, 3])
+        letters.append(f"{rng.choice('XY')}{rng.randint(-3, 3)}" + ("" if e == 1 else f"^{e}"))
+    return " ".join(letters)
+
+
 def _words(seed: int, n: int) -> list[list[str]]:
-    """lerchz monodromy argument lists: 1-6 letters X_k or Y_k, k in [-3, 3], exponent in +-[1, 3]."""
+    """lerchz monodromy argument lists: a _word_text word, |Re s| <= 4, |Im s| <= 10, |Re a| <= 2, |Re c| <= 3, |Im a|, |Im c| <= 1."""
     rng = random.Random(seed)
     fmt = lambda z: f"{z.real!r},{z.imag!r}"
     out = []
     for _ in range(n):
-        letters = []
-        for _ in range(rng.randint(1, 6)):
-            e = rng.choice([-3, -2, -1, 1, 2, 3])
-            letters.append(f"{rng.choice('XY')}{rng.randint(-3, 3)}" + ("" if e == 1 else f"^{e}"))
+        word = _word_text(rng)
         s = complex(rng.uniform(-4, 4), rng.uniform(-10, 10))
         a = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         c = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
-        out.append(["monodromy", "--word", " ".join(letters), "--s", fmt(s), "--a", fmt(a), "--c", fmt(c)])
+        out.append(["monodromy", "--word", word, "--s", fmt(s), "--a", fmt(a), "--c", fmt(c)])
     return out
+
+
+def _algebra_cases(seed: int, n: int) -> list[tuple[str, str, complex, complex, complex]]:
+    """(word, word, s, a, c): two _word_text words; s in turn moderate (|Re s| <= 4, |Im s| <= 10),
+    a nonpositive integer in [-5, 0], extreme (|Re s| <= 300, |Im s| <= 500) and steep (|Re s| <= 4,
+    50 <= |Im s| <= 120, where e^{2 pi i s k} leaves binary64 for a few loops k); |Re a| <= 2,
+    |Re c| <= 3, |Im a|, |Im c| <= 1."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        w1, w2 = _word_text(rng), _word_text(rng)
+        if i % 4 == 0:
+            s = complex(rng.uniform(-4, 4), rng.uniform(-10, 10))
+        elif i % 4 == 1:
+            s = complex(-rng.randint(0, 5))
+        elif i % 4 == 2:
+            s = complex(rng.uniform(-300, 300), rng.uniform(-500, 500))
+        else:
+            s = complex(rng.uniform(-4, 4), rng.choice((-1, 1)) * rng.uniform(50, 120))
+        a = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+        c = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
+        out.append((w1, w2, s, a, c))
+    return out
+
+
+def _algebra(cases: list) -> list:
+    """Per case, five outcome rows [re, im, None, function, warned]: monodromy_of_word, word_fold_monodromy,
+    compose_check and fe_monodromy_residual plus and minus (the residuals real)."""
+    from lerchzeta import SymKind, Word, compose_check, fe_monodromy_residual, monodromy_of_word, word_fold_monodromy
+
+    rows = []
+    for t1, t2, s, a, c in cases:
+        w1, w2 = Word.parse(t1), Word.parse(t2)
+        calls = (
+            ("monodromy_of_word", lambda: monodromy_of_word(w1, s, a, c)),
+            ("word_fold_monodromy", lambda: word_fold_monodromy(w1, s, a, c)),
+            ("compose_check", lambda: compose_check(w1, w2, s, a, c)),
+            ("fe_plus", lambda: fe_monodromy_residual(SymKind.PLUS, w1, s, a, c)),
+            ("fe_minus", lambda: fe_monodromy_residual(SymKind.MINUS, w1, s, a, c)),
+        )
+        for name, fn in calls:
+            rows.append(_outcome(fn, lambda v, name=name: [complex(v).real, complex(v).imag, None, name]))
+    return rows
 
 
 def _cli(main, argv: list[str]) -> list:
@@ -158,6 +215,7 @@ def probe(pool_file: Path) -> dict:
         "extreme": extreme,
         "verify": _cli(cli.main, VERIFY_ARGS),
         "monodromy": [_cli(cli.main, argv) for argv in _words(WORD_SEED, WORDS)],
+        "algebra": _algebra(_algebra_cases(ALGEBRA_SEED, ALGEBRA_CASES)),
     }
 
 
@@ -243,6 +301,7 @@ def compare(old: dict, new: dict) -> list[tuple[str, str, list[str]]]:
         ("extreme", _tally(new["extreme"]), _moves(old["extreme"], new["extreme"])),
         ("verify", f"{len(verify[1].splitlines())} lines, exit {verify[0]}", _byte_moves([old["verify"]], [verify])),
         ("monodromy", f"{len(new['monodromy'])} calls", _byte_moves(old["monodromy"], new["monodromy"])),
+        ("algebra", _tally(new["algebra"]).replace("points", "calls"), _moves(old["algebra"], new["algebra"])),
     ]
 
 

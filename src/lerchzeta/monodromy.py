@@ -54,27 +54,44 @@ def _geometric_factor(k: int, s: complex, sign: int) -> complex:
     return _cexp_minus_one(s, sign, k) / lam_m1
 
 
-def _x_prefactor(s: complex) -> complex:
-    # -(2*pi)^s e^{i*pi*s/2} / Gamma(s); exactly 0 at s = 0, -1, -2, ...
-    rg = reciprocal_gamma(s)
-    if rg == 0:
+def _prefactor(axis: str, lowest: int, s: complex) -> complex:
+    """The factor that depends on s alone, shared by the generators of one axis; lowest is their lowest index.
+
+    X: -(2*pi)^s e^{i*pi*s/2} / Gamma(s), exactly 0 at s = 0, -1, -2, ...; Y: e^{-2*pi*i*s} - 1.
+    Y_n with n >= 1 adds nothing, so a Y part whose lowest index is >= 1 forms none.
+    """
+    if axis == "X":
+        rg = reciprocal_gamma(s)
+        if rg == 0:
+            return 0j
+        return -cmath.exp(s * math.log(_TWO_PI) + 0.5j * math.pi * s) * rg
+    if lowest >= 1:
         return 0j
-    return -cmath.exp(s * math.log(_TWO_PI) + 0.5j * math.pi * s) * rg
+    return _cexp_minus_one(s, -1)
+
+
+def _loop(g: Generator, pref: complex, s: complex, a: complex, c: complex) -> complex:
+    """Monodromy of one positive loop of g, given the prefactor of g's axis: the one kernel formula per axis."""
+    n = g.index
+    if g.axis == "X":
+        return pref * (branched_pow(a - n, s - 1.0) * cmath.exp(-2j * math.pi * c * (a - n)))
+    if n >= 1 or pref == 0:
+        return 0j
+    return pref * cmath.exp(-2j * math.pi * n * a) * branched_pow(c - n, -s)
+
+
+def _power(g: Generator, k: int, pref: complex, s: complex, a: complex, c: complex) -> complex:
+    """Monodromy of g^k for k != 0: the geometric multiple of :func:`_loop`'s."""
+    base = _loop(g, pref, s, a, c)
+    if base == 0:
+        return 0j
+    return _geometric_factor(k, s, _loop_multiplier_sign(g)) * base
 
 
 def monodromy_generator(g: Generator, s: complex, a: complex, c: complex) -> complex:
     """Monodromy added by one positive loop of generator g, on the principal sheet."""
     s, a, c = complex(s), complex(a), complex(c)
-    if g.axis == "X":
-        pref = _x_prefactor(s)
-        kernel = branched_pow(a - g.index, s - 1.0) * cmath.exp(-2j * math.pi * c * (a - g.index))
-        return pref * kernel
-    if g.index >= 1:
-        return 0j
-    pref = _cexp_minus_one(s, -1)
-    if pref == 0:
-        return 0j
-    return pref * cmath.exp(-2j * math.pi * g.index * a) * branched_pow(c - g.index, -s)
+    return _loop(g, _prefactor(g.axis, g.index, s), s, a, c)
 
 
 def _loop_multiplier_sign(g: Generator) -> int:
@@ -87,22 +104,35 @@ def monodromy_power(g: Generator, k: int, s: complex, a: complex, c: complex) ->
     k = int(k)
     if k == 0:
         return 0j
-    base = monodromy_generator(g, s, a, c)
-    if base == 0:
-        return 0j
-    return _geometric_factor(k, s, _loop_multiplier_sign(g)) * base
+    s, a, c = complex(s), complex(a), complex(c)
+    return _power(g, k, _prefactor(g.axis, g.index, s), s, a, c)
+
+
+def _overflow(what: str, s: complex, a: complex, c: complex) -> NonConvergence:
+    return NonConvergence(f"{what} overflows at s = {s!r}, a = {a!r}, c = {c!r}")
 
 
 def monodromy_terms(b: BranchState, s: complex, a: complex, c: complex) -> list[tuple[Generator, int, complex]]:
-    """[(generator, count, monodromy of generator^count)] for the nonzero counts of b, X before Y, in index order."""
+    """[(generator, count, monodromy of generator^count)] for the nonzero counts of b, X before Y, in index order.
+
+    Each axis forms its prefactor once, from its first pair, the lowest index.  Raises NonConvergence
+    where a factor overflows or a term is not finite (a complex product overflows without raising).
+    """
+    s, a, c = complex(s), complex(a), complex(c)
     terms = []
+    finite = True
     try:  # 1/Gamma(s), (2 pi)^s, a kernel or a geometric factor may overflow
         for axis, pairs in (("X", b.kx), ("Y", b.ky)):
+            pref = _prefactor(axis, pairs[0][0], s) if pairs else 0j
             for n, k in pairs:
                 g = Generator(axis, n)
-                terms.append((g, k, monodromy_power(g, k, s, a, c)))
+                term = _power(g, k, pref, s, a, c)
+                finite = finite and cmath.isfinite(term)
+                terms.append((g, k, term))
     except OverflowError as exc:
-        raise NonConvergence(f"monodromy of {b!r} overflows at s = {s!r}, a = {a!r}, c = {c!r}") from exc
+        raise _overflow(f"monodromy of {b!r}", s, a, c) from exc
+    if not finite:
+        raise _overflow(f"monodromy of {b!r}", s, a, c)
     return terms
 
 
@@ -144,19 +174,34 @@ def word_fold_monodromy(w: Word, s: complex, a: complex, c: complex) -> complex:
 
     Appending one letter g^e to a word with accumulated kernel coefficients
     multiplies the matching kernel's coefficient by lambda_g^e and adds the
-    single-letter contribution; distinct kernels never mix.
+    single-letter contribution; distinct kernels never mix.  Each of the four
+    (axis, direction) factors is formed once, and each axis' prefactor once,
+    from its lowest index.  Raises NonConvergence where a factor overflows or
+    the total is not finite.
     """
-    coeffs: dict[Generator, complex] = {}
-    for gen, exp in w:
-        step = 1 if exp > 0 else -1
-        for _ in range(abs(exp)):
-            sign = _loop_multiplier_sign(gen)
-            lam_pow = 1.0 + _cexp_minus_one(s, sign * step)
-            phi = _geometric_factor(step, s, sign)
-            coeffs[gen] = coeffs.get(gen, 0j) * lam_pow + phi
-    total = 0j
-    for gen, coef in coeffs.items():
-        total += coef * monodromy_generator(gen, s, a, c)
+    s, a, c = complex(s), complex(a), complex(c)
+    try:
+        coeffs: dict[Generator, complex] = {}
+        steps: dict[tuple[int, int], tuple[complex, complex]] = {}
+        for gen, exp in w:
+            key = (_loop_multiplier_sign(gen), 1 if exp > 0 else -1)
+            if key not in steps:
+                sign, step = key
+                steps[key] = (1.0 + _cexp_minus_one(s, sign * step), _geometric_factor(step, s, sign))
+            lam_pow, phi = steps[key]
+            for _ in range(abs(exp)):
+                coeffs[gen] = coeffs.get(gen, 0j) * lam_pow + phi
+        lowest: dict[str, int] = {}
+        for gen in coeffs:
+            lowest[gen.axis] = min(gen.index, lowest.get(gen.axis, gen.index))
+        prefs = {axis: _prefactor(axis, n, s) for axis, n in lowest.items()}
+        total = 0j
+        for gen, coef in coeffs.items():
+            total += coef * _loop(gen, prefs[gen.axis], s, a, c)
+    except OverflowError as exc:
+        raise _overflow(f"monodromy of {w!r}", s, a, c) from exc
+    if not cmath.isfinite(total):
+        raise _overflow(f"monodromy of {w!r}", s, a, c)
     return total
 
 
@@ -165,21 +210,25 @@ def compose_check(w1: Word, w2: Word, s: complex, a: complex, c: complex) -> flo
 
     The nested term is evaluated from the closed forms: applying w2 to a
     kernel multiplies it by lambda^{k2} where k2 is w2's winding around that
-    kernel's generator; distinct generators contribute nothing.
+    kernel's generator; distinct generators contribute nothing.  Raises
+    NonConvergence where lambda^{k2} overflows.
     """
     m12 = monodromy_of_word(w1 * w2, s, a, c)
     m1 = monodromy_of_word(w1, s, a, c)
     m2 = monodromy_of_word(w2, s, a, c)
     b1, b2 = abelianize(w1), abelianize(w2)
     nested = 0j
-    for axis, items in (("X", b1.kx), ("Y", b1.ky)):
-        for n, k1 in items:
-            gen = Generator(axis, n)
-            k2 = b2.winding(gen)
-            if k2 == 0:
-                continue
-            part = monodromy_power(gen, k1, s, a, c)
-            nested += part * _cexp_minus_one(s, _loop_multiplier_sign(gen), k2)
+    try:
+        for axis, items in (("X", b1.kx), ("Y", b1.ky)):
+            for n, k1 in items:
+                gen = Generator(axis, n)
+                k2 = b2.winding(gen)
+                if k2 == 0:
+                    continue
+                part = monodromy_power(gen, k1, s, a, c)
+                nested += part * _cexp_minus_one(s, _loop_multiplier_sign(gen), k2)
+    except OverflowError as exc:
+        raise _overflow(f"composition of {w1!r} and {w2!r}", s, a, c) from exc
     return abs(m12 - (m1 + m2 + nested))
 
 

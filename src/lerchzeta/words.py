@@ -28,11 +28,10 @@ class Generator:
         if self.axis not in ("X", "Y"):
             raise ValueError(f"axis must be 'X' or 'Y', got {self.axis!r}")
 
-    def theta(self) -> "Generator":
-        """Order-4 automorphism on generators: X_n -> Y_n, Y_n -> X_{1-n}."""
-        if self.axis == "X":
-            return Generator("Y", self.index)
-        return Generator("X", 1 - self.index)
+    def theta(self, power: int = 1) -> "Generator":
+        """Order-4 automorphism on generators, applied `power` times: X_n -> Y_n -> X_{1-n} -> Y_{1-n} -> X_n."""
+        q = (power + (self.axis == "Y")) % 4  # the step of that cycle the image lands on, X_n at step 0
+        return Generator("Y" if q % 2 else "X", self.index if q < 2 else 1 - self.index)
 
     def __str__(self) -> str:
         return f"{self.axis}{self.index}"
@@ -90,11 +89,13 @@ class Word:
         return self.inverse() * other.inverse() * self * other
 
     def theta(self, power: int = 1) -> "Word":
-        """Image under the order-4 automorphism, applied `power` times."""
-        w = self._syllables
-        for _ in range(power % 4):
-            w = tuple((g.theta(), e) for g, e in w)
-        return Word(w)
+        """Image under the order-4 automorphism, applied `power` times.
+
+        theta permutes the generators, so the image of a reduced word is reduced as it stands.
+        """
+        w = object.__new__(Word)
+        object.__setattr__(w, "_syllables", tuple((g.theta(power), e) for g, e in self._syllables))
+        return w
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Word) and self._syllables == other._syllables
@@ -174,6 +175,16 @@ class BranchState:
         table = self.kx_dict if gen.axis == "X" else self.ky_dict
         return table.get(gen.index, 0)
 
+    def theta(self, power: int = 1) -> "BranchState":
+        """Image under the order-4 automorphism, applied `power` times: X_n -> Y_n, Y_n -> X_{1-n}.
+
+        Equals the abelianization of the theta image of any word that winds self.
+        """
+        kx, ky = self.kx, self.ky
+        for _ in range(power % 4):
+            kx, ky = tuple((1 - n, k) for n, k in ky), kx
+        return BranchState(kx, ky)
+
     def __add__(self, other: "BranchState") -> "BranchState":
         kx = self.kx_dict
         for n, k in other.kx:
@@ -187,18 +198,17 @@ class BranchState:
 def _canonical(items: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     acc: dict[int, int] = {}
     for n, k in items:
-        acc[int(n)] = acc.get(int(n), 0) + int(k)
+        n = int(n)
+        acc[n] = acc.get(n, 0) + int(k)
     return tuple(sorted((n, k) for n, k in acc.items() if k != 0))
 
 
 def abelianize(word: Word) -> BranchState:
-    """Signed letter counts per generator (the image in the abelianization)."""
-    kx: dict[int, int] = {}
-    ky: dict[int, int] = {}
-    for gen, exp in word:
-        table = kx if gen.axis == "X" else ky
-        table[gen.index] = table.get(gen.index, 0) + exp
-    return BranchState.from_dicts(kx, ky)
+    """Signed letter counts per generator (the image in the abelianization), summed by BranchState."""
+    return BranchState(
+        tuple((g.index, e) for g, e in word if g.axis == "X"),
+        tuple((g.index, e) for g, e in word if g.axis == "Y"),
+    )
 
 
 def parse_branch(text: str) -> BranchState:

@@ -144,10 +144,13 @@ class TestErrorRecord:
             ("monodromy", "--word", "X0", "--s", "0.5,500", "--a", "0.3,0", "--c", "0.4,0"),
             ("monodromy", "--word", "X0", "--s", "400,0", "--a", "0.3,0", "--c", "0.4,0"),
             ("monodromy", "--word", "X0", "--s", "-400.5,0", "--a", "0.3,0", "--c", "0.4,0"),
+            ("monodromy", "--word", "Y-1^2 X-3 Y-1", "--s=59.07131841728972,47.953892785364815",
+             "--a=-1.0617544967082417,0.5344863371278934", "--c=0.4472378374730761,-0.9170495795344269"),
         ],
     )
     def test_overflow_is_a_record(self, capsys, argv):
-        # 1/Gamma(s) in M(X_0) overflows at the first two s, Gamma(s) itself at the last two
+        # 1/Gamma(s) in M(X_0) overflows at the first two s, Gamma(s) itself at the next two;
+        # the last word's Y_-1^3 term is inf + nan j, from a complex product that raises nothing
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""

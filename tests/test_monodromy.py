@@ -1,11 +1,15 @@
 import cmath
 import math
+import random
+import warnings
 
 import mpmath
 import pytest
 
 from lerchzeta import (
     CutViolation,
+    LerchError,
+    NonConvergence,
     SymKind,
     Word,
     compose_check,
@@ -165,14 +169,14 @@ class TestWords:
     def test_branch_monodromy_is_one_pass(self, rng, monkeypatch):
         # the value is monodromy_of_branch's to the bit, and each term is computed once
         calls = 0
-        power = monodromy.monodromy_power
+        power = monodromy._power
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return power(*args)
 
-        monkeypatch.setattr(monodromy, "monodromy_power", counted)
+        monkeypatch.setattr(monodromy, "_power", counted)
         for _ in range(30):
             b = abelianize(random_word(rng, 8))
             s = complex(rng.uniform(-1.5, 2.5), rng.uniform(-3.0, 3.0))
@@ -184,6 +188,75 @@ class TestWords:
             assert value == want
             assert calls == len(b.kx) + len(b.ky)
             assert roundoff >= 4.0 * 2.220446049250313e-16 * abs(value)
+
+
+class TestPerCallFactors:
+    def test_positive_y_part_forms_no_prefactor(self):
+        # e^{-2 pi i s} - 1 overflows at s = 0.5 + 500i, but Y_n with n >= 1 never needs it
+        b = BranchState.from_dicts(ky={1: 2, 3: -1})
+        assert monodromy_of_branch(b, 0.5 + 500j, 0.3, 0.4) == 0
+        assert [term for _, _, term in monodromy.monodromy_terms(b, 0.5 + 500j, 0.3, 0.4)] == [0, 0]
+        with pytest.raises(NonConvergence):
+            monodromy_of_branch(BranchState.from_dicts(ky={0: 1, 1: 2}), 0.5 + 500j, 0.3, 0.4)
+
+    def test_terms_match_powers_bit_for_bit(self, rng):
+        for i in range(200):
+            kx = {rng.randint(-3, 3): rng.randint(-3, 3) for _ in range(rng.randint(0, 3))}
+            ky = {rng.randint(-3, 3): rng.randint(-3, 3) for _ in range(rng.randint(0, 3))}
+            b = BranchState.from_dicts(kx, ky)
+            s = complex(-rng.randint(0, 5)) if i % 4 == 0 else complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            a = complex(rng.uniform(-2, 2), rng.uniform(0.01, 1))
+            c = complex(rng.uniform(-3, 3), rng.uniform(0.01, 1))
+            terms = monodromy.monodromy_terms(b, s, a, c)
+            assert [(g, k) for g, k, _ in terms] == [(Generator("X", n), k) for n, k in b.kx] + [
+                (Generator("Y", n), k) for n, k in b.ky
+            ]
+            for g, k, term in terms:
+                assert term == monodromy_power(g, k, s, a, c)
+
+
+class TestOverflowRule:
+    def test_fold_overflow_raises_nonconvergence(self):
+        # 1/Gamma(s) overflows at s = 0.5 + 500i
+        with pytest.raises(NonConvergence, match="overflows"):
+            word_fold_monodromy(Word.parse("X0"), 0.5 + 500j, 0.3, 0.4)
+        with pytest.raises(NonConvergence, match="overflows"):
+            monodromy_of_word(Word.parse("X0"), 0.5 + 500j, 0.3, 0.4)
+
+    def test_compose_nested_overflow_raises_nonconvergence(self):
+        # the nested term's e^{2 pi i s k2} - 1 overflows for k2 = 2 where every monodromy is finite
+        with pytest.raises(NonConvergence, match="overflows"):
+            compose_check(Word.parse("X0^-1"), Word.parse("X0^2"), 0.5 - 80j, 0.3, 0.4)
+
+    def test_non_finite_term_raises_nonconvergence(self):
+        # the Y_-1^3 term overflows to inf + nan j in a complex product, which raises nothing itself
+        w = Word.parse("Y-1^2 X-3 Y-1")
+        s = 59.07131841728972 + 47.953892785364815j
+        a = -1.0617544967082417 + 0.5344863371278934j
+        c = 0.4472378374730761 - 0.9170495795344269j
+        for f in (monodromy_of_word, word_fold_monodromy):
+            with pytest.raises(NonConvergence, match="overflows"):
+                f(w, s, a, c)
+
+    @pytest.mark.parametrize("f", [monodromy_of_word, word_fold_monodromy])
+    def test_extreme_sweep_is_finite_or_raises_lerch_errors(self, f):
+        # each call returns a finite number or raises a LerchError, and nothing warns
+        rng = random.Random(150)
+        raised = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(150):
+                w = random_word(rng, 6, index_range=(-3, 3))
+                s = complex(rng.uniform(-300, 300), rng.uniform(-500, 500))
+                a = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+                c = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
+                try:
+                    value = f(w, s, a, c)
+                except LerchError:
+                    raised += 1
+                else:
+                    assert cmath.isfinite(value)
+        assert 0 < raised < 150
 
 
 class TestComposition:

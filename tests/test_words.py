@@ -84,6 +84,20 @@ class TestTheta:
         assert Generator("X", 3).theta() == Generator("Y", 3)
         assert Generator("Y", 0).theta() == Generator("X", 1)
 
+    @given(gen_st, st.integers(-8, 8))
+    def test_generator_power_is_repeated_application(self, g, power):
+        h = g
+        for _ in range(power % 4):
+            h = h.theta()
+        assert g.theta(power) == h
+
+    @given(word_st, st.integers(0, 4))
+    def test_word_image_is_reduced(self, w, power):
+        # theta permutes the generators, so its image needs no reduction
+        image = w.theta(power)
+        assert list(Word(list(image))) == list(image)
+        assert image == Word([(g.theta(power), e) for g, e in w])
+
     def test_double_application(self):
         # Y2 -> X-1 -> Y-1
         w = Word.parse("Y2").theta(2)
@@ -105,6 +119,12 @@ class TestTheta:
         want_ky = dict(b.kx)
         assert bt.kx_dict == want_kx
         assert bt.ky_dict == want_ky
+
+    @given(word_st)
+    def test_branch_state_theta_is_the_abelianized_word_theta(self, w):
+        b = abelianize(w)
+        for k in range(5):
+            assert abelianize(w.theta(k)) == b.theta(k)
 
 
 class TestRepApply:
