@@ -23,7 +23,10 @@ interpreter, removes the directory and prints, item by item,
 - algebra: 800 seeded pairs of words, a quarter each at moderate,
   nonpositive-integer, extreme and steep s, through ``monodromy_of_word``,
   ``word_fold_monodromy``, ``compose_check`` and ``fe_monodromy_residual`` of
-  both kinds: each value, or its exception class.
+  both kinds: each value, or its exception class; and as text, the
+  abelianization of each of those words and what ``Word.parse`` makes of a
+  fixed list of malformed words (exception class and message) and one
+  that parses only because the grammar's digits are Unicode digits.
 
 A moved value reports the largest absolute move, the largest relative move
 |new - old| / |old| and the largest relative move of the estimate.  The exit
@@ -55,6 +58,9 @@ EXTREME_SEED, EXTREME_POINTS = 11, 1500
 WORD_SEED, WORDS = 5, 500
 ALGEBRA_SEED, ALGEBRA_CASES = 13, 800
 VERIFY_ARGS = ["verify", "--suite", "all", "--samples", "3", "--seed", "1"]
+# the last one parses: the grammar's \d takes any Unicode digit
+MALFORMED_WORDS = ("X", "Z1", "x1", "X1^", "X1^0", "X1.5", "X1^-0", "Y--1", "X+1", "XY1", "X1^1.0", "X0 Y1^",
+                   "X1 Y", "X\u0661")
 SHOWN = 5  # changed records printed per item
 
 
@@ -173,6 +179,19 @@ def _algebra(cases: list) -> list:
     return rows
 
 
+def _algebra_text(cases: list) -> list[str]:
+    """repr(abelianize(w)) for both words of each case, then per MALFORMED_WORDS entry what Word.parse does."""
+    from lerchzeta import Word, abelianize
+
+    texts = [repr(abelianize(Word.parse(t))) for t1, t2, *_ in cases for t in (t1, t2)]
+    for text in MALFORMED_WORDS:
+        try:
+            texts.append(f"parsed {Word.parse(text)!r}")
+        except Exception as exc:  # the class and message are the record
+            texts.append(f"{type(exc).__name__}: {exc}")
+    return texts
+
+
 def _cli(main, argv: list[str]) -> list:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -208,6 +227,7 @@ def probe(pool_file: Path) -> dict:
         _outcome(lambda: evaluate_on_cover(Point3(s, a, c), BranchState.from_dicts(kx, ky), TARGET))
         for s, a, c, kx, ky in _extreme_points(EXTREME_SEED, EXTREME_POINTS)
     ]
+    cases = _algebra_cases(ALGEBRA_SEED, ALGEBRA_CASES)
     return {
         "pool": pool,
         "pool_work": work,
@@ -215,7 +235,8 @@ def probe(pool_file: Path) -> dict:
         "extreme": extreme,
         "verify": _cli(cli.main, VERIFY_ARGS),
         "monodromy": [_cli(cli.main, argv) for argv in _words(WORD_SEED, WORDS)],
-        "algebra": _algebra(_algebra_cases(ALGEBRA_SEED, ALGEBRA_CASES)),
+        "algebra": _algebra(cases),
+        "algebra_text": _algebra_text(cases),
     }
 
 
@@ -283,6 +304,17 @@ def _byte_moves(old: list, new: list) -> list[str]:
     return lines
 
 
+def _text_moves(old: list[str], new: list[str]) -> list[str]:
+    """Lines naming the text records that changed; empty when identical."""
+    changed = [i for i, (o, n) in enumerate(zip(old, new)) if o != n]
+    if not changed:
+        return []
+    lines = [f"{len(changed)} of {len(old)} text records changed"]
+    for i in changed[:SHOWN]:
+        lines += [f"  #{i} - {old[i]}", f"  #{i} + {new[i]}"]
+    return lines
+
+
 def _tally(rows: list) -> str:
     raised = sum(r[0] == "raise" for r in rows)
     return f"{len(rows)} points: {len(rows) - raised} answered, {raised} raised, {sum(r[4] for r in rows)} warned"
@@ -301,7 +333,11 @@ def compare(old: dict, new: dict) -> list[tuple[str, str, list[str]]]:
         ("extreme", _tally(new["extreme"]), _moves(old["extreme"], new["extreme"])),
         ("verify", f"{len(verify[1].splitlines())} lines, exit {verify[0]}", _byte_moves([old["verify"]], [verify])),
         ("monodromy", f"{len(new['monodromy'])} calls", _byte_moves(old["monodromy"], new["monodromy"])),
-        ("algebra", _tally(new["algebra"]).replace("points", "calls"), _moves(old["algebra"], new["algebra"])),
+        (
+            "algebra",
+            f"{_tally(new['algebra']).replace('points', 'calls')}; {len(new['algebra_text'])} text records",
+            _moves(old["algebra"], new["algebra"]) + _text_moves(old["algebra_text"], new["algebra_text"]),
+        ),
     ]
 
 

@@ -180,7 +180,9 @@ def fe_monodromy_residual(kind: SymKind | str, w: Word, s: complex, a: complex, 
 
     The four monodromy values enter at the quarter-turn images of the point:
     (s,a,c), (1-s,1-c,a), (s,1-a,1-c), (1-s,c,1-a), with the words mapped by
-    the order-4 automorphism.
+    the order-4 automorphism.  At an exact pole of either archimedean factor
+    the identity is divided by the singular factor, as in fe_residual, which
+    reduces the check to the vanishing of the surviving side.
     """
     kind = SymKind(kind)
     s, a, c = complex(s), complex(a), complex(c)
@@ -189,6 +191,19 @@ def fe_monodromy_residual(kind: SymKind | str, w: Word, s: complex, a: complex, 
     m1 = monodromy_of_word(w.theta(1), 1.0 - s, 1.0 - c, a)
     m2 = monodromy_of_word(w.theta(2), s, 1.0 - a, 1.0 - c)
     m3 = monodromy_of_word(w.theta(3), 1.0 - s, c, 1.0 - a)
-    lhs = archimedean_factor(kind, s) * (m0 + sign * cmath.exp(-2j * math.pi * a) * m2)
-    rhs = archimedean_factor(kind, 1.0 - s) * (m1 + sign * cmath.exp(2j * math.pi * c) * m3)
+
+    def left() -> complex:
+        return m0 + sign * cmath.exp(-2j * math.pi * a) * m2
+
+    def right() -> complex:
+        return m1 + sign * cmath.exp(2j * math.pi * c) * m3
+
+    half_l = 0.5 * (s + kind.k)
+    half_r = 0.5 * (1.0 - s + kind.k)
+    if is_nonpositive_integer(half_l):
+        return abs(cmath.exp(-half_l * math.log(math.pi)) * left())
+    if is_nonpositive_integer(half_r):
+        return abs(_reflection_phase(kind, a, c) * cmath.exp(-half_r * math.log(math.pi)) * right())
+    lhs = archimedean_factor(kind, s) * left()
+    rhs = archimedean_factor(kind, 1.0 - s) * right()
     return abs(lhs - _reflection_phase(kind, a, c) * rhs)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .branching import branched_pow, principal_log, reciprocal_gamma
 from .domain import is_real_integer
 from .errors import NonConvergence
-from .words import BranchState, Generator, Word, abelianize
+from .words import BranchState, Generator, Word, abelianize, generator_of
 
 _TWO_PI = 2.0 * math.pi
 _EPS = 2.220446049250313e-16
@@ -34,17 +34,19 @@ def _cexp_minus_one(s: complex, sign: int, k: int = 1) -> complex:
     return cmath.exp(sign * 2j * math.pi * sk) - 1.0
 
 
-def _geometric_factor(k: int, s: complex, sign: int) -> complex:
+def _geometric_factor(k: int, s: complex, sign: int, lam_m1: complex | None = None) -> complex:
     """(lambda^k - 1)/(lambda - 1) for lambda = exp(sign*2*pi*i*s), any integer k.
 
     At integer s the ratio is the removable-singularity limit k; near-integer
     s falls back to the polynomial form sum_{j} lambda^j, which is exact there.
+    lam_m1, when given, is lambda - 1 as :func:`_cexp_minus_one` forms it, at non-integer s.
     """
     if k == 0:
         return 0j
-    if is_real_integer(s):
-        return complex(k)
-    lam_m1 = _cexp_minus_one(s, sign)
+    if lam_m1 is None:
+        if is_real_integer(s):
+            return complex(k)
+        lam_m1 = _cexp_minus_one(s, sign)
     if abs(k) <= 64 or abs(lam_m1) < 1e-8:
         w = sign * 2j * math.pi * s
         if k > 0:
@@ -54,20 +56,30 @@ def _geometric_factor(k: int, s: complex, sign: int) -> complex:
     return _cexp_minus_one(s, sign, k) / lam_m1
 
 
-def _prefactor(axis: str, lowest: int, s: complex) -> complex:
-    """The factor that depends on s alone, shared by the generators of one axis; lowest is their lowest index.
+class _AxisFactors:
+    """The factors of one axis that depend on s alone, each formed at most once per call.
 
-    X: -(2*pi)^s e^{i*pi*s/2} / Gamma(s), exactly 0 at s = 0, -1, -2, ...; Y: e^{-2*pi*i*s} - 1.
-    Y_n with n >= 1 adds nothing, so a Y part whose lowest index is >= 1 forms none.
+    pref: -(2*pi)^s e^{i*pi*s/2} / Gamma(s) for X, exactly 0 at s = 0, -1, -2, ...; e^{-2*pi*i*s} - 1 for Y,
+    exactly 0 at integer s.  Y_n with n >= 1 adds nothing, so a Y part whose lowest index is >= 1 forms none.
+    integer_s: is_real_integer(s), or None until the first nonzero term tests it (the test raises at an
+    infinite or NaN real s).  lam_m1: lambda - 1 for the axis' loop multiplier lambda = exp(sign*2*pi*i*s),
+    or None until the first nonzero term at non-integer s forms it (it may overflow where no term needs
+    it); for Y it is the prefactor.
     """
-    if axis == "X":
-        rg = reciprocal_gamma(s)
-        if rg == 0:
-            return 0j
-        return -cmath.exp(s * math.log(_TWO_PI) + 0.5j * math.pi * s) * rg
-    if lowest >= 1:
-        return 0j
-    return _cexp_minus_one(s, -1)
+
+    __slots__ = ("sign", "integer_s", "pref", "lam_m1")
+
+    def __init__(self, axis: str, lowest: int, s: complex, integer_s: bool | None) -> None:
+        self.sign = _loop_multiplier_sign(axis)
+        self.integer_s = integer_s
+        self.lam_m1 = None
+        if axis == "X":
+            rg = reciprocal_gamma(s)
+            self.pref = 0j if rg == 0 else -cmath.exp(s * math.log(_TWO_PI) + 0.5j * math.pi * s) * rg
+        elif lowest >= 1 or integer_s:
+            self.pref = 0j
+        else:
+            self.pref = self.lam_m1 = _cexp_minus_one(s, -1)
 
 
 def _loop(g: Generator, pref: complex, s: complex, a: complex, c: complex) -> complex:
@@ -80,23 +92,29 @@ def _loop(g: Generator, pref: complex, s: complex, a: complex, c: complex) -> co
     return pref * cmath.exp(-2j * math.pi * n * a) * branched_pow(c - n, -s)
 
 
-def _power(g: Generator, k: int, pref: complex, s: complex, a: complex, c: complex) -> complex:
-    """Monodromy of g^k for k != 0: the geometric multiple of :func:`_loop`'s."""
-    base = _loop(g, pref, s, a, c)
+def _power(g: Generator, k: int, f: _AxisFactors, s: complex, a: complex, c: complex) -> complex:
+    """Monodromy of g^k for k != 0, given the factors of g's axis: the geometric multiple of :func:`_loop`'s."""
+    base = _loop(g, f.pref, s, a, c)
     if base == 0:
         return 0j
-    return _geometric_factor(k, s, _loop_multiplier_sign(g)) * base
+    if f.integer_s is None:
+        f.integer_s = is_real_integer(s)
+    if f.integer_s:
+        return complex(k) * base
+    if f.lam_m1 is None:
+        f.lam_m1 = _cexp_minus_one(s, f.sign)
+    return _geometric_factor(k, s, f.sign, f.lam_m1) * base
 
 
 def monodromy_generator(g: Generator, s: complex, a: complex, c: complex) -> complex:
     """Monodromy added by one positive loop of generator g, on the principal sheet."""
     s, a, c = complex(s), complex(a), complex(c)
-    return _loop(g, _prefactor(g.axis, g.index, s), s, a, c)
+    return _loop(g, _AxisFactors(g.axis, g.index, s, None).pref, s, a, c)
 
 
-def _loop_multiplier_sign(g: Generator) -> int:
-    # one positive loop of g multiplies its own kernel by exp(sign*2*pi*i*s)
-    return 1 if g.axis == "X" else -1
+def _loop_multiplier_sign(axis: str) -> int:
+    # one positive loop of a generator of this axis multiplies its own kernel by exp(sign*2*pi*i*s)
+    return 1 if axis == "X" else -1
 
 
 def monodromy_power(g: Generator, k: int, s: complex, a: complex, c: complex) -> complex:
@@ -105,7 +123,7 @@ def monodromy_power(g: Generator, k: int, s: complex, a: complex, c: complex) ->
     if k == 0:
         return 0j
     s, a, c = complex(s), complex(a), complex(c)
-    return _power(g, k, _prefactor(g.axis, g.index, s), s, a, c)
+    return _power(g, k, _AxisFactors(g.axis, g.index, s, None), s, a, c)
 
 
 def _overflow(what: str, s: complex, a: complex, c: complex) -> NonConvergence:
@@ -115,18 +133,24 @@ def _overflow(what: str, s: complex, a: complex, c: complex) -> NonConvergence:
 def monodromy_terms(b: BranchState, s: complex, a: complex, c: complex) -> list[tuple[Generator, int, complex]]:
     """[(generator, count, monodromy of generator^count)] for the nonzero counts of b, X before Y, in index order.
 
-    Each axis forms its prefactor once, from its first pair, the lowest index.  Raises NonConvergence
-    where a factor overflows or a term is not finite (a complex product overflows without raising).
+    Each call tests s for an integer once, and each axis forms its factors once (:class:`_AxisFactors`),
+    from its first pair, the lowest index.  Raises NonConvergence where a factor overflows or a term is
+    not finite (a complex product overflows without raising).
     """
     s, a, c = complex(s), complex(a), complex(c)
     terms = []
+    if not (b.kx or b.ky):
+        return terms
     finite = True
     try:  # 1/Gamma(s), (2 pi)^s, a kernel or a geometric factor may overflow
+        # a Y part of n >= 1 alone forms no factor, so it needs no test
+        integer_s = is_real_integer(s) if b.kx or b.ky[0][0] < 1 else None
         for axis, pairs in (("X", b.kx), ("Y", b.ky)):
-            pref = _prefactor(axis, pairs[0][0], s) if pairs else 0j
+            if pairs:
+                factors = _AxisFactors(axis, pairs[0][0], s, integer_s)
             for n, k in pairs:
-                g = Generator(axis, n)
-                term = _power(g, k, pref, s, a, c)
+                g = generator_of(axis, n)
+                term = _power(g, k, factors, s, a, c)
                 finite = finite and cmath.isfinite(term)
                 terms.append((g, k, term))
     except OverflowError as exc:
@@ -184,7 +208,7 @@ def word_fold_monodromy(w: Word, s: complex, a: complex, c: complex) -> complex:
         coeffs: dict[Generator, complex] = {}
         steps: dict[tuple[int, int], tuple[complex, complex]] = {}
         for gen, exp in w:
-            key = (_loop_multiplier_sign(gen), 1 if exp > 0 else -1)
+            key = (_loop_multiplier_sign(gen.axis), 1 if exp > 0 else -1)
             if key not in steps:
                 sign, step = key
                 steps[key] = (1.0 + _cexp_minus_one(s, sign * step), _geometric_factor(step, s, sign))
@@ -194,7 +218,7 @@ def word_fold_monodromy(w: Word, s: complex, a: complex, c: complex) -> complex:
         lowest: dict[str, int] = {}
         for gen in coeffs:
             lowest[gen.axis] = min(gen.index, lowest.get(gen.axis, gen.index))
-        prefs = {axis: _prefactor(axis, n, s) for axis, n in lowest.items()}
+        prefs = {axis: _AxisFactors(axis, n, s, None).pref for axis, n in lowest.items()}
         total = 0j
         for gen, coef in coeffs.items():
             total += coef * _loop(gen, prefs[gen.axis], s, a, c)
@@ -221,12 +245,12 @@ def compose_check(w1: Word, w2: Word, s: complex, a: complex, c: complex) -> flo
     try:
         for axis, items in (("X", b1.kx), ("Y", b1.ky)):
             for n, k1 in items:
-                gen = Generator(axis, n)
+                gen = generator_of(axis, n)
                 k2 = b2.winding(gen)
                 if k2 == 0:
                     continue
                 part = monodromy_power(gen, k1, s, a, c)
-                nested += part * _cexp_minus_one(s, _loop_multiplier_sign(gen), k2)
+                nested += part * _cexp_minus_one(s, _loop_multiplier_sign(axis), k2)
     except OverflowError as exc:
         raise _overflow(f"composition of {w1!r} and {w2!r}", s, a, c) from exc
     return abs(m12 - (m1 + m2 + nested))

@@ -8,6 +8,7 @@ form in a free group, so equality of words is literal equality.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -15,6 +16,7 @@ from typing import Iterable, Iterator, Mapping
 from .errors import WordParseError
 
 _TOKEN_RE = re.compile(r"^([XY])(-?\d+)(?:\^(-?\d+))?$")
+_GENERATORS = 4096  # distinct generators kept by generator_of(); hot words use a few dozen
 
 
 @dataclass(frozen=True, order=True)
@@ -31,28 +33,38 @@ class Generator:
     def theta(self, power: int = 1) -> "Generator":
         """Order-4 automorphism on generators, applied `power` times: X_n -> Y_n -> X_{1-n} -> Y_{1-n} -> X_n."""
         q = (power + (self.axis == "Y")) % 4  # the step of that cycle the image lands on, X_n at step 0
-        return Generator("Y" if q % 2 else "X", self.index if q < 2 else 1 - self.index)
+        return generator_of("Y" if q % 2 else "X", self.index if q < 2 else 1 - self.index)
 
     def __str__(self) -> str:
         return f"{self.axis}{self.index}"
+
+
+@functools.lru_cache(maxsize=_GENERATORS, typed=True)
+def generator_of(axis: str, index: int) -> Generator:
+    """The one shared Generator(axis, index): built, and its axis checked, on the first request only.
+
+    Generators are immutable, so parsing, theta and the monodromy terms share one object per generator
+    instead of building one per letter; typed, so index 1 and 1.0 stay the distinct objects they print as.
+    """
+    return Generator(axis, index)
 
 
 Syllable = tuple[Generator, int]
 
 
 def _reduce(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
-    stack: list[list] = []
+    stack: list[Syllable] = []
     for gen, exp in syllables:
         exp = int(exp)
         if exp == 0:
             continue
         if stack and stack[-1][0] == gen:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
+            g, e = stack.pop()
+            if e + exp:
+                stack.append((g, e + exp))
         else:
-            stack.append([gen, exp])
-    return tuple((g, e) for g, e in stack)
+            stack.append((gen, exp))
+    return tuple(stack)
 
 
 class Word:
@@ -65,7 +77,7 @@ class Word:
 
     @classmethod
     def generator(cls, axis: str, index: int, exponent: int = 1) -> "Word":
-        return cls([(Generator(axis, index), exponent)])
+        return cls([(generator_of(axis, index), exponent)])
 
     @property
     def is_identity(self) -> bool:
@@ -122,11 +134,11 @@ class Word:
             m = _TOKEN_RE.match(token)
             if m is None:
                 raise WordParseError(f"bad word token {token!r}")
-            axis, index, exp = m.group(1), int(m.group(2)), m.group(3)
+            axis, index, exp = m.groups()
             e = 1 if exp is None else int(exp)
             if e == 0 and exp is not None:
                 raise WordParseError(f"zero exponent in token {token!r}")
-            syllables.append((Generator(axis, index), e))
+            syllables.append((generator_of(axis, int(index)), e))
         return cls(syllables)
 
 
@@ -204,11 +216,24 @@ def _canonical(items: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
 
 
 def abelianize(word: Word) -> BranchState:
-    """Signed letter counts per generator (the image in the abelianization), summed by BranchState."""
-    return BranchState(
-        tuple((g.index, e) for g, e in word if g.axis == "X"),
-        tuple((g.index, e) for g, e in word if g.axis == "Y"),
-    )
+    """Signed letter counts per generator (the image in the abelianization).
+
+    One pass counts the syllables into the two axis tables, whose int keys and counts are built into the
+    canonical BranchState as they stand (sorted, zero counts dropped), without canonicalizing again.
+    """
+    kx: dict[int, int] = {}
+    ky: dict[int, int] = {}
+    for g, e in word._syllables:
+        n = g.index
+        if type(n) is not int:  # BranchState's own canonicalization truncates such an index
+            return BranchState(tuple((g.index, e) for g, e in word if g.axis == "X"),
+                               tuple((g.index, e) for g, e in word if g.axis == "Y"))
+        table = kx if g.axis == "X" else ky
+        table[n] = table.get(n, 0) + e
+    b = object.__new__(BranchState)
+    object.__setattr__(b, "kx", tuple(sorted([(n, k) for n, k in kx.items() if k])))
+    object.__setattr__(b, "ky", tuple(sorted([(n, k) for n, k in ky.items() if k])))
+    return b
 
 
 def parse_branch(text: str) -> BranchState:

@@ -22,7 +22,7 @@ from lerchzeta import (
     word_fold_monodromy,
 )
 from lerchzeta import monodromy
-from lerchzeta.words import BranchState, Generator, abelianize
+from lerchzeta.words import BranchState, Generator, abelianize, generator_of
 
 
 def random_word(rng, max_len=16, index_range=(-2, 2)):
@@ -199,6 +199,35 @@ class TestPerCallFactors:
         with pytest.raises(NonConvergence):
             monodromy_of_branch(BranchState.from_dicts(ky={0: 1, 1: 2}), 0.5 + 500j, 0.3, 0.4)
 
+    def test_lambda_minus_one_at_most_once_per_axis(self, rng, monkeypatch):
+        # lambda - 1 = e^{+-2 pi i s} - 1 is formed once per axis and call, and never for an axis whose
+        # terms are all 0 (Y_n with n >= 1 only, or s = 0, -1, -2, ...); k > 64 loops add e^{+-2 pi i s k} - 1
+        formed = []
+        cexp_minus_one = monodromy._cexp_minus_one
+
+        def counted(s, sign, k=1):
+            if k == 1:
+                formed.append(sign)
+            return cexp_minus_one(s, sign, k)
+
+        monkeypatch.setattr(monodromy, "_cexp_minus_one", counted)
+        for _ in range(200):
+            kx = {rng.randint(-3, 3): rng.choice((-70, -2, -1, 1, 3, 65)) for _ in range(rng.randint(0, 4))}
+            ky = {rng.randint(-3, 3): rng.choice((-70, -2, -1, 1, 3, 65)) for _ in range(rng.randint(0, 4))}
+            s = complex(rng.uniform(-3, 3), rng.uniform(-0.5, 0.5))  # |lambda^70| stays below e^{220}
+            a = complex(rng.uniform(-2, 2), rng.uniform(0.01, 1))
+            c = complex(rng.uniform(-3, 3), rng.uniform(0.01, 1))
+            formed.clear()
+            monodromy.monodromy_terms(BranchState.from_dicts(kx, ky), s, a, c)
+            assert formed.count(1) <= 1 and formed.count(-1) <= 1
+        formed.clear()
+        assert monodromy_of_branch(BranchState.from_dicts(ky={1: 2, 3: -1}), 0.5 + 0.3j, 0.3, 0.4) == 0
+        assert formed == []
+        both = BranchState.from_dicts({-1: 2, 0: 1, 2: -3}, {-2: 1, 0: 3, 1: 1})
+        for s in (0.0, -1.0, -4.0):
+            assert monodromy_of_branch(both, s, 0.3 + 0.2j, 0.4 - 0.1j) == 0
+        assert formed == []
+
     def test_terms_match_powers_bit_for_bit(self, rng):
         for i in range(200):
             kx = {rng.randint(-3, 3): rng.randint(-3, 3) for _ in range(rng.randint(0, 3))}
@@ -212,6 +241,7 @@ class TestPerCallFactors:
                 (Generator("Y", n), k) for n, k in b.ky
             ]
             for g, k, term in terms:
+                assert g is generator_of(g.axis, g.index)  # the one shared object per generator
                 assert term == monodromy_power(g, k, s, a, c)
 
 
@@ -320,6 +350,18 @@ class TestReflectionRelations:
     def test_trivial_y_loop_maps_to_x_loop(self):
         # Y5 contributes nothing, but theta(Y5) = X-4 does; both sides stay consistent
         assert fe_monodromy_residual(SymKind.PLUS, Word.parse("Y5"), 0.3, 0.4, 0.6) < 1e-10
+
+    @pytest.mark.parametrize(
+        "kind, s",
+        [(SymKind.PLUS, 0.0), (SymKind.PLUS, -2.0), (SymKind.PLUS, 1.0), (SymKind.PLUS, 3.0),
+         (SymKind.MINUS, -1.0), (SymKind.MINUS, 2.0)],
+    )
+    def test_at_exact_factor_poles(self, kind, s):
+        # one archimedean factor has a pole: the divided identity checks the surviving side
+        w = Word.parse("X0 Y-1^2 X1^-1 Y0")
+        a, c = 0.3 + 0.1j, 0.4 - 0.2j
+        m = monodromy_of_word(w, s, a, c)
+        assert fe_monodromy_residual(kind, w, s, a, c) <= 1e-12 * max(1.0, abs(m))
 
     def test_random_words_and_points(self, rng):
         for _ in range(20):

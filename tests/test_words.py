@@ -2,12 +2,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lerchzeta import Generator, Word, WordParseError, abelianize, parse_branch, rep_apply
-from lerchzeta.words import BranchState
+from lerchzeta.words import BranchState, generator_of
 
 gen_st = st.builds(Generator, st.sampled_from(["X", "Y"]), st.integers(-5, 5))
-word_st = st.builds(
-    lambda letters: Word([(g, e) for g, e in letters]),
-    st.lists(st.tuples(gen_st, st.integers(-3, 3).filter(bool)), max_size=10),
+letters_st = st.lists(st.tuples(gen_st, st.integers(-3, 3).filter(bool)), max_size=10)
+word_st = st.builds(lambda letters: Word([(g, e) for g, e in letters]), letters_st)
+# u v u^-1 and u u^-1 v: the letters of u cancel in the abelianization, and in the word where they meet
+cancelling_letters_st = st.builds(
+    lambda u, v, conjugate: u + v + [(g, -e) for g, e in reversed(u)] if conjugate
+    else u + [(g, -e) for g, e in reversed(u)] + v,
+    letters_st, letters_st, st.booleans(),
 )
 
 
@@ -56,6 +60,43 @@ class TestAbelianize:
         assert (b1 + b2).ky_dict == {2: -1}
 
 
+class TestOnePassAbelianize:
+    @staticmethod
+    def counted(letters):
+        # the definition: one signed count per letter, summed per generator by BranchState itself
+        return BranchState(
+            tuple((g.index, e) for g, e in letters if g.axis == "X"),
+            tuple((g.index, e) for g, e in letters if g.axis == "Y"),
+        )
+
+    @given(st.one_of(letters_st, cancelling_letters_st))
+    def test_equals_per_letter_counts(self, letters):
+        got, want = abelianize(Word(letters)), self.counted(letters)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+
+    def test_index_that_is_no_int_is_truncated(self):
+        letters = [(Generator("X", 1.5), 2), (Generator("Y", True), 1), (Generator("X", 1), -1)]
+        got = abelianize(Word(letters))
+        assert repr(got) == repr(self.counted(letters)) == "BranchState(kx=((1, 1),), ky=((1, 1),))"
+
+
+class TestInternedGenerators:
+    def test_one_object_per_generator(self):
+        w = Word.parse("X1 Y0 X1^-2 Y-3")
+        assert w.theta(4) == w
+        assert all(g is h for (g, _), (h, _) in zip(w, w.theta(4)))
+        assert generator_of("X", 1) is next(iter(w))[0] is next(iter(Word.parse("Y1^5").theta(3)))[0]
+
+    def test_axis_checked_on_a_miss(self):
+        with pytest.raises(ValueError, match="axis must be 'X' or 'Y'"):
+            generator_of("Z", 12345)
+
+    def test_typed_indices_stay_distinct(self):
+        assert str(generator_of("X", 1)) == "X1" and str(generator_of("X", 1.0)) == "X1.0"
+
+
 class TestGrammar:
     def test_parse_example(self):
         w = Word.parse("X0 Y-2^-1 X0^3")
@@ -66,7 +107,18 @@ class TestGrammar:
             with pytest.raises(WordParseError):
                 Word.parse(bad)
 
-    @given(word_st)
+    @pytest.mark.parametrize(
+        "token, message",
+        [("X", "bad word token 'X'"), ("Z1", "bad word token 'Z1'"), ("x1", "bad word token 'x1'"),
+         ("X1^", "bad word token 'X1^'"), ("X1^0", "zero exponent in token 'X1^0'"),
+         ("X1.5", "bad word token 'X1.5'")],
+    )
+    def test_error_messages(self, token, message):
+        with pytest.raises(WordParseError) as info:
+            Word.parse("Y0 " + token + " X2")
+        assert str(info.value) == message
+
+    @given(st.one_of(word_st, cancelling_letters_st.map(Word)))
     def test_roundtrip_on_reduced_words(self, w):
         assert Word.parse(str(w)) == w
 
