@@ -92,6 +92,22 @@ def _reflection_phase(kind: SymKind, a: complex, c: complex) -> complex:
     return (1j**kind.k) * cmath.exp(-2j * math.pi * a * c)
 
 
+def _surviving_side(kind: SymKind, s: complex) -> tuple[int, complex] | None:
+    """At an exact pole of either archimedean factor: (surviving side, pi^{-half} of that side), else None.
+
+    Divided by the singular factor (whose reciprocal is exactly zero), the reflection identity reduces to
+    pi^{-half} L = 0 on the other side: 0 for the left, at s, and 1 for the right, at 1 - s, where the
+    identity's phase stays in front.
+    """
+    half_l = 0.5 * (s + kind.k)
+    if is_nonpositive_integer(half_l):
+        return 0, cmath.exp(-half_l * math.log(math.pi))
+    half_r = 0.5 * (1.0 - s + kind.k)
+    if is_nonpositive_integer(half_r):
+        return 1, cmath.exp(-half_r * math.log(math.pi))
+    return None
+
+
 def _reflection_residual(
     kind: SymKind,
     phase: complex,
@@ -102,15 +118,15 @@ def _reflection_residual(
     tgt: float,
 ) -> float:
     """Residual of completed L(s, a, c) = phase * completed L(1-s, *ac_r), in the forms fe_residual describes."""
-    k = kind.k
-    half_l = 0.5 * (s + k)
-    half_r = 0.5 * (1.0 - s + k)
+    pole = _surviving_side(kind, s)
+    if pole is not None:
+        side, scale = pole
+        if side == 0:
+            return abs(scale * l_pm(kind, s, a, c, tgt))
+        return abs(phase * scale * l_pm(kind, 1.0 - s, *ac_r, tgt))
 
-    if is_nonpositive_integer(half_l):
-        return abs(cmath.exp(-half_l * math.log(math.pi)) * l_pm(kind, s, a, c, tgt))
-    if is_nonpositive_integer(half_r):
-        return abs(phase * cmath.exp(-half_r * math.log(math.pi)) * l_pm(kind, 1.0 - s, *ac_r, tgt))
-
+    half_l = 0.5 * (s + kind.k)
+    half_r = 0.5 * (1.0 - s + kind.k)
     left = completed_l(kind, s, a, c, tgt)
     right_val = phase * completed_l(kind, 1.0 - s, *ac_r, tgt).value
     resid = abs(left.value - right_val)
@@ -191,19 +207,14 @@ def fe_monodromy_residual(kind: SymKind | str, w: Word, s: complex, a: complex, 
     m1 = monodromy_of_word(w.theta(1), 1.0 - s, 1.0 - c, a)
     m2 = monodromy_of_word(w.theta(2), s, 1.0 - a, 1.0 - c)
     m3 = monodromy_of_word(w.theta(3), 1.0 - s, c, 1.0 - a)
-
-    def left() -> complex:
-        return m0 + sign * cmath.exp(-2j * math.pi * a) * m2
-
-    def right() -> complex:
-        return m1 + sign * cmath.exp(2j * math.pi * c) * m3
-
-    half_l = 0.5 * (s + kind.k)
-    half_r = 0.5 * (1.0 - s + kind.k)
-    if is_nonpositive_integer(half_l):
-        return abs(cmath.exp(-half_l * math.log(math.pi)) * left())
-    if is_nonpositive_integer(half_r):
-        return abs(_reflection_phase(kind, a, c) * cmath.exp(-half_r * math.log(math.pi)) * right())
-    lhs = archimedean_factor(kind, s) * left()
-    rhs = archimedean_factor(kind, 1.0 - s) * right()
+    left = m0 + sign * cmath.exp(-2j * math.pi * a) * m2
+    right = m1 + sign * cmath.exp(2j * math.pi * c) * m3
+    pole = _surviving_side(kind, s)
+    if pole is not None:
+        side, scale = pole
+        if side == 0:
+            return abs(scale * left)
+        return abs(_reflection_phase(kind, a, c) * scale * right)
+    lhs = archimedean_factor(kind, s) * left
+    rhs = archimedean_factor(kind, 1.0 - s) * right
     return abs(lhs - _reflection_phase(kind, a, c) * rhs)

@@ -34,19 +34,23 @@ def _cexp_minus_one(s: complex, sign: int, k: int = 1) -> complex:
     return cmath.exp(sign * 2j * math.pi * sk) - 1.0
 
 
-def _geometric_factor(k: int, s: complex, sign: int, lam_m1: complex | None = None) -> complex:
+def _geometric_factor(k: int, s: complex, sign: int) -> complex:
     """(lambda^k - 1)/(lambda - 1) for lambda = exp(sign*2*pi*i*s), any integer k.
 
-    At integer s the ratio is the removable-singularity limit k; near-integer
-    s falls back to the polynomial form sum_{j} lambda^j, which is exact there.
-    lam_m1, when given, is lambda - 1 as :func:`_cexp_minus_one` forms it, at non-integer s.
+    At integer s the ratio is the removable-singularity limit k; elsewhere it is :func:`_geometric_ratio`.
     """
     if k == 0:
         return 0j
-    if lam_m1 is None:
-        if is_real_integer(s):
-            return complex(k)
-        lam_m1 = _cexp_minus_one(s, sign)
+    if is_real_integer(s):
+        return complex(k)
+    return _geometric_ratio(k, s, sign, _cexp_minus_one(s, sign))
+
+
+def _geometric_ratio(k: int, s: complex, sign: int, lam_m1: complex) -> complex:
+    """(lambda^k - 1)/(lambda - 1) for nonzero k at non-integer s, given lam_m1 = :func:`_cexp_minus_one`(s, sign).
+
+    Near-integer s falls back to the polynomial form sum_{j} lambda^j, which is exact there.
+    """
     if abs(k) <= 64 or abs(lam_m1) < 1e-8:
         w = sign * 2j * math.pi * s
         if k > 0:
@@ -56,30 +60,37 @@ def _geometric_factor(k: int, s: complex, sign: int, lam_m1: complex | None = No
     return _cexp_minus_one(s, sign, k) / lam_m1
 
 
-class _AxisFactors:
-    """The factors of one axis that depend on s alone, each formed at most once per call.
+def _prefactor(axis: str, lowest: int, s: complex) -> complex:
+    """The factor that depends on s alone, shared by the generators of one axis; lowest is their lowest index.
 
-    pref: -(2*pi)^s e^{i*pi*s/2} / Gamma(s) for X, exactly 0 at s = 0, -1, -2, ...; e^{-2*pi*i*s} - 1 for Y,
-    exactly 0 at integer s.  Y_n with n >= 1 adds nothing, so a Y part whose lowest index is >= 1 forms none.
-    integer_s: is_real_integer(s), or None until the first nonzero term tests it (the test raises at an
-    infinite or NaN real s).  lam_m1: lambda - 1 for the axis' loop multiplier lambda = exp(sign*2*pi*i*s),
-    or None until the first nonzero term at non-integer s forms it (it may overflow where no term needs
-    it); for Y it is the prefactor.
+    X: -(2*pi)^s e^{i*pi*s/2} / Gamma(s), exactly 0 at s = 0, -1, -2, ...; Y: e^{-2*pi*i*s} - 1.
+    Y_n with n >= 1 adds nothing, so a Y part whose lowest index is >= 1 forms none.
+    """
+    if axis == "X":
+        rg = reciprocal_gamma(s)
+        if rg == 0:
+            return 0j
+        return -cmath.exp(s * math.log(_TWO_PI) + 0.5j * math.pi * s) * rg
+    if lowest >= 1:
+        return 0j
+    return _cexp_minus_one(s, -1)
+
+
+class _AxisFactors:
+    """The factors of one axis that depend on s alone, for a call that has tested s for an integer once.
+
+    pref is :func:`_prefactor`'s; Y's, e^{-2*pi*i*s} - 1, is exactly 0 at integer s and then not formed.
+    lam_m1 is lambda - 1 for the axis' loop multiplier lambda = exp(sign*2*pi*i*s): Y's prefactor, and
+    for X formed by the first nonzero term at non-integer s (it may overflow where no term needs it).
     """
 
     __slots__ = ("sign", "integer_s", "pref", "lam_m1")
 
-    def __init__(self, axis: str, lowest: int, s: complex, integer_s: bool | None) -> None:
+    def __init__(self, axis: str, lowest: int, s: complex, integer_s: bool) -> None:
         self.sign = _loop_multiplier_sign(axis)
         self.integer_s = integer_s
-        self.lam_m1 = None
-        if axis == "X":
-            rg = reciprocal_gamma(s)
-            self.pref = 0j if rg == 0 else -cmath.exp(s * math.log(_TWO_PI) + 0.5j * math.pi * s) * rg
-        elif lowest >= 1 or integer_s:
-            self.pref = 0j
-        else:
-            self.pref = self.lam_m1 = _cexp_minus_one(s, -1)
+        self.pref = 0j if axis == "Y" and integer_s else _prefactor(axis, lowest, s)
+        self.lam_m1 = self.pref if axis == "Y" else None
 
 
 def _loop(g: Generator, pref: complex, s: complex, a: complex, c: complex) -> complex:
@@ -97,19 +108,17 @@ def _power(g: Generator, k: int, f: _AxisFactors, s: complex, a: complex, c: com
     base = _loop(g, f.pref, s, a, c)
     if base == 0:
         return 0j
-    if f.integer_s is None:
-        f.integer_s = is_real_integer(s)
     if f.integer_s:
         return complex(k) * base
     if f.lam_m1 is None:
         f.lam_m1 = _cexp_minus_one(s, f.sign)
-    return _geometric_factor(k, s, f.sign, f.lam_m1) * base
+    return _geometric_ratio(k, s, f.sign, f.lam_m1) * base
 
 
 def monodromy_generator(g: Generator, s: complex, a: complex, c: complex) -> complex:
     """Monodromy added by one positive loop of generator g, on the principal sheet."""
     s, a, c = complex(s), complex(a), complex(c)
-    return _loop(g, _AxisFactors(g.axis, g.index, s, None).pref, s, a, c)
+    return _loop(g, _prefactor(g.axis, g.index, s), s, a, c)
 
 
 def _loop_multiplier_sign(axis: str) -> int:
@@ -123,7 +132,8 @@ def monodromy_power(g: Generator, k: int, s: complex, a: complex, c: complex) ->
     if k == 0:
         return 0j
     s, a, c = complex(s), complex(a), complex(c)
-    return _power(g, k, _AxisFactors(g.axis, g.index, s, None), s, a, c)
+    integer_s = (g.axis == "X" or g.index < 1) and is_real_integer(s)  # Y_n with n >= 1 forms no factor
+    return _power(g, k, _AxisFactors(g.axis, g.index, s, integer_s), s, a, c)
 
 
 def _overflow(what: str, s: complex, a: complex, c: complex) -> NonConvergence:
@@ -143,11 +153,11 @@ def monodromy_terms(b: BranchState, s: complex, a: complex, c: complex) -> list[
         return terms
     finite = True
     try:  # 1/Gamma(s), (2 pi)^s, a kernel or a geometric factor may overflow
-        # a Y part of n >= 1 alone forms no factor, so it needs no test
-        integer_s = is_real_integer(s) if b.kx or b.ky[0][0] < 1 else None
+        integer_s = bool(b.kx or b.ky[0][0] < 1) and is_real_integer(s)  # a Y part of n >= 1 alone forms no factor
         for axis, pairs in (("X", b.kx), ("Y", b.ky)):
-            if pairs:
-                factors = _AxisFactors(axis, pairs[0][0], s, integer_s)
+            if not pairs:
+                continue
+            factors = _AxisFactors(axis, pairs[0][0], s, integer_s)
             for n, k in pairs:
                 g = generator_of(axis, n)
                 term = _power(g, k, factors, s, a, c)
@@ -218,7 +228,7 @@ def word_fold_monodromy(w: Word, s: complex, a: complex, c: complex) -> complex:
         lowest: dict[str, int] = {}
         for gen in coeffs:
             lowest[gen.axis] = min(gen.index, lowest.get(gen.axis, gen.index))
-        prefs = {axis: _AxisFactors(axis, n, s, None).pref for axis, n in lowest.items()}
+        prefs = {axis: _prefactor(axis, n, s) for axis, n in lowest.items()}
         total = 0j
         for gen, coef in coeffs.items():
             total += coef * _loop(gen, prefs[gen.axis], s, a, c)

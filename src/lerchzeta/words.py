@@ -164,6 +164,14 @@ class BranchState:
         object.__setattr__(self, "ky", _canonical(self.ky))
 
     @classmethod
+    def _from_counts(cls, kx: Mapping[int, int], ky: Mapping[int, int]) -> "BranchState":
+        """From int counts already summed per int index: the canonical form without __post_init__'s sum."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "kx", _sorted_nonzero(kx))
+        object.__setattr__(b, "ky", _sorted_nonzero(ky))
+        return b
+
+    @classmethod
     def zero(cls) -> "BranchState":
         return cls()
 
@@ -212,28 +220,26 @@ def _canonical(items: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     for n, k in items:
         n = int(n)
         acc[n] = acc.get(n, 0) + int(k)
-    return tuple(sorted((n, k) for n, k in acc.items() if k != 0))
+    return _sorted_nonzero(acc)
+
+
+def _sorted_nonzero(counts: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
+    """The canonical form of summed int counts per index: sorted by index, zero counts dropped."""
+    return tuple(sorted([(n, k) for n, k in counts.items() if k]))
 
 
 def abelianize(word: Word) -> BranchState:
     """Signed letter counts per generator (the image in the abelianization).
 
-    One pass counts the syllables into the two axis tables, whose int keys and counts are built into the
-    canonical BranchState as they stand (sorted, zero counts dropped), without canonicalizing again.
+    One pass sums the syllables per int index into the two axis tables, which are already the summed
+    counts that BranchState canonicalizes.
     """
-    kx: dict[int, int] = {}
-    ky: dict[int, int] = {}
+    counts: dict[str, dict[int, int]] = {"X": {}, "Y": {}}
     for g, e in word._syllables:
-        n = g.index
-        if type(n) is not int:  # BranchState's own canonicalization truncates such an index
-            return BranchState(tuple((g.index, e) for g, e in word if g.axis == "X"),
-                               tuple((g.index, e) for g, e in word if g.axis == "Y"))
-        table = kx if g.axis == "X" else ky
+        table = counts[g.axis]
+        n = int(g.index)
         table[n] = table.get(n, 0) + e
-    b = object.__new__(BranchState)
-    object.__setattr__(b, "kx", tuple(sorted([(n, k) for n, k in kx.items() if k])))
-    object.__setattr__(b, "ky", tuple(sorted([(n, k) for n, k in ky.items() if k])))
-    return b
+    return BranchState._from_counts(counts["X"], counts["Y"])
 
 
 def parse_branch(text: str) -> BranchState:
