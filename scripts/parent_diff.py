@@ -23,10 +23,10 @@ interpreter, removes the directory and prints, item by item,
 - algebra: 800 seeded pairs of words, a quarter each at moderate,
   nonpositive-integer, extreme and steep s, through ``monodromy_of_word``,
   ``word_fold_monodromy``, ``compose_check`` and ``fe_monodromy_residual`` of
-  both kinds: each value, or its exception class; and as text, the
+  both kinds, and ``monodromy_generator`` and ``monodromy_power`` of the first
+  word's first syllable: each value, or its exception class; and as text, the
   abelianization of each of those words and what ``Word.parse`` makes of a
-  fixed list of malformed words (exception class and message) and one
-  that parses only because the grammar's digits are Unicode digits.
+  fixed list of malformed words (exception class and message).
 
 A moved value reports the largest absolute move, the largest relative move
 |new - old| / |old| and the largest relative move of the estimate.  The exit
@@ -58,7 +58,7 @@ EXTREME_SEED, EXTREME_POINTS = 11, 1500
 WORD_SEED, WORDS = 5, 500
 ALGEBRA_SEED, ALGEBRA_CASES = 13, 800
 VERIFY_ARGS = ["verify", "--suite", "all", "--samples", "3", "--seed", "1"]
-# the last one parses: the grammar's \d takes any Unicode digit
+# the last one has a non-ASCII digit, which the grammar's ASCII \d refuses
 MALFORMED_WORDS = ("X", "Z1", "x1", "X1^", "X1^0", "X1.5", "X1^-0", "Y--1", "X+1", "XY1", "X1^1.0", "X0 Y1^",
                    "X1 Y", "X\u0661")
 SHOWN = 5  # changed records printed per item
@@ -160,19 +160,24 @@ def _algebra_cases(seed: int, n: int) -> list[tuple[str, str, complex, complex, 
 
 
 def _algebra(cases: list) -> list:
-    """Per case, five outcome rows [re, im, None, function, warned]: monodromy_of_word, word_fold_monodromy,
-    compose_check and fe_monodromy_residual plus and minus (the residuals real)."""
-    from lerchzeta import SymKind, Word, compose_check, fe_monodromy_residual, monodromy_of_word, word_fold_monodromy
+    """Per case, seven outcome rows [re, im, None, function, warned]: monodromy_of_word, word_fold_monodromy,
+    compose_check, fe_monodromy_residual plus and minus (the residuals real), and monodromy_generator and
+    monodromy_power of w1's first syllable g^e as written (w1 may reduce to the identity)."""
+    from lerchzeta import (SymKind, Word, compose_check, fe_monodromy_residual, monodromy_generator,
+                           monodromy_of_word, monodromy_power, word_fold_monodromy)
 
     rows = []
     for t1, t2, s, a, c in cases:
         w1, w2 = Word.parse(t1), Word.parse(t2)
+        (g, e), = Word.parse(t1.split()[0])
         calls = (
             ("monodromy_of_word", lambda: monodromy_of_word(w1, s, a, c)),
             ("word_fold_monodromy", lambda: word_fold_monodromy(w1, s, a, c)),
             ("compose_check", lambda: compose_check(w1, w2, s, a, c)),
             ("fe_plus", lambda: fe_monodromy_residual(SymKind.PLUS, w1, s, a, c)),
             ("fe_minus", lambda: fe_monodromy_residual(SymKind.MINUS, w1, s, a, c)),
+            ("monodromy_generator", lambda: monodromy_generator(g, s, a, c)),
+            ("monodromy_power", lambda: monodromy_power(g, e, s, a, c)),
         )
         for name, fn in calls:
             rows.append(_outcome(fn, lambda v, name=name: [complex(v).real, complex(v).imag, None, name]))

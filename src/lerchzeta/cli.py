@@ -10,13 +10,14 @@ record on stderr, written by :func:`main`.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import re
 import sys
 
 from .continuation import evaluate_on_cover
 from .domain import Point3
-from .errors import LerchError
+from .errors import InvalidPoint, LerchError
 from .monodromy import monodromy_terms
 from .suites import SUITE_NAMES, run_suite
 from .words import BranchState, Word, abelianize, parse_branch
@@ -48,10 +49,14 @@ def _to_json(obj) -> str:
 def _complex_arg(text: str) -> complex:
     parts = text.split(",")
     if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
+        z = complex(float(parts[0]), 0.0)
+    elif len(parts) == 2:
+        z = complex(float(parts[0]), float(parts[1]))
+    else:
+        raise argparse.ArgumentTypeError(f"expected 're' or 're,im', got {text!r}")
+    if not cmath.isfinite(z):
+        raise InvalidPoint(f"{text!r} is not finite")  # not a ValueError, which argparse would make a usage error
+    return z
 
 
 def _range_arg(text: str) -> tuple[float, float, int]:
@@ -234,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (LerchError, OSError, UsageError) as exc:
         sys.stderr.write(_to_json({"error": type(exc).__name__, "message": str(exc)}) + "\n")

@@ -34,6 +34,15 @@ def is_real_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real == round(z.real)
 
 
+def finite_coordinates(s: complex, a: complex, c: complex) -> tuple[complex, complex, complex]:
+    """(s, a, c) as complex numbers; raises InvalidPoint if one is NaN or infinite."""
+    s, a, c = complex(s), complex(a), complex(c)
+    if not (cmath.isfinite(s) and cmath.isfinite(a) and cmath.isfinite(c)):
+        name, z = next((name, z) for name, z in zip("sac", (s, a, c)) if not cmath.isfinite(z))
+        raise InvalidPoint(f"{name} = {z!r} is not finite")
+    return s, a, c
+
+
 def on_a_cut_ray(a: complex) -> bool:
     """True if a lies on a downward ray {n - i*t : t >= 0} below some integer n."""
     a = complex(a)
@@ -72,10 +81,8 @@ class Point3:
     c: complex
 
     def __post_init__(self) -> None:
-        for name in ("s", "a", "c"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-            if not cmath.isfinite(getattr(self, name)):
-                raise InvalidPoint(f"{name} = {getattr(self, name)!r} is not finite")
+        for name, z in zip("sac", finite_coordinates(self.s, self.a, self.c)):
+            object.__setattr__(self, name, z)
         if is_real_integer(self.a):
             raise InvalidPoint(f"a = {self.a!r} is an integer puncture")
         if is_nonpositive_integer(self.c):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .branching import branched_pow, principal_log, reciprocal_gamma
-from .domain import is_real_integer
+from .domain import finite_coordinates, is_real_integer
 from .errors import NonConvergence
 from .words import BranchState, Generator, Word, abelianize, generator_of
 
@@ -34,22 +34,11 @@ def _cexp_minus_one(s: complex, sign: int, k: int = 1) -> complex:
     return cmath.exp(sign * 2j * math.pi * sk) - 1.0
 
 
-def _geometric_factor(k: int, s: complex, sign: int) -> complex:
-    """(lambda^k - 1)/(lambda - 1) for lambda = exp(sign*2*pi*i*s), any integer k.
+def _geometric_ratio(k: int, s: complex, sign: int, lam_m1: complex | None) -> complex:
+    """(lambda^k - 1)/(lambda - 1) for lambda = exp(sign*2*pi*i*s), nonzero k and non-integer s.
 
-    At integer s the ratio is the removable-singularity limit k; elsewhere it is :func:`_geometric_ratio`.
-    """
-    if k == 0:
-        return 0j
-    if is_real_integer(s):
-        return complex(k)
-    return _geometric_ratio(k, s, sign, _cexp_minus_one(s, sign))
-
-
-def _geometric_ratio(k: int, s: complex, sign: int, lam_m1: complex) -> complex:
-    """(lambda^k - 1)/(lambda - 1) for nonzero k at non-integer s, given lam_m1 = :func:`_cexp_minus_one`(s, sign).
-
-    Near-integer s falls back to the polynomial form sum_{j} lambda^j, which is exact there.
+    Up to 64 loops it is the sum of powers sum_{j} lambda^j, which leaves lam_m1 unread; beyond, it is
+    the closed ratio over lam_m1 = lambda - 1, unless lambda is within 1e-8 of 1, where the sum is exact.
     """
     if abs(k) <= 64 or abs(lam_m1) < 1e-8:
         w = sign * 2j * math.pi * s
@@ -60,82 +49,6 @@ def _geometric_ratio(k: int, s: complex, sign: int, lam_m1: complex) -> complex:
     return _cexp_minus_one(s, sign, k) / lam_m1
 
 
-def _prefactor(axis: str, lowest: int, s: complex) -> complex:
-    """The factor that depends on s alone, shared by the generators of one axis; lowest is their lowest index.
-
-    X: -(2*pi)^s e^{i*pi*s/2} / Gamma(s), exactly 0 at s = 0, -1, -2, ...; Y: e^{-2*pi*i*s} - 1.
-    Y_n with n >= 1 adds nothing, so a Y part whose lowest index is >= 1 forms none.
-    """
-    if axis == "X":
-        rg = reciprocal_gamma(s)
-        if rg == 0:
-            return 0j
-        return -cmath.exp(s * math.log(_TWO_PI) + 0.5j * math.pi * s) * rg
-    if lowest >= 1:
-        return 0j
-    return _cexp_minus_one(s, -1)
-
-
-class _AxisFactors:
-    """The factors of one axis that depend on s alone, for a call that has tested s for an integer once.
-
-    pref is :func:`_prefactor`'s; Y's, e^{-2*pi*i*s} - 1, is exactly 0 at integer s and then not formed.
-    lam_m1 is lambda - 1 for the axis' loop multiplier lambda = exp(sign*2*pi*i*s): Y's prefactor, and
-    for X formed by the first nonzero term at non-integer s (it may overflow where no term needs it).
-    """
-
-    __slots__ = ("sign", "integer_s", "pref", "lam_m1")
-
-    def __init__(self, axis: str, lowest: int, s: complex, integer_s: bool) -> None:
-        self.sign = _loop_multiplier_sign(axis)
-        self.integer_s = integer_s
-        self.pref = 0j if axis == "Y" and integer_s else _prefactor(axis, lowest, s)
-        self.lam_m1 = self.pref if axis == "Y" else None
-
-
-def _loop(g: Generator, pref: complex, s: complex, a: complex, c: complex) -> complex:
-    """Monodromy of one positive loop of g, given the prefactor of g's axis: the one kernel formula per axis."""
-    n = g.index
-    if g.axis == "X":
-        return pref * (branched_pow(a - n, s - 1.0) * cmath.exp(-2j * math.pi * c * (a - n)))
-    if n >= 1 or pref == 0:
-        return 0j
-    return pref * cmath.exp(-2j * math.pi * n * a) * branched_pow(c - n, -s)
-
-
-def _power(g: Generator, k: int, f: _AxisFactors, s: complex, a: complex, c: complex) -> complex:
-    """Monodromy of g^k for k != 0, given the factors of g's axis: the geometric multiple of :func:`_loop`'s."""
-    base = _loop(g, f.pref, s, a, c)
-    if base == 0:
-        return 0j
-    if f.integer_s:
-        return complex(k) * base
-    if f.lam_m1 is None:
-        f.lam_m1 = _cexp_minus_one(s, f.sign)
-    return _geometric_ratio(k, s, f.sign, f.lam_m1) * base
-
-
-def monodromy_generator(g: Generator, s: complex, a: complex, c: complex) -> complex:
-    """Monodromy added by one positive loop of generator g, on the principal sheet."""
-    s, a, c = complex(s), complex(a), complex(c)
-    return _loop(g, _prefactor(g.axis, g.index, s), s, a, c)
-
-
-def _loop_multiplier_sign(axis: str) -> int:
-    # one positive loop of a generator of this axis multiplies its own kernel by exp(sign*2*pi*i*s)
-    return 1 if axis == "X" else -1
-
-
-def monodromy_power(g: Generator, k: int, s: complex, a: complex, c: complex) -> complex:
-    """Monodromy of g^k for any integer k: the geometric multiple of the generator's."""
-    k = int(k)
-    if k == 0:
-        return 0j
-    s, a, c = complex(s), complex(a), complex(c)
-    integer_s = (g.axis == "X" or g.index < 1) and is_real_integer(s)  # Y_n with n >= 1 forms no factor
-    return _power(g, k, _AxisFactors(g.axis, g.index, s, integer_s), s, a, c)
-
-
 def _overflow(what: str, s: complex, a: complex, c: complex) -> NonConvergence:
     return NonConvergence(f"{what} overflows at s = {s!r}, a = {a!r}, c = {c!r}")
 
@@ -143,31 +56,65 @@ def _overflow(what: str, s: complex, a: complex, c: complex) -> NonConvergence:
 def monodromy_terms(b: BranchState, s: complex, a: complex, c: complex) -> list[tuple[Generator, int, complex]]:
     """[(generator, count, monodromy of generator^count)] for the nonzero counts of b, X before Y, in index order.
 
-    Each call tests s for an integer once, and each axis forms its factors once (:class:`_AxisFactors`),
-    from its first pair, the lowest index.  Raises NonConvergence where a factor overflows or a term is
-    not finite (a complex product overflows without raising).
+    The one closed form: X_n^k adds pref_X (a-n)^{s-1} e^{-2*pi*i*c*(a-n)} and Y_n^k, n <= 0, adds
+    pref_Y e^{-2*pi*i*n*a} (c-n)^{-s}, each times (lambda^k - 1)/(lambda - 1), with lambda = e^{2*pi*i*s}
+    for X and e^{-2*pi*i*s} for Y; Y_n with n >= 1 adds nothing.  pref_X = -(2*pi)^s e^{i*pi*s/2} / Gamma(s)
+    is exactly 0 at s = 0, -1, -2, ...; pref_Y = e^{-2*pi*i*s} - 1 is Y's lambda - 1.  A call tests s for
+    an integer once (there the geometric factor is k); each axis forms its prefactor once, Y's only when
+    some n <= 0 and s is no integer, and X forms its lambda - 1 only for a term of more than 64 loops.
+    Raises InvalidPoint for a non-finite s, a or c, and NonConvergence where a factor overflows or a term
+    is not finite (a complex product overflows without raising).
     """
-    s, a, c = complex(s), complex(a), complex(c)
+    s, a, c = finite_coordinates(s, a, c)
     terms = []
     if not (b.kx or b.ky):
         return terms
     finite = True
     try:  # 1/Gamma(s), (2 pi)^s, a kernel or a geometric factor may overflow
         integer_s = bool(b.kx or b.ky[0][0] < 1) and is_real_integer(s)  # a Y part of n >= 1 alone forms no factor
-        for axis, pairs in (("X", b.kx), ("Y", b.ky)):
+        for axis, sign, pairs in (("X", 1, b.kx), ("Y", -1, b.ky)):
             if not pairs:
                 continue
-            factors = _AxisFactors(axis, pairs[0][0], s, integer_s)
+            if axis == "X":
+                rg = reciprocal_gamma(s)
+                pref = 0j if rg == 0 else -cmath.exp(s * math.log(_TWO_PI) + 0.5j * math.pi * s) * rg
+                lam_m1 = None
+            else:
+                pref = lam_m1 = 0j if integer_s or pairs[0][0] >= 1 else _cexp_minus_one(s, -1)
             for n, k in pairs:
-                g = generator_of(axis, n)
-                term = _power(g, k, factors, s, a, c)
+                if axis == "X":
+                    term = pref * (branched_pow(a - n, s - 1.0) * cmath.exp(-2j * math.pi * c * (a - n)))
+                elif n >= 1 or pref == 0:
+                    term = 0j
+                else:
+                    term = pref * cmath.exp(-2j * math.pi * n * a) * branched_pow(c - n, -s)
+                if term == 0:
+                    term = 0j
+                elif integer_s:
+                    term = complex(k) * term
+                else:
+                    if lam_m1 is None and abs(k) > 64:
+                        lam_m1 = _cexp_minus_one(s, sign)
+                    term = _geometric_ratio(k, s, sign, lam_m1) * term
                 finite = finite and cmath.isfinite(term)
-                terms.append((g, k, term))
+                terms.append((generator_of(axis, n), k, term))
     except OverflowError as exc:
         raise _overflow(f"monodromy of {b!r}", s, a, c) from exc
     if not finite:
         raise _overflow(f"monodromy of {b!r}", s, a, c)
     return terms
+
+
+def monodromy_power(g: Generator, k: int, s: complex, a: complex, c: complex) -> complex:
+    """Monodromy of g^k for any integer k: the one term of :func:`monodromy_terms` for that winding."""
+    one = ((g.index, k),)
+    terms = monodromy_terms(BranchState(one) if g.axis == "X" else BranchState(ky=one), s, a, c)
+    return terms[0][2] if terms else 0j
+
+
+def monodromy_generator(g: Generator, s: complex, a: complex, c: complex) -> complex:
+    """Monodromy added by one positive loop of generator g, on the principal sheet."""
+    return monodromy_power(g, 1, s, a, c)
 
 
 def monodromy_of_branch(b: BranchState, s: complex, a: complex, c: complex) -> complex:
@@ -209,31 +156,32 @@ def word_fold_monodromy(w: Word, s: complex, a: complex, c: complex) -> complex:
     Appending one letter g^e to a word with accumulated kernel coefficients
     multiplies the matching kernel's coefficient by lambda_g^e and adds the
     single-letter contribution; distinct kernels never mix.  Each of the four
-    (axis, direction) factors is formed once, and each axis' prefactor once,
-    from its lowest index.  Raises NonConvergence where a factor overflows or
-    the total is not finite.
+    (axis, direction) factors is formed once; the single loops come from one
+    :func:`monodromy_terms` call with every winding 1.  Raises InvalidPoint for
+    a non-finite s, a or c, and NonConvergence where a factor overflows or the
+    total is not finite.
     """
-    s, a, c = complex(s), complex(a), complex(c)
+    s, a, c = finite_coordinates(s, a, c)
+    coeffs: dict[Generator, complex] = {}
     try:
-        coeffs: dict[Generator, complex] = {}
+        integer_s = is_real_integer(s)
         steps: dict[tuple[int, int], tuple[complex, complex]] = {}
         for gen, exp in w:
-            key = (_loop_multiplier_sign(gen.axis), 1 if exp > 0 else -1)
+            key = (1 if gen.axis == "X" else -1, 1 if exp > 0 else -1)
             if key not in steps:
                 sign, step = key
-                steps[key] = (1.0 + _cexp_minus_one(s, sign * step), _geometric_factor(step, s, sign))
+                phi = complex(step) if integer_s else _geometric_ratio(step, s, sign, None)
+                steps[key] = (1.0 + _cexp_minus_one(s, sign * step), phi)
             lam_pow, phi = steps[key]
             for _ in range(abs(exp)):
                 coeffs[gen] = coeffs.get(gen, 0j) * lam_pow + phi
-        lowest: dict[str, int] = {}
-        for gen in coeffs:
-            lowest[gen.axis] = min(gen.index, lowest.get(gen.axis, gen.index))
-        prefs = {axis: _prefactor(axis, n, s) for axis, n in lowest.items()}
-        total = 0j
-        for gen, coef in coeffs.items():
-            total += coef * _loop(gen, prefs[gen.axis], s, a, c)
     except OverflowError as exc:
         raise _overflow(f"monodromy of {w!r}", s, a, c) from exc
+    ones = [{g.index: 1 for g in coeffs if g.axis == axis} for axis in "XY"]
+    loops = {(g.axis, g.index): loop for g, _, loop in monodromy_terms(BranchState.from_dicts(*ones), s, a, c)}
+    total = 0j
+    for gen, coef in coeffs.items():
+        total += coef * loops[gen.axis, int(gen.index)]  # an index that is no int is truncated, as abelianize does
     if not cmath.isfinite(total):
         raise _overflow(f"monodromy of {w!r}", s, a, c)
     return total
@@ -253,14 +201,10 @@ def compose_check(w1: Word, w2: Word, s: complex, a: complex, c: complex) -> flo
     b1, b2 = abelianize(w1), abelianize(w2)
     nested = 0j
     try:
-        for axis, items in (("X", b1.kx), ("Y", b1.ky)):
-            for n, k1 in items:
-                gen = generator_of(axis, n)
-                k2 = b2.winding(gen)
-                if k2 == 0:
-                    continue
-                part = monodromy_power(gen, k1, s, a, c)
-                nested += part * _cexp_minus_one(s, _loop_multiplier_sign(axis), k2)
+        for gen, _, part in monodromy_terms(b1, s, a, c):
+            k2 = b2.winding(gen)
+            if k2:
+                nested += part * _cexp_minus_one(s, 1 if gen.axis == "X" else -1, k2)
     except OverflowError as exc:
         raise _overflow(f"composition of {w1!r} and {w2!r}", s, a, c) from exc
     return abs(m12 - (m1 + m2 + nested))

@@ -15,7 +15,8 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import WordParseError
 
-_TOKEN_RE = re.compile(r"^([XY])(-?\d+)(?:\^(-?\d+))?$")
+_TOKEN_RE = re.compile(r"^([XY])(-?\d+)(?:\^(-?\d+))?$", re.ASCII)
+_ASSIGN_RE = re.compile(r"^k([xy])\[(-?\d+)\]=(-?\d+)$", re.ASCII)
 _GENERATORS = 4096  # distinct generators kept by generator_of(); hot words use a few dozen
 
 
@@ -125,7 +126,7 @@ class Word:
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        """Parse the CLI grammar: whitespace-separated `X<n>`/`Y<n>` with optional `^k`.
+        """Parse the CLI grammar: whitespace-separated `X<n>`/`Y<n>` with optional `^k`, n and k ASCII integers.
 
         Round-trips exactly with str() on reduced words.
         """
@@ -206,13 +207,7 @@ class BranchState:
         return BranchState(kx, ky)
 
     def __add__(self, other: "BranchState") -> "BranchState":
-        kx = self.kx_dict
-        for n, k in other.kx:
-            kx[n] = kx.get(n, 0) + k
-        ky = self.ky_dict
-        for n, k in other.ky:
-            ky[n] = ky.get(n, 0) + k
-        return BranchState.from_dicts(kx, ky)
+        return BranchState(self.kx + other.kx, self.ky + other.ky)
 
 
 def _canonical(items: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -254,11 +249,10 @@ def parse_branch(text: str) -> BranchState:
         return abelianize(Word.parse(text))
     kx: dict[int, int] = {}
     ky: dict[int, int] = {}
-    assign_re = re.compile(r"^k([xy])\[(-?\d+)\]=(-?\d+)$")
     for token in re.split(r"[\s,]+", text):
         if not token:
             continue
-        m = assign_re.match(token)
+        m = _ASSIGN_RE.match(token)
         if m is None:
             raise WordParseError(f"bad branch token {token!r}")
         table = kx if m.group(1) == "x" else ky

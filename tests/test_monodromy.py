@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 import warnings
@@ -8,6 +9,7 @@ import pytest
 
 from lerchzeta import (
     CutViolation,
+    InvalidPoint,
     LerchError,
     NonConvergence,
     SymKind,
@@ -22,6 +24,7 @@ from lerchzeta import (
     word_fold_monodromy,
 )
 from lerchzeta import monodromy
+from lerchzeta.cli import main
 from lerchzeta.words import BranchState, Generator, abelianize, generator_of
 
 
@@ -105,9 +108,11 @@ class TestPowerLaws:
 
     @pytest.mark.parametrize("axis", ["X", "Y"])
     def test_closed_ratio_is_exactly_zero_at_integer_s_k(self, axis):
-        # lambda^200 = 1 at s = 1/2
+        # lambda^200 = 1 at s = 1/2: the kernel's term of 200 loops is exactly 0, though one loop's is not
         g = Generator(axis, 0)
-        assert monodromy._geometric_factor(200, 0.5, 1 if axis == "X" else -1) == 0
+        b = BranchState(((0, 200),)) if axis == "X" else BranchState(ky=((0, 200),))
+        assert [term for _, _, term in monodromy.monodromy_terms(b, 0.5, self.a, self.c)] == [0]
+        assert monodromy_generator(g, 0.5, self.a, self.c) != 0
         assert monodromy_power(g, 200, 0.5, self.a, self.c) == 0
 
     @pytest.mark.parametrize("axis", ["X", "Y"])
@@ -161,32 +166,36 @@ class TestWords:
             a, c = rng.uniform(0.15, 0.85), rng.uniform(0.15, 0.85)
             assert abs(word_fold_monodromy(w, s, a, c) - monodromy_of_word(w, s, a, c)) < 1e-12
 
+    def test_fold_truncates_an_index_that_is_no_int(self):
+        # as abelianize does: X_1.5 is X_1
+        w = Word([(Generator("X", 1.5), 1)])
+        assert word_fold_monodromy(w, 0.3, 0.4, 0.6) == pytest.approx(monodromy_of_word(w, 0.3, 0.4, 0.6), rel=1e-15)
+
     def test_branch_state_entry_points(self):
         b = BranchState.from_dicts({0: 2}, {1: 7})
         s, a, c = 0.3, 0.4, 0.6
         assert monodromy_of_branch(b, s, a, c) == monodromy_power(Generator("X", 0), 2, s, a, c)
 
     def test_branch_monodromy_is_one_pass(self, rng, monkeypatch):
-        # the value is monodromy_of_branch's to the bit, and each term is computed once
-        calls = 0
-        power = monodromy._power
+        # the value is monodromy_of_branch's to the bit, and each term is computed once: one kernel call
+        calls = []
+        terms = monodromy.monodromy_terms
 
         def counted(*args):
-            nonlocal calls
-            calls += 1
-            return power(*args)
+            calls.append(terms(*args))
+            return calls[-1]
 
-        monkeypatch.setattr(monodromy, "_power", counted)
+        monkeypatch.setattr(monodromy, "monodromy_terms", counted)
         for _ in range(30):
             b = abelianize(random_word(rng, 8))
             s = complex(rng.uniform(-1.5, 2.5), rng.uniform(-3.0, 3.0))
             a = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.5, 0.5))
             c = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.5, 0.5))
             want = monodromy_of_branch(b, s, a, c)
-            calls = 0
+            calls.clear()
             value, roundoff = monodromy.branch_monodromy(b, s, a, c)
             assert value == want
-            assert calls == len(b.kx) + len(b.ky)
+            assert [len(t) for t in calls] == [len(b.kx) + len(b.ky)]
             assert roundoff >= 4.0 * 2.220446049250313e-16 * abs(value)
 
 
@@ -200,7 +209,7 @@ class TestPerCallFactors:
             monodromy_of_branch(BranchState.from_dicts(ky={0: 1, 1: 2}), 0.5 + 500j, 0.3, 0.4)
 
     def test_lambda_minus_one_at_most_once_per_axis(self, rng, monkeypatch):
-        # lambda - 1 = e^{+-2 pi i s} - 1 is formed once per axis and call, and never for an axis whose
+        # lambda - 1 = e^{+-2 pi i s} - 1 is formed once per axis and kernel call, and never for an axis whose
         # terms are all 0 (Y_n with n >= 1 only, or s = 0, -1, -2, ...); k > 64 loops add e^{+-2 pi i s k} - 1
         formed = []
         cexp_minus_one = monodromy._cexp_minus_one
@@ -227,6 +236,14 @@ class TestPerCallFactors:
         for s in (0.0, -1.0, -4.0):
             assert monodromy_of_branch(both, s, 0.3 + 0.2j, 0.4 - 0.1j) == 0
         assert formed == []
+        # X forms its lambda - 1 = e^{2 pi i s} - 1, which overflows at s = 0.3 - 150i, only for more than 64 loops
+        for kx, answers in (({0: 1}, True), ({0: -2}, True), ({0: 65}, False)):
+            b = BranchState.from_dicts(kx)
+            if answers:
+                assert cmath.isfinite(monodromy_of_branch(b, 0.3 - 150j, 0.3 + 0.01j, 0.4))
+            else:
+                with pytest.raises(NonConvergence):
+                    monodromy_of_branch(b, 0.3 - 150j, 0.3 + 0.01j, 0.4)
 
     def test_terms_match_powers_bit_for_bit(self, rng):
         for i in range(200):
@@ -246,6 +263,14 @@ class TestPerCallFactors:
 
 
 class TestOverflowRule:
+    @pytest.mark.parametrize("axis", ["X", "Y"])
+    def test_generator_and_power_raise_nonconvergence(self, axis):
+        # 1/Gamma(s) and e^{-2 pi i s} - 1 overflow at s = 0.5 + 500i
+        g = Generator(axis, 0)
+        for f in (lambda: monodromy_generator(g, 0.5 + 500j, 0.3, 0.4), lambda: monodromy_power(g, 3, 0.5 + 500j, 0.3, 0.4)):
+            with pytest.raises(NonConvergence, match="overflows"):
+                f()
+
     def test_fold_overflow_raises_nonconvergence(self):
         # 1/Gamma(s) overflows at s = 0.5 + 500i
         with pytest.raises(NonConvergence, match="overflows"):
@@ -389,3 +414,37 @@ class TestBasisDescriptors:
         b = monodromy_space_basis(0.5)
         assert b.dimension == "infinite"
         assert b.x_indices == "all n" and b.y_indices == "n <= 0"
+
+
+_ENTRIES = {
+    "monodromy_of_word": lambda s, a, c: monodromy_of_word(Word.parse("X0 Y-1"), s, a, c),
+    "monodromy_of_branch": lambda s, a, c: monodromy_of_branch(BranchState.from_dicts({0: 1}, {-1: 2}), s, a, c),
+    "monodromy_power": lambda s, a, c: monodromy_power(Generator("Y", 1), 2, s, a, c),
+    "monodromy_generator": lambda s, a, c: monodromy_generator(Generator("X", 0), s, a, c),
+    "word_fold_monodromy": lambda s, a, c: word_fold_monodromy(Word.parse("X0 Y-1"), s, a, c),
+    "compose_check": lambda s, a, c: compose_check(Word(), Word(), s, a, c),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    @pytest.mark.parametrize(
+        "s, a, c",
+        [(math.nan, 0.3, 0.4), (math.inf, 0.3, 0.4), (-math.inf, 0.3 + 0.1j, 0.4), (complex(0.5, math.nan), 0.3, 0.4),
+         (0.5, math.nan, 0.4), (0.5, complex(0.3, math.inf), 0.4), (0.5, 0.3, -math.inf), (0.5, 0.3, complex(0.4, math.nan))],
+    )
+    def test_entries_raise_invalid_point(self, entry, s, a, c):
+        # every algebra entry refuses NaN or +-inf in s, a or c, also where no term would read it
+        with pytest.raises(InvalidPoint, match="is not finite"):
+            _ENTRIES[entry](s, a, c)
+
+    @pytest.mark.parametrize(
+        "word, flag", [("Y0", "--s=nan,0"), ("Y1 Y3", "--s=inf,0"), ("X0", "--a=0.3,-inf"), ("X0 X0^-1", "--c=nan")]
+    )
+    def test_cli_exits_2_with_one_record(self, capsys, word, flag):
+        argv = ["monodromy", "--word", word, "--s=0.5", "--a=0.3", "--c=0.4", flag]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        rec = json.loads(err)
+        assert rec["error"] == "InvalidPoint" and "not finite" in rec["message"]

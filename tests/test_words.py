@@ -111,11 +111,16 @@ class TestGrammar:
         "token, message",
         [("X", "bad word token 'X'"), ("Z1", "bad word token 'Z1'"), ("x1", "bad word token 'x1'"),
          ("X1^", "bad word token 'X1^'"), ("X1^0", "zero exponent in token 'X1^0'"),
-         ("X1.5", "bad word token 'X1.5'")],
+         ("X1.5", "bad word token 'X1.5'"), ("X\u0661", "bad word token 'X\u0661'"),
+         ("kx[\u0661]=1", "bad branch token 'kx[\u0661]=1'")],
     )
     def test_error_messages(self, token, message):
+        # digits are ASCII digits; a kx/ky assignment takes the branch grammar
         with pytest.raises(WordParseError) as info:
-            Word.parse("Y0 " + token + " X2")
+            if "=" in token:
+                parse_branch("ky[0]=1 " + token + " kx[2]=1")
+            else:
+                Word.parse("Y0 " + token + " X2")
         assert str(info.value) == message
 
     @given(st.one_of(word_st, cancelling_letters_st.map(Word)))
