@@ -29,7 +29,10 @@ interpreter, removes the directory and prints, item by item,
   fixed list of malformed words (exception class and message).
 
 A moved value reports the largest absolute move, the largest relative move
-|new - old| / |old| and the largest relative move of the estimate.  The exit
+|new - old| / |old| and the largest relative move of the estimate.  Each
+item that moved counts its records by kind: answers whose estimate grew,
+answers that became raises, raises that changed class, raises that became
+answers, and label-only moves (same value and estimate, another method).  The exit
 code is 0 when every item is bit-identical, 1 when one moved and 2 when
 git cannot extract REV.
 """
@@ -62,6 +65,8 @@ VERIFY_ARGS = ["verify", "--suite", "all", "--samples", "3", "--seed", "1"]
 MALFORMED_WORDS = ("X", "Z1", "x1", "X1^", "X1^0", "X1.5", "X1^-0", "Y--1", "X+1", "XY1", "X1^1.0", "X0 Y1^",
                    "X1 Y", "X\u0661")
 SHOWN = 5  # changed records printed per item
+# counted in every item that moved: the first three are regressions, a label-only move keeps value and estimate
+KINDS = ("estimate grew", "answer became raise", "raise changed class", "raise became answer", "label only")
 
 
 # -- probe: runs in a fresh interpreter against one tree's src/ ----------------------------------
@@ -270,9 +275,14 @@ def _moves(old: list, new: list) -> list[str]:
     lines = [f"{len(changed)} of {len(old)} records changed"]
     d_abs = d_rel = d_est = 0.0
     classes, methods, warned = [], [], []
+    kinds = dict.fromkeys(KINDS, 0)
     for i in changed:
         o, n = old[i], new[i]
         if (o[0] == "raise") != (n[0] == "raise") or (o[0] == "raise" and o[1] != n[1]):
+            if o[0] == n[0]:
+                kinds["raise changed class"] += 1
+            else:
+                kinds["raise became answer" if o[0] == "raise" else "answer became raise"] += 1
             classes.append(f"  #{i}: {o[1] if o[0] == 'raise' else o[3]} -> {n[1] if n[0] == 'raise' else n[3]}")
             continue
         if o[4] != n[4]:
@@ -281,12 +291,15 @@ def _moves(old: list, new: list) -> list[str]:
             continue
         if o[3] != n[3]:
             methods.append(f"  #{i}: method {o[3]} -> {n[3]}")
+        kinds["label only"] += o[:3] == n[:3] and o[3] != n[3]
+        kinds["estimate grew"] += o[2] is not None and n[2] > o[2]
         move, size = abs(complex(n[0], n[1]) - complex(o[0], o[1])), abs(complex(o[0], o[1]))
         d_abs = max(d_abs, move)
         d_rel = max(d_rel, move / size if size else math.inf if move else 0.0)
         if n[2] != o[2]:
             d_est = max(d_est, abs(n[2] - o[2]) / o[2] if o[2] else math.inf)
     lines.append(f"largest moves: absolute {d_abs:.3e}, relative {d_rel:.3e}, estimate (relative) {d_est:.3e}")
+    lines.append("by kind: " + ", ".join(f"{kind} {count}" for kind, count in kinds.items()))
     for title, items in (("exception classes", classes), ("methods", methods), ("warnings", warned)):
         if items:
             lines.append(f"{len(items)} changed {title}:")

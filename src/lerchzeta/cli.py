@@ -35,14 +35,10 @@ def _to_json(obj) -> str:
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_to_json(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if isinstance(obj, float):
         return _fmt(obj)
     if isinstance(obj, int):
         return str(obj)
-    if obj is None:
-        return "null"
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 

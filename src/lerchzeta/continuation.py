@@ -32,7 +32,6 @@ from .domain import (
 from .errors import (
     CutViolation,
     DerivativeCircleLeavesDomain,
-    DivergentSeries,
     InvalidRegion,
     LerchError,
     NonConvergence,
@@ -70,34 +69,32 @@ def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
 
     Series and integral need Re c > 0: where they own the point (Re s > 0
     or Im a > 0) and Re c <= 0.05, the index shift in c moves it first, the
-    transform's inner evaluations included.  Then each route owns its region
-    and the order is the only rule: the series wherever it converges; while
-    it misses the target, the integral when Re s > 0, else the transformation
-    formula after the index shift of c into 0 < Re c <= 1.  The smaller of
-    two estimates wins.  A failed transform falls back to the series value
-    unless 0 < Re c < 1.
+    transform's inner evaluations included.  Then two routes run in order:
+    the series, and the integral when Re s > 0, else the transformation
+    formula after the index shift of c into 0 < Re c <= 1.  Each route
+    answers with its honest estimate or raises where it does not apply.  One
+    rule decides: the first answer that meets the target is returned, else
+    the answer with the smallest estimate (the series on a tie); the last
+    route's error is raised only when no route answered.
     """
     if c.real <= 0.05 and (s.real > 0.0 or a.imag > 0.0):
         return _shift_c(s, a, c, math.ceil(0.6 - c.real), target, _core_eval)
-    best: LerchValue | None = None
     try:
-        best = dirichlet_series(s, a, c, target)
-        if best.abs_err_estimate <= target:
-            return best
-    except (DivergentSeries, NonConvergence):
-        pass
-    if s.real > 0.0:
-        other = _integral_eval_raw(s, a, c, ContourSpec.STRAIGHT, target)
-    else:
-        try:
+        series = dirichlet_series(s, a, c, target)
+    except LerchError:
+        series = None
+    if series is not None and series.abs_err_estimate <= target:
+        return series
+    try:
+        if s.real > 0.0:
+            other = _integral_eval_raw(s, a, c, ContourSpec.STRAIGHT, target)
+        else:
             other = _shift_c(s, a, c, 1 - math.ceil(c.real), target, _transform_value)
-        except LerchError:
-            if best is None or 0.0 < c.real < 1.0:
-                raise
-            return best
-    if best is None or other.abs_err_estimate < best.abs_err_estimate:
-        return other
-    return best
+    except LerchError:
+        if series is None:  # no route answered
+            raise
+        return series
+    return other if series is None or other.abs_err_estimate < series.abs_err_estimate else series
 
 
 def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _Route) -> LerchValue:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lerchzeta import (
+    ContourHitsPole,
     CutViolation,
     DerivativeCircleLeavesDomain,
     InvalidPoint,
@@ -54,8 +55,10 @@ from conftest import (
     Z_REAL_A_60,
     Z_REAL_A_M45,
     Z_SERIES_FALLBACK,
+    Z_SERIES_KEPT,
     Z_SHIFT_LONG_PHASE,
     Z_SHIFT_SMALL_C,
+    Z_SHIFTED_HURWITZ,
     Z_TINY_RE_C,
 )
 
@@ -458,18 +461,19 @@ class TestRouting:
             return
         assert cmath.isfinite(lv.value)
 
-    @pytest.mark.parametrize(
-        "s, a, c, route, keeps_series",
-        [
-            (0.5, 0.3, 0.5, "_integral_eval_raw", False),
-            (-1.0, 0.3 + 0.1j, 0.5, "_transform_value", False),
-            (-1.0, 0.3 + 0.1j, 1.5 + 0.1j, "_transform_value", True),
-            (-1.0, 0.3 + 0.1j, 1.0 + 0.1j, "_transform_value", True),
-        ],
-    )
-    def test_failure_after_missed_series(self, monkeypatch, s, a, c, route, keeps_series):
-        # the series misses its target and the next route fails: only a
-        # transform outside 0 < Re c < 1 falls back to the series value
+    # (s, a, c, second route): the integral for Re s > 0, else the transform, at a c it reaches
+    # without an index shift (0 < Re c <= 1) and after one (Re c > 1)
+    SECOND_ROUTES = [
+        (0.5, 0.3, 0.5, "_integral_eval_raw"),
+        (-1.0, 0.3 + 0.1j, 0.5, "_transform_value"),
+        (-1.0, 0.3 + 0.1j, 1.5 + 0.1j, "_transform_value"),
+        (-1.0, 0.3 + 0.1j, 1.0 + 0.1j, "_transform_value"),
+    ]
+
+    @pytest.mark.parametrize("s, a, c, route", SECOND_ROUTES)
+    def test_failure_after_missed_series(self, monkeypatch, s, a, c, route):
+        # the series misses its target and the second route fails: the dispatch keeps the series
+        # value with its estimate, the only answer it has
         missed = LerchValue(1.0 + 0j, Method.SERIES, 1.0)
         monkeypatch.setattr(continuation, "dirichlet_series", lambda *args: missed)
 
@@ -477,11 +481,49 @@ class TestRouting:
             raise NonConvergence("route failed")
 
         monkeypatch.setattr(continuation, route, fail)
-        if keeps_series:
-            assert evaluate_principal(s, a, c) is missed
-        else:
-            with pytest.raises(NonConvergence):
-                evaluate_principal(s, a, c)
+        assert evaluate_principal(s, a, c) is missed
+
+    @pytest.mark.parametrize("s, a, c, route", SECOND_ROUTES)
+    def test_no_route_answers(self, monkeypatch, s, a, c, route):
+        # both routes fail: the second route's error propagates, with its class
+        def series_fails(*args):
+            raise NonConvergence("series failed")
+
+        def route_fails(*args):
+            raise ContourHitsPole("route failed")
+
+        monkeypatch.setattr(continuation, "dirichlet_series", series_fails)
+        monkeypatch.setattr(continuation, route, route_fails)
+        with pytest.raises(ContourHitsPole, match="route failed"):
+            evaluate_principal(s, a, c)
+
+    @pytest.mark.parametrize("s, a, c, route", [r for r in SECOND_ROUTES if 0.0 < r[2].real <= 1.0])
+    def test_estimate_tie_keeps_the_series(self, monkeypatch, s, a, c, route):
+        # both routes miss the target by the same estimate: the series is kept
+        missed = LerchValue(1.0 + 0j, Method.SERIES, 1.0)
+        monkeypatch.setattr(continuation, "dirichlet_series", lambda *args: missed)
+        monkeypatch.setattr(continuation, route, lambda *args: LerchValue(2.0 + 0j, Method.INTEGRAL, 1.0))
+        assert evaluate_principal(s, a, c) is missed
+        monkeypatch.setattr(continuation, route, lambda *args: LerchValue(2.0 + 0j, Method.INTEGRAL, 0.5))
+        assert evaluate_principal(s, a, c).value == 2.0
+
+    @pytest.mark.parametrize("point, want", Z_SERIES_KEPT)
+    def test_missed_series_beats_the_transform(self, point, want):
+        # Im a > 0, so the series converges absolutely and holds the value to about 1e-13 of
+        # |value|, though not to the absolute target.  The transform after the index shift by
+        # about -Re c multiplies by e^{2 pi Im a |n|}; it was off by up to 1e104 here
+        lv = evaluate_principal(*point, 1e-10)
+        err = abs(lv.value - want)
+        assert lv.method is Method.SERIES
+        assert err <= lv.abs_err_estimate <= 1e-3, (err, lv.abs_err_estimate)
+
+    def test_shifted_hurwitz_series_answers(self):
+        # the c = 1 branch of the transform takes the Hurwitz series at a target scaled far below
+        # its roundoff by the index shift; the series answers with its estimate, where it raised
+        lv = evaluate_principal(-19.25j, -1.3124 - 1.5102j, -3 + 0.001j, 1e-10)
+        assert math.isfinite(lv.abs_err_estimate)
+        assert lv.abs_err_estimate <= 1e-10 * abs(lv.value)
+        assert abs(lv.value - Z_SHIFTED_HURWITZ) <= lv.abs_err_estimate
 
     def test_index_shift_inside_transform(self):
         # Re a = 0, so the transform's first inner evaluation has c = a = 1e-4 i;
