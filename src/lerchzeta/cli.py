@@ -134,50 +134,29 @@ def cmd_grid(args: argparse.Namespace) -> int:
         raise UsageError(f"missing --fixed-{'/'.join(missing)}")
     branch = parse_branch(args.branch) if args.branch else BranchState.zero()
 
-    coords = [
-        complex(re, im) for re in _grid_points(args.re) for im in _grid_points(args.im)
-    ]
+    coords = [complex(re, im) for re in _grid_points(args.re) for im in _grid_points(args.im)]
 
-    def one(coord: complex) -> tuple[complex, tuple | None]:
+    def record(coord: complex) -> dict:
         triple = dict(fixed)
         triple[axis] = coord
         try:
-            point = Point3(triple["s"], triple["a"], triple["c"])
-            lv = evaluate_on_cover(point, branch, args.tol)
+            lv = evaluate_on_cover(Point3(triple["s"], triple["a"], triple["c"]), branch, args.tol)
         except LerchError:
-            return coord, None
-        return coord, (lv.value, lv.abs_err_estimate, lv.method.value)
+            return {"coord": _complex_json(coord), "method": "skipped"}
+        return {"coord": _complex_json(coord), "z": _complex_json(lv.value), "abs_err": lv.abs_err_estimate,
+                "method": lv.method.value}
 
-    rows = [one(coord) for coord in coords]
+    records = [record(coord) for coord in coords]
 
     with open(args.out, "w", encoding="utf-8") as fh:
-        if args.format == "csv":
-            fh.write(_CSV_HEADER + "\n")
-            for coord, payload in rows:
-                if payload is None:
-                    fh.write(f"{_fmt(coord.real)},{_fmt(coord.imag)},,,,skipped\n")
-                else:
-                    value, err, method = payload
-                    fh.write(
-                        f"{_fmt(coord.real)},{_fmt(coord.imag)},{_fmt(value.real)},"
-                        f"{_fmt(value.imag)},{_fmt(err)},{method}\n"
-                    )
-        else:
-            records = []
-            for coord, payload in rows:
-                if payload is None:
-                    records.append({"coord": _complex_json(coord), "method": "skipped"})
-                else:
-                    value, err, method = payload
-                    records.append(
-                        {
-                            "coord": _complex_json(coord),
-                            "z": _complex_json(value),
-                            "abs_err": err,
-                            "method": method,
-                        }
-                    )
+        if args.format == "json":
             fh.write(_to_json(records) + "\n")
+            return 0
+        fh.write(_CSV_HEADER + "\n")
+        for rec in records:  # a skipped row leaves z and abs_err empty
+            z = rec.get("z", {})
+            fields = (rec["coord"]["re"], rec["coord"]["im"], z.get("re"), z.get("im"), rec.get("abs_err"))
+            fh.write(",".join("" if x is None else _fmt(x) for x in fields) + f",{rec['method']}\n")
     return 0
 
 

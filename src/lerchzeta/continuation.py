@@ -122,7 +122,7 @@ def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _
             terms = np.exp(2j * math.pi * a * (j - n)) * np.exp(-s * lg)
             # roundoff of each term carries the phase errors 2 pi |a| |j - n| and |s log(j + c)| of its exps
             weight = 1.0 + _TWO_PI * abs(a) * np.abs(j - n) + abs(s) * np.abs(lg)
-            partial, absum = complex(terms.sum()), float(np.abs(terms) @ weight)
+            partial, absum = complex(terms.sum()), float((np.abs(terms) * weight).sum())
         value = phase * (shifted.value + math.copysign(1.0, n) * partial)
         err = scale * (shifted.abs_err_estimate + 8.0 * _EPS * absum) + 8.0 * _EPS * abs(value) * (1.0 + _TWO_PI * abs(a * n))
         return LerchValue(value, shifted.method, err)
@@ -254,9 +254,8 @@ def _circle(z: complex, plane: str) -> tuple[float, float]:
 def _cauchy_derivative(f: Callable[[complex], complex], center: complex, radius: float) -> tuple[complex, complex, float]:
     """(f(center), f'(center), max |f| on the circle) by the _NODES-point trapezoid rule."""
     values = [f(center + radius * cmath.exp(2j * math.pi * i / _NODES)) for i in range(_NODES)]
-    mean = sum(values) / _NODES
-    first = sum(v * cmath.exp(-2j * math.pi * i / _NODES) for i, v in enumerate(values)) / _NODES
-    return mean, first / radius, max(abs(v) for v in values)
+    coeffs = np.fft.fft(values) / _NODES  # the trapezoid rule's Taylor coefficients times radius^k
+    return complex(coeffs[0]), complex(coeffs[1]) / radius, max(abs(v) for v in values)
 
 
 def dde_shift(p: Point3, direction: ShiftDirection | str, target_abs_err: float = 1e-9) -> LerchValue:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import quadrature
 from .branching import complex_gamma
-from .domain import ContourSpec, Point3, SymKind, is_real_integer, on_a_cut_ray
+from .domain import ContourSpec, Point3, SymKind, finite_coordinates, is_real_integer, on_a_cut_ray
 from .errors import (
     ContourHitsPole,
     CutViolation,
@@ -41,8 +41,6 @@ _RING = 64  # samples on the endpoint circle, and terms of the endpoint series
 _K = np.arange(_RING, dtype=np.float64)
 _ROOTS = np.exp((2j * math.pi / _RING) * _K)
 _RINGS = np.concatenate([_ROOTS, 2.0 * _ROOTS])  # the endpoint circle and the circle of twice its radius
-# DFT with phases reduced mod _RING before exp: unreduced ones lose about 1e-13
-_DFT = np.exp((-2j * math.pi / _RING) * (np.outer(_K, _K) % _RING)) / _RING
 _NO_POLES = BranchState()  # the ray turns over no pole
 # flat relative error charged to a value that passes through Gamma (here and in continuation): it stands
 # in for complex_gamma's Lanczos error, until a charge derived from that error replaces it
@@ -219,9 +217,10 @@ def dirichlet_series(s: complex, a: complex, c: complex, target_abs_err: float =
     the Abel-Plana tail otherwise.  One roundoff rule covers both:
     4 eps (sum |terms| + |tail|) (1 + |s| log(n0 + |c| + 1)).  A value that
     misses the target is returned with that estimate; whether another route
-    does better is the dispatch's decision.
+    does better is the dispatch's decision.  A non-finite coordinate raises
+    InvalidPoint.
     """
-    s, a, c = complex(s), complex(a), complex(c)
+    s, a, c = finite_coordinates(s, a, c)
     if c.real <= 0.0:
         raise DivergentSeries(f"series needs Re c > 0, got c = {c!r}")
     if a.imag < 0.0:
@@ -382,7 +381,7 @@ def _contour_integral(
 
     h is analytic in |t| < R = 2*pi*dist(a, Z), so the piece over r in (0, t0]
     with t0 <= 0.4 R is T^s sum_{k<64} H_k / (s+k), T = t0 e^{i theta},
-    H_k = h_k T^k from 64 samples on |t| = t0.  One adaptive quadrature takes
+    H_k = h_k T^k from one FFT of 64 samples on |t| = t0.  One adaptive quadrature takes
     the rest up to a certified cutoff t_max.  Its first edges are equal in
     log t, max(16, ceil(|Im s| log(t_max / t0) / 2)) panels so the phase of
     t^{s-1} turns at most 2 radians over each, and at most half of
@@ -401,7 +400,8 @@ def _contour_integral(
 
     rings = _h(za, c, t0 * rot * _RINGS)
     inv = 1.0 / (s + _K)
-    total = cmath.exp(s * log_t0) * complex((_DFT @ rings[:_RING]) @ inv)
+    # H_k is the trapezoid rule on the circle: the FFT of the samples over _RING (a power of 2, so exact)
+    total = cmath.exp(s * log_t0) * complex((np.fft.fft(rings[:_RING]) * inv).sum()) / _RING
     # |H_k| <= M 2^{-k}, M = max |h| on |t| = 2 t0, bounds aliasing and truncation;
     # then the roundoff of the samples (max |h| on |t| = t0) and of the phase s log T, then the cutoff tail
     h_max, outer_max = np.abs(rings).reshape(2, _RING).max(axis=1).tolist()
@@ -492,9 +492,9 @@ def residue_discrepancy(
     Re delta > 0 and 2*pi*|delta| < epsilon, so the contour deformation
     crosses exactly the k = n pole, which the detour's ray carries by
     quadrature.  Equals -(2*pi*i)^s / Gamma(s) * (a-n)^{s-1} * exp(-2*pi*i*c*(a-n))
-    up to the combined quadrature error.
+    up to the combined quadrature error.  A non-finite s, a or c raises InvalidPoint.
     """
-    s, a, c = complex(s), complex(a), complex(c)
+    s, a, c = finite_coordinates(s, a, c)
     delta = a - (n - 1j * u / _TWO_PI)
     if delta.real <= 0.0 or _TWO_PI * abs(delta) >= 0.95 * epsilon:
         raise InvalidRegion(
@@ -517,9 +517,10 @@ def two_sided_series(kind: SymKind | str, s: complex, a: float, c: float) -> com
     Requires Re s > 1 (absolute convergence) and real 0 < a < 1, 0 < c < 1.
     Tails on both sides are summed by the Abel-Plana formula; no symmetrized-zeta
     identity is used, so this is an independent oracle for those identities.
+    A non-finite s, a or c raises InvalidPoint.
     """
     kind = SymKind(kind)
-    s = complex(s)
+    s, _, _ = finite_coordinates(s, a, c)
     a, c = float(a), float(c)
     if s.real <= 1.0:
         raise DivergentSeries("two-sided series needs Re s > 1")

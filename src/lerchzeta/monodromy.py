@@ -226,8 +226,8 @@ class MonodromySpaceBasis:
 
 
 def monodromy_space_basis(s: complex) -> MonodromySpaceBasis:
-    """Basis of the span of the continued function and its monodromies at fixed s."""
-    s = complex(s)
+    """Basis of the span of the continued function and its monodromies at fixed s; a non-finite s raises InvalidPoint."""
+    s, _, _ = finite_coordinates(s, 0j, 0j)
     if is_real_integer(s):
         if s.real <= 0:
             return MonodromySpaceBasis(s, "1", "none", "none")

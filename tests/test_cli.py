@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import lerchzeta
 from lerchzeta.cli import build_parser, main
-from lerchzeta.suites import SUITE_NAMES, run_suite
+from lerchzeta.suites import SUITE_NAMES, _worst_on_cover, run_suite
 from lerchzeta import LerchError, Word, errors, monodromy_generator
 from lerchzeta.words import Generator
 from conftest import PI2_12
@@ -178,6 +179,24 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite("nonsense", 1, 0)
 
+    def test_worst_on_cover_redraws_on_lerch_error(self):
+        # a draw whose second residual raises is not counted: a fresh point replaces it, and the
+        # worsts of the draws before it stand
+        points = []
+
+        def first(p, b):
+            points.append(p)
+            return {1: 3.0, 2: 1.0}.get(len(points), 2.0)
+
+        def second(p, b):
+            if len(points) == 2:
+                raise errors.NonConvergence("no answer at this draw")
+            return 0.5 * len(points)
+
+        worst = _worst_on_cover(random.Random(5), 3, (first, second))
+        assert len(points) == 4 and len(set(points)) == 4
+        assert worst == [3.0, 2.0]
+
 
 class TestGrid:
     def test_s_grid_shape_and_header(self, tmp_path, capsys):
@@ -254,6 +273,32 @@ class TestGrid:
         )
         assert text.endswith("}]\n")
         assert json.loads(text)[2]["method"] != "skipped"
+
+    # the puncture grid's exact bytes in both formats; its one answered row takes the series route
+    PUNCTURE_GRID = {
+        "csv": (
+            "coord_re,coord_im,z_re,z_im,abs_err,method\n"
+            "-1,0,,,,skipped\n"
+            "0,0,,,,skipped\n"
+            "1,0,0.98229757961855357,0.045529864962319415,2.8283474163250283e-15,series\n"
+        ),
+        "json": (
+            '[{"coord": {"re": -1, "im": 0}, "method": "skipped"}, '
+            '{"coord": {"re": 0, "im": 0}, "method": "skipped"}, '
+            '{"coord": {"re": 1, "im": 0}, "z": {"re": 0.98229757961855357, "im": 0.045529864962319415}, '
+            '"abs_err": 2.8283474163250283e-15, "method": "series"}]\n'
+        ),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_puncture_grid_bytes(self, tmp_path, capsys, fmt):
+        out_path = tmp_path / f"grid.{fmt}"
+        code, _, _ = run(
+            capsys, "grid", "--axis", "c", "--re", "-1,1,3", "--im", "0,0,1",
+            "--fixed-s", "0.7,0", "--fixed-a", "0.3,0.4", "--format", fmt, "--out", str(out_path),
+        )
+        assert code == 0
+        assert out_path.read_bytes() == self.PUNCTURE_GRID[fmt].encode()
 
     def test_unwritable_path(self, capsys):
         code, _, err = run(

@@ -19,7 +19,7 @@ from lerchzeta import (
     residue_discrepancy,
 )
 from lerchzeta import quadrature
-from lerchzeta.evaluator import _MAX_RAY_PANELS, _contour_integral, _ray
+from lerchzeta.evaluator import _MAX_RAY_PANELS, _contour_integral, _pick_t_max, _ray
 from lerchzeta.words import BranchState, Generator
 from conftest import (
     PI2_12,
@@ -105,6 +105,18 @@ class TestStraightContour:
         # sin(pi s) overflows at |Im s| = 277 before Gamma(s) reaches 0
         with pytest.raises(NonConvergence):
             integral_eval(Point3(0.430 - 277.3j, 0.704 - 0.175j, 0.741 + 2.513j))
+
+    def test_cutoff_skips_a_start_below_its_bound_condition(self):
+        # the start t = 2(sigma - 1)/Re c rounds so that Re c t < 2(sigma - 1), where the tail bound
+        # does not hold yet; the cutoff steps past it (an inner call of a seed-7 fuzz point)
+        s = 2.6809591697100306 + 0.9474102110710056j
+        a = 0.6731831518466862 - 1.4544840078996168j
+        c = 0.26329590311798645 - 0.2525751961521374j
+        start = 2.0 * (s.real - 1.0) / c.real
+        assert c.real * start < 2.0 * (s.real - 1.0)
+        t, bound = _pick_t_max(s, a, c, 1e3, 0.0)
+        assert c.real * t >= 2.0 * (s.real - 1.0)
+        assert t == pytest.approx(1.3 * start) and bound <= 1e3
 
     @pytest.mark.parametrize("contour", [ContourSpec.STRAIGHT, ContourSpec(0.5, 0.2)])
     def test_one_quadrature_call(self, monkeypatch, contour):

@@ -10,6 +10,7 @@ from scipy.special import zeta as hurwitz_zeta
 from lerchzeta import (
     BranchState,
     DivergentSeries,
+    InvalidPoint,
     Method,
     NonConvergence,
     Point3,
@@ -17,6 +18,8 @@ from lerchzeta import (
     evaluate_on_cover,
     evaluate_principal,
     integral_eval,
+    monodromy_space_basis,
+    residue_discrepancy,
     series_eval,
     two_sided_series,
 )
@@ -368,3 +371,29 @@ class TestTwoSided:
     def test_requires_re_s_above_one(self):
         with pytest.raises(DivergentSeries):
             two_sided_series("plus", 1.0, 0.3, 0.7)
+
+
+_A_ENCLOSED = 1 - 0.5j / (2 * math.pi) + 0.01  # inside residue_discrepancy's half-disk for n = 1, u = 0.5, eps = 0.2
+
+
+class TestNonFiniteInput:
+    # each entry admits its coordinates through domain.finite_coordinates
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: two_sided_series("plus", complex(2.0, math.nan), 0.3, 0.4),
+            lambda: two_sided_series("minus", 2.0, math.inf, 0.4),
+            lambda: dirichlet_series(math.nan, 0.3 + 0.1j, 1.0),
+            lambda: dirichlet_series(2.0, 0.3 + 0.1j, math.inf),
+            lambda: dirichlet_series(2.0, complex(0.3, math.inf), 1.0),
+            lambda: residue_discrepancy(math.nan, _A_ENCLOSED, 0.5, 1, 0.5, 0.2),
+            lambda: residue_discrepancy(0.6, _A_ENCLOSED, complex(0.5, -math.inf), 1, 0.5, 0.2),
+            lambda: monodromy_space_basis(math.nan),
+            lambda: monodromy_space_basis(complex(-math.inf, 0.0)),
+        ],
+        ids=["two_sided_s", "two_sided_a", "series_s", "series_c", "series_a", "residue_s", "residue_c",
+             "basis_nan", "basis_inf"],
+    )
+    def test_raises_invalid_point(self, call):
+        with pytest.raises(InvalidPoint, match="is not finite"):
+            call()

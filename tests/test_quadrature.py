@@ -207,6 +207,15 @@ class TestIntegrate:
         assert cmath.isfinite(lv.value)
         assert ends and all(n < cap for n, cap in ends)
 
+    def test_jump_stops_at_min_width(self):
+        # a jump at 1/3 inside an interval of 3e-14: the first sweep splits it into pieces narrower
+        # than min_width = 1e-14, so no panel is worth refining and integrate stops above the goal
+        step = lambda x: np.where(x < 1.0 / 3.0, 1.0, 0.0) + 0j
+        lo = 1.0 / 3.0 - 1e-14
+        value, err, n = quadrature.integrate(step, [lo, lo + 3e-14], 1e-20)
+        assert n == 5
+        assert err > 1e-20 and err >= abs(value - (1.0 / 3.0 - lo))
+
     def test_empty_interval(self):
         counted, calls = counting(near_pole)
         assert quadrature.integrate(counted, [1.0, 1.0], 1e-10) == (0j, 0.0, 0)
