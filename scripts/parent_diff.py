@@ -29,10 +29,13 @@ interpreter, removes the directory and prints, item by item,
   fixed list of malformed words (exception class and message).
 
 A moved value reports the largest absolute move, the largest relative move
-|new - old| / |old| and the largest relative move of the estimate.  Each
-item that moved counts its records by kind: answers whose estimate grew,
-answers that became raises, raises that changed class, raises that became
-answers, and label-only moves (same value and estimate, another method).  The exit
+|new - old| / |old|, the largest relative move of the estimate and, where
+the records carry estimates, the largest move as a fraction of the old
+estimate plus the new one.  Each item that moved counts its records by
+kind: answers whose estimate grew, answers that became raises, raises that
+changed class, answers that moved by more than the old estimate plus the
+new one, raises that became answers, and label-only moves (same value and
+estimate, another method).  The exit
 code is 0 when every item is bit-identical, 1 when one moved and 2 when
 git cannot extract REV.
 """
@@ -65,8 +68,9 @@ VERIFY_ARGS = ["verify", "--suite", "all", "--samples", "3", "--seed", "1"]
 MALFORMED_WORDS = ("X", "Z1", "x1", "X1^", "X1^0", "X1.5", "X1^-0", "Y--1", "X+1", "XY1", "X1^1.0", "X0 Y1^",
                    "X1 Y", "X\u0661")
 SHOWN = 5  # changed records printed per item
-# counted in every item that moved: the first three are regressions, a label-only move keeps value and estimate
-KINDS = ("estimate grew", "answer became raise", "raise changed class", "raise became answer", "label only")
+# counted in every item that moved: the first four are regressions, a label-only move keeps value and estimate
+KINDS = ("estimate grew", "answer became raise", "raise changed class", "moved past estimates", "raise became answer",
+         "label only")
 
 
 # -- probe: runs in a fresh interpreter against one tree's src/ ----------------------------------
@@ -274,6 +278,7 @@ def _moves(old: list, new: list) -> list[str]:
         return []
     lines = [f"{len(changed)} of {len(old)} records changed"]
     d_abs = d_rel = d_est = 0.0
+    d_frac = None  # largest move over (old estimate + new estimate); None where the records carry no estimate
     classes, methods, warned = [], [], []
     kinds = dict.fromkeys(KINDS, 0)
     for i in changed:
@@ -298,7 +303,13 @@ def _moves(old: list, new: list) -> list[str]:
         d_rel = max(d_rel, move / size if size else math.inf if move else 0.0)
         if n[2] != o[2]:
             d_est = max(d_est, abs(n[2] - o[2]) / o[2] if o[2] else math.inf)
-    lines.append(f"largest moves: absolute {d_abs:.3e}, relative {d_rel:.3e}, estimate (relative) {d_est:.3e}")
+        if o[2] is not None:
+            both = o[2] + n[2]
+            frac = move / both if both else math.inf if move else 0.0
+            d_frac = max(d_frac or 0.0, frac)
+            kinds["moved past estimates"] += frac > 1.0
+    largest = f"largest moves: absolute {d_abs:.3e}, relative {d_rel:.3e}, estimate (relative) {d_est:.3e}"
+    lines.append(largest + ("" if d_frac is None else f", of old + new estimate {d_frac:.3e}"))
     lines.append("by kind: " + ", ".join(f"{kind} {count}" for kind, count in kinds.items()))
     for title, items in (("exception classes", classes), ("methods", methods), ("warnings", warned)):
         if items:

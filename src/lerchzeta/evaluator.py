@@ -40,7 +40,6 @@ _POLE_CLEARANCE = 1e-3  # least distance from an integrand pole to the ray or a 
 _RING = 64  # samples on the endpoint circle, and terms of the endpoint series
 _K = np.arange(_RING, dtype=np.float64)
 _ROOTS = np.exp((2j * math.pi / _RING) * _K)
-_RINGS = np.concatenate([_ROOTS, 2.0 * _ROOTS])  # the endpoint circle and the circle of twice its radius
 _NO_POLES = BranchState()  # the ray turns over no pole
 # flat relative error charged to a value that passes through Gamma (here and in continuation): it stands
 # in for complex_gamma's Lanczos error, until a charge derived from that error replaces it
@@ -83,9 +82,8 @@ def _reduce_a(a: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _tail_edges(y_max: float) -> list[float]:
-    """First edges over [0, y_max]: 8 equal panels, the first split at y_max/64, /32 and /16, the last edge exactly y_max."""
-    return [0.0, y_max / 64, y_max / 32, y_max / 16] + [y_max * k / 8 for k in range(1, 9)]
+# first edges of the Abel-Plana tail in u = y / y_max: 8 equal panels, the first split at 1/64, 1/32 and 1/16
+_TAIL_EDGES = [0.0, 1 / 64, 1 / 32, 1 / 16] + [k / 8 for k in range(1, 9)]
 
 
 def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) -> tuple[complex, float]:
@@ -98,6 +96,8 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
     The first integral runs on a contour rotated toward decay (the real axis
     when Re alpha = 0); for alpha = 0 it is (n0+c)^{1-s}/(s-1), returned less
     its pole 1/(s-1).  The second decays like e^{-2 pi (1 - |Re alpha|) y}.
+    Each is cut at its own y_max with its own truncation bound; both run as
+    one quadrature in u = y / y_max at the sum of their tolerances.
     """
     x0, beta = alpha.real, alpha.imag
     sigma = s.real
@@ -119,6 +119,7 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
     if alpha == 0:  # ((n0+c)^{1-s} - 1)/(s-1), which is -log(n0+c) at s = 1
         log_n0, err = cmath.log(n0 + c), 0.0
         integral = complex(np.expm1((1.0 - s) * log_n0)) / (s - 1.0) if s != 1 else -log_n0
+        rotated, tol = None, 0.125 * target
     else:
         decay = _TWO_PI * (abs(x0) if x0 != 0.0 else beta)
         # rotate the contour toward decay; purely imaginary alpha has no
@@ -132,9 +133,9 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
         y_max = (40.0 + 2.0 * abs(sigma)) / decay
         while trunc_bound(y_max) > 0.125 * target and y_max < 1e9:
             y_max *= 2.0
-        integral, quad_err, _ = quadrature.integrate(lambda y: g(n0 + rot * y), _tail_edges(y_max), tol=0.125 * target)
-        integral *= rot
-        err = quad_err + trunc_bound(y_max)
+        integral, err, tol = 0j, trunc_bound(y_max), 0.25 * target
+        step = rot * y_max
+        rotated = lambda u: step * g(n0 + step * u)
 
     # For y >= log(2)/(2 pi), each of |g(n0 +- iy)| / (e^{2 pi y} - 1) is at
     # most 2 scale0 e^{-rate y} (n0+|c|+y+2)^grow; past y_max >= 2 grow / rate
@@ -144,22 +145,24 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
     def corr_bound(y: float) -> float:
         return 8.0 * scale0 * math.exp(-rate * y) * (n0 + abs(c) + y + 2.0) ** grow / rate
 
-    y_max = max(0.5, 2.0 * grow / rate)
-    while corr_bound(y_max) > 0.125 * target and y_max < 1e9:
-        y_max *= 1.5
+    y_corr = max(0.5, 2.0 * grow / rate)
+    while corr_bound(y_corr) > 0.125 * target and y_corr < 1e9:
+        y_corr *= 1.5
 
-    def corr(y: np.ndarray) -> np.ndarray:
+    def tail(u: np.ndarray) -> np.ndarray:
         # g(n0+iy) - g(n0-iy) = 2 e^mean sinh(half) keeps its relative accuracy as y -> 0, where the
         # difference cancels; e^{2 pi y} (and the sinh) overflow to inf past y ~ 113, where the quotient is 0
         # (both callers hold np.errstate around _osc_tail, so numpy does not warn)
+        y = y_corr * u
         mean = w * n0 - 0.5 * s * (np.log(n0 + c + 1j * y) + np.log(n0 + c - 1j * y))
         half = 1j * w * y - s * np.arctanh(1j * y / (n0 + c))
         damp = np.expm1(_TWO_PI * y)
-        return np.where(np.isinf(damp), 0.0, 2.0 * np.exp(mean) * np.sinh(half) / damp)
+        boundary = (1j * y_corr) * np.where(np.isinf(damp), 0.0, 2.0 * np.exp(mean) * np.sinh(half) / damp)
+        return boundary if rotated is None else rotated(u) + boundary
 
-    boundary, corr_err, _ = quadrature.integrate(corr, _tail_edges(y_max), tol=0.125 * target)
-    value = integral + 0.5 * cmath.exp(w * n0 - s * cmath.log(n0 + c)) + 1j * boundary
-    return value, err + corr_err + corr_bound(y_max)
+    quad, quad_err, _ = quadrature.integrate(tail, _TAIL_EDGES, tol=tol)
+    value = integral + 0.5 * cmath.exp(w * n0 - s * cmath.log(n0 + c)) + quad
+    return value, err + quad_err + corr_bound(y_corr)
 
 
 def _partial_sum(s: complex, alpha: complex, c: complex, n_terms: int) -> tuple[complex, float]:
@@ -347,31 +350,35 @@ def _pick_t_max(s: complex, a: complex, c: complex, target: float, theta: float)
     """Cutoff T on the ray arg t = theta with a certified bound on the discarded [T, inf) piece."""
     # |t^{s-1} e^{-ct}| = r^{sigma-1} e^{-Im s theta - rc r}, |1 - e^{2 pi i a - t}| >= 1 - e^{log_abs_z - r cos}
     sigma, rc, cos = s.real, (c * cmath.exp(1j * theta)).real, math.cos(theta)
-    log_abs_z = -_TWO_PI * a.imag
-
-    def bound(t: float) -> float | None:
-        if t * cos < log_abs_z + math.log(2.0):
-            return None
-        if sigma > 1.0 and rc * t < 2.0 * (sigma - 1.0):
-            return None
-        d = 1.0 - math.exp(log_abs_z - t * cos)
-        base = math.exp((sigma - 1.0) * math.log(t) - rc * t - s.imag * theta) / rc
-        return (2.0 if sigma > 1.0 else 1.0) * base / d
-
-    t = max(2.0, (log_abs_z + 1.0) / cos, 2.0 * (sigma - 1.0) / rc if sigma > 1.0 else 0.0)
+    log_abs_z, phase = -_TWO_PI * a.imag, s.imag * theta
+    # the bound holds once d >= 1/2 and, for sigma > 1, past the peak of r^{sigma-1} e^{-rc r}
+    near, peak, factor = log_abs_z + math.log(2.0), 2.0 * (sigma - 1.0), 2.0 if sigma > 1.0 else 1.0
+    t = max(2.0, (log_abs_z + 1.0) / cos, peak / rc if sigma > 1.0 else 0.0)
     for _ in range(400):
-        b = bound(t)
-        if b is not None and b <= target:
-            return t, b
+        if t * cos >= near and (sigma <= 1.0 or rc * t >= peak):
+            d = 1.0 - math.exp(log_abs_z - t * cos)
+            b = factor * (math.exp((sigma - 1.0) * math.log(t) - rc * t - phase) / rc) / d
+            if b <= target:
+                return t, b
         t *= 1.3
     raise NonConvergence("could not certify an integral cutoff")
 
 
 def _h(za: complex, c: complex, t: np.ndarray, lead: complex | np.ndarray = 0.0) -> np.ndarray:
     """e^{lead - ct} / (1 - e^{za - t}): h(t) itself, or t^{s-1} h(t) for lead = (s-1) log t."""
-    w = za - t
-    w = w - (2j * math.pi) * np.rint(w.imag / _TWO_PI)
-    return np.exp(lead - c * t) / (-np.expm1(w))
+    # complex expm1 is accurate for the float za - t near each pole 2 pi i k; reducing by fl(2 pi k) adds eps pi |k|
+    return np.exp(lead - c * t) / (-np.expm1(za - t))
+
+
+def _outer_max(c: complex, t0: float, radius: float) -> float:
+    """A bound on |h| on |t| = 2 t0 <= 0.8 radius, radius = 2 pi dist(a, Z), where |e^{-ct}| <= e^{2 t0 |c|}.
+
+    w = za - t = u + iv lies delta = radius - 2 t0 from 2 pi i Z, so |e^w - 1|^2 = (e^u - 1)^2 + 4 e^u sin^2(v/2)
+    is at least its first term at |u| >= delta/sqrt 2, else its second with v delta/sqrt 2 from 2 pi Z (sin x >= 2x/pi).
+    """
+    half = (radius - 2.0 * t0) / math.sqrt(2.0)
+    low = min(-math.expm1(-half), 2.0 * half * math.exp(-0.5 * half) / math.pi)
+    return math.exp(2.0 * t0 * abs(c)) / low
 
 
 def _contour_integral(
@@ -381,7 +388,8 @@ def _contour_integral(
 
     h is analytic in |t| < R = 2*pi*dist(a, Z), so the piece over r in (0, t0]
     with t0 <= 0.4 R is T^s sum_{k<64} H_k / (s+k), T = t0 e^{i theta},
-    H_k = h_k T^k from one FFT of 64 samples on |t| = t0.  One adaptive quadrature takes
+    H_k = h_k T^k from one FFT of 64 samples on |t| = t0, aliased by at most
+    :func:`_outer_max` 2^{-64}.  One adaptive quadrature takes
     the rest up to a certified cutoff t_max.  Its first edges are equal in
     log t, max(16, ceil(|Im s| log(t_max / t0) / 2)) panels so the phase of
     t^{s-1} turns at most 2 radians over each, and at most half of
@@ -395,17 +403,18 @@ def _contour_integral(
     t_max, tail_err = _pick_t_max(s, a, c, 0.1 * tol, theta)
     # a pole within 1e-3 of t = 0 has raised, so R >= 1e-3; t0 <= 2/|c| keeps
     # |e^{-ct}| <= e^4 on the circle |t| = 2 t0
-    t0 = min(0.5, 0.25 * t_max, 0.4 * _TWO_PI * abs(a - round(a.real)), 2.0 / abs(c))
+    radius = _TWO_PI * abs(a - round(a.real))
+    t0 = min(0.5, 0.25 * t_max, 0.4 * radius, 2.0 / abs(c))
     log_t0 = complex(math.log(t0), theta)
 
-    rings = _h(za, c, t0 * rot * _RINGS)
+    ring = _h(za, c, t0 * rot * _ROOTS)
     inv = 1.0 / (s + _K)
     # H_k is the trapezoid rule on the circle: the FFT of the samples over _RING (a power of 2, so exact)
-    total = cmath.exp(s * log_t0) * complex((np.fft.fft(rings[:_RING]) * inv).sum()) / _RING
-    # |H_k| <= M 2^{-k}, M = max |h| on |t| = 2 t0, bounds aliasing and truncation;
+    total = cmath.exp(s * log_t0) * complex((np.fft.fft(ring) * inv).sum()) / _RING
+    # |H_k| <= M 2^{-k}, M >= max |h| on |t| = 2 t0, bounds aliasing and truncation;
     # then the roundoff of the samples (max |h| on |t| = t0) and of the phase s log T, then the cutoff tail
-    h_max, outer_max = np.abs(rings).reshape(2, _RING).max(axis=1).tolist()
-    alias = outer_max * 2.0**-_RING * (4.0 / abs(s) + 2.0 / _RING)
+    h_max = float(np.abs(ring).max())
+    alias = _outer_max(c, t0, radius) * 2.0**-_RING * (4.0 / abs(s) + 2.0 / _RING)
     roundoff = 4.0 * _EPS * float(h_max * np.sum(np.abs(inv))) * (1.0 + abs(s) * abs(log_t0))
     err = t0**s.real * math.exp(-s.imag * theta) * (alias + roundoff) + tail_err
     f = lambda r: _h(za, c, r * rot, sm1 * (np.log(r) + 1j * theta)) * rot

@@ -102,9 +102,10 @@ def integrate(
     The first sweep evaluates every panel between consecutive edges in one
     call of f.  Each later sweep orders the live panels by error and picks
     the fewest worst ones whose errors sum to at least the excess over the
-    goal max(tol, floor), skipping panels narrower than min_width and taking
-    at most half the panels left in max_panels (at least one).  It splits
-    every picked panel into q equal pieces by repeated bisection, all in one
+    goal max(tol, floor), skipping panels narrower than min_width or with
+    errors at most twice their own 4 eps resabs charge, and taking at most
+    half the panels left in max_panels (at least one); with none to pick it
+    stops.  It splits every picked panel into q equal pieces by repeated bisection, all in one
     call of f, where q is the smallest of 2, 4, 8 with q^15 >= total error /
     goal (8 if none is), lowered while q times the picked panels exceeds the panels left,
     down to 2; so n_panels passes max_panels by at most one, unless the
@@ -124,7 +125,7 @@ def integrate(
     n = len(errs)
     if not (total_err > max(tol, floor) and n < max_panels):  # the loop's own exit test, before any sweep
         return sum(values.tolist()), max(total_err, floor), n
-    live = list(zip(errs, los, his, values.tolist()))
+    live = list(zip(errs, los, his, values.tolist(), resabs.tolist()))
     min_width = 1e-14 * (abs(hi - lo) + 1.0)
     while total_err > max(tol, floor) and n < max_panels:
         live.sort(key=lambda p: p[0], reverse=True)
@@ -133,12 +134,12 @@ def integrate(
         cap = max(1, (max_panels - n) // 2)
         picked, kept = [], []
         for p in live:
-            if excess > 0.0 and len(picked) < cap and p[2] - p[1] >= min_width:
+            if excess > 0.0 and len(picked) < cap and p[2] - p[1] >= min_width and p[0] > 8.0 * _EPS * p[4]:
                 picked.append(p)
                 excess -= p[0]
             else:
                 kept.append(p)
-        if not picked:  # every panel that would count is too narrow to refine
+        if not picked:  # every panel that would count is too narrow to refine, or on its roundoff floor
             break
         # a panel's error falls like h^15: split deep enough to meet the goal in one sweep
         ratio = total_err / goal
@@ -146,13 +147,13 @@ def integrate(
         while q > 2 and q * len(picked) > max_panels - n:
             q //= 2
         los, his = [], []
-        for _, a, b, _ in picked:
+        for _, a, b, _, _ in picked:
             cuts = _split(a, b, q)
             los += cuts[:-1]
             his += cuts[1:]
         values, errs, resabs = _panels(f, los, his)
-        kept += zip(errs.tolist(), los, his, values.tolist())
         resabs = resabs.tolist()
+        kept += zip(errs.tolist(), los, his, values.tolist(), resabs)
         for i in range(0, len(resabs), q):
             floor = max(floor, 16.0 * _EPS * sum(resabs[i : i + q]))
         live = kept

@@ -2,6 +2,7 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from lerchzeta import (
@@ -13,12 +14,13 @@ from lerchzeta import (
     NonConvergence,
     Point3,
     dirichlet_series,
+    evaluate_on_cover,
     evaluate_principal,
     integral_eval,
     monodromy_generator,
     residue_discrepancy,
 )
-from lerchzeta import quadrature
+from lerchzeta import evaluator, quadrature
 from lerchzeta.evaluator import _MAX_RAY_PANELS, _contour_integral, _pick_t_max, _ray
 from lerchzeta.words import BranchState, Generator
 from conftest import (
@@ -33,8 +35,10 @@ from conftest import (
     Z_NEAR_RAY_POLE,
     Z_PHASE_PANELS,
 )
+from test_work_counts import pool_points
 
 TWO_PI = 2.0 * math.pi
+EPS = 2.220446049250313e-16
 
 
 class TestStraightContour:
@@ -238,6 +242,63 @@ class TestPhasePanels:
         # t^{s-1} e^{-ct} peaks near e^{720} on the ray at s = 141.5
         with pytest.raises(NonConvergence, match="overflows"):
             integral_eval(Point3(141.5, 0.6, 0.3 + 0.1j))
+
+
+class TestEndpointRing:
+    def test_h_near_its_poles(self, rng):
+        # w = fl(za - t) 1e-3 to 1e-1 from 2 pi i k, |k| <= 200, against mpmath at that same w: within
+        # 8 eps; reducing w by fl(2 pi k) first added an absolute error of up to eps pi |k|
+        za, t = [], []
+        for _ in range(300):
+            a = complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
+            pole = 2j * math.pi * rng.randint(-200, 200)
+            w = pole + 10.0 ** rng.uniform(-3.0, -1.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            za.append(2j * math.pi * a)
+            t.append(za[-1] - w)
+        za, t = np.array(za), np.array(t)
+        got = evaluator._h(za, 0j, t)
+        with mpmath.workdps(30):
+            for w, h in zip((za - t).tolist(), got.tolist()):
+                want = -1 / mpmath.expm1(mpmath.mpc(w))
+                assert abs(h - want) <= 8 * EPS * abs(want), (w, h)
+
+    @staticmethod
+    def assert_covers_the_ring(za, c, t0, theta, bound):
+        # the 64 samples on |t| = 2 t0 the endpoint ring once took for this bound
+        samples = np.abs(evaluator._h(za, c, 2.0 * t0 * cmath.exp(1j * theta) * evaluator._ROOTS)).max()
+        assert bound >= samples, (za, c, t0, theta, bound, samples)
+
+    def test_outer_bound_on_pool_rays(self, monkeypatch):
+        rays, contour_integral, outer_max = [], evaluator._contour_integral, evaluator._outer_max
+
+        def recorded_ray(s, a, c, theta, *args):
+            rays.append([2j * math.pi * a, c, theta])
+            return contour_integral(s, a, c, theta, *args)
+
+        def recorded_bound(c, t0, radius):
+            bound = outer_max(c, t0, radius)
+            rays[-1] += [t0, bound]
+            return bound
+
+        monkeypatch.setattr(evaluator, "_contour_integral", recorded_ray)
+        monkeypatch.setattr(evaluator, "_outer_max", recorded_bound)
+        for _, point, branch in pool_points():
+            evaluate_on_cover(point, branch, 1e-10)
+        assert len(rays) > 800
+        for za, c, theta, t0, bound in rays:
+            self.assert_covers_the_ring(za, c, t0, theta, bound)
+
+    def test_outer_bound_near_integer_a(self, rng):
+        # a within 1e-3 of an integer but at least 1e-3 / 2 pi from it (nearer, a pole lies within 1e-3
+        # of t = 0 and the ray raises), |c| up to 50 and a ray that keeps Re(c e^{i theta}) > 0
+        for _ in range(2000):
+            a = rng.randint(-3, 3) + 10.0 ** rng.uniform(-3.8, -3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            c = cmath.rect(rng.uniform(1e-3, 50.0), rng.uniform(-0.5, 0.5) * math.pi)
+            limit = 0.5 * math.pi - abs(cmath.phase(c))
+            theta = rng.uniform(-limit, limit)
+            radius = TWO_PI * abs(a - round(a.real))
+            t0 = min(0.5, 0.4 * radius, 2.0 / abs(c))
+            self.assert_covers_the_ring(2j * math.pi * a, c, t0, theta, evaluator._outer_max(c, t0, radius))
 
 
 def first_edges(monkeypatch, stop: bool = False) -> list[list[float]]:

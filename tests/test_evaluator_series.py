@@ -249,13 +249,13 @@ class TestDirectOrAbelPlana:
             (
                 (-99.80344504412413 - 0.011105409967784008j, -1.4368727437487032 + 0.0003346572595215068j,
                  11.204031509065635 - 0.44634950442973187j),
-                ("-0x1.447a5ed0b03a2p+376", "-0x1.50b945ea3d604p+378", "0x1.4e07ff5d43a26p+338"),
+                ("-0x1.447a5ed0b039ap+376", "-0x1.50b945ea3d5f9p+378", "0x1.4d33b74a7f899p+338"),
                 complex(-1.9508490801472624592e113, -8.0978944230998134309e113),
             ),
             (
                 (-102.62239329105572 + 2.411146907822711j, 0.5778815891100955 + 1.9494742608508472e-05j,
                  -0.02559797684156229 + 0.9492217541718502j),
-                ("-0x1.0dabe49acee88p+386", "-0x1.1cd743f671ee0p+387", "0x1.d1d6717de2e4ap+346"),
+                ("-0x1.0dabe49acee88p+386", "-0x1.1cd743f671ee0p+387", "0x1.d1d6717dbb7dap+346"),
                 complex(-1.660249440463241491e116, -3.5072819216896702696e116),
             ),
             (

@@ -216,6 +216,16 @@ class TestIntegrate:
         assert n == 5
         assert err > 1e-20 and err >= abs(value - (1.0 / 3.0 - lo))
 
+    @pytest.mark.parametrize("hi", [2.0, 10.0])
+    def test_jump_stops_on_the_roundoff_floor(self, hi):
+        # a jump at 1/3 at tol 1e-16: once the panel holding it is narrower than min_width, the
+        # panels left carry only their own roundoff charge, and splitting them cannot lower the error;
+        # without that stop the sweeps ran to max_panels (1501), against 105 panels on [0, 1]
+        step = lambda x: np.where(x < 1.0 / 3.0, 1.0, 0.0) + 0j
+        value, err, n = quadrature.integrate(step, [0.0, hi], 1e-16)
+        assert n <= 110
+        assert err >= abs(value - 1.0 / 3.0)
+
     def test_empty_interval(self):
         counted, calls = counting(near_pole)
         assert quadrature.integrate(counted, [1.0, 1.0], 1e-10) == (0j, 0.0, 0)

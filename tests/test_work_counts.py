@@ -56,6 +56,11 @@ def test_integral_stratum_integrand_calls(pool_counts):
     assert pool_counts["integral"]["integrand_calls"] <= 400
 
 
+def test_real_a_stratum_integrand_calls(pool_counts):
+    # 528 when each Abel-Plana tail ran its two integrals as two quadratures; 267 as one in u = y / y_max
+    assert pool_counts["real_a"]["integrand_calls"] <= 280
+
+
 def test_pool_partial_sum_terms(pool_counts):
     # 97,714 when any direct sum up to 300,000 terms served; 56,696 when one serves only
     # while it is at most 1024 terms longer than the Abel-Plana split point
