@@ -157,10 +157,10 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
         mean = w * n0 - 0.5 * s * (np.log(n0 + c + 1j * y) + np.log(n0 + c - 1j * y))
         half = 1j * w * y - s * np.arctanh(1j * y / (n0 + c))
         damp = np.expm1(_TWO_PI * y)
-        boundary = (1j * y_corr) * np.where(np.isinf(damp), 0.0, 2.0 * np.exp(mean) * np.sinh(half) / damp)
-        return boundary if rotated is None else rotated(u) + boundary
+        return (1j * y_corr) * np.where(np.isinf(damp), 0.0, 2.0 * np.exp(mean) * np.sinh(half) / damp)
 
-    quad, quad_err, _ = quadrature.integrate(tail, _TAIL_EDGES, tol=tol)
+    f = tail if rotated is None else lambda u: rotated(u) + tail(u)
+    quad, quad_err, _ = quadrature.integrate(f, _TAIL_EDGES, tol=tol)
     value = integral + 0.5 * cmath.exp(w * n0 - s * cmath.log(n0 + c)) + quad
     return value, err + quad_err + corr_bound(y_corr)
 
@@ -374,11 +374,11 @@ def _outer_max(c: complex, t0: float, radius: float) -> float:
     """A bound on |h| on |t| = 2 t0 <= 0.8 radius, radius = 2 pi dist(a, Z), where |e^{-ct}| <= e^{2 t0 |c|}.
 
     w = za - t = u + iv lies delta = radius - 2 t0 from 2 pi i Z, so |e^w - 1|^2 = (e^u - 1)^2 + 4 e^u sin^2(v/2)
-    is at least its first term at |u| >= delta/sqrt 2, else its second with v delta/sqrt 2 from 2 pi Z (sin x >= 2x/pi).
+    is at least its first term at |u| >= half, else its second with v half from 2 pi Z (sin x >= 2x/pi), for any
+    half <= delta/sqrt 2; half stops at 2, where 2 half e^{-half/2} peaks, so far poles keep the bound finite.
     """
-    half = (radius - 2.0 * t0) / math.sqrt(2.0)
-    low = min(-math.expm1(-half), 2.0 * half * math.exp(-0.5 * half) / math.pi)
-    return math.exp(2.0 * t0 * abs(c)) / low
+    half = min((radius - 2.0 * t0) / math.sqrt(2.0), 2.0)
+    return math.exp(2.0 * t0 * abs(c)) / min(-math.expm1(-half), 2.0 * half * math.exp(-0.5 * half) / math.pi)
 
 
 def _contour_integral(

@@ -300,6 +300,31 @@ class TestEndpointRing:
             t0 = min(0.5, 0.4 * radius, 2.0 / abs(c))
             self.assert_covers_the_ring(2j * math.pi * a, c, t0, theta, evaluator._outer_max(c, t0, radius))
 
+    def test_outer_bound_far_from_the_real_axis(self, rng):
+        # |Im a| up to 100 puts the poles up to 2 pi 100 from the circle; the bound stays at least the samples
+        for _ in range(2000):
+            a = complex(rng.uniform(-0.5, 0.5), rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 2.0))
+            c = cmath.rect(rng.uniform(1e-3, 50.0), rng.uniform(-0.5, 0.5) * math.pi)
+            limit = 0.5 * math.pi - abs(cmath.phase(c))
+            theta = rng.uniform(-limit, limit)
+            radius = TWO_PI * abs(a - round(a.real))
+            t0 = min(0.5, 0.4 * radius, 2.0 / abs(c))
+            self.assert_covers_the_ring(2j * math.pi * a, c, t0, theta, evaluator._outer_max(c, t0, radius))
+
+    @pytest.mark.parametrize("im_a", [-12.0, -100.0])
+    def test_far_below_the_real_axis(self, im_a):
+        # poles 2 pi |Im a| from the ring: the alias bound stays near e^{2 t0 |c|} 2^{-64}, so the target holds
+        lv = evaluate_principal(2.0, complex(0.3, im_a), 1.0, 1e-10)
+        with mpmath.workdps(30):
+            want = mpmath.lerchphi(mpmath.exp(2j * mpmath.pi * mpmath.mpc(0.3, im_a)), 2, 1)
+        assert lv.abs_err_estimate <= 1e-10
+        assert abs(lv.value - complex(want)) <= lv.abs_err_estimate
+
+    def test_overflowing_z_raises_nonconvergence(self):
+        # e^{2 pi i a} overflows at Im a = -340: the ray's samples are NaN and the value raises as a LerchError
+        with pytest.raises(NonConvergence):
+            evaluate_principal(2.0, 0.3 - 340j, 1.0, 1e-10)
+
 
 def first_edges(monkeypatch, stop: bool = False) -> list[list[float]]:
     """The first edges of every quadrature.integrate call from now on; with stop, calls integrate nothing."""
