@@ -26,7 +26,13 @@ interpreter, removes the directory and prints, item by item,
   both kinds, and ``monodromy_generator`` and ``monodromy_power`` of the first
   word's first syllable: each value, or its exception class; and as text, the
   abelianization of each of those words and what ``Word.parse`` makes of a
-  fixed list of malformed words (exception class and message).
+  fixed list of malformed words (exception class and message);
+- cover: at the first 12 draws of ``suites._sample_cover_point`` and
+  ``_sample_branch`` from ``random.Random(606)``, ``dde_lower_residual``,
+  ``dde_raise_residual``, ``pde_residual`` and ``dde_shift`` (lower, then
+  raise; value and estimate) as ``float.hex``, or the exception class
+  where a call raises; ``verify`` prints 4 digits, these show a last-bit
+  move in the cover layer.
 
 A moved value reports the largest absolute move, the largest relative move
 |new - old| / |old|, the largest relative move of the estimate and, where
@@ -63,6 +69,7 @@ FUZZ_SEED, FUZZ_POINTS = 7, 1500
 EXTREME_SEED, EXTREME_POINTS = 11, 1500
 WORD_SEED, WORDS = 5, 500
 ALGEBRA_SEED, ALGEBRA_CASES = 13, 800
+COVER_SEED, COVER_POINTS = 606, 12
 VERIFY_ARGS = ["verify", "--suite", "all", "--samples", "3", "--seed", "1"]
 # the last one has a non-ASCII digit, which the grammar's ASCII \d refuses
 MALFORMED_WORDS = ("X", "Z1", "x1", "X1^", "X1^0", "X1.5", "X1^-0", "Y--1", "X+1", "XY1", "X1^1.0", "X0 Y1^",
@@ -206,6 +213,31 @@ def _algebra_text(cases: list) -> list[str]:
     return texts
 
 
+def _cover(seed: int, n: int) -> list[str]:
+    """Per cover draw (p, b), five text records: the three residuals and dde_shift lower and raise, in hex."""
+    from lerchzeta.continuation import dde_lower_residual, dde_raise_residual, dde_shift, pde_residual
+    from lerchzeta.suites import _sample_branch, _sample_cover_point
+
+    rng = random.Random(seed)
+    texts = []
+    for i in range(n):
+        p = _sample_cover_point(rng)
+        b = _sample_branch(rng)
+        calls = (
+            ("dde_lower_residual", lambda: dde_lower_residual(p, b).hex()),
+            ("dde_raise_residual", lambda: dde_raise_residual(p, b).hex()),
+            ("pde_residual", lambda: pde_residual(p, b).hex()),
+            ("dde_shift lower", lambda: " ".join(x.hex() for x in _lerch_row(dde_shift(p, "lower"))[:3])),
+            ("dde_shift raise", lambda: " ".join(x.hex() for x in _lerch_row(dde_shift(p, "raise"))[:3])),
+        )
+        for name, fn in calls:
+            try:
+                texts.append(f"{i} {name} {fn()}")
+            except Exception as exc:  # the class is the record
+                texts.append(f"{i} {name} raise {type(exc).__name__}")
+    return texts
+
+
 def _cli(main, argv: list[str]) -> list:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -251,6 +283,7 @@ def probe(pool_file: Path) -> dict:
         "monodromy": [_cli(cli.main, argv) for argv in _words(WORD_SEED, WORDS)],
         "algebra": _algebra(cases),
         "algebra_text": _algebra_text(cases),
+        "cover": _cover(COVER_SEED, COVER_POINTS),
     }
 
 
@@ -367,6 +400,7 @@ def compare(old: dict, new: dict) -> list[tuple[str, str, list[str]]]:
             f"{_tally(new['algebra']).replace('points', 'calls')}; {len(new['algebra_text'])} text records",
             _moves(old["algebra"], new["algebra"]) + _text_moves(old["algebra_text"], new["algebra_text"]),
         ),
+        ("cover", f"{len(new['cover'])} records", _text_moves(old["cover"], new["cover"])),
     ]
 
 

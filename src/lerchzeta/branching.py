@@ -12,6 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CutViolation, PoleAtNonpositiveInteger
 
 _TWO_PI = 2.0 * math.pi
@@ -50,6 +52,15 @@ def principal_log(z: complex) -> complex:
     if theta < -_HALF_PI or (theta == -_HALF_PI and z.real < 0.0):
         theta += _TWO_PI
     return complex(math.log(abs(z)), theta)
+
+
+def _principal_log_array(x: np.ndarray, y: float) -> np.ndarray:
+    """principal_log of each x + iy, for real x and one imaginary part y; CutViolation if one lies on the cut."""
+    if y <= 0.0 and (x == 0.0).any():
+        raise CutViolation(f"{complex(0.0, y)!r} lies on the branch cut {{-i*t : t >= 0}}")
+    theta = np.arctan2(y, x)
+    theta += _TWO_PI * ((theta < -_HALF_PI) | ((theta == -_HALF_PI) & (x < 0.0)))  # as in principal_log
+    return np.log(np.hypot(x, y)) + 1j * theta
 
 
 def branched_pow(base: complex, exponent: complex, extra_winding: int = 0) -> complex:

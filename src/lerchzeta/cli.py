@@ -81,7 +81,7 @@ class UsageError(Exception):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    branch = parse_branch(args.branch) if args.branch else BranchState.zero()
+    branch = parse_branch(args.branch)
     point = Point3(args.s, args.a, args.c)
     lv = evaluate_on_cover(point, branch, args.tol)
     record = {
@@ -132,7 +132,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     missing = [k for k in needed if fixed[k] is None]
     if missing:
         raise UsageError(f"missing --fixed-{'/'.join(missing)}")
-    branch = parse_branch(args.branch) if args.branch else BranchState.zero()
+    branch = parse_branch(args.branch)
 
     coords = [complex(re, im) for re in _grid_points(args.re) for im in _grid_points(args.im)]
 

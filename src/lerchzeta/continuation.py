@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .branching import complex_gamma
+from .branching import _principal_log_array, complex_gamma
 from .domain import (
     ContourSpec,
     Point3,
@@ -42,13 +42,12 @@ from .monodromy import branch_monodromy
 from .words import BranchState
 
 _TWO_PI = 2.0 * math.pi
-_HALF_PI = 0.5 * math.pi
 _EPS = 2.220446049250313e-16
 _CIRCLE_CAP = 0.05
 _NODES = 24  # trapezoid nodes on every Cauchy circle
 _TAYLOR_RADIUS = 0.01  # |Im c| on Re c = 1 below which the value is the Taylor series about c = 1
 _TAYLOR_TERMS = 60
-_RESIDUAL_TARGET = 1e-12  # target of every evaluation inside a residual check
+_RESIDUAL_TARGET = 1e-12  # target of every evaluation inside a residual check, each by _on_sheet
 _Route = Callable[[complex, complex, complex, float], LerchValue]  # (s, a, c, target) -> value
 
 
@@ -110,15 +109,8 @@ def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _
         scale = abs(phase)
         shifted = inner(s, a, c + n, 0.5 * target / max(scale, 1e-300))
         j = np.arange(min(n, 0), max(n, 0))
-        x, y = j + c.real, c.imag  # j + c
-        if y <= 0.0 and (x == 0.0).any():
-            raise CutViolation(f"j + c lies on the branch cut {{-i*t : t >= 0}} for c = {c!r}, n = {n}")
-        # branched_pow(j + c, -s): principal_log's argument in (-pi/2, 3pi/2], the sign
-        # of Re(j + c) deciding an atan2 that rounds to exactly -pi/2
-        theta = np.arctan2(y, x)
-        theta += _TWO_PI * ((theta < -_HALF_PI) | ((theta == -_HALF_PI) & (x < 0.0)))
+        lg = _principal_log_array(j + c.real, c.imag)  # of j + c, for branched_pow(j + c, -s)
         with np.errstate(over="ignore", invalid="ignore"):
-            lg = np.log(np.hypot(x, y)) + 1j * theta
             terms = np.exp(2j * math.pi * a * (j - n)) * np.exp(-s * lg)
             # roundoff of each term carries the phase errors 2 pi |a| |j - n| and |s log(j + c)| of its exps
             weight = 1.0 + _TWO_PI * abs(a) * np.abs(j - n) + abs(s) * np.abs(lg)
@@ -183,7 +175,8 @@ def _transform_value(s: complex, a: complex, c: complex, target: float) -> Lerch
         return _c_taylor_value(s, a, c, target)
     sp = 1.0 - s  # coefficients of zeta(sp, 1-c, a) and zeta(sp, c, 1-a)
     try:  # Gamma(1 - s) and the exponentials may pass binary64's range
-        pref = cmath.exp(-sp * math.log(_TWO_PI)) * complex_gamma(sp)
+        lead, gam = -sp * math.log(_TWO_PI), complex_gamma(sp)  # (2 pi)^{s-1} = e^lead and Gamma(1 - s)
+        pref = cmath.exp(lead) * gam
         coef1 = pref * cmath.exp(0.5j * math.pi * sp - 2j * math.pi * a * c)
         coef2 = pref * cmath.exp(-0.5j * math.pi * sp + 2j * math.pi * c * (1.0 - a))
         target1 = 0.25 * target / max(abs(coef1), 1e-300)
@@ -191,7 +184,7 @@ def _transform_value(s: complex, a: complex, c: complex, target: float) -> Lerch
         if c == 1.0:  # the series' pole-free parts, after the index shift in c to Re >= 0.6
             v1 = _shift_c(sp, 0j, a, max(0, math.ceil(0.6 - a.real)), target1, _series)
             v2 = _shift_c(sp, 0j, 1.0 - a, max(0, math.ceil(0.6 - (1.0 - a).real)), target2, _series)
-            pole = -2.0 * cmath.exp(-sp * math.log(_TWO_PI) - 2j * math.pi * a) * complex_gamma(sp)
+            pole = -2.0 * cmath.exp(lead - 2j * math.pi * a) * gam
             pole *= cmath.sin(0.5 * math.pi * s) / s if s != 0 else 0.5 * math.pi
         else:
             c = complex(min(max(c.real, 2.0**-53), 1.0 - 2.0**-53), c.imag)
@@ -258,6 +251,16 @@ def _cauchy_derivative(f: Callable[[complex], complex], center: complex, radius:
     return complex(coeffs[0]), complex(coeffs[1]) / radius, max(abs(v) for v in values)
 
 
+def _lowered(z: Callable[[complex], complex], a: complex, c: complex, radius: float) -> tuple[complex, float]:
+    """((1/(2*pi*i) d/da + c) z at a, max |z| on the circle): the lowering operator on one Cauchy circle."""
+    z0, d1, max_abs = _cauchy_derivative(z, a, radius)
+    return d1 / (2j * math.pi) + c * z0, max_abs
+
+
+def _on_sheet(b: BranchState, s: complex, a: complex, c: complex) -> complex:
+    return evaluate_on_cover(Point3(s, a, c), b, _RESIDUAL_TARGET).value
+
+
 def dde_shift(p: Point3, direction: ShiftDirection | str, target_abs_err: float = 1e-9) -> LerchValue:
     """One differential-difference step away from p = (s, a, c).
 
@@ -277,13 +280,10 @@ def dde_shift(p: Point3, direction: ShiftDirection | str, target_abs_err: float 
     node_target = max(target_abs_err * r / 8.0, 1e-14)
 
     if direction is ShiftDirection.LOWER:
-        f = lambda aa: evaluate_principal(s, aa, c, node_target).value
-        z0, d1, max_abs = _cauchy_derivative(f, a, r)
-        value = d1 / (2j * math.pi) + c * z0
+        value, max_abs = _lowered(lambda aa: evaluate_principal(s, aa, c, node_target).value, a, c, r)
         amp = 1.0 / (_TWO_PI * r) + abs(c)
     else:
-        f = lambda cc: evaluate_principal(s, a, cc, node_target).value
-        z0, d1, max_abs = _cauchy_derivative(f, c, r)
+        _, d1, max_abs = _cauchy_derivative(lambda cc: evaluate_principal(s, a, cc, node_target).value, c, r)
         value = -d1 / s
         amp = 1.0 / (abs(s) * r)
     alias = 4.0 * max_abs * (r / analytic_radius) ** (_NODES - 1) / analytic_radius
@@ -311,9 +311,8 @@ def dde_lower_residual(p: Point3, b: BranchState) -> float:
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
     r, _ = _circle(a, "a")
-    z0, d1, _ = _cauchy_derivative(lambda aa: evaluate_on_cover(Point3(s, aa, c), b, _RESIDUAL_TARGET).value, a, r)
-    low = evaluate_on_cover(Point3(s - 1, a, c), b, _RESIDUAL_TARGET).value
-    return abs(d1 / (2j * math.pi) + c * z0 - low)
+    lowered, _ = _lowered(lambda aa: _on_sheet(b, s, aa, c), a, c, r)
+    return abs(lowered - _on_sheet(b, s - 1, a, c))
 
 
 def dde_raise_residual(p: Point3, b: BranchState) -> float:
@@ -321,9 +320,8 @@ def dde_raise_residual(p: Point3, b: BranchState) -> float:
     s, a, c = p.s, p.a, p.c
     _anchor_check(a, c)
     r, _ = _circle(c, "c")
-    _, d1, _ = _cauchy_derivative(lambda cc: evaluate_on_cover(Point3(s, a, cc), b, _RESIDUAL_TARGET).value, c, r)
-    high = evaluate_on_cover(Point3(s + 1, a, c), b, _RESIDUAL_TARGET).value
-    return abs(d1 + s * high)
+    _, d1, _ = _cauchy_derivative(lambda cc: _on_sheet(b, s, a, cc), c, r)
+    return abs(d1 + s * _on_sheet(b, s + 1, a, c))
 
 
 def pde_residual(p: Point3, b: BranchState) -> float:
@@ -337,12 +335,6 @@ def pde_residual(p: Point3, b: BranchState) -> float:
     r_a, _ = _circle(a, "a")
     r_c, _ = _circle(c, "c")
 
-    def dz_dc(aa: complex) -> complex:
-        _, d1, _ = _cauchy_derivative(
-            lambda cc: evaluate_on_cover(Point3(s, aa, cc), b, _RESIDUAL_TARGET).value, c, r_c
-        )
-        return d1
-
-    g0, dg_da, _ = _cauchy_derivative(dz_dc, a, r_a)
-    z0 = evaluate_on_cover(p, b, _RESIDUAL_TARGET).value
-    return abs(dg_da / (2j * math.pi) + c * g0 + s * z0)
+    dz_dc = lambda aa: _cauchy_derivative(lambda cc: _on_sheet(b, s, aa, cc), c, r_c)[1]
+    lowered, _ = _lowered(dz_dc, a, c, r_a)
+    return abs(lowered + s * _on_sheet(b, s, a, c))

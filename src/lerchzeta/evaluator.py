@@ -116,6 +116,9 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
     # e^{Im s * arg(t+c)} of |(t+c)^{-s}| grows by at most e^{|Im s| |t-n0| / (n0+Re c)}
     scale0 = math.exp(-_TWO_PI * beta * n0 + abs(s.imag) * abs(c.imag) / (n0 + c.real))
 
+    def bound(k: float, rate: float, y: float) -> float:  # k times the bound on the part past y decaying at rate
+        return k * scale0 * math.exp(-rate * y) * (n0 + abs(c) + y + 2.0) ** grow / rate
+
     if alpha == 0:  # ((n0+c)^{1-s} - 1)/(s-1), which is -log(n0+c) at s = 1
         log_n0, err = cmath.log(n0 + c), 0.0
         integral = complex(np.expm1((1.0 - s) * log_n0)) / (s - 1.0) if s != 1 else -log_n0
@@ -126,14 +129,10 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
         # oscillation and stays on the real axis
         rot = 1j if x0 > 0.0 else -1j if x0 < 0.0 else 1.0
         rate = checked(decay - max(0.0, s.imag * rot.imag) / (n0 + c.real))
-
-        def trunc_bound(y: float) -> float:
-            return scale0 * math.exp(-rate * y) * (n0 + abs(c) + y + 2.0) ** grow / rate
-
         y_max = (40.0 + 2.0 * abs(sigma)) / decay
-        while trunc_bound(y_max) > 0.125 * target and y_max < 1e9:
+        while bound(1.0, rate, y_max) > 0.125 * target and y_max < 1e9:
             y_max *= 2.0
-        integral, err, tol = 0j, trunc_bound(y_max), 0.25 * target
+        integral, err, tol = 0j, bound(1.0, rate, y_max), 0.25 * target
         step = rot * y_max
         rotated = lambda u: step * g(n0 + step * u)
 
@@ -141,12 +140,8 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
     # most 2 scale0 e^{-rate y} (n0+|c|+y+2)^grow; past y_max >= 2 grow / rate
     # that integrates to at most twice its value at y_max over rate.
     rate = checked(_TWO_PI * (1.0 - abs(x0)) - abs(s.imag) / (n0 + c.real))
-
-    def corr_bound(y: float) -> float:
-        return 8.0 * scale0 * math.exp(-rate * y) * (n0 + abs(c) + y + 2.0) ** grow / rate
-
     y_corr = max(0.5, 2.0 * grow / rate)
-    while corr_bound(y_corr) > 0.125 * target and y_corr < 1e9:
+    while bound(8.0, rate, y_corr) > 0.125 * target and y_corr < 1e9:
         y_corr *= 1.5
 
     def tail(u: np.ndarray) -> np.ndarray:
@@ -162,7 +157,7 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
     f = tail if rotated is None else lambda u: rotated(u) + tail(u)
     quad, quad_err, _ = quadrature.integrate(f, _TAIL_EDGES, tol=tol)
     value = integral + 0.5 * cmath.exp(w * n0 - s * cmath.log(n0 + c)) + quad
-    return value, err + quad_err + corr_bound(y_corr)
+    return value, err + quad_err + bound(8.0, rate, y_corr)
 
 
 def _partial_sum(s: complex, alpha: complex, c: complex, n_terms: int) -> tuple[complex, float]:

@@ -222,6 +222,25 @@ class TestDirectOrAbelPlana:
         assert lengths and all(n <= split + evaluator._DIRECT_MARGIN for n, split in lengths)
         assert abs(lv.value - want) <= lv.abs_err_estimate
 
+    def test_direct_sum_past_the_split_cap(self, monkeypatch):
+        # Im s = 30 at Re a = 1e-4 puts the split point past _SPLIT_CAP, so no Abel-Plana tail serves;
+        # the direct sum does, here past _SPLIT_CAP + _DIRECT_MARGIN, where it would raise NonConvergence
+        lengths = []
+        partial_sum = evaluator._partial_sum
+
+        def recorded(s, alpha, c, n_terms):
+            lengths.append(n_terms)
+            return partial_sum(s, alpha, c, n_terms)
+
+        monkeypatch.setattr(evaluator, "_partial_sum", recorded)
+        s, a, c = 0.5 + 30j, 1e-4 + 2e-4j, 0.5
+        lv = dirichlet_series(s, a, c, 1e-20)
+        with mpmath.workdps(40):
+            want = complex(mpmath.lerchphi(mpmath.exp(2j * mpmath.pi * mpmath.mpc(a)), s, c))
+        assert evaluator._split_point(s, a) is None
+        assert lengths and max(lengths) > evaluator._SPLIT_CAP + evaluator._DIRECT_MARGIN
+        assert abs(lv.value - want) <= min(lv.abs_err_estimate, 1e-13)
+
     def test_small_im_a_answers_by_series(self):
         # a direct sum would need 32768 terms; while any up to 300 000 terms served, the series
         # missed its target there and the transform answered

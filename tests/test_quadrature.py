@@ -191,6 +191,15 @@ class TestIntegrate:
         assert n < 300
         assert abs(value - want) <= err <= 1e-13 * abs(want)
 
+    def test_floor_rises_with_a_split_panel(self):
+        # a peak of height 1e8 and width 1e-4 at tol 1e-30, below roundoff: the pieces of the panels split
+        # around it raise the floor to 16 eps of their summed resabs, where the sweeps stop (729 panels
+        # with only the first panels' floor)
+        x0, eps = 0.5123, 1e-4
+        value, err, n = quadrature.integrate(lambda x: 1.0 / ((x - x0) ** 2 + 1e-8) + 0j, [0.0, 1.0], 1e-30)
+        assert n <= 200
+        assert abs(value - (math.atan((1.0 - x0) / eps) + math.atan(x0 / eps)) / eps) <= err
+
     def test_stalled_point_ends_below_max_panels(self, monkeypatch):
         # from 16 first panels equal in log t, an 8 eps floor left its inner integral
         # stalled at 1.06-1.3x the floor until max_panels = 3000
