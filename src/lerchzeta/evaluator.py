@@ -365,15 +365,17 @@ def _h(za: complex, c: complex, t: np.ndarray, lead: complex | np.ndarray = 0.0)
     return np.exp(lead - c * t) / (-np.expm1(za - t))
 
 
-def _outer_max(c: complex, t0: float, radius: float) -> float:
+def _outer_max(za: complex, c: complex, t0: float, radius: float) -> float:
     """A bound on |h| on |t| = 2 t0 <= 0.8 radius, radius = 2 pi dist(a, Z), where |e^{-ct}| <= e^{2 t0 |c|}.
 
     w = za - t = u + iv lies delta = radius - 2 t0 from 2 pi i Z, so |e^w - 1|^2 = (e^u - 1)^2 + 4 e^u sin^2(v/2)
     is at least its first term at |u| >= half, else its second with v half from 2 pi Z (sin x >= 2x/pi), for any
     half <= delta/sqrt 2; half stops at 2, where 2 half e^{-half/2} peaks, so far poles keep the bound finite.
+    Also |e^w - 1| >= e^lift - 1, lift = Re za - 2 t0 <= u; the larger lower bound wins (in log form, no overflow).
     """
-    half = min((radius - 2.0 * t0) / math.sqrt(2.0), 2.0)
-    return math.exp(2.0 * t0 * abs(c)) / min(-math.expm1(-half), 2.0 * half * math.exp(-0.5 * half) / math.pi)
+    half, lift = min((radius - 2.0 * t0) / math.sqrt(2.0), 2.0), za.real - 2.0 * t0
+    near = math.exp(2.0 * t0 * abs(c)) / min(-math.expm1(-half), 2.0 * half * math.exp(-0.5 * half) / math.pi)
+    return min(near, math.exp(2.0 * t0 * abs(c) - lift) / -math.expm1(-lift)) if lift > 0.0 else near
 
 
 def _contour_integral(
@@ -409,7 +411,7 @@ def _contour_integral(
     # |H_k| <= M 2^{-k}, M >= max |h| on |t| = 2 t0, bounds aliasing and truncation;
     # then the roundoff of the samples (max |h| on |t| = t0) and of the phase s log T, then the cutoff tail
     h_max = float(np.abs(ring).max())
-    alias = _outer_max(c, t0, radius) * 2.0**-_RING * (4.0 / abs(s) + 2.0 / _RING)
+    alias = _outer_max(za, c, t0, radius) * 2.0**-_RING * (4.0 / abs(s) + 2.0 / _RING)
     roundoff = 4.0 * _EPS * float(h_max * np.sum(np.abs(inv))) * (1.0 + abs(s) * abs(log_t0))
     err = t0**s.real * math.exp(-s.imag * theta) * (alias + roundoff) + tail_err
     f = lambda r: _h(za, c, r * rot, sm1 * (np.log(r) + 1j * theta)) * rot
