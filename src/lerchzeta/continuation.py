@@ -334,7 +334,6 @@ def pde_residual(p: Point3, b: BranchState) -> float:
     _anchor_check(a, c)
     r_a, _ = _circle(a, "a")
     r_c, _ = _circle(c, "c")
-
     dz_dc = lambda aa: _cauchy_derivative(lambda cc: _on_sheet(b, s, aa, cc), c, r_c)[1]
     lowered, _ = _lowered(dz_dc, a, c, r_a)
     return abs(lowered + s * _on_sheet(b, s, a, c))

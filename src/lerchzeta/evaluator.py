@@ -57,10 +57,11 @@ class Method(str, Enum):
 class LerchValue:
     """A computed value with its evaluation route and error estimate.
 
-    abs_err_estimate comes from the tail/quadrature estimators plus roundoff
-    accounting; it is an estimate in the upper-bound style, not a guess.
-    Both are finite: a value or estimate that overflows binary64 (numpy's
-    inf or NaN) raises NonConvergence here, so every route ends it alike.
+    abs_err_estimate comes from the tail/quadrature estimators plus roundoff accounting; it is an estimate
+    in the upper-bound style, not a guess.  Both are finite: a value or estimate that overflows binary64
+    (numpy's inf or NaN) raises NonConvergence here, so every route ends it alike.  method names the route
+    that evaluated the principal value at the (shifted) point; an index shift in c or a cover term keeps
+    that label, even where its own terms set the value and estimate.
     """
 
     value: complex
