@@ -16,6 +16,11 @@ interpreter, removes the directory and prints, item by item,
   exception classes and whether numpy warned;
 - extreme: 1500 seeded ``evaluate_on_cover`` points far out in s, a and c,
   on sheets of up to two windings per axis, recorded as the fuzz is;
+- left: 1200 seeded ``evaluate_principal`` points with Re s in [-12, 0], on
+  both sides of the integral's strip Re s > -4, a quarter within 1e-3 of a
+  pole s = -k of Gamma(s) and a quarter with c within 1e-3 of 1, where the
+  transform takes its c = 1 formula and its Taylor series about c = 1;
+  recorded as the fuzz is;
 - verify: the stdout and exit code of ``lerchz verify --suite all --samples 3
   --seed 1``;
 - monodromy: the stdout, stderr and exit code of ``lerchz monodromy`` for 500
@@ -49,6 +54,7 @@ git cannot extract REV.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import io
 import json
@@ -67,6 +73,7 @@ POOL_FILE = ROOT / "bench" / "data" / "point_scan_oracle.jsonl"
 TARGET = 1e-10
 FUZZ_SEED, FUZZ_POINTS = 7, 1500
 EXTREME_SEED, EXTREME_POINTS = 11, 1500
+LEFT_SEED, LEFT_POINTS = 17, 1200
 WORD_SEED, WORDS = 5, 500
 ALGEBRA_SEED, ALGEBRA_CASES = 13, 800
 COVER_SEED, COVER_POINTS = 606, 12
@@ -126,6 +133,25 @@ def _extreme_points(seed: int, n: int) -> list[tuple[complex, complex, complex, 
         kx = {rng.randint(-1, 2): rng.randint(-2, 2) for _ in range(rng.randint(0, 2))}
         ky = {rng.randint(-2, 1): rng.randint(-2, 2) for _ in range(rng.randint(0, 2))}
         points.append((s, a, c, kx, ky))
+    return points
+
+
+def _left_points(seed: int, n: int) -> list[tuple[complex, complex, complex]]:
+    """-12 <= Re s <= 0, |Im s| <= 10, |Re a| <= 2, |Im a| <= 0.5, -3 <= Re c <= 5, |Im c| <= 1; every fourth s
+    within 1e-9 to 1e-3 of s = -k, k <= 12, and every fourth c (another quarter) within 1e-3 of 1: exactly 1,
+    on Re c = 1, or anywhere in that disk."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(n):
+        s = complex(rng.uniform(-12, 0), rng.uniform(-10, 10))
+        a = complex(rng.uniform(-2, 2), rng.uniform(-0.5, 0.5))
+        c = complex(rng.uniform(-3, 5), rng.uniform(-1, 1))
+        gap = 10 ** rng.uniform(-9, -3) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        if i % 4 == 0:
+            s = -rng.randint(0, 12) + gap
+        elif i % 4 == 1:
+            c = rng.choice((1 + 0j, complex(1.0, gap.imag), 1 + gap))
+        points.append((s, a, c))
     return points
 
 
@@ -273,12 +299,14 @@ def probe(pool_file: Path) -> dict:
         _outcome(lambda: evaluate_on_cover(Point3(s, a, c), BranchState.from_dicts(kx, ky), TARGET))
         for s, a, c, kx, ky in _extreme_points(EXTREME_SEED, EXTREME_POINTS)
     ]
+    left = [_outcome(lambda: evaluate_principal(*p, TARGET)) for p in _left_points(LEFT_SEED, LEFT_POINTS)]
     cases = _algebra_cases(ALGEBRA_SEED, ALGEBRA_CASES)
     return {
         "pool": pool,
         "pool_work": work,
         "fuzz": fuzz,
         "extreme": extreme,
+        "left": left,
         "verify": _cli(cli.main, VERIFY_ARGS),
         "monodromy": [_cli(cli.main, argv) for argv in _words(WORD_SEED, WORDS)],
         "algebra": _algebra(cases),
@@ -393,6 +421,7 @@ def compare(old: dict, new: dict) -> list[tuple[str, str, list[str]]]:
         ("pool", f"{_tally(new['pool'])}; {work['integrate_calls']} integrate calls, {work['panels']} panels", pool),
         ("fuzz", _tally(new["fuzz"]), _moves(old["fuzz"], new["fuzz"])),
         ("extreme", _tally(new["extreme"]), _moves(old["extreme"], new["extreme"])),
+        ("left", _tally(new["left"]), _moves(old["left"], new["left"])),
         ("verify", f"{len(verify[1].splitlines())} lines, exit {verify[0]}", _byte_moves([old["verify"]], [verify])),
         ("monodromy", f"{len(new['monodromy'])} calls", _byte_moves(old["monodromy"], new["monodromy"])),
         (

@@ -98,16 +98,26 @@ _LANCZOS_COEFFS = (
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
+def _sin_pi(s: complex) -> complex:
+    """sin(pi s) = (-1)^n sin(pi (s - n)), n = round(Re s): s - n is exact, so no rounding of pi s
+    shifts the zeros at the integers (it would cost eps |n| / |s - n| relative next to s = n)."""
+    n = round(s.real)
+    v = cmath.sin(math.pi * (s - n))
+    return -v if n % 2 else v
+
+
 def complex_gamma(s: complex) -> complex:
     """Gamma function for complex s, poles at the nonpositive integers.
 
-    Raises PoleAtNonpositiveInteger at s = 0, -1, -2, ...
+    The left half-plane Re s < 1/2 takes the reflection formula with the reduced sine of
+    :func:`_sin_pi`, so Gamma keeps its relative accuracy next to the poles.  Raises
+    PoleAtNonpositiveInteger at s = 0, -1, -2, ...
     """
     s = complex(s)
     if is_nonpositive_integer(s):
         raise PoleAtNonpositiveInteger(f"Gamma pole at s = {s!r}")
     if s.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * s) * complex_gamma(1.0 - s))
+        return math.pi / (_sin_pi(s) * complex_gamma(1.0 - s))
     z = s - 1.0
     x = complex(_LANCZOS_COEFFS[0])
     for i in range(1, len(_LANCZOS_COEFFS)):
@@ -127,7 +137,7 @@ def reciprocal_gamma(s: complex) -> complex:
     if is_nonpositive_integer(s):
         return 0j
     if s.real < 0.5:
-        return cmath.sin(math.pi * s) * complex_gamma(1.0 - s) / math.pi
+        return _sin_pi(s) * complex_gamma(1.0 - s) / math.pi
     gam = complex_gamma(s)
     if gam == 0:
         raise OverflowError(f"1/Gamma(s) overflows at s = {s!r}, where Gamma(s) underflows to 0")

@@ -5,11 +5,11 @@ cut a-plane (downward rays below every integer) and cut c-plane (rays below
 the nonpositive integers).  The value is 1-periodic in a, so Re a is first
 reduced into [0, 1).  One dispatch then tries, in order, the routes that
 own their convergence regions: the Dirichlet series (Im a > 0, or real a
-with Re s > 0), the straight-contour integral (Re s > 0), and the exact
-index shift of c into 0 < Re c <= 1 followed by the three-term
-transformation formula, or within 0.01 of c = 1 on Re c = 1 its Taylor
-series in c about 1.  The cover value adds the closed-form monodromy of the
-winding vector.
+with Re s > 0), the straight-contour integral (Re s > -_SIGMA0, continued
+in s by its endpoint series), and for Re s <= 0 the exact index shift of c
+into 0 < Re c <= 1 followed by the three-term transformation formula, or
+within 0.01 of c = 1 on Re c = 1 its Taylor series in c about 1.  The cover
+value adds the closed-form monodromy of the winding vector.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
     NonConvergence,
     SZero,
 )
-from .evaluator import _FLAT_REL_ERR, LerchValue, Method, _integral_eval_raw, _series, dirichlet_series
+from .evaluator import _FLAT_REL_ERR, _SIGMA0, LerchValue, Method, _integral_eval_raw, _series, dirichlet_series
 from .monodromy import branch_monodromy
 from .words import BranchState
 
@@ -66,34 +66,47 @@ def _anchor_check(a: complex, c: complex) -> None:
 def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     """The one dispatch, for an anchored point with 0 < Re a < 1 when Im a <= 0.
 
-    Series and integral need Re c > 0: where they own the point (Re s > 0
-    or Im a > 0) and Re c <= 0.05, the index shift in c moves it first, the
-    transform's inner evaluations included.  Then two routes run in order:
-    the series, and the integral when Re s > 0, else the transformation
-    formula after the index shift of c into 0 < Re c <= 1.  Each route
-    answers with its honest estimate or raises where it does not apply.  One
-    rule decides: the first answer that meets the target is returned, else
-    the answer with the smallest estimate (the series on a tie); the last
-    route's error is raised only when no route answered.
+    Series and integral need Re c > 0: where they own the point
+    (Re s > -_SIGMA0 or Im a > 0) and Re c <= 0.05, the index shift in c
+    moves it first, the transform's inner evaluations included.  Then up to
+    three routes run in order: the series; the integral when
+    Re s > -_SIGMA0; the transformation formula after the index shift of c
+    into 0 < Re c <= 1 when Re s <= 0.  So on the strip -_SIGMA0 < Re s <= 0
+    the transform runs only where the integral raises or misses the target.
+    Each route answers with its honest estimate or raises where it does not
+    apply.  One rule decides: the first answer that meets the target is
+    returned, else the answer with the smallest estimate (the earlier route
+    on a tie); the last route's error is raised only when no route answered.
     """
-    if c.real <= 0.05 and (s.real > 0.0 or a.imag > 0.0):
+    if c.real <= 0.05 and (s.real > -_SIGMA0 or a.imag > 0.0):
         return _shift_c(s, a, c, math.ceil(0.6 - c.real), target, _core_eval)
-    try:
-        series = dirichlet_series(s, a, c, target)
-    except LerchError:
-        series = None
-    if series is not None and series.abs_err_estimate <= target:
-        return series
-    try:
-        if s.real > 0.0:
-            other = _integral_eval_raw(s, a, c, ContourSpec.STRAIGHT, target)
-        else:
-            other = _shift_c(s, a, c, 1 - math.ceil(c.real), target, _transform_value)
-    except LerchError:
-        if series is None:  # no route answered
-            raise
-        return series
-    return other if series is None or other.abs_err_estimate < series.abs_err_estimate else series
+    routes: list[_Route] = [dirichlet_series]
+    if s.real > -_SIGMA0:
+        routes.append(_integral)
+    if s.real <= 0.0:
+        routes.append(_shifted_transform)
+    best, error = None, None
+    for route in routes:
+        try:
+            lv = route(s, a, c, target)
+        except LerchError as exc:
+            error = exc
+            continue
+        if lv.abs_err_estimate <= target:
+            return lv
+        if best is None or lv.abs_err_estimate < best.abs_err_estimate:
+            best = lv
+    if best is None:  # no route answered
+        raise error
+    return best
+
+
+def _integral(s: complex, a: complex, c: complex, target: float) -> LerchValue:
+    return _integral_eval_raw(s, a, c, ContourSpec.STRAIGHT, target)
+
+
+def _shifted_transform(s: complex, a: complex, c: complex, target: float) -> LerchValue:
+    return _shift_c(s, a, c, 1 - math.ceil(c.real), target, _transform_value)
 
 
 def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _Route) -> LerchValue:

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,6 +113,17 @@ class TestGamma:
             lhs = complex_gamma(s) * complex_gamma(1 - s) * cmath.sin(math.pi * s) / math.pi
             assert abs(lhs - 1.0) < 1e-11
             checked += 1
+
+    def test_next_to_the_poles(self, rng):
+        # the reflection's sin(pi s) is taken at s - round(Re s), which is exact; sin of the rounded
+        # pi s was off by about eps k / |s + k| relative, 1.8e-3 at 1e-12 from s = -8
+        for _ in range(80):
+            k = rng.randint(0, 12)
+            s = -k + 10.0 ** rng.uniform(-12.0, -3.0) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            with mpmath.workdps(30):
+                want, rwant = complex(mpmath.gamma(s)), complex(mpmath.rgamma(s))
+            assert abs(complex_gamma(s) - want) <= 1e-12 * abs(want), (s, complex_gamma(s), want)
+            assert abs(reciprocal_gamma(s) - rwant) <= 1e-12 * abs(rwant), (s, reciprocal_gamma(s), rwant)
 
     def test_specific_reflection_point(self):
         s = 0.3 + 0.2j

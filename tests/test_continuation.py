@@ -60,6 +60,7 @@ from conftest import (
     Z_SHIFT_SMALL_C,
     Z_SHIFTED_HURWITZ,
     Z_TINY_RE_C,
+    by_transform,
 )
 
 
@@ -308,10 +309,14 @@ class TestEvaluatePrincipal:
         # at Re c <= 2^-54 the transform's 1 - c would round onto Re 1, the cut below
         # a = 1 when Im c > 0; the value is the limit from inside, as at Re c = 2^-52
         s, a, c = point
-        lv = evaluate_principal(s, a, c)
-        near = evaluate_principal(s, a, complex(2.0**-52, c.imag))
+        lv = by_transform(s, a, c)
+        near = by_transform(s, a, complex(2.0**-52, c.imag))
         assert abs(lv.value - want) <= min(lv.abs_err_estimate, 1e-12)
         assert abs(lv.value - near.value) <= lv.abs_err_estimate
+        # the dispatch shifts c by 1 into the integral's strip
+        lv = evaluate_principal(s, a, c)
+        assert lv.method is Method.INTEGRAL
+        assert abs(lv.value - want) <= lv.abs_err_estimate
 
     def test_anchoring_cut_violations(self):
         with pytest.raises(CutViolation):
@@ -338,11 +343,15 @@ class TestRouting:
         [(-0.5 + 0.2j, 0.3 - 0.1j, 0.6), (-1.5 - 0.3j, 0.75 - 0.2j, 0.4 + 0.1j), (-0.2 + 1.0j, 0.45, 0.8 - 0.1j)],
     )
     def test_periodic_in_a(self, s, a, c):
-        base = evaluate_principal(s, a, c, 1e-11)
+        base = by_transform(s, a, c, 1e-11)
+        dispatch = evaluate_principal(s, a, c, 1e-11)
+        assert dispatch.method is Method.INTEGRAL
+        assert abs(dispatch.value - base.value) <= dispatch.abs_err_estimate + base.abs_err_estimate
         for n in (-2, -1, 1, 2):
-            lv = evaluate_principal(s, a + n, c, 1e-11)
+            lv = by_transform(s, a + n, c, 1e-11)
             assert lv.method is Method.TRANSFORM
             assert abs(lv.value - base.value) < 1e-12
+            assert abs(evaluate_principal(s, a + n, c, 1e-11).value - dispatch.value) < 1e-12
 
     @pytest.mark.parametrize(
         "s, a, c, want",
@@ -357,11 +366,17 @@ class TestRouting:
     def test_integer_re_c(self, s, a, c, want):
         # the index shift moves c onto Re c = 1, where the transform is read from Re c < 1;
         # for 0 < |Im c| < 0.01 it is the Taylor series in c about 1
-        lv = evaluate_principal(s, a, c, 1e-10)
+        lv = by_transform(s, a, c, 1e-10)
         err = abs(lv.value - want)
         assert lv.method is Method.TRANSFORM
         assert err < 1e-10
         assert err <= lv.abs_err_estimate
+        # the dispatch takes the integral, except at the pole s = 0 of Gamma(s), and at |Im s| = 8,
+        # where the integral misses the target and the transform's estimate is the smaller
+        lv = evaluate_principal(s, a, c, 1e-10)
+        s = complex(s)
+        assert lv.method is (Method.TRANSFORM if s == 0 or abs(s.imag) == 8 else Method.INTEGRAL)
+        assert abs(lv.value - want) <= lv.abs_err_estimate
 
     def test_seeded_integer_re_c_sweep(self, rng):
         """The transform on integer lines Re c against mpmath lerchphi at 30 digits.
@@ -370,19 +385,26 @@ class TestRouting:
         real, and |Im c| <= 0.5: lerchphi is not the principal sheet for
         Im a < 0 and non-real c when Re a is near 0 or 1, nor at some points
         with |Im a| and |Im c| both above about 0.3.  |Im s| <= 8 turns the
-        inner integral's ray at about a third of the points.
+        inner integral's ray at about a third of the points.  The dispatch answers within its
+        estimate too, by the integral or, where that misses the target, by the transform.
         """
+        methods = set()
         for k in range(40):
             s = complex(rng.uniform(-1.5, 0.0), rng.uniform(-8.0, 8.0))
             a = complex(rng.uniform(0.15, 0.85) + rng.randint(-1, 1), 0.0 if k % 5 == 2 else rng.uniform(-0.25, -0.02))
             c = complex(rng.randint(1, 3), 0.0 if k % 4 == 0 else rng.uniform(-0.5, 0.5))
-            lv = evaluate_principal(s, a, c, 1e-10)
+            lv = by_transform(s, a, c, 1e-10)
             with mpmath.workdps(30):
                 want = complex(mpmath.lerchphi(mpmath.exp(2j * mpmath.pi * mpmath.mpc(a)), mpmath.mpc(s), mpmath.mpc(c)))
             err = abs(lv.value - want)
             assert lv.method is Method.TRANSFORM
             assert err <= 1e-10, (k, s, a, c, err)
             assert err <= lv.abs_err_estimate, (k, s, a, c, err, lv.abs_err_estimate)
+            lv = evaluate_principal(s, a, c, 1e-10)
+            assert lv.method in (Method.INTEGRAL, Method.TRANSFORM)
+            assert abs(lv.value - want) <= lv.abs_err_estimate, (k, s, a, c, lv)
+            methods.add(lv.method)
+        assert methods == {Method.INTEGRAL, Method.TRANSFORM}  # the integral owns the strip; the transform still answers
 
     def test_seeded_near_integer_re_c_sweep(self, rng):
         """0 < |Im c| < 0.01 on integer lines Re c, with a near an integer too, against mpmath.

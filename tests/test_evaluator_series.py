@@ -24,6 +24,7 @@ from lerchzeta import (
     two_sided_series,
 )
 from lerchzeta import evaluator, quadrature
+from lerchzeta.monodromy import branch_monodromy
 from conftest import (
     PI2_6,
     PI2_12,
@@ -40,6 +41,7 @@ from conftest import (
     Z_SMALL_IM_A_1,
     Z_SMALL_IM_A_2,
     Z_SMALL_IM_A_3,
+    by_transform,
 )
 
 
@@ -218,8 +220,13 @@ class TestDirectOrAbelPlana:
             return partial_sum(s, alpha, c, n_terms)
 
         monkeypatch.setattr(evaluator, "_partial_sum", recorded)
-        lv = evaluate_on_cover(Point3(*point), BranchState.from_dicts(*branch), 1e-10)
+        lv = by_transform(*point, 1e-10)
+        extra, roundoff = branch_monodromy(BranchState.from_dicts(*branch), *map(complex, point))
         assert lengths and all(n <= split + evaluator._DIRECT_MARGIN for n, split in lengths)
+        assert abs(lv.value + extra - want) <= lv.abs_err_estimate + roundoff
+        # the dispatch takes the integral, whose ray needs no series
+        lv = evaluate_on_cover(Point3(*point), BranchState.from_dicts(*branch), 1e-10)
+        assert lv.method is Method.INTEGRAL
         assert abs(lv.value - want) <= lv.abs_err_estimate
 
     def test_direct_sum_past_the_split_cap(self, monkeypatch):

@@ -1,6 +1,6 @@
 """Work counts over the benchmark's point-scan pool.
 
-Counts of integrand calls and partial-sum terms repeat exactly on every
+Counts of integrand calls, partial-sum terms and three-term transforms repeat exactly on every
 machine, so unlike timings they can gate a change in Tier-1.  The pool is
 read from bench/data/point_scan_oracle.jsonl and never written.
 """
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from lerchzeta import BranchState, Point3, evaluate_on_cover, evaluator, quadrature
+from lerchzeta import BranchState, Point3, continuation, evaluate_on_cover, evaluator, quadrature
 
 POOL = Path(__file__).resolve().parents[1] / "bench" / "data" / "point_scan_oracle.jsonl"
 
@@ -26,10 +26,10 @@ def pool_points():
 
 @pytest.fixture(scope="module")
 def pool_counts():
-    """Integrand calls and partial-sum terms by stratum over one pass at the benchmark's 1e-10."""
+    """Integrand calls, partial-sum terms and three-term transforms by stratum over one pass at the benchmark's 1e-10."""
     counts = {}
     stratum = None
-    integrate, partial_sum = quadrature.integrate, evaluator._partial_sum
+    integrate, partial_sum, transform = quadrature.integrate, evaluator._partial_sum, continuation._transform_value
 
     def counted_integrate(f, *args, **kwargs):
         def g(x):
@@ -42,9 +42,14 @@ def pool_counts():
         counts[stratum]["terms"] += n_terms
         return partial_sum(s, alpha, c, n_terms)
 
+    def counted_transform(*args):
+        counts[stratum]["transforms"] += 1
+        return transform(*args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "integrate", counted_integrate)
         mp.setattr(evaluator, "_partial_sum", counted_partial_sum)
+        mp.setattr(continuation, "_transform_value", counted_transform)
         for stratum, point, branch in pool_points():
             counts.setdefault(stratum, Counter())
             evaluate_on_cover(point, branch, 1e-10)
@@ -63,5 +68,12 @@ def test_real_a_stratum_integrand_calls(pool_counts):
 
 def test_pool_partial_sum_terms(pool_counts):
     # 97,714 when any direct sum up to 300,000 terms served; 56,696 when one serves only
-    # while it is at most 1024 terms longer than the Abel-Plana split point
-    assert sum(c["terms"] for c in pool_counts.values()) <= 62_000
+    # while it is at most 1024 terms longer than the Abel-Plana split point; 24,853 once the
+    # integral owns -4 < Re s <= 0 and the transform's inner series no longer run there
+    assert sum(c["terms"] for c in pool_counts.values()) <= 30_000
+
+
+def test_pool_transforms(pool_counts):
+    # 585 three-term transforms (one per point of the transform and ladder strata, 72 in c_shift)
+    # while the transform owned Re s <= 0; 1 once the integral owns -4 < Re s <= 0
+    assert sum(c["transforms"] for c in pool_counts.values()) <= 40
