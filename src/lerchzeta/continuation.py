@@ -5,11 +5,13 @@ cut a-plane (downward rays below every integer) and cut c-plane (rays below
 the nonpositive integers).  The value is 1-periodic in a, so Re a is first
 reduced into [0, 1).  One dispatch then tries, in order, the routes that
 own their convergence regions: the Dirichlet series (Im a > 0, or real a
-with Re s > 0), the straight-contour integral (Re s > -_SIGMA0, continued
-in s by its endpoint series), and for Re s <= 0 the exact index shift of c
-into 0 < Re c <= 1 followed by the three-term transformation formula, or
-within 0.01 of c = 1 on Re c = 1 its Taylor series in c about 1.  The cover
-value adds the closed-form monodromy of the winding vector.
+with Re s > 0), the straight-contour integral (Re s > 0, and on the strip
+-_SIGMA0 < Re s <= 0 wherever target |Gamma(s)| leaves its quadrature
+room, continued in s by its endpoint series), and for Re s <= 0 the exact
+index shift of c into 0 < Re c <= 1 followed by the three-term
+transformation formula, or within 0.01 of c = 1 on Re c = 1 its Taylor
+series in c about 1.  The cover value adds the closed-form monodromy of the
+winding vector.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .branching import _principal_log_array, complex_gamma
+from .branching import _principal_log_array, complex_gamma, reciprocal_gamma
 from .domain import (
     ContourSpec,
     Point3,
@@ -48,6 +50,10 @@ _NODES = 24  # trapezoid nodes on every Cauchy circle
 _TAYLOR_RADIUS = 0.01  # |Im c| on Re c = 1 below which the value is the Taylor series about c = 1
 _TAYLOR_TERMS = 60
 _RESIDUAL_TARGET = 1e-12  # target of every evaluation inside a residual check, each by _on_sheet
+# on the strip the integral runs first only where target |Gamma(s)| >= _RAY_FLOOR.  In seeded strip sweeps at
+# targets 1e-8, 1e-10 and 1e-12 the integral missed at 15-40% of the points in [3e-14, 1e-13) and still took
+# 0.83-0.89 of the transform's time there; in [1e-14, 3e-14) it missed at 50-65% and took 1.17-1.37 of it
+_RAY_FLOOR = 3e-14
 _Route = Callable[[complex, complex, complex, float], LerchValue]  # (s, a, c, target) -> value
 
 
@@ -66,25 +72,24 @@ def _anchor_check(a: complex, c: complex) -> None:
 def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     """The one dispatch, for an anchored point with 0 < Re a < 1 when Im a <= 0.
 
-    Series and integral need Re c > 0: where they own the point
-    (Re s > -_SIGMA0 or Im a > 0) and Re c <= 0.05, the index shift in c
-    moves it first, the transform's inner evaluations included.  Then up to
-    three routes run in order: the series; the integral when
-    Re s > -_SIGMA0; the transformation formula after the index shift of c
-    into 0 < Re c <= 1 when Re s <= 0.  So on the strip -_SIGMA0 < Re s <= 0
-    the transform runs only where the integral raises or misses the target.
-    Each route answers with its honest estimate or raises where it does not
-    apply.  One rule decides: the first answer that meets the target is
-    returned, else the answer with the smallest estimate (the earlier route
-    on a tie); the last route's error is raised only when no route answered.
+    Series and integral need Re c > 0: where they own the point (Re s > 0
+    or Im a > 0) and Re c <= 0.05, the index shift in c moves it first, the
+    transform's inner evaluations included.  Then up to three routes run in
+    order: the series; the integral when Re s > 0, or on the strip
+    -_SIGMA0 < Re s <= 0 where :func:`_ray_first` holds; and for Re s <= 0
+    the transformation formula after the index shift of c into
+    0 < Re c <= 1.  On the strip at Im a <= 0 the integral makes its own
+    shift of c into [0.6, 1.6), so each route shifts c once.  On the strip
+    the transform runs only where the integral declines, raises or misses
+    the target.  Each route answers with its honest estimate or raises where
+    it does not apply.  One rule decides: the first answer that meets the
+    target is returned, else the answer with the smallest estimate (the
+    earlier route on a tie); the last route's error is raised only when no
+    route answered.
     """
-    if c.real <= 0.05 and (s.real > -_SIGMA0 or a.imag > 0.0):
+    if c.real <= 0.05 and (s.real > 0.0 or a.imag > 0.0):
         return _shift_c(s, a, c, math.ceil(0.6 - c.real), target, _core_eval)
-    routes: list[_Route] = [dirichlet_series]
-    if s.real > -_SIGMA0:
-        routes.append(_integral)
-    if s.real <= 0.0:
-        routes.append(_shifted_transform)
+    routes = (dirichlet_series, _integral) if s.real > 0.0 else (dirichlet_series, _integral, _shifted_transform)
     best, error = None, None
     for route in routes:
         try:
@@ -101,7 +106,33 @@ def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     return best
 
 
+def _ray_first(s: complex, target: float) -> bool:
+    """Whether the integral runs, before the transform, at Re s <= 0.
+
+    It runs on the strip -_SIGMA0 < Re s <= 0 where target |Gamma(s)| >=
+    _RAY_FLOOR.  The ray's quadrature gets the absolute target
+    0.9 target |Gamma(s)| (:func:`_integral_eval_raw`), and |Gamma(s)| falls
+    like e^{-pi |Im s| / 2}; below the floor that target sits under the
+    quadrature's roundoff, so the integral would mostly refine to its floor,
+    miss, and leave the point to the transform after it.
+    """
+    if s.real <= -_SIGMA0:
+        return False
+    try:
+        return abs(reciprocal_gamma(s)) * _RAY_FLOOR <= target
+    except OverflowError:  # 1/Gamma(s) past binary64, so Gamma(s) is far below the floor
+        return False
+
+
 def _integral(s: complex, a: complex, c: complex, target: float) -> LerchValue:
+    if s.real <= 0.0 and not _ray_first(s, target):
+        raise InvalidRegion(f"the integral leaves s = {s!r} to the transform at target {target:.3g}")
+    if c.real <= 0.05:  # only on the strip at Im a <= 0; everywhere else _core_eval has moved c
+        return _shift_c(s, a, c, math.ceil(0.6 - c.real), target, _ray)
+    return _ray(s, a, c, target)
+
+
+def _ray(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     return _integral_eval_raw(s, a, c, ContourSpec.STRAIGHT, target)
 
 

@@ -72,8 +72,14 @@ class TestClassify:
         assert lv.method is Method.SERIES
         assert abs(lv.value - Z_2_I_1) < 1e-12
 
-    def test_polycylinder_any_s(self):
-        assert evaluate_principal(-3.0, 0.5, 0.5).method is Method.TRANSFORM
+    @pytest.mark.parametrize(
+        "s, method",
+        # left of the strip the transform; on the strip the integral, but at Gamma's poles,
+        # where the integral raises, the transform again
+        [(-4.5, Method.TRANSFORM), (-3.0, Method.TRANSFORM), (-0.5, Method.INTEGRAL), (-2.5 + 1j, Method.INTEGRAL)],
+    )
+    def test_polycylinder_any_s(self, s, method):
+        assert evaluate_principal(s, 0.5, 0.5).method is method
 
     def test_puncture_rejected(self):
         with pytest.raises(InvalidPoint):
@@ -82,15 +88,21 @@ class TestClassify:
     def test_integral_region(self):
         assert evaluate_principal(1.5, 0.4 - 0.3j, 2.0).method is Method.INTEGRAL
 
-    def test_transform_needed_for_shiftable_c(self):
-        assert evaluate_principal(-1.0, 0.5, -0.5 - 0.2j).method is Method.TRANSFORM
+    @pytest.mark.parametrize(
+        "s, method",
+        # Re s <= -sigma0 needs the transform; the pole s = -1 falls back to it from the integral
+        [(-4.5, Method.TRANSFORM), (-1.0, Method.TRANSFORM), (-1.3, Method.INTEGRAL)],
+    )
+    def test_transform_needed_for_shiftable_c(self, s, method):
+        assert evaluate_principal(s, 0.5, -0.5 - 0.2j).method is method
 
-    def test_ladder_fallback(self):
-        # Re s <= 0, Re a outside (0, 1) and Im a <= 0: the transform after
-        # the reduction of a by its period
-        lv = evaluate_principal(-1.0, 1.5 - 0.2j, 0.5, 1e-11)
-        assert lv.method is Method.TRANSFORM
-        assert abs(lv.value - evaluate_principal(-1.0, 0.5 - 0.2j, 0.5, 1e-11).value) < 1e-12
+    @pytest.mark.parametrize("s, method", [(-4.5, Method.TRANSFORM), (-1.3, Method.INTEGRAL)])
+    def test_ladder_fallback(self, s, method):
+        # Re s <= 0, Re a outside (0, 1) and Im a <= 0: the transform (Re s <= -sigma0) or the
+        # integral (the strip) after the reduction of a by its period
+        lv = evaluate_principal(s, 1.5 - 0.2j, 0.5, 1e-11)
+        assert lv.method is method
+        assert abs(lv.value - evaluate_principal(s, 0.5 - 0.2j, 0.5, 1e-11).value) < 1e-12
 
     def test_total_on_valid_points(self, rng):
         # on seeded random points only LerchError escapes; every fourth a is
@@ -371,12 +383,31 @@ class TestRouting:
         assert lv.method is Method.TRANSFORM
         assert err < 1e-10
         assert err <= lv.abs_err_estimate
-        # the dispatch takes the integral, except at the pole s = 0 of Gamma(s), and at |Im s| = 8,
-        # where the integral misses the target and the transform's estimate is the smaller
+        # the dispatch takes the integral, except at the pole s = 0 of Gamma(s) and where
+        # 1e-10 |Gamma(s)| is below the ray's floor (|Im s| = 4 at Re s = -1.5, and |Im s| = 8)
         lv = evaluate_principal(s, a, c, 1e-10)
         s = complex(s)
-        assert lv.method is (Method.TRANSFORM if s == 0 or abs(s.imag) == 8 else Method.INTEGRAL)
+        ray = s != 0 and continuation._ray_first(s, 1e-10)
+        assert ray == (s != 0 and abs(s.imag) < 4)
+        assert lv.method is (Method.INTEGRAL if ray else Method.TRANSFORM)
         assert abs(lv.value - want) <= lv.abs_err_estimate
+
+    @pytest.mark.parametrize("c", [0.02 + 0.1j, -0.7 + 0.3j, 1.5])
+    def test_strip_below_the_ray_floor_is_the_transform(self, monkeypatch, c):
+        # 1e-10 |Gamma(-0.5 + 8i)| = 1.1e-16 is below the ray's floor: the integral at s declines
+        # without a quadrature (the transform's inner evaluations at 1 - s still take it), and the
+        # dispatch is the transform after one index shift of c, bit for bit
+        s, a = -0.5 + 8j, 0.3 - 0.1j
+        assert not continuation._ray_first(s, 1e-10)
+        integral = continuation._integral_eval_raw
+
+        def no_ray_at_s(s_, *args):
+            assert s_ != s, "the integral ran below the ray's floor"
+            return integral(s_, *args)
+
+        monkeypatch.setattr(continuation, "_integral_eval_raw", no_ray_at_s)
+        lv, want = evaluate_principal(s, a, c, 1e-10), by_transform(s, a, c, 1e-10)
+        assert (lv.value, lv.abs_err_estimate, lv.method) == (want.value, want.abs_err_estimate, Method.TRANSFORM)
 
     def test_seeded_integer_re_c_sweep(self, rng):
         """The transform on integer lines Re c against mpmath lerchphi at 30 digits.
@@ -386,7 +417,7 @@ class TestRouting:
         Im a < 0 and non-real c when Re a is near 0 or 1, nor at some points
         with |Im a| and |Im c| both above about 0.3.  |Im s| <= 8 turns the
         inner integral's ray at about a third of the points.  The dispatch answers within its
-        estimate too, by the integral or, where that misses the target, by the transform.
+        estimate too, by the integral or, where that declines or misses the target, by the transform.
         """
         methods = set()
         for k in range(40):
