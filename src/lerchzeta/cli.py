@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import math
 import re
 import sys
 
@@ -60,9 +61,18 @@ def _range_arg(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected 'lo,hi,steps', got {text!r}")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidPoint(f"{text!r} is not finite")
     if steps < 1:
         raise argparse.ArgumentTypeError("steps must be >= 1")
     return lo, hi, steps
+
+
+def _tol_arg(text: str) -> float:
+    tol = float(text)
+    if not 0.0 <= tol < math.inf:
+        raise InvalidPoint(f"tolerance {text!r} is not a finite nonnegative number")
+    return tol
 
 
 def _complex_json(z: complex) -> dict:
@@ -182,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--a", type=_complex_arg, required=True, help="a as re,im")
     p_eval.add_argument("--c", type=_complex_arg, required=True, help="c as re,im")
     p_eval.add_argument("--branch", default="", help="loop word or kx[n]=v / ky[n]=v assignments")
-    p_eval.add_argument("--tol", type=float, default=1e-10)
+    p_eval.add_argument("--tol", type=_tol_arg, default=1e-10)
     p_eval.set_defaults(func=cmd_eval)
 
     p_mono = sub.add_parser("monodromy", help="monodromy of a loop word")
@@ -206,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--fixed-a", type=_complex_arg, default=None)
     p_grid.add_argument("--fixed-c", type=_complex_arg, default=None)
     p_grid.add_argument("--branch", default="")
-    p_grid.add_argument("--tol", type=float, default=1e-10)
+    p_grid.add_argument("--tol", type=_tol_arg, default=1e-10)
     p_grid.add_argument("--format", choices=("csv", "json"), default="csv")
     p_grid.add_argument("--out", required=True)
     p_grid.set_defaults(func=cmd_grid)

@@ -3,15 +3,15 @@
 The principal sheet is anchored at the base point (1/2, 1/2, 1/2) through the
 cut a-plane (downward rays below every integer) and cut c-plane (rays below
 the nonpositive integers).  The value is 1-periodic in a, so Re a is first
-reduced into [0, 1).  One dispatch then tries, in order, the routes that
-own their convergence regions: the Dirichlet series (Im a > 0, or real a
-with Re s > 0), the straight-contour integral (Re s > 0, and on the strip
--_SIGMA0 < Re s <= 0 wherever target |Gamma(s)| leaves its quadrature
-room, continued in s by its endpoint series), and for Re s <= 0 the exact
-index shift of c into 0 < Re c <= 1 followed by the three-term
-transformation formula, or within 0.01 of c = 1 on Re c = 1 its Taylor
-series in c about 1.  The cover value adds the closed-form monodromy of the
-winding vector.
+reduced into [0, 1).  One answer rule then tries a table of routes in order,
+each owning its region and making its own single index shift of c: the
+Dirichlet series (Im a > 0, or real a with Re s > 0) and the straight-contour
+integral (Re s > 0, and on the strip -_SIGMA0 < Re s <= 0 wherever target
+|Gamma(s)| leaves its quadrature room, continued in s by its endpoint series),
+each from Re c <= 0.05 into [0.6, 1.6); for Re s <= 0 the three-term
+transformation formula from c into 0 < Re c <= 1, or within 0.01 of c = 1 on
+Re c = 1 its Taylor series in c about 1.  The cover value adds the
+closed-form monodromy of the winding vector.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .domain import (
 from .errors import (
     CutViolation,
     DerivativeCircleLeavesDomain,
+    InvalidPoint,
     InvalidRegion,
     LerchError,
     NonConvergence,
@@ -70,28 +71,15 @@ def _anchor_check(a: complex, c: complex) -> None:
 
 
 def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
-    """The one dispatch, for an anchored point with 0 < Re a < 1 when Im a <= 0.
+    """The one answer rule, for an anchored point with 0 < Re a < 1 when Im a <= 0.
 
-    Series and integral need Re c > 0: where they own the point (Re s > 0
-    or Im a > 0) and Re c <= 0.05, the index shift in c moves it first, the
-    transform's inner evaluations included.  Then up to three routes run in
-    order: the series; the integral when Re s > 0, or on the strip
-    -_SIGMA0 < Re s <= 0 where :func:`_ray_first` holds; and for Re s <= 0
-    the transformation formula after the index shift of c into
-    0 < Re c <= 1.  On the strip at Im a <= 0 the integral makes its own
-    shift of c into [0.6, 1.6), so each route shifts c once.  On the strip
-    the transform runs only where the integral declines, raises or misses
-    the target.  Each route answers with its honest estimate or raises where
-    it does not apply.  One rule decides: the first answer that meets the
-    target is returned, else the answer with the smallest estimate (the
-    earlier route on a tie); the last route's error is raised only when no
-    route answered.
+    It tries _ROUTES in order (the transform only for Re s <= 0); each shifts
+    c itself and answers with its honest estimate or raises.  The first answer
+    that meets the target wins, else the smallest estimate (the earlier route
+    on a tie); the last error is raised only when no route answered.
     """
-    if c.real <= 0.05 and (s.real > 0.0 or a.imag > 0.0):
-        return _shift_c(s, a, c, math.ceil(0.6 - c.real), target, _core_eval)
-    routes = (dirichlet_series, _integral) if s.real > 0.0 else (dirichlet_series, _integral, _shifted_transform)
     best, error = None, None
-    for route in routes:
+    for route in _ROUTES if s.real <= 0.0 else _ROUTES[:2]:
         try:
             lv = route(s, a, c, target)
         except LerchError as exc:
@@ -104,6 +92,11 @@ def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     if best is None:  # no route answered
         raise error
     return best
+
+
+def _window(c: complex) -> int:
+    """The index shift that moves Re c <= 0.05 into [0.6, 1.6), where series and integral converge; else 0."""
+    return math.ceil(0.6 - c.real) if c.real <= 0.05 else 0
 
 
 def _ray_first(s: complex, target: float) -> bool:
@@ -124,20 +117,22 @@ def _ray_first(s: complex, target: float) -> bool:
         return False
 
 
+def _series_route(s: complex, a: complex, c: complex, target: float) -> LerchValue:
+    return _shift_c(s, a, c, _window(c), target, dirichlet_series)
+
+
 def _integral(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     if s.real <= 0.0 and not _ray_first(s, target):
         raise InvalidRegion(f"the integral leaves s = {s!r} to the transform at target {target:.3g}")
-    if c.real <= 0.05:  # only on the strip at Im a <= 0; everywhere else _core_eval has moved c
-        return _shift_c(s, a, c, math.ceil(0.6 - c.real), target, _ray)
-    return _ray(s, a, c, target)
-
-
-def _ray(s: complex, a: complex, c: complex, target: float) -> LerchValue:
-    return _integral_eval_raw(s, a, c, ContourSpec.STRAIGHT, target)
+    ray = lambda s, a, c, t: _integral_eval_raw(s, a, c, ContourSpec.STRAIGHT, t)
+    return _shift_c(s, a, c, _window(c), target, ray)
 
 
 def _shifted_transform(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     return _shift_c(s, a, c, 1 - math.ceil(c.real), target, _transform_value)
+
+
+_ROUTES = (_series_route, _integral, _shifted_transform)  # in order; each finds its evaluator when it runs
 
 
 def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _Route) -> LerchValue:
@@ -174,9 +169,12 @@ def evaluate_principal(s: complex, a: complex, c: complex, target_abs_err: float
     rounds to 1 keeps a when Im a > 0 and raises CutViolation when Im a <= 0,
     where it lands on a cut.  The dispatch :func:`_core_eval` does the rest;
     each route ends an overflow in NonConvergence (see :class:`LerchValue`).
+    A NaN, infinite or negative target raises InvalidPoint.
     """
     s, a, c = complex(s), complex(a), complex(c)
     Point3(s, a, c)  # validity
+    if not 0.0 <= target_abs_err < math.inf:
+        raise InvalidPoint(f"target_abs_err = {target_abs_err!r} is not a finite nonnegative number")
     _anchor_check(a, c)
     reduced = complex(a.real - math.floor(a.real), a.imag)
     if reduced.real < 1.0:

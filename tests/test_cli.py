@@ -73,6 +73,18 @@ class TestEval:
         assert rec["error"] == "InvalidPoint"
         assert "not finite" in rec["message"]
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tolerance_is_machine_readable_error(self, capsys, tol):
+        # --tol nan used to exit 0 with an estimate of 0.20
+        code, out, err = run(capsys, "eval", "--s", "2", "--a", "0.3", "--c", "0.5", f"--tol={tol}")
+        assert (code, out) == (2, "")
+        message = f"tolerance {tol!r} is not a finite nonnegative number"
+        assert err == json.dumps({"error": "InvalidPoint", "message": message}) + "\n"
+
+    def test_zero_tolerance_answers(self, capsys):
+        code, out, _ = run(capsys, "eval", "--s", "2", "--a", "0.3", "--c", "0.5", "--tol", "0")
+        assert code == 0 and json.loads(out)["method"] == "series"
+
     def test_integer_re_c_takes_the_transform(self, capsys):
         # left of the integral's strip Re s > -4
         code, out, _ = run(capsys, "eval", "--s", "-4.5,0", "--a", "0.3,-0.1", "--c", "1,0.2")
@@ -239,6 +251,20 @@ class TestGrid:
             assert code == 0
             row = out_path.read_text().strip().splitlines()[2]
             assert row.startswith("2,0,") and row.endswith(f",{method}")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--re", "0,inf,3"), ("--re", "nan,1,3"), ("--im", "-inf,0,2"), ("--tol", "nan"), ("--tol", "-1e-10")],
+    )
+    def test_non_finite_range_or_bad_tolerance_is_an_error(self, tmp_path, capsys, flag, value):
+        # --re 0,inf,3 used to exit 0 with the rows "nan,0,,,,skipped"; --tol nan would skip every row
+        out_path = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "grid", "--axis", "s", "--re", "0,1,3", "--fixed-a", "0.3", "--fixed-c", "0.5",
+                             "--out", str(out_path), f"{flag}={value}")
+        assert (code, out) == (2, "")
+        rec = json.loads(err)
+        assert err.count("\n") == 1 and rec["error"] == "InvalidPoint" and repr(value) in rec["message"]
+        assert not out_path.exists()
 
     def test_puncture_row_skipped(self, tmp_path, capsys):
         out_path = tmp_path / "grid.csv"

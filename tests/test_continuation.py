@@ -248,6 +248,19 @@ class TestShiftC:
 
 
 class TestEvaluatePrincipal:
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_bad_target_is_refused(self, target):
+        # a NaN target answered with estimate 0.20 and -1 raised NonConvergence from the ray's cutoff
+        for point in ((2, 0.3, 0.5), (2, 0.3 - 0.2j, 0.5)):
+            with pytest.raises(InvalidPoint, match="target_abs_err"):
+                evaluate_principal(*point, target)
+        with pytest.raises(InvalidPoint, match="target_abs_err"):
+            evaluate_on_cover(Point3(2, 0.3, 0.5), BranchState.from_dicts({0: 1}, {}), target)
+
+    def test_zero_target_answers(self):
+        lv = evaluate_principal(2, 0.3, 0.5, 0.0)
+        assert lv.method is Method.SERIES and 0.0 < lv.abs_err_estimate < 1e-13
+
     def test_negative_re_c_shift(self):
         lv = evaluate_principal(0.7, 0.3 + 0.4j, -1.5 + 0.3j, 1e-10)
         assert abs(lv.value - Z_07_03i04_m15) < 1e-9
@@ -408,6 +421,34 @@ class TestRouting:
         monkeypatch.setattr(continuation, "_integral_eval_raw", no_ray_at_s)
         lv, want = evaluate_principal(s, a, c, 1e-10), by_transform(s, a, c, 1e-10)
         assert (lv.value, lv.abs_err_estimate, lv.method) == (want.value, want.abs_err_estimate, Method.TRANSFORM)
+
+    def test_transform_shifts_c_once(self):
+        # fuzz point 26 of scripts/parent_diff.py (_fuzz_points(7, 1500)): the transform moves c by 50
+        # into (0, 1], estimate 1.15e-10; moving it by 51 into [0.6, 1.6) and then by -1 gave a larger
+        # estimate than the series' 1.18e-10, which the dispatch then returned
+        s, a, c = (-1.947150241937635 - 1.0408018719853231j, 1.9409959882589676 + 0.2205242937868166j,
+                   -49.80916866699352 + 2.455195187910409j)
+        lv, want = evaluate_principal(s, a, c, 1e-10), by_transform(s, a, c, 1e-10)
+        assert (lv.value, lv.abs_err_estimate, lv.method) == (want.value, want.abs_err_estimate, Method.TRANSFORM)
+
+    def test_seeded_one_shift_sweep(self, rng):
+        """Re s <= 0, Im a > 0 and Re c <= 0.05 with c + _window(c) in (1, 1.6), where a shift into
+        [0.6, 1.6) followed by the transform's shift into (0, 1] would move c twice.  The transform
+        shifts c once: where the dispatch answers by it, it is by_transform bit for bit, and
+        everywhere the dispatch meets the target or its estimate is at most by_transform's."""
+        transforms = 0
+        for _ in range(60):
+            s = complex(rng.uniform(-6.0, 0.0), rng.uniform(-30.0, 30.0))
+            a = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.01, 1.0))
+            m = rng.randint(0, 50)
+            c = complex(-m + rng.uniform(0.0, 0.05 if m == 0 else 0.6), rng.uniform(-3.0, 3.0))
+            assert 1.0 < c.real + math.ceil(0.6 - c.real) < 1.6
+            lv, want = evaluate_principal(s, a, c, 1e-10), by_transform(s, a, c, 1e-10)
+            assert lv.abs_err_estimate <= max(1e-10, want.abs_err_estimate), (s, a, c)
+            if lv.method is Method.TRANSFORM:
+                transforms += 1
+                assert (lv.value, lv.abs_err_estimate) == (want.value, want.abs_err_estimate), (s, a, c)
+        assert transforms >= 10  # 27 of the 60
 
     def test_seeded_integer_re_c_sweep(self, rng):
         """The transform on integer lines Re c against mpmath lerchphi at 30 digits.

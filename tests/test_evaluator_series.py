@@ -33,6 +33,7 @@ from conftest import (
     TS_PLUS_3_03_07,
     TS_PLUS_3_05_05,
     Z_BASE,
+    Z_DIRECT_SUM,
     Z_FAR_LEFT,
     Z_HIGH_IMS,
     Z_INT_A,
@@ -184,25 +185,20 @@ class TestTailOracle:
 
 
 class TestDirectSumOracle:
-    def test_seeded_direct_sum_sweep(self, rng):
+    def test_seeded_direct_sum_sweep(self):
         """The direct partial sum against mpmath at 30 digits: true error <= abs_err_estimate.
 
         With Im a >= 0.05 the geometric tail bound reaches the target after a
         few hundred terms, so every point takes the direct sum.  The 40 points
-        are the first 40 of the conftest seed, drawn once and kept: here the
-        largest error/estimate is 0.69, while a roundoff floor of
-        4 eps sum |terms|, without the phase-error factor |s| log(n0 + |c| + 1),
-        lets 5 of them through with ratios up to 2.7.
+        are the first 40 of the conftest seed, drawn once and kept with their
+        frozen references (Z_DIRECT_SUM): here the largest error/estimate is
+        0.69, while a roundoff floor of 4 eps sum |terms|, without the
+        phase-error factor |s| log(n0 + |c| + 1), lets 5 of them through with
+        ratios up to 2.7.
         """
-        for k in range(40):
-            s = complex(rng.uniform(-3.0, 3.0), rng.uniform(-25.0, 25.0))
-            a = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.05, 0.6))
-            c = complex(rng.uniform(0.2, 2.0), rng.uniform(-0.5, 0.5))
+        for k, ((s, a, c), want) in enumerate(Z_DIRECT_SUM):
             lv = dirichlet_series(s, a, c, 1e-10)
-            with mpmath.workdps(30):
-                z = mpmath.exp(2j * mpmath.pi * mpmath.mpc(a))
-                want = mpmath.lerchphi(z, mpmath.mpc(s), mpmath.mpc(c))
-            err = abs(lv.value - complex(want))
+            err = abs(lv.value - want)
             assert err <= lv.abs_err_estimate, (k, s, a, c, err, lv.abs_err_estimate)
 
 
