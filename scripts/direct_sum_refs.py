@@ -1,39 +1,63 @@
-"""Print tests/conftest.py's Z_DIRECT_SUM block: the direct partial sum sweep's 40 frozen references.
+"""Print one of tests/conftest.py's frozen sweep blocks: 40 seeded points, each with its 30-digit reference.
 
-    python3 scripts/direct_sum_refs.py
+    python3 scripts/direct_sum_refs.py                    # Z_DIRECT_SUM
+    python3 scripts/direct_sum_refs.py Z_INT_RE_C_SWEEP
 
-It draws the points from the rng fixture's seed in the order and with the
-ranges that tests/test_evaluator_series.py's test_seeded_direct_sum_sweep
-once drew them, and evaluates mpmath ``lerchphi`` at 30 digits at each, so
-the test compares against constants and makes no mpmath call.
+Each block draws its points from the rng fixture's seed in the order and
+with the ranges that its test once drew them, and evaluates mpmath
+``lerchphi`` at 30 digits at each, so the test compares against constants
+and makes no mpmath call: Z_DIRECT_SUM for tests/test_evaluator_series.py's
+test_seeded_direct_sum_sweep, Z_INT_RE_C_SWEEP for tests/test_continuation.py's
+TestRouting.test_seeded_integer_re_c_sweep.
 """
 
 from __future__ import annotations
 
+import argparse
 import random
+from typing import Iterator
 
 import mpmath
 
 _SEED = 20260810  # tests/conftest.py's rng fixture
 
 
-def direct_sum_refs(n: int = 40) -> list[tuple[tuple[complex, complex, complex], mpmath.mpc]]:
+def direct_sum_points(rng: random.Random, n: int = 40) -> Iterator[tuple[complex, complex, complex]]:
     """Im a >= 0.05, so the geometric tail bound serves at every point."""
-    rng = random.Random(_SEED)
-    refs = []
     for _ in range(n):
         s = complex(rng.uniform(-3.0, 3.0), rng.uniform(-25.0, 25.0))
         a = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.05, 0.6))
         c = complex(rng.uniform(0.2, 2.0), rng.uniform(-0.5, 0.5))
+        yield s, a, c
+
+
+def integer_re_c_points(rng: random.Random, n: int = 40) -> Iterator[tuple[complex, complex, complex]]:
+    """Re c in {1, 2, 3}, real c at every fourth point and real a at every fifth from the third on."""
+    for k in range(n):
+        s = complex(rng.uniform(-1.5, 0.0), rng.uniform(-8.0, 8.0))
+        a = complex(rng.uniform(0.15, 0.85) + rng.randint(-1, 1), 0.0 if k % 5 == 2 else rng.uniform(-0.25, -0.02))
+        c = complex(rng.randint(1, 3), 0.0 if k % 4 == 0 else rng.uniform(-0.5, 0.5))
+        yield s, a, c
+
+
+BLOCKS = {"Z_DIRECT_SUM": direct_sum_points, "Z_INT_RE_C_SWEEP": integer_re_c_points}
+
+
+def refs(block: str) -> list[tuple[tuple[complex, complex, complex], mpmath.mpc]]:
+    out = []
+    for s, a, c in BLOCKS[block](random.Random(_SEED)):
         with mpmath.workdps(30):
             want = mpmath.lerchphi(mpmath.exp(2j * mpmath.pi * mpmath.mpc(a)), mpmath.mpc(s), mpmath.mpc(c))
-        refs.append(((s, a, c), want))
-    return refs
+        out.append(((s, a, c), want))
+    return out
 
 
-def main() -> int:
-    print("Z_DIRECT_SUM = [")
-    for (s, a, c), want in direct_sum_refs():
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("block", nargs="?", choices=tuple(BLOCKS), default="Z_DIRECT_SUM")
+    block = ap.parse_args(argv).block
+    print(f"{block} = [")
+    for (s, a, c), want in refs(block):
         print(f"    (({s!r}, {a!r},")
         print(f"      {c!r}),")
         print(f"     complex({mpmath.nstr(want.real, 30)}, {mpmath.nstr(want.imag, 30)})),")

@@ -39,6 +39,9 @@ interpreter, removes the directory and prints, item by item,
   where a call raises; ``verify`` prints 4 digits, these show a last-bit
   move in the cover layer.
 
+The fuzz, extreme and left items also count their ``NonConvergence`` raises
+by message family (``FAMILIES``), for REV and the working tree.
+
 A moved value reports the largest absolute move, the largest relative move
 |new - old| / |old|, the largest relative move of the estimate and, where
 the records carry estimates, the largest move as a fraction of the old
@@ -85,6 +88,14 @@ SHOWN = 5  # changed records printed per item
 # counted in every item that moved: the first four are regressions, a label-only move keeps value and estimate
 KINDS = ("estimate grew", "answer became raise", "raise changed class", "moved past estimates", "raise became answer",
          "label only")
+# NonConvergence message families, each the substrings its message holds; a message in none is "other"
+FAMILIES = {
+    "value (nan": ("value (nan",),
+    "three-term transformation overflows": ("three-term transformation overflows",),
+    "integral overflows": ("integral overflows",),
+    "index shift ... overflows": ("index shift", "overflows"),
+    "monodromy ... overflows": ("monodromy", "overflows"),
+}
 
 
 # -- probe: runs in a fresh interpreter against one tree's src/ ----------------------------------
@@ -94,14 +105,22 @@ def _lerch_row(lv) -> list:
     return [lv.value.real, lv.value.imag, lv.abs_err_estimate, lv.method.value]
 
 
+def _family(exc: Exception) -> str | None:
+    """The FAMILIES entry of a NonConvergence message, "other" if none fits; None for other classes."""
+    if type(exc).__name__ != "NonConvergence":
+        return None
+    return next((name for name, parts in FAMILIES.items() if all(p in str(exc) for p in parts)), "other")
+
+
 def _outcome(fn, as_row=_lerch_row) -> list:
-    """as_row(fn()) + [warned]: by default [re, im, estimate, method, warned]; or ["raise", class name, None, None, warned]."""
+    """as_row(fn()) + [warned]: by default [re, im, estimate, method, warned]; or
+    ["raise", class name, NonConvergence family or None, None, warned]."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             row = as_row(fn())
         except Exception as exc:  # a class the parent raised and the change does not is a finding
-            row = ["raise", type(exc).__name__, None, None]
+            row = ["raise", type(exc).__name__, _family(exc), None]
     return row + [bool(caught)]
 
 
@@ -410,6 +429,13 @@ def _tally(rows: list) -> str:
     return f"{len(rows)} points: {len(rows) - raised} answered, {raised} raised, {sum(r[4] for r in rows)} warned"
 
 
+def _families(old: list, new: list) -> str:
+    """NonConvergence raises by family, as "family old -> new" where they differ and "family n" where not."""
+    counts = [{name: sum(r[2] == name for r in rows) for name in (*FAMILIES, "other")} for rows in (old, new)]
+    shown = [f"{name} {o} -> {counts[1][name]}" if o != counts[1][name] else f"{name} {o}" for name, o in counts[0].items()]
+    return "NonConvergence by family: " + ", ".join(shown)
+
+
 def compare(old: dict, new: dict) -> list[tuple[str, str, list[str]]]:
     """(item, what the working tree gave, lines of what moved) per item."""
     work = new["pool_work"]
@@ -419,9 +445,8 @@ def compare(old: dict, new: dict) -> list[tuple[str, str, list[str]]]:
     verify = new["verify"]
     return [
         ("pool", f"{_tally(new['pool'])}; {work['integrate_calls']} integrate calls, {work['panels']} panels", pool),
-        ("fuzz", _tally(new["fuzz"]), _moves(old["fuzz"], new["fuzz"])),
-        ("extreme", _tally(new["extreme"]), _moves(old["extreme"], new["extreme"])),
-        ("left", _tally(new["left"]), _moves(old["left"], new["left"])),
+        *[(item, f"{_tally(new[item])}; {_families(old[item], new[item])}", _moves(old[item], new[item]))
+          for item in ("fuzz", "extreme", "left")],
         ("verify", f"{len(verify[1].splitlines())} lines, exit {verify[0]}", _byte_moves([old["verify"]], [verify])),
         ("monodromy", f"{len(new['monodromy'])} calls", _byte_moves(old["monodromy"], new["monodromy"])),
         (

@@ -54,13 +54,15 @@ def principal_log(z: complex) -> complex:
     return complex(math.log(abs(z)), theta)
 
 
-def _principal_log_array(x: np.ndarray, y: float) -> np.ndarray:
-    """principal_log of each x + iy, for real x and one imaginary part y; CutViolation if one lies on the cut."""
-    if y <= 0.0 and (x == 0.0).any():
-        raise CutViolation(f"{complex(0.0, y)!r} lies on the branch cut {{-i*t : t >= 0}}")
-    theta = np.arctan2(y, x)
-    theta += _TWO_PI * ((theta < -_HALF_PI) | ((theta == -_HALF_PI) & (x < 0.0)))  # as in principal_log
-    return np.log(np.hypot(x, y)) + 1j * theta
+def _principal_log_array(j: np.ndarray, c: complex) -> np.ndarray:
+    """principal_log of each j + c, j a nonempty increasing run of integers: numpy's log (its arg is atan2's), moved
+    by 2 pi i where Im c < 0 and Re(j + c) < 0.  CutViolation if a j + c lies on the cut; both tests read the ends."""
+    if c.imag <= 0.0 and c.real == math.floor(c.real) and j[0] <= -c.real <= j[-1]:
+        raise CutViolation(f"{complex(0.0, c.imag)!r} lies on the branch cut {{-i*t : t >= 0}}")
+    lg = np.log(j + c)
+    if c.imag < 0.0 and j[0] + c.real < 0.0:
+        lg[j + c.real < 0.0] += 1j * _TWO_PI
+    return lg
 
 
 def branched_pow(base: complex, exponent: complex, extra_winding: int = 0) -> complex:

@@ -17,7 +17,7 @@ import re
 import sys
 
 from .continuation import evaluate_on_cover
-from .domain import Point3
+from .domain import Point3, checked_target
 from .errors import InvalidPoint, LerchError
 from .monodromy import monodromy_terms
 from .suites import SUITE_NAMES, run_suite
@@ -69,10 +69,7 @@ def _range_arg(text: str) -> tuple[float, float, int]:
 
 
 def _tol_arg(text: str) -> float:
-    tol = float(text)
-    if not 0.0 <= tol < math.inf:
-        raise InvalidPoint(f"tolerance {text!r} is not a finite nonnegative number")
-    return tol
+    return checked_target(float(text), f"tolerance {text!r}")
 
 
 def _complex_json(z: complex) -> dict:

@@ -4,14 +4,13 @@ The principal sheet is anchored at the base point (1/2, 1/2, 1/2) through the
 cut a-plane (downward rays below every integer) and cut c-plane (rays below
 the nonpositive integers).  The value is 1-periodic in a, so Re a is first
 reduced into [0, 1).  One answer rule then tries a table of routes in order,
-each owning its region and making its own single index shift of c: the
-Dirichlet series (Im a > 0, or real a with Re s > 0) and the straight-contour
-integral (Re s > 0, and on the strip -_SIGMA0 < Re s <= 0 wherever target
-|Gamma(s)| leaves its quadrature room, continued in s by its endpoint series),
-each from Re c <= 0.05 into [0.6, 1.6); for Re s <= 0 the three-term
-transformation formula from c into 0 < Re c <= 1, or within 0.01 of c = 1 on
-Re c = 1 its Taylor series in c about 1.  The cover value adds the
-closed-form monodromy of the winding vector.
+each owning its region: the Dirichlet series (Im a > 0, or real a with
+Re s > 0) at c itself; the straight-contour integral (Re s > 0, and on the
+strip -_SIGMA0 < Re s <= 0 wherever target |Gamma(s)| leaves its quadrature
+room), by an index shift of Re c <= 0.05 into [0.6, 1.6); for Re s <= 0 the
+three-term transformation formula by one into 0 < Re c <= 1, or within 0.01
+of c = 1 on Re c = 1 its Taylor series in c about 1.  The cover value adds
+the closed-form monodromy of the winding vector.
 """
 
 from __future__ import annotations
@@ -23,10 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-from .branching import _principal_log_array, complex_gamma, reciprocal_gamma
+from .branching import complex_gamma, reciprocal_gamma
 from .domain import (
     ContourSpec,
     Point3,
+    checked_target,
     cut_distances,
     on_a_cut_ray,
     on_c_cut_ray,
@@ -34,18 +34,17 @@ from .domain import (
 from .errors import (
     CutViolation,
     DerivativeCircleLeavesDomain,
-    InvalidPoint,
     InvalidRegion,
     LerchError,
     NonConvergence,
     SZero,
 )
-from .evaluator import _FLAT_REL_ERR, _SIGMA0, LerchValue, Method, _integral_eval_raw, _series, dirichlet_series
+from .evaluator import (_EPS, _FLAT_REL_ERR, _SIGMA0, LerchValue, Method, _integral_eval_raw, _partial_sum, _series,
+                        _window, dirichlet_series)
 from .monodromy import branch_monodromy
 from .words import BranchState
 
 _TWO_PI = 2.0 * math.pi
-_EPS = 2.220446049250313e-16
 _CIRCLE_CAP = 0.05
 _NODES = 24  # trapezoid nodes on every Cauchy circle
 _TAYLOR_RADIUS = 0.01  # |Im c| on Re c = 1 below which the value is the Taylor series about c = 1
@@ -94,11 +93,6 @@ def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     return best
 
 
-def _window(c: complex) -> int:
-    """The index shift that moves Re c <= 0.05 into [0.6, 1.6), where series and integral converge; else 0."""
-    return math.ceil(0.6 - c.real) if c.real <= 0.05 else 0
-
-
 def _ray_first(s: complex, target: float) -> bool:
     """Whether the integral runs, before the transform, at Re s <= 0.
 
@@ -117,10 +111,6 @@ def _ray_first(s: complex, target: float) -> bool:
         return False
 
 
-def _series_route(s: complex, a: complex, c: complex, target: float) -> LerchValue:
-    return _shift_c(s, a, c, _window(c), target, dirichlet_series)
-
-
 def _integral(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     if s.real <= 0.0 and not _ray_first(s, target):
         raise InvalidRegion(f"the integral leaves s = {s!r} to the transform at target {target:.3g}")
@@ -132,14 +122,15 @@ def _shifted_transform(s: complex, a: complex, c: complex, target: float) -> Ler
     return _shift_c(s, a, c, 1 - math.ceil(c.real), target, _transform_value)
 
 
-_ROUTES = (_series_route, _integral, _shifted_transform)  # in order; each finds its evaluator when it runs
+_ROUTES = (lambda *a: dirichlet_series(*a), _integral, _shifted_transform)  # each finds its evaluator when it runs
 
 
 def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _Route) -> LerchValue:
     """The value at c from inner's value at c + n, by the exact index shift in c.
 
-    zeta(s,a,c) = e^{2pi i n a} (zeta(s,a,c+n) + sign(n) sum_j e^{2pi i (j-n) a}(j+c)^{-s}),
-    with j running over [0, n) for n > 0 and over [n, 0) for n < 0.
+    zeta(s,a,c) = e^{2pi i n a} zeta(s,a,c+n) + sign(n) sum_j e^{2pi i j a}(j+c)^{-s}, j over [0, n) for n > 0
+    and over [n, 0) for n < 0, is the series' split at n: the sum is :func:`_partial_sum`, and the first term
+    is charged by its rule, with the exponent 2 pi i a n.
     """
     if n == 0:
         return inner(s, a, c, target)
@@ -147,16 +138,11 @@ def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _
         phase = cmath.exp(2j * math.pi * a * n)
         scale = abs(phase)
         shifted = inner(s, a, c + n, 0.5 * target / max(scale, 1e-300))
-        j = np.arange(min(n, 0), max(n, 0))
-        lg = _principal_log_array(j + c.real, c.imag)  # of j + c, for branched_pow(j + c, -s)
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.exp(2j * math.pi * a * (j - n)) * np.exp(-s * lg)
-            # roundoff of each term carries the phase errors 2 pi |a| |j - n| and |s log(j + c)| of its exps
-            weight = 1.0 + _TWO_PI * abs(a) * np.abs(j - n) + abs(s) * np.abs(lg)
-            partial, absum = complex(terms.sum()), float((np.abs(terms) * weight).sum())
-        value = phase * (shifted.value + math.copysign(1.0, n) * partial)
-        err = scale * (shifted.abs_err_estimate + 8.0 * _EPS * absum) + 8.0 * _EPS * abs(value) * (1.0 + _TWO_PI * abs(a * n))
-        return LerchValue(value, shifted.method, err)
+            partial, partial_err = _partial_sum(s, a, c, min(n, 0), max(n, 0))
+        head = phase * shifted.value
+        err = scale * shifted.abs_err_estimate + partial_err + 4.0 * _EPS * abs(head) * (1.0 + _TWO_PI * abs(a * n))
+        return LerchValue(head + math.copysign(1.0, n) * partial, shifted.method, err)
     except OverflowError as exc:
         raise NonConvergence(f"index shift of c = {c!r} by {n} overflows at Im a = {a.imag:.3g}") from exc
 
@@ -173,8 +159,7 @@ def evaluate_principal(s: complex, a: complex, c: complex, target_abs_err: float
     """
     s, a, c = complex(s), complex(a), complex(c)
     Point3(s, a, c)  # validity
-    if not 0.0 <= target_abs_err < math.inf:
-        raise InvalidPoint(f"target_abs_err = {target_abs_err!r} is not a finite nonnegative number")
+    checked_target(target_abs_err)
     _anchor_check(a, c)
     reduced = complex(a.real - math.floor(a.real), a.imag)
     if reduced.real < 1.0:
@@ -189,8 +174,10 @@ def transform_eval(p: Point3, target_abs_err: float = 1e-10) -> LerchValue:
 
     Requires 0 < Re a < 1, 0 < Re c < 1 and Re s < 1; the two right-hand
     terms are evaluated at 1 - s (where Re > 0) by the series or integral
-    route at a quarter of the target each.
+    route at a quarter of the target each.  A NaN, infinite or negative
+    target raises InvalidPoint.
     """
+    checked_target(target_abs_err)
     s, a, c = p.s, p.a, p.c
     if not (0.0 < a.real < 1.0 and 0.0 < c.real < 1.0):
         raise InvalidRegion("transformation formula needs 0 < Re a < 1 and 0 < Re c < 1")
@@ -203,12 +190,11 @@ def _transform_value(s: complex, a: complex, c: complex, target: float) -> Lerch
     """Three-term transformation: the value at s from two evaluations at 1 - s, for 0 < Re c <= 1.
 
     The dispatch calls it with Re(1 - s) >= 1, where the series or the
-    integral applies after at most one index shift of c, so it recurses no
-    deeper than that.  Re c is read inside [2^-53, 1 - 2^-53]: on Re c = 1
-    that is the limit from Re c < 1, and near Re c = 0 it keeps 1 - c from
-    rounding to Re 1, so the inner a-variables 1 - c and c lie inside
-    0 < Re a < 1.  At c = 1 these are 0 and 1, and each inner value a Hurwitz
-    zeta with the pole 1/(-s); the pole enters once, as
+    integral applies, so it recurses no deeper.  Re c is read inside
+    [2^-53, 1 - 2^-53]: on Re c = 1 that is the limit from Re c < 1, and near
+    Re c = 0 it keeps 1 - c from rounding to Re 1, so the inner a-variables
+    1 - c and c lie inside 0 < Re a < 1.  At c = 1 these are 0 and 1, and each
+    inner value a Hurwitz zeta with the pole 1/(-s); the pole enters once, as
     -2 (2 pi)^{s-1} Gamma(1-s) e^{-2 pi i a} sin(pi s/2)/s.  That needs no
     integral and holds for every s but the positive integers.  Within
     _TAYLOR_RADIUS of c = 1 on the line, :func:`_c_taylor_value` answers.
@@ -223,9 +209,8 @@ def _transform_value(s: complex, a: complex, c: complex, target: float) -> Lerch
         coef2 = pref * cmath.exp(-0.5j * math.pi * sp + 2j * math.pi * c * (1.0 - a))
         target1 = 0.25 * target / max(abs(coef1), 1e-300)
         target2 = 0.25 * target / max(abs(coef2), 1e-300)
-        if c == 1.0:  # the series' pole-free parts, after the index shift in c to Re >= 0.6
-            v1 = _shift_c(sp, 0j, a, max(0, math.ceil(0.6 - a.real)), target1, _series)
-            v2 = _shift_c(sp, 0j, 1.0 - a, max(0, math.ceil(0.6 - (1.0 - a).real)), target2, _series)
+        if c == 1.0:  # the series' pole-free parts
+            v1, v2 = _series(sp, 0j, a, target1), _series(sp, 0j, 1.0 - a, target2)
             pole = -2.0 * cmath.exp(lead - 2j * math.pi * a) * gam
             pole *= cmath.sin(0.5 * math.pi * s) / s if s != 0 else 0.5 * math.pi
         else:

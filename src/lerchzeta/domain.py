@@ -43,6 +43,15 @@ def finite_coordinates(s: complex, a: complex, c: complex) -> tuple[complex, com
     return s, a, c
 
 
+def checked_target(target: float, shown: str | None = None) -> float:
+    """target, if it is a finite nonnegative number; else InvalidPoint, naming it as shown (by default
+    "target_abs_err = " and its repr)."""
+    if not 0.0 <= target < math.inf:
+        shown = shown or f"target_abs_err = {target!r}"
+        raise InvalidPoint(f"{shown} is not a finite nonnegative number")
+    return target
+
+
 def on_a_cut_ray(a: complex) -> bool:
     """True if a lies on a downward ray {n - i*t : t >= 0} below some integer n."""
     a = complex(a)

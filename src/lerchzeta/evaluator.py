@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from . import quadrature
-from .branching import complex_gamma
-from .domain import ContourSpec, Point3, SymKind, finite_coordinates, is_real_integer, on_a_cut_ray
+from .branching import _principal_log_array, complex_gamma
+from .domain import ContourSpec, Point3, SymKind, checked_target, finite_coordinates, is_real_integer, on_a_cut_ray
 from .errors import (
     ContourHitsPole,
     CutViolation,
@@ -164,21 +164,34 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
     return value, err + quad_err + bound(8.0, rate, y_corr)
 
 
-def _partial_sum(s: complex, alpha: complex, c: complex, n_terms: int) -> tuple[complex, float]:
-    n = np.arange(n_terms, dtype=np.float64)
-    terms = np.exp((2j * math.pi * alpha) * n - s * np.log(n + c))
-    return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+def _window(c: complex) -> int:
+    """ceil(0.6 - Re c) for Re c <= 0.05, else 0: the terms before Re(j + c) first reaches [0.6, 1.6)."""
+    return math.ceil(0.6 - c.real) if c.real <= 0.05 else 0
 
 
-def _direct_length(s: complex, alpha: complex, c: complex, tol: float, limit: int) -> tuple[int, float] | None:
-    """(n, bound) for the first n = 16, 32, ... <= limit whose geometric tail bound is below tol, or None.
+def _partial_sum(s: complex, a: complex, c: complex, lo: int, hi: int) -> tuple[complex, float]:
+    """(sum over lo <= j < hi of e^{2 pi i a j} (j + c)^{-s}, its roundoff): each term is one
+    exp(2 pi i a j - s log(j + c)), charged 4 eps |term| (1 + |2 pi a j| + |s log(j + c)|) for its exponent's
+    rounding.  A term past binary64 raises OverflowError (numpy warns unless under np.errstate)."""
+    j = np.arange(lo, hi, dtype=np.float64)
+    phase = (2j * math.pi * a) * j
+    power = s * _principal_log_array(j, c)
+    terms = np.exp(phase - power)
+    charge = 4.0 * _EPS * float((np.abs(terms) * (1.0 + np.abs(phase) + np.abs(power))).sum())
+    if not math.isfinite(charge):
+        raise OverflowError(f"a term of the partial sum over [{lo}, {hi}) at c = {c!r} overflows")
+    return complex(terms.sum()), charge
+
+
+def _direct_length(s: complex, alpha: complex, c: complex, lo: int, tol: float, limit: int) -> tuple[int, float] | None:
+    """(n, bound) for the first n = lo + 16, lo + 32, ... <= lo + limit whose geometric tail bound is below tol, or None.
 
     The bound is |term(n)| / (1 - ratio), term(n) the first excluded term;
     |(n+c)^{-s}| carries an extra exp(Im s * arg(n+c)) factor.
     """
     sigma, beta, rc = s.real, alpha.imag, c.real
-    n = 16
-    while beta > 0.0 and n <= limit:
+    n = lo + 16
+    while beta > 0.0 and n <= lo + limit:
         ratio = math.exp(-_TWO_PI * beta) * (1.0 + 1.0 / (n + rc)) ** max(0.0, -sigma)
         if ratio < 0.999:
             bound = math.exp(
@@ -188,7 +201,7 @@ def _direct_length(s: complex, alpha: complex, c: complex, tol: float, limit: in
             ) / (1.0 - ratio)
             if bound < tol:
                 return n, bound
-        n *= 2
+        n = 2 * n - lo
     return None
 
 
@@ -213,18 +226,16 @@ def dirichlet_series(s: complex, a: complex, c: complex, target_abs_err: float =
 
     Converges for Im a > 0 (any s), for real non-integral a when Re s > 0
     (conditionally for Re s <= 1) and for real integer a when Re s >= 1 and
-    s != 1, where the tail is Hermite's formula.  Requires Re c > 0.  The
-    terms before n0 are summed directly; the rest is 0 with its geometric
-    bound when that bound reaches the target at a cheap n0 (Im a > 0), and
-    the Abel-Plana tail otherwise.  One roundoff rule covers both:
-    4 eps (sum |terms| + |tail|) (1 + |s| log(n0 + |c| + 1)).  A value that
-    misses the target is returned with that estimate; whether another route
-    does better is the dispatch's decision.  A non-finite coordinate raises
-    InvalidPoint.
+    s != 1, where the tail is Hermite's formula; at every c off the c-cuts.
+    The terms j < n0, n0 >= :func:`_window` (c), are :func:`_partial_sum`;
+    the rest is 0 with its geometric bound when that bound reaches the target
+    at a cheap n0 (Im a > 0), else the Abel-Plana tail, charged for roundoff
+    as the term at n0.  A value that misses the target is returned with its
+    estimate; the dispatch decides.  A non-finite coordinate or target, or a
+    negative target, raises InvalidPoint; a c on a c-cut CutViolation.
     """
     s, a, c = finite_coordinates(s, a, c)
-    if c.real <= 0.0:
-        raise DivergentSeries(f"series needs Re c > 0, got c = {c!r}")
+    checked_target(target_abs_err)
     if a.imag < 0.0:
         raise DivergentSeries("series diverges for Im a < 0")
     if is_real_integer(a) and (s.real < 1.0 or s == 1):
@@ -239,18 +250,19 @@ def dirichlet_series(s: complex, a: complex, c: complex, target_abs_err: float =
 def _series(s: complex, alpha: complex, c: complex, target_abs_err: float) -> LerchValue:
     """The unchecked series at reduced alpha; at alpha = 0 less its pole 1/(s-1), so entire in s.
 
-    A direct partial sum with its geometric tail bound (Im alpha > 0) serves
-    while it is at most _DIRECT_MARGIN terms longer than the Abel-Plana split
-    point, or up to 300000 terms where the split point exceeds _SPLIT_CAP; the
-    Abel-Plana tail from the split point serves otherwise.  It returns what it
+    Counting from :func:`_window` (c), a direct partial sum with its geometric
+    tail bound (Im alpha > 0) serves while it is at most _DIRECT_MARGIN terms
+    longer than the Abel-Plana split point, or up to 300000 terms where the
+    split point exceeds _SPLIT_CAP; the Abel-Plana tail from the split point
+    serves otherwise.  It returns what it
     has with its honest estimate, however far above the target, and raises
     NonConvergence only where it has no value: a split point past _SPLIT_CAP
     with no direct sum, a tail that decays too slowly, or an overflow.
     """
     try:  # far left in s the terms, tail bounds and tail integrands may pass binary64's range
-        split = _split_point(s, alpha)
+        lo, split = _window(c), _split_point(s, alpha)
         limit = 300_000 if split is None else split + _DIRECT_MARGIN
-        direct = _direct_length(s, alpha, c, 0.5 * target_abs_err, limit)
+        direct = _direct_length(s, alpha, c, lo, 0.5 * target_abs_err, limit)
         with np.errstate(over="ignore", invalid="ignore"):
             if direct is not None:
                 n0, tail_err = direct
@@ -258,12 +270,11 @@ def _series(s: complex, alpha: complex, c: complex, target_abs_err: float) -> Le
             elif split is None:
                 raise NonConvergence(f"split point exceeds {_SPLIT_CAP} at s = {s!r}, reduced a = {alpha!r}")
             else:
-                n0 = split
+                n0 = lo + split
                 tail, tail_err = _osc_tail(s, alpha, c, n0, 0.5 * target_abs_err)
-            partial, absum = _partial_sum(s, alpha, c, n0)
-        # roundoff of exp(-s log(n+c)) carries the phase error |s| log(n+c)
-        phase_err = 1.0 + abs(s) * math.log(n0 + abs(c) + 1.0)
-        err = tail_err + 4.0 * _EPS * (absum + abs(tail)) * phase_err
+            partial, partial_err = _partial_sum(s, alpha, c, 0, n0)
+        size = _TWO_PI * abs(alpha) * n0 + abs(s * cmath.log(n0 + c))  # of the tail's first exponent
+        err = tail_err + partial_err + 4.0 * _EPS * abs(tail) * (1.0 + size)
         return LerchValue(partial + tail, Method.SERIES, err)
     except OverflowError as exc:
         raise NonConvergence(f"series overflows at s = {s!r}, reduced a = {alpha!r}, c = {c!r}") from exc
@@ -457,8 +468,10 @@ def integral_eval(
     contour.  The integral runs on one ray (:func:`_ray`); the poles
     t = 2*pi*i*(a - k) between the two come from the closed-form monodromy,
     and any pole closer than 1e-3 to the ray or a detour raises
-    ContourHitsPole.  An a on a cut ray raises CutViolation.
+    ContourHitsPole.  An a on a cut ray raises CutViolation, and a NaN,
+    infinite or negative target InvalidPoint.
     """
+    checked_target(target_abs_err)
     if on_a_cut_ray(p.a):
         raise CutViolation(f"a = {p.a!r} lies on a downward cut ray below an integer")
     return _integral_eval_raw(p.s, p.a, p.c, contour, target_abs_err)
@@ -488,6 +501,8 @@ def _integral_eval_raw(
         scale = abs(gam)
         with np.errstate(over="ignore", invalid="ignore"):  # t^{s-1} e^{-ct} may pass binary64's range
             raw, raw_err = _contour_integral(s, a, c, theta, 0.9 * target_abs_err * scale, d, k)
+        if not cmath.isfinite(raw):  # its integrand passed binary64's range
+            raise OverflowError
         poles, poles_err = branch_monodromy(b, s, a, c)
         value = raw / gam + sign * poles
         return LerchValue(value, Method.INTEGRAL, raw_err / scale + _FLAT_REL_ERR * abs(value) + poles_err)
@@ -511,9 +526,11 @@ def residue_discrepancy(
     Re delta > 0 and 2*pi*|delta| < epsilon, so the contour deformation
     crosses exactly the k = n pole, which the detour's ray carries by
     quadrature.  Equals -(2*pi*i)^s / Gamma(s) * (a-n)^{s-1} * exp(-2*pi*i*c*(a-n))
-    up to the combined quadrature error.  A non-finite s, a or c raises InvalidPoint.
+    up to the combined quadrature error.  A non-finite s, a or c, or a NaN,
+    infinite or negative target, raises InvalidPoint.
     """
     s, a, c = finite_coordinates(s, a, c)
+    checked_target(target_abs_err)
     delta = a - (n - 1j * u / _TWO_PI)
     if delta.real <= 0.0 or _TWO_PI * abs(delta) >= 0.95 * epsilon:
         raise InvalidRegion(

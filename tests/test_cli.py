@@ -312,13 +312,13 @@ class TestGrid:
             "coord_re,coord_im,z_re,z_im,abs_err,method\n"
             "-1,0,,,,skipped\n"
             "0,0,,,,skipped\n"
-            "1,0,0.98229757961855357,0.045529864962319415,2.8283474163250283e-15,series\n"
+            "1,0,0.98229757961855357,0.045529864962319415,1.1175869334680752e-15,series\n"
         ),
         "json": (
             '[{"coord": {"re": -1, "im": 0}, "method": "skipped"}, '
             '{"coord": {"re": 0, "im": 0}, "method": "skipped"}, '
             '{"coord": {"re": 1, "im": 0}, "z": {"re": 0.98229757961855357, "im": 0.045529864962319415}, '
-            '"abs_err": 2.8283474163250283e-15, "method": "series"}]\n'
+            '"abs_err": 1.1175869334680752e-15, "method": "series"}]\n'
         ),
     }
 

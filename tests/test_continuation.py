@@ -23,8 +23,11 @@ from lerchzeta import (
     dirichlet_series,
     evaluate_on_cover,
     evaluate_principal,
+    integral_eval,
     monodromy_generator,
     pde_residual,
+    residue_discrepancy,
+    series_eval,
     transform_eval,
 )
 from lerchzeta import continuation
@@ -46,6 +49,7 @@ from conftest import (
     Z_INT_C_2,
     Z_INT_C_3,
     Z_INT_RE_C,
+    Z_INT_RE_C_SWEEP,
     Z_M05_04_06,
     Z_NEAR_RE_C,
     Z_NEXT_TO_RE_C,
@@ -249,13 +253,26 @@ class TestShiftC:
 
 class TestEvaluatePrincipal:
     @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
-    def test_bad_target_is_refused(self, target):
-        # a NaN target answered with estimate 0.20 and -1 raised NonConvergence from the ray's cutoff
-        for point in ((2, 0.3, 0.5), (2, 0.3 - 0.2j, 0.5)):
-            with pytest.raises(InvalidPoint, match="target_abs_err"):
-                evaluate_principal(*point, target)
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda t: evaluate_principal(2, 0.3, 0.5, t),
+            lambda t: evaluate_principal(2, 0.3 - 0.2j, 0.5, t),
+            lambda t: evaluate_on_cover(Point3(2, 0.3, 0.5), BranchState.from_dicts({0: 1}, {}), t),
+            lambda t: dirichlet_series(2, 0.3, 0.5, t),
+            lambda t: series_eval(Point3(2, 0.3, 0.5), t),
+            lambda t: integral_eval(Point3(2, 0.3 - 0.2j, 0.5), target_abs_err=t),
+            lambda t: transform_eval(Point3(-1.5, 0.3, 0.5), t),
+            lambda t: residue_discrepancy(0.6, 1 - 0.5j / (2 * math.pi) + 0.01, 0.5, 1, 0.5, 0.2, t),
+        ],
+        ids=["principal", "principal_im_a", "cover", "dirichlet_series", "series_eval", "integral_eval",
+             "transform_eval", "residue_discrepancy"],
+    )
+    def test_bad_target_is_refused(self, entry, target):
+        # a NaN target answered with estimate 0.20 (evaluate_principal, dirichlet_series) or 0.014
+        # (transform_eval), and -1 raised NonConvergence from the ray's cutoff
         with pytest.raises(InvalidPoint, match="target_abs_err"):
-            evaluate_on_cover(Point3(2, 0.3, 0.5), BranchState.from_dicts({0: 1}, {}), target)
+            entry(target)
 
     def test_zero_target_answers(self):
         lv = evaluate_principal(2, 0.3, 0.5, 0.0)
@@ -412,6 +429,7 @@ class TestRouting:
         # dispatch is the transform after one index shift of c, bit for bit
         s, a = -0.5 + 8j, 0.3 - 0.1j
         assert not continuation._ray_first(s, 1e-10)
+        assert not continuation._ray_first(-0.5 + 460j, 1e-10)  # 1/Gamma(s) overflows
         integral = continuation._integral_eval_raw
 
         def no_ray_at_s(s_, *args):
@@ -422,36 +440,55 @@ class TestRouting:
         lv, want = evaluate_principal(s, a, c, 1e-10), by_transform(s, a, c, 1e-10)
         assert (lv.value, lv.abs_err_estimate, lv.method) == (want.value, want.abs_err_estimate, Method.TRANSFORM)
 
-    def test_transform_shifts_c_once(self):
+    @staticmethod
+    def _one_shift(monkeypatch, s, a, c):
+        """by_transform at (s, a, c), checked to be one index shift of c into (0, 1] and one transform there,
+        bit for bit."""
+        seen, transform = [], continuation._transform_value
+
+        def recorded(s_, a_, c_, t_):
+            seen.append(c_)
+            return transform(s_, a_, c_, t_)
+
+        monkeypatch.setattr(continuation, "_transform_value", recorded)
+        want = by_transform(s, a, c, 1e-10)
+        monkeypatch.setattr(continuation, "_transform_value", transform)
+        n = 1 - math.ceil(c.real)
+        one = continuation._shift_c(s, complex(a.real - math.floor(a.real), a.imag), c, n, 1e-10, transform)
+        assert seen == [c + n] and 0.0 < seen[0].real <= 1.0
+        assert (want.value, want.abs_err_estimate, want.method) == (one.value, one.abs_err_estimate, Method.TRANSFORM)
+        return want
+
+    def test_transform_shifts_c_once(self, monkeypatch):
         # fuzz point 26 of scripts/parent_diff.py (_fuzz_points(7, 1500)): the transform moves c by 50
         # into (0, 1], estimate 1.15e-10; moving it by 51 into [0.6, 1.6) and then by -1 gave a larger
-        # estimate than the series' 1.18e-10, which the dispatch then returned
+        # estimate.  The series, which starts at j = 0 for every c and shifts none, answers here
         s, a, c = (-1.947150241937635 - 1.0408018719853231j, 1.9409959882589676 + 0.2205242937868166j,
                    -49.80916866699352 + 2.455195187910409j)
-        lv, want = evaluate_principal(s, a, c, 1e-10), by_transform(s, a, c, 1e-10)
-        assert (lv.value, lv.abs_err_estimate, lv.method) == (want.value, want.abs_err_estimate, Method.TRANSFORM)
+        want = self._one_shift(monkeypatch, s, a, c)
+        lv = evaluate_principal(s, a, c, 1e-10)
+        assert lv.abs_err_estimate <= max(1e-10, want.abs_err_estimate)
 
-    def test_seeded_one_shift_sweep(self, rng):
-        """Re s <= 0, Im a > 0 and Re c <= 0.05 with c + _window(c) in (1, 1.6), where a shift into
+    def test_seeded_one_shift_sweep(self, monkeypatch, rng):
+        """Re s <= 0, Im a > 0 and Re c <= 0.05 with c + ceil(0.6 - Re c) in (1, 1.6), where a shift into
         [0.6, 1.6) followed by the transform's shift into (0, 1] would move c twice.  The transform
-        shifts c once: where the dispatch answers by it, it is by_transform bit for bit, and
-        everywhere the dispatch meets the target or its estimate is at most by_transform's."""
-        transforms = 0
+        shifts c once, bit for bit, and the dispatch meets the target or its estimate is at most
+        by_transform's; its series, which makes no shift, answers at most points."""
+        series = 0
         for _ in range(60):
             s = complex(rng.uniform(-6.0, 0.0), rng.uniform(-30.0, 30.0))
             a = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.01, 1.0))
             m = rng.randint(0, 50)
             c = complex(-m + rng.uniform(0.0, 0.05 if m == 0 else 0.6), rng.uniform(-3.0, 3.0))
             assert 1.0 < c.real + math.ceil(0.6 - c.real) < 1.6
-            lv, want = evaluate_principal(s, a, c, 1e-10), by_transform(s, a, c, 1e-10)
+            want = self._one_shift(monkeypatch, s, a, c)
+            lv = evaluate_principal(s, a, c, 1e-10)
             assert lv.abs_err_estimate <= max(1e-10, want.abs_err_estimate), (s, a, c)
-            if lv.method is Method.TRANSFORM:
-                transforms += 1
-                assert (lv.value, lv.abs_err_estimate) == (want.value, want.abs_err_estimate), (s, a, c)
-        assert transforms >= 10  # 27 of the 60
+            series += lv.method is Method.SERIES
+        assert series >= 50  # 58 of the 60
 
-    def test_seeded_integer_re_c_sweep(self, rng):
-        """The transform on integer lines Re c against mpmath lerchphi at 30 digits.
+    def test_seeded_integer_re_c_sweep(self):
+        """The transform on integer lines Re c against mpmath lerchphi at 30 digits, frozen in Z_INT_RE_C_SWEEP.
 
         Re a stays in [0.15, 0.85] modulo 1, with -0.25 <= Im a <= -0.02 or a
         real, and |Im c| <= 0.5: lerchphi is not the principal sheet for
@@ -461,13 +498,8 @@ class TestRouting:
         estimate too, by the integral or, where that declines or misses the target, by the transform.
         """
         methods = set()
-        for k in range(40):
-            s = complex(rng.uniform(-1.5, 0.0), rng.uniform(-8.0, 8.0))
-            a = complex(rng.uniform(0.15, 0.85) + rng.randint(-1, 1), 0.0 if k % 5 == 2 else rng.uniform(-0.25, -0.02))
-            c = complex(rng.randint(1, 3), 0.0 if k % 4 == 0 else rng.uniform(-0.5, 0.5))
+        for k, ((s, a, c), want) in enumerate(Z_INT_RE_C_SWEEP):
             lv = by_transform(s, a, c, 1e-10)
-            with mpmath.workdps(30):
-                want = complex(mpmath.lerchphi(mpmath.exp(2j * mpmath.pi * mpmath.mpc(a)), mpmath.mpc(s), mpmath.mpc(c)))
             err = abs(lv.value - want)
             assert lv.method is Method.TRANSFORM
             assert err <= 1e-10, (k, s, a, c, err)

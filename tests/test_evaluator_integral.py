@@ -478,6 +478,8 @@ class TestDetouredContour:
             ContourSpec(2.0, 0.5)  # epsilon >= 1/2
         with pytest.raises(ValueError):
             ContourSpec(-1.0, 0.1)
+        with pytest.raises(ValueError, match="give both"):
+            ContourSpec(0.5)  # u without epsilon
 
     def test_pole_on_detour_arc_detected(self):
         # place the k = 1 pole exactly on the semicircle of radius epsilon

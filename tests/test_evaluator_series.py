@@ -9,8 +9,10 @@ from scipy.special import zeta as hurwitz_zeta
 
 from lerchzeta import (
     BranchState,
+    CutViolation,
     DivergentSeries,
     InvalidPoint,
+    InvalidRegion,
     Method,
     NonConvergence,
     Point3,
@@ -24,6 +26,7 @@ from lerchzeta import (
     two_sided_series,
 )
 from lerchzeta import evaluator, quadrature
+from lerchzeta.branching import branched_pow
 from lerchzeta.monodromy import branch_monodromy
 from conftest import (
     PI2_6,
@@ -192,9 +195,10 @@ class TestDirectSumOracle:
         few hundred terms, so every point takes the direct sum.  The 40 points
         are the first 40 of the conftest seed, drawn once and kept with their
         frozen references (Z_DIRECT_SUM): here the largest error/estimate is
-        0.69, while a roundoff floor of 4 eps sum |terms|, without the
-        phase-error factor |s| log(n0 + |c| + 1), lets 5 of them through with
-        ratios up to 2.7.
+        0.78 under the per-term charge 4 eps |term| (1 + |2 pi a j| +
+        |s log(j + c)|) (0.69 under the former 4 eps sum |terms|
+        (1 + |s| log(n0 + |c| + 1))), while 4 eps sum |terms| alone lets 5 of
+        them through with ratios up to 2.7.
         """
         for k, ((s, a, c), want) in enumerate(Z_DIRECT_SUM):
             lv = dirichlet_series(s, a, c, 1e-10)
@@ -211,9 +215,9 @@ class TestDirectOrAbelPlana:
         lengths = []
         partial_sum = evaluator._partial_sum
 
-        def recorded(s, alpha, c, n_terms):
-            lengths.append((n_terms, evaluator._split_point(s, alpha)))
-            return partial_sum(s, alpha, c, n_terms)
+        def recorded(s, alpha, c, lo, hi):
+            lengths.append((hi - lo, evaluator._split_point(s, alpha)))
+            return partial_sum(s, alpha, c, lo, hi)
 
         monkeypatch.setattr(evaluator, "_partial_sum", recorded)
         lv = by_transform(*point, 1e-10)
@@ -231,9 +235,9 @@ class TestDirectOrAbelPlana:
         lengths = []
         partial_sum = evaluator._partial_sum
 
-        def recorded(s, alpha, c, n_terms):
-            lengths.append(n_terms)
-            return partial_sum(s, alpha, c, n_terms)
+        def recorded(s, alpha, c, lo, hi):
+            lengths.append(hi - lo)
+            return partial_sum(s, alpha, c, lo, hi)
 
         monkeypatch.setattr(evaluator, "_partial_sum", recorded)
         s, a, c = 0.5 + 30j, 1e-4 + 2e-4j, 0.5
@@ -253,9 +257,9 @@ class TestDirectOrAbelPlana:
 
     @pytest.mark.parametrize("point,want", Z_FAR_LEFT)
     def test_far_left_goes_on_to_the_transform(self, point, want):
-        # the series' estimate is NaN at the first and, after the index shift in c, at the third
-        # point; the tail's truncation bounds overflow at the second.  The series raises
-        # NonConvergence for both, so the dispatch goes on to the transform
+        # the series' estimate is NaN at the first and the third point (Re c < 0, summed from j = 0);
+        # the tail's truncation bounds overflow at the second.  The series raises NonConvergence for
+        # both, so the dispatch goes on to the transform
         lv = evaluate_principal(*point, 1e-10)
         assert lv.method is Method.TRANSFORM
         assert abs(lv.value - want) <= lv.abs_err_estimate
@@ -271,13 +275,13 @@ class TestDirectOrAbelPlana:
             (
                 (-99.80344504412413 - 0.011105409967784008j, -1.4368727437487032 + 0.0003346572595215068j,
                  11.204031509065635 - 0.44634950442973187j),
-                ("-0x1.447a5ed0b039ap+376", "-0x1.50b945ea3d5f9p+378", "0x1.4d33b74a7f899p+338"),
+                ("-0x1.447a5ed0b039bp+376", "-0x1.50b945ea3d5f9p+378", "0x1.3fb305dc25954p+338"),
                 complex(-1.9508490801472624592e113, -8.0978944230998134309e113),
             ),
             (
                 (-102.62239329105572 + 2.411146907822711j, 0.5778815891100955 + 1.9494742608508472e-05j,
                  -0.02559797684156229 + 0.9492217541718502j),
-                ("-0x1.0dabe49acee88p+386", "-0x1.1cd743f671ee0p+387", "0x1.d1d6717dbb7dap+346"),
+                ("-0x1.0dabe49acee88p+386", "-0x1.1cd743f671ee0p+387", "0x1.4fb147b6326a4p+346"),
                 complex(-1.660249440463241491e116, -3.5072819216896702696e116),
             ),
             (
@@ -333,9 +337,14 @@ class TestSeriesDomain:
         with pytest.raises(DivergentSeries):
             dirichlet_series(1.0, a, c)
 
-    def test_nonpositive_re_c_rejected(self):
-        with pytest.raises(DivergentSeries):
-            dirichlet_series(2.0, 0.5j, -0.5)
+    def test_nonpositive_re_c_answers(self):
+        # the sum starts at j = 0 for every c off the c-cuts; here its first term is (-0.5)^{-2} = 4
+        lv = dirichlet_series(2.0, 0.5j, -0.5)
+        want = sum(math.exp(-math.pi * j) * (j - 0.5) ** -2.0 for j in range(40))
+        assert abs(lv.value - want) <= lv.abs_err_estimate <= 1e-12
+        for c in (-1.0, -2.0 - 0.5j):  # a puncture, and a point on the cut below it
+            with pytest.raises(CutViolation):
+                dirichlet_series(2.0, 0.5j, c)
 
     def test_hopeless_oscillation_rate_raises(self):
         with pytest.raises(NonConvergence):
@@ -358,14 +367,20 @@ class TestSeriesInvariants:
 
     @pytest.mark.parametrize("n_shift", [1, 5, 10])
     def test_index_shift_identity(self, n_shift, rng):
-        # zeta(s,a,c) = sum_{n<=N} e^{2pi i n a}(n+c)^{-s} + e^{2pi i (N+1) a} zeta(s,a,c+N+1)
+        # zeta(s,a,c) = sum_{n<=N} e^{2pi i n a}(n+c)^{-s} + e^{2pi i (N+1) a} zeta(s,a,c+N+1), with fixed
+        # points at Re c <= 0, where the series starts at n = 0 as elsewhere and (n+c)^{-s} takes the
+        # package's branch: below the real axis it differs from Python's left of the imaginary one
+        points = [(2.0, 0.5j, -0.5), (0.7 - 3j, 0.3 + 0.4j, -2.5 - 0.7j), (-1.5 + 2j, 0.2 + 0.3j, -10.3 + 0.4j),
+                  (0.4 + 1j, 0.6 + 0.25j, -0.02 - 0.1j), (1.5, 0.45 + 0.5j, -7.0 + 0.3j)]
         for _ in range(5):
             s = complex(rng.uniform(-0.5, 2.5), rng.uniform(-1.5, 1.5))
             a = complex(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.8))
             c = complex(rng.uniform(0.3, 1.5), rng.uniform(-0.3, 0.3))
+            points.append((s, a, c))
+        for s, a, c in points:
             lhs = dirichlet_series(s, a, c, 1e-12).value
             partial = sum(
-                cmath.exp(2j * math.pi * n * a) * (n + c) ** (-s) for n in range(n_shift + 1)
+                cmath.exp(2j * math.pi * n * a) * branched_pow(n + c, -s) for n in range(n_shift + 1)
             )
             rest = dirichlet_series(s, a, c + n_shift + 1, 1e-12).value
             rhs = partial + cmath.exp(2j * math.pi * (n_shift + 1) * a) * rest
@@ -393,6 +408,11 @@ class TestTwoSided:
     def test_requires_re_s_above_one(self):
         with pytest.raises(DivergentSeries):
             two_sided_series("plus", 1.0, 0.3, 0.7)
+
+    @pytest.mark.parametrize("a, c", [(1.2, 0.7), (0.3, 0.0)])
+    def test_requires_a_and_c_in_the_unit_interval(self, a, c):
+        with pytest.raises(InvalidRegion):
+            two_sided_series("minus", 3.0, a, c)
 
 
 _A_ENCLOSED = 1 - 0.5j / (2 * math.pi) + 0.01  # inside residue_discrepancy's half-disk for n = 1, u = 0.5, eps = 0.2

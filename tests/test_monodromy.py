@@ -278,10 +278,12 @@ class TestOverflowRule:
         with pytest.raises(NonConvergence, match="overflows"):
             monodromy_of_word(Word.parse("X0"), 0.5 + 500j, 0.3, 0.4)
 
-    def test_compose_nested_overflow_raises_nonconvergence(self):
-        # the nested term's e^{2 pi i s k2} - 1 overflows for k2 = 2 where every monodromy is finite
-        with pytest.raises(NonConvergence, match="overflows"):
-            compose_check(Word.parse("X0^-1"), Word.parse("X0^2"), 0.5 - 80j, 0.3, 0.4)
+    @pytest.mark.parametrize("s, what", [(0.5 - 80j, "monodromy of"), (0.5 - 60j, "composition of")])
+    def test_compose_nested_overflow_raises_nonconvergence(self, s, what):
+        # at Im s = -80 the monodromy of X0^2 overflows first; at Im s = -60 every monodromy is finite
+        # and the nested term's e^{2 pi i s k2} - 1 overflows for k2 = 2
+        with pytest.raises(NonConvergence, match=f"^{what} .* overflows"):
+            compose_check(Word.parse("X0^-1"), Word.parse("X0^2"), s, 0.3, 0.4)
 
     def test_non_finite_term_raises_nonconvergence(self):
         # the Y_-1^3 term overflows to inf + nan j in a complex product, which raises nothing itself

@@ -31,6 +31,14 @@ class TestReduction:
     def test_syllable_merge(self):
         w = Word.parse("X0 X0 X0^-3")
         assert w == Word.parse("X0^-1")
+        # a zero exponent drops its syllable, so its neighbours merge
+        x0, y1 = Generator("X", 0), Generator("Y", 1)
+        assert Word([(x0, 1), (y1, 0), (x0, 2)]) == Word.parse("X0^3")
+        assert hash(w) == hash(Word.parse("X0^-1")) and len({w, Word.parse("X0^-1"), Word()}) == 2
+
+    def test_product_with_a_non_word_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Word.parse("X0") * 2
 
     @given(word_st)
     def test_word_times_inverse_is_identity(self, w):
@@ -127,8 +135,10 @@ class TestGrammar:
     def test_roundtrip_on_reduced_words(self, w):
         assert Word.parse(str(w)) == w
 
-    def test_branch_spec_assignments(self):
-        b = parse_branch("kx[0]=1, ky[-2]=-3")
+    @pytest.mark.parametrize("text", ["kx[0]=1, ky[-2]=-3", "kx[0]=1, ky[-2]=-3,"])
+    def test_branch_spec_assignments(self, text):
+        # a trailing separator leaves an empty token, which is skipped
+        b = parse_branch(text)
         assert b.kx_dict == {0: 1}
         assert b.ky_dict == {-2: -3}
 

@@ -38,9 +38,9 @@ def pool_counts():
 
         return integrate(g, *args, **kwargs)
 
-    def counted_partial_sum(s, alpha, c, n_terms):
-        counts[stratum]["terms"] += n_terms
-        return partial_sum(s, alpha, c, n_terms)
+    def counted_partial_sum(s, alpha, c, lo, hi):
+        counts[stratum]["terms"] += hi - lo
+        return partial_sum(s, alpha, c, lo, hi)
 
     def counted_transform(*args):
         counts[stratum]["transforms"] += 1
