@@ -2,13 +2,15 @@
 
     python3 scripts/direct_sum_refs.py                    # Z_DIRECT_SUM
     python3 scripts/direct_sum_refs.py Z_INT_RE_C_SWEEP
+    python3 scripts/direct_sum_refs.py Z_STRIP_SWEEP
 
 Each block draws its points from the rng fixture's seed in the order and
 with the ranges that its test once drew them, and evaluates mpmath
 ``lerchphi`` at 30 digits at each, so the test compares against constants
 and makes no mpmath call: Z_DIRECT_SUM for tests/test_evaluator_series.py's
 test_seeded_direct_sum_sweep, Z_INT_RE_C_SWEEP for tests/test_continuation.py's
-TestRouting.test_seeded_integer_re_c_sweep.
+TestRouting.test_seeded_integer_re_c_sweep, Z_STRIP_SWEEP for
+tests/test_evaluator_integral.py's TestIntegralOracle.test_seeded_strip_sweep.
 """
 
 from __future__ import annotations
@@ -40,7 +42,18 @@ def integer_re_c_points(rng: random.Random, n: int = 40) -> Iterator[tuple[compl
         yield s, a, c
 
 
-BLOCKS = {"Z_DIRECT_SUM": direct_sum_points, "Z_INT_RE_C_SWEEP": integer_re_c_points}
+def strip_points(rng: random.Random, n: int = 40) -> Iterator[tuple[complex, complex, complex]]:
+    """The integral's strip -4 < Re s <= 0, every fourth s 1e-9 to 1e-3 from s = -k; c real where Im a < 0."""
+    for k in range(n):
+        s = complex(rng.uniform(-4.0, 0.0), rng.uniform(-6.0, 6.0))
+        if k % 4 == 0:
+            s = complex(-rng.randint(0, 3) + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -3.0), 0.0)
+        a = complex(rng.uniform(0.05, 0.95), rng.uniform(-0.4, 0.4))
+        c = complex(rng.uniform(0.1, 3.0), rng.uniform(-1.0, 1.0) if a.imag >= 0.0 else 0.0)
+        yield s, a, c
+
+
+BLOCKS = {"Z_DIRECT_SUM": direct_sum_points, "Z_INT_RE_C_SWEEP": integer_re_c_points, "Z_STRIP_SWEEP": strip_points}
 
 
 def refs(block: str) -> list[tuple[tuple[complex, complex, complex], mpmath.mpc]]:

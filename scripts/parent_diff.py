@@ -37,7 +37,12 @@ interpreter, removes the directory and prints, item by item,
   ``dde_raise_residual``, ``pde_residual`` and ``dde_shift`` (lower, then
   raise; value and estimate) as ``float.hex``, or the exception class
   where a call raises; ``verify`` prints 4 digits, these show a last-bit
-  move in the cover layer.
+  move in the cover layer;
+- funceq: at 150 seeded ``suites._sample_polycylinder`` draws, ``fe_residual``
+  and both ``fe_iterated_residual`` variants, each of both kinds, and
+  ``three_term_residual`` at an sp drawn after each point as the funceq suite
+  draws it, all at target 1e-10: each residual as ``float.hex``, or the
+  exception class where a call raises; reported relation by relation.
 
 The fuzz, extreme and left items also count their ``NonConvergence`` raises
 by message family (``FAMILIES``), for REV and the working tree.
@@ -80,6 +85,7 @@ LEFT_SEED, LEFT_POINTS = 17, 1200
 WORD_SEED, WORDS = 5, 500
 ALGEBRA_SEED, ALGEBRA_CASES = 13, 800
 COVER_SEED, COVER_POINTS = 606, 12
+FUNCEQ_SEED, FUNCEQ_DRAWS = 29, 150
 VERIFY_ARGS = ["verify", "--suite", "all", "--samples", "3", "--seed", "1"]
 # the last one has a non-ASCII digit, which the grammar's ASCII \d refuses
 MALFORMED_WORDS = ("X", "Z1", "x1", "X1^", "X1^0", "X1.5", "X1^-0", "Y--1", "X+1", "XY1", "X1^1.0", "X0 Y1^",
@@ -283,6 +289,29 @@ def _cover(seed: int, n: int) -> list[str]:
     return texts
 
 
+def _funceq(seed: int, n: int) -> dict[str, list[str]]:
+    """Per relation, n records: float.hex of its residual at each draw, or "raise" and the exception class."""
+    from lerchzeta import SymKind, fe_iterated_residual, fe_residual, three_term_residual
+    from lerchzeta.suites import _sample_polycylinder
+
+    rng = random.Random(seed)
+    records: dict[str, list[str]] = {}
+    for _ in range(n):
+        s, a, c = _sample_polycylinder(rng)
+        sp = complex(rng.uniform(0.1, 0.9), rng.uniform(-2.0, 2.0))
+        calls = [(f"fe_residual {k.value}", lambda k=k: fe_residual(k, s, a, c, TARGET)) for k in SymKind]
+        calls += [(f"{v} {k.value}", lambda k=k, v=v: fe_iterated_residual(k, v, s, a, c, TARGET))
+                  for v in ("a_reflect", "quarter_turn") for k in SymKind]
+        calls.append(("three_term_residual", lambda: three_term_residual(sp, a, c, TARGET)))
+        for name, fn in calls:
+            try:
+                record = fn().hex()
+            except Exception as exc:  # the class is the record
+                record = f"raise {type(exc).__name__}"
+            records.setdefault(name, []).append(record)
+    return records
+
+
 def _cli(main, argv: list[str]) -> list:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -331,6 +360,7 @@ def probe(pool_file: Path) -> dict:
         "algebra": _algebra(cases),
         "algebra_text": _algebra_text(cases),
         "cover": _cover(COVER_SEED, COVER_POINTS),
+        "funceq": _funceq(FUNCEQ_SEED, FUNCEQ_DRAWS),
     }
 
 
@@ -424,6 +454,24 @@ def _text_moves(old: list[str], new: list[str]) -> list[str]:
     return lines
 
 
+def _relation_moves(old: dict[str, list[str]], new: dict[str, list[str]]) -> list[str]:
+    """Per relation that moved: how many records changed, how many of those changed between a value and a
+    raise, the largest absolute and relative moves of the rest and the worst residual; empty when identical."""
+    worst = lambda records: max((float.fromhex(r) for r in records if "raise" not in r), default=0.0)
+    lines = []
+    for name, records in new.items():
+        changed = [(o, n) for o, n in zip(old[name], records) if o != n]
+        if not changed:
+            continue
+        values = [(float.fromhex(o), float.fromhex(n)) for o, n in changed if "raise" not in o + n]
+        d_abs = max((abs(n - o) for o, n in values), default=0.0)
+        d_rel = max((abs(n - o) / o if o else math.inf for o, n in values), default=0.0)
+        lines.append(f"{name}: {len(changed)} of {len(records)} changed, {len(changed) - len(values)} to or from a"
+                     f" raise; largest moves: absolute {d_abs:.3e}, relative {d_rel:.3e};"
+                     f" worst {worst(old[name]):.3e} -> {worst(records):.3e}")
+    return lines
+
+
 def _tally(rows: list) -> str:
     raised = sum(r[0] == "raise" for r in rows)
     return f"{len(rows)} points: {len(rows) - raised} answered, {raised} raised, {sum(r[4] for r in rows)} warned"
@@ -455,6 +503,7 @@ def compare(old: dict, new: dict) -> list[tuple[str, str, list[str]]]:
             _moves(old["algebra"], new["algebra"]) + _text_moves(old["algebra_text"], new["algebra_text"]),
         ),
         ("cover", f"{len(new['cover'])} records", _text_moves(old["cover"], new["cover"])),
+        ("funceq", f"{FUNCEQ_DRAWS} draws, {len(new['funceq'])} relations", _relation_moves(old["funceq"], new["funceq"])),
     ]
 
 

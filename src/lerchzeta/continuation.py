@@ -39,8 +39,8 @@ from .errors import (
     NonConvergence,
     SZero,
 )
-from .evaluator import (_EPS, _FLAT_REL_ERR, _SIGMA0, LerchValue, Method, _integral_eval_raw, _partial_sum, _series,
-                        _window, dirichlet_series)
+from .evaluator import (_EPS, _FLAT_REL_ERR, _SIGMA0, LerchValue, Method, _integral_eval_raw, _partial_sum,
+                        _route_value, _series, _window, dirichlet_series)
 from .monodromy import branch_monodromy
 from .words import BranchState
 
@@ -142,7 +142,7 @@ def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _
             partial, partial_err = _partial_sum(s, a, c, min(n, 0), max(n, 0))
         head = phase * shifted.value
         err = scale * shifted.abs_err_estimate + partial_err + 4.0 * _EPS * abs(head) * (1.0 + _TWO_PI * abs(a * n))
-        return LerchValue(head + math.copysign(1.0, n) * partial, shifted.method, err)
+        return _route_value(head + math.copysign(1.0, n) * partial, shifted.method, err)
     except OverflowError as exc:
         raise NonConvergence(f"index shift of c = {c!r} by {n} overflows at Im a = {a.imag:.3g}") from exc
 
@@ -221,7 +221,7 @@ def _transform_value(s: complex, a: complex, c: complex, target: float) -> Lerch
         value = coef1 * v1.value + coef2 * v2.value + pole
         err = abs(coef1) * v1.abs_err_estimate + abs(coef2) * v2.abs_err_estimate
         err += _FLAT_REL_ERR * (abs(coef1 * v1.value) + abs(coef2 * v2.value) + abs(pole))
-        return LerchValue(value, Method.TRANSFORM, err)
+        return _route_value(value, Method.TRANSFORM, err)
     except OverflowError as exc:
         raise NonConvergence(f"three-term transformation overflows at s = {s!r}") from exc
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,6 +48,7 @@ _SIGMA0 = 4.0
 # flat relative error charged to a value that passes through Gamma (here and in continuation): it stands
 # in for complex_gamma's Lanczos error, until a charge derived from that error replaces it
 _FLAT_REL_ERR = 4e-13
+_EXP_MAX = math.log(sys.float_info.max)  # e^x is finite for real x up to here
 
 
 class Method(str, Enum):
@@ -74,6 +76,14 @@ class LerchValue:
     def __post_init__(self) -> None:
         if not (cmath.isfinite(self.value) and math.isfinite(self.abs_err_estimate)):
             raise NonConvergence(f"value {self.value!r} or its estimate {self.abs_err_estimate!r} overflows")
+
+
+def _route_value(value: complex, method: Method, err: float) -> LerchValue:
+    """LerchValue(value, method, err), raising OverflowError, for the route's own try to name, where either is not
+    finite: a complex product that leaves binary64 gives inf or NaN and raises nothing itself."""
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise OverflowError
+    return LerchValue(value, method, err)
 
 
 def _reduce_a(a: complex) -> complex:
@@ -275,7 +285,7 @@ def _series(s: complex, alpha: complex, c: complex, target_abs_err: float) -> Le
             partial, partial_err = _partial_sum(s, alpha, c, 0, n0)
         size = _TWO_PI * abs(alpha) * n0 + abs(s * cmath.log(n0 + c))  # of the tail's first exponent
         err = tail_err + partial_err + 4.0 * _EPS * abs(tail) * (1.0 + size)
-        return LerchValue(partial + tail, Method.SERIES, err)
+        return _route_value(partial + tail, Method.SERIES, err)
     except OverflowError as exc:
         raise NonConvergence(f"series overflows at s = {s!r}, reduced a = {alpha!r}, c = {c!r}") from exc
 
@@ -375,9 +385,19 @@ def _pick_t_max(s: complex, a: complex, c: complex, target: float, theta: float)
 
 
 def _h(za: complex, c: complex, t: np.ndarray, lead: complex | np.ndarray = 0.0) -> np.ndarray:
-    """e^{lead - ct} / (1 - e^{za - t}): h(t) itself, or t^{s-1} h(t) for lead = (s-1) log t."""
+    """e^{lead - ct} / (1 - e^{za - t}): h(t) itself, or t^{s-1} h(t) for lead = (s-1) log t.
+
+    Where e^w, w = za - t, would leave binary64 (Re w > _EXP_MAX), 1/(1 - e^w) is e^{-w} / expm1(-w), with e^{-w}
+    folded into the exponent.  The integral samples t with Re t > -1, so a scalar za with Re za < _EXP_MAX - 1
+    needs no such node.
+    """
     # complex expm1 is accurate for the float za - t near each pole 2 pi i k; reducing by fl(2 pi k) adds eps pi |k|
-    return np.exp(lead - c * t) / (-np.expm1(za - t))
+    if isinstance(za, complex) and za.real < _EXP_MAX - 1.0:
+        return np.exp(lead - c * t) / (-np.expm1(za - t))
+    w = za - t
+    with np.errstate(over="ignore", invalid="ignore"):  # np.where forms both quotients at every node
+        far = np.exp(lead - c * t - w) / np.expm1(-w)
+        return np.where(w.real > _EXP_MAX, far, np.exp(lead - c * t) / (-np.expm1(w)))
 
 
 def _outer_max(za: complex, c: complex, t0: float, radius: float) -> float:
@@ -428,7 +448,9 @@ def _contour_integral(
     total = cmath.exp(s * log_t0) * complex((np.fft.fft(ring) * inv).sum()) / _RING
     # |H_k| <= M 2^{-k}, M >= max |h| on |t| = 2 t0, bounds aliasing and truncation;
     # then the roundoff of the samples (max |h| on |t| = t0) and of the phase s log T, then the cutoff tail
-    h_max = float(np.abs(ring).max())
+    # below binary64's normal range a sample keeps absolute digits only: each is exact to 4 eps max(|h|, tiny),
+    # tiny = sys.float_info.min, on the ring and over the ray's length
+    h_max = max(float(np.abs(ring).max()), sys.float_info.min)
     # sum_k 2^{-k} / |s + k| <= 2 / min_{k<64} |s + k| (|s| for Re s > 0) and, past k = 64, 2 / (64 + min(Re s, 0))
     nearest = abs(s + min(max(round(-s.real), 0), _RING - 1))
     alias = _outer_max(za, c, t0, radius) * 2.0**-_RING * (4.0 / nearest + 2.0 / (_RING + min(s.real, 0.0)))
@@ -448,7 +470,7 @@ def _contour_integral(
             step *= 2.0
     edges = [t0, *sorted(t for t in inner if t0 < t < t_max), t_max]
     val, e, _ = quadrature.integrate(f, edges, tol=0.4 * tol, max_panels=_MAX_RAY_PANELS)
-    return total + val, err + e
+    return total + val, err + e + 4.0 * _EPS * sys.float_info.min * (t_max - t0)
 
 
 def integral_eval(

@@ -1,10 +1,28 @@
 """The functional equations and their residual checks, each written once.
 
-The two-term combinations L± pair the value at (s,a,c) with the reflected
-point (s,1-a,1-c); times the archimedean factor pi^{-(s+k)/2} Gamma((s+k)/2)
-(k = 0 for PLUS, 1 for MINUS) they satisfy reflection identities relating s
-to 1-s, which the monodromy satisfies too.  Near (or at) a pole of the factor
-the residuals switch to a normalized form so the checks remain meaningful.
+The two-term combinations L± pair the value at (s,a,c) with the one at
+(s,1-a,1-c).  Times the archimedean factor pi^{-(s+k)/2} Gamma((s+k)/2)
+(k = 0 for PLUS, 1 for MINUS) they lie on the orbit of one map of order 4,
+theta: (s,a,c) -> (1-s,1-c,a), whose images are (1-s,1-c,a), (s,1-a,1-c)
+and (1-s,c,1-a):
+
+    completed L(p) = i^{jk} phase_j completed L(theta^j p),  j = 1, 2, 3,
+
+with phase_1 = e^{-2 pi i a c}, phase_2 = e^{-2 pi i a} and
+phase_3 = e^{-2 pi i a c + 2 pi i c}.  fe_residual is j = 1, the iterated
+A_REFLECT j = 2 and QUARTER_TURN j = 3, and fe_monodromy_residual is j = 1
+with monodromies in place of zeta.  :func:`_relation` checks each in one of
+three forms:
+
+- at an exact pole of one side's factor, the identity divided by that
+  factor (whose reciprocal is exactly zero) says pi^{-h} L = 0 on that
+  side, and only that side is evaluated;
+- where both sides share the singular factor (j = 2), the undivided
+  combinations are compared;
+- otherwise the completed values are compared, each L at the target over
+  max(|factor|, 1); relative to max(1, |left|, |right|) within 0.05 of a
+  pole of either factor or where the left factor passes 1e8.
+
 The three-term formula is checked as the dispatch runs it.
 """
 
@@ -74,65 +92,43 @@ def _near_pole(half: complex) -> bool:
     return n <= 0 and abs(half - n) < _POLE_MARGIN
 
 
-def fe_residual(kind: SymKind | str, s: complex, a: complex, c: complex, target_abs_err: float = 1e-10) -> float:
-    """Residual of the reflection identity sending (s,a,c) to (1-s,1-c,a).
-
-    Absolute in the generic case; relative when either archimedean factor is
-    within 0.05 of a pole; at an exact pole the identity is divided by the
-    singular factor (whose reciprocal is exactly zero), which reduces the
-    check to the vanishing of the surviving side.
-    """
-    kind = SymKind(kind)
-    s, a, c = complex(s), complex(a), complex(c)
-    return _reflection_residual(kind, _reflection_phase(kind, a, c), s, a, c, (1.0 - c, a), 0.5 * target_abs_err)
-
-
-def _reflection_phase(kind: SymKind, a: complex, c: complex) -> complex:
-    """i^k e^{-2 pi i a c}: the phase of the reflection sending (s,a,c) to (1-s,1-c,a)."""
-    return (1j**kind.k) * cmath.exp(-2j * math.pi * a * c)
-
-
-def _surviving_side(kind: SymKind, s: complex) -> tuple[int, complex] | None:
-    """At an exact pole of either archimedean factor: (surviving side, pi^{-half} of that side), else None.
-
-    Divided by the singular factor (whose reciprocal is exactly zero), the reflection identity reduces to
-    pi^{-half} L = 0 on the other side: 0 for the left, at s, and 1 for the right, at 1 - s, where the
-    identity's phase stays in front.
-    """
-    half_l = 0.5 * (s + kind.k)
-    if is_nonpositive_integer(half_l):
-        return 0, cmath.exp(-half_l * math.log(math.pi))
-    half_r = 0.5 * (1.0 - s + kind.k)
-    if is_nonpositive_integer(half_r):
-        return 1, cmath.exp(-half_r * math.log(math.pi))
-    return None
-
-
-def _reflection_residual(
-    kind: SymKind,
-    phase: complex,
-    s: complex,
-    a: complex,
-    c: complex,
-    ac_r: tuple[complex, complex],
-    tgt: float,
+def _relation(
+    kind: SymKind, j: int, s: complex, a: complex, c: complex, tgt: float, sides: tuple[complex, complex] | None = None
 ) -> float:
-    """Residual of completed L(s, a, c) = phase * completed L(1-s, *ac_r), in the forms fe_residual describes."""
-    pole = _surviving_side(kind, s)
-    if pole is not None:
-        side, scale = pole
-        if side == 0:
-            return abs(scale * l_pm(kind, s, a, c, tgt))
-        return abs(phase * scale * l_pm(kind, 1.0 - s, *ac_r, tgt))
+    """Residual of completed L(p) = phase completed L(theta^j p), p = (s, a, c), in the forms the module describes.
 
-    half_l = 0.5 * (s + kind.k)
-    half_r = 0.5 * (1.0 - s + kind.k)
-    left = completed_l(kind, s, a, c, tgt)
-    right_val = phase * completed_l(kind, 1.0 - s, *ac_r, tgt).value
-    resid = abs(left.value - right_val)
-    if left.scale_overflow or _near_pole(half_l) or _near_pole(half_r):
-        return resid / max(1.0, abs(left.value), abs(right_val))
+    Each L is l_pm at its side's target, or, where sides is given, the combination sides holds for p and for
+    theta^j p.  The image is written in closed form, not by iterating theta, so that no bit is lost on the way.
+    """
+    if j == 1:
+        img, phase = (1.0 - s, 1.0 - c, a), cmath.exp(-2j * math.pi * a * c)
+    elif j == 2:
+        img, phase = (s, 1.0 - a, 1.0 - c), cmath.exp(-2j * math.pi * a)
+    else:
+        img, phase = (1.0 - s, c, 1.0 - a), cmath.exp(-2j * math.pi * a * c + 2j * math.pi * c)
+    k = kind.k
+    phase *= (1j**j) ** k
+    h_l, h_r = 0.5 * (s + k), 0.5 * (img[0] + k)
+    pole_l, pole_r = is_nonpositive_integer(h_l), is_nonpositive_integer(h_r)
+    if pole_l and pole_r:  # j = 2 at a pole: the undivided combinations
+        f_l = f_r = 1.0
+    elif pole_l or pole_r:  # the side whose factor stays finite is multiplied by an exact zero
+        f_l = cmath.exp(-h_l * math.log(math.pi)) if pole_l else 0.0
+        f_r = cmath.exp(-h_r * math.log(math.pi)) if pole_r else 0.0
+    else:
+        f_l, f_r = archimedean_factor(kind, s), archimedean_factor(kind, img[0])
+    if sides is None:
+        sides = [l_pm(kind, *p, tgt / max(abs(f), 1.0)) if f else 0j for f, p in ((f_l, (s, a, c)), (f_r, img))]
+    left, right = f_l * sides[0], phase * (f_r * sides[1])
+    resid = abs(left - right)
+    if not (pole_l or pole_r) and (abs(f_l) > _OVERFLOW_SCALE or _near_pole(h_l) or _near_pole(h_r)):
+        return resid / max(1.0, abs(left), abs(right))
     return resid
+
+
+def fe_residual(kind: SymKind | str, s: complex, a: complex, c: complex, target_abs_err: float = 1e-10) -> float:
+    """Residual of the reflection identity sending (s,a,c) to (1-s,1-c,a), theta itself, in the module's forms."""
+    return _relation(SymKind(kind), 1, complex(s), complex(a), complex(c), 0.5 * target_abs_err)
 
 
 class IteratedVariant(str, Enum):
@@ -148,34 +144,14 @@ def fe_iterated_residual(
     c: complex,
     target_abs_err: float = 1e-10,
 ) -> float:
-    """Residuals of the iterated reflections.
+    """Residuals of the iterated reflections, in the module's forms.
 
-    A_REFLECT relates (s,a,c) to (s,1-a,1-c) with factor (-1)^k e^{-2*pi*i*a}
-    (same archimedean factor on both sides, so it is checked in divided
-    form at and near the factor's poles).  QUARTER_TURN relates (s,a,c) to
-    (1-s,c,1-a) with factor (-i)^k e^{-2*pi*i*a*c + 2*pi*i*c}.
+    A_REFLECT is theta^2, relating (s,a,c) to (s,1-a,1-c) with phase (-1)^k e^{-2*pi*i*a}; both sides share
+    one archimedean factor.  QUARTER_TURN is theta^3, relating (s,a,c) to (1-s,c,1-a) with phase
+    (-i)^k e^{-2*pi*i*a*c + 2*pi*i*c}.
     """
-    kind = SymKind(kind)
-    variant = IteratedVariant(variant)
-    s, a, c = complex(s), complex(a), complex(c)
-    k = kind.k
-    tgt = 0.5 * target_abs_err
-
-    if variant is IteratedVariant.A_REFLECT:
-        phase = ((-1.0) ** k) * cmath.exp(-2j * math.pi * a)
-        n1 = l_pm(kind, s, a, c, tgt)
-        n2 = l_pm(kind, s, 1.0 - a, 1.0 - c, tgt)
-        half = 0.5 * (s + k)
-        if is_nonpositive_integer(half):
-            return abs(n1 - phase * n2)
-        factor = archimedean_factor(kind, s)
-        resid = abs(factor) * abs(n1 - phase * n2)
-        if abs(factor) > _OVERFLOW_SCALE or _near_pole(half):
-            return resid / max(1.0, abs(factor * n1), abs(factor * n2))
-        return resid
-
-    phase = ((-1j) ** k) * cmath.exp(-2j * math.pi * a * c + 2j * math.pi * c)
-    return _reflection_residual(kind, phase, s, a, c, (c, 1.0 - a), tgt)
+    j = 2 if IteratedVariant(variant) is IteratedVariant.A_REFLECT else 3
+    return _relation(SymKind(kind), j, complex(s), complex(a), complex(c), 0.5 * target_abs_err)
 
 
 def three_term_residual(sp: complex, a: complex, c: complex, target_abs_err: float = 1e-10) -> float:
@@ -192,13 +168,11 @@ def three_term_residual(sp: complex, a: complex, c: complex, target_abs_err: flo
 
 
 def fe_monodromy_residual(kind: SymKind | str, w: Word, s: complex, a: complex, c: complex) -> float:
-    """Residual of fe_residual's reflection identity with monodromy in place of zeta.
+    """Residual of fe_residual's reflection identity with monodromy in place of zeta, in the module's forms.
 
-    The four monodromy values enter at the quarter-turn images of the point:
+    The four monodromy values enter at the orbit of the point under theta:
     (s,a,c), (1-s,1-c,a), (s,1-a,1-c), (1-s,c,1-a), with the words mapped by
-    the order-4 automorphism.  At an exact pole of either archimedean factor
-    the identity is divided by the singular factor, as in fe_residual, which
-    reduces the check to the vanishing of the surviving side.
+    the order-4 automorphism, and make up L at (s,a,c) and at (1-s,1-c,a).
     """
     kind = SymKind(kind)
     s, a, c = complex(s), complex(a), complex(c)
@@ -209,12 +183,4 @@ def fe_monodromy_residual(kind: SymKind | str, w: Word, s: complex, a: complex, 
     m3 = monodromy_of_word(w.theta(3), 1.0 - s, c, 1.0 - a)
     left = m0 + sign * cmath.exp(-2j * math.pi * a) * m2
     right = m1 + sign * cmath.exp(2j * math.pi * c) * m3
-    pole = _surviving_side(kind, s)
-    if pole is not None:
-        side, scale = pole
-        if side == 0:
-            return abs(scale * left)
-        return abs(_reflection_phase(kind, a, c) * scale * right)
-    lhs = archimedean_factor(kind, s) * left
-    rhs = archimedean_factor(kind, 1.0 - s) * right
-    return abs(lhs - _reflection_phase(kind, a, c) * rhs)
+    return _relation(kind, 1, s, a, c, 0.0, (left, right))

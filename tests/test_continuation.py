@@ -730,6 +730,49 @@ class TestEvaluateOnCover:
         with pytest.raises(NonConvergence, match="overflows"):
             evaluate_on_cover(p, BranchState.from_dicts({0: 1}))
 
+    @pytest.mark.parametrize(
+        "s, a, c, kx, ky, family",
+        [
+            # the transform's products coef * v leave binary64, and a complex product raises nothing
+            (
+                -139.01140797747885 - 0.10388469157113783j,
+                -0.03485346474339179 - 1.7401916520543936e-05j,
+                35.60873917909216 - 2.0297876971269466j,
+                {-1: 1, 0: 1},
+                {0: -1},
+                "three-term transformation overflows",
+            ),
+            (
+                -135.78352318004514 + 1.7982167226583206j,
+                0.025563179325895913 - 2.6034619056343912e-05j,
+                0.005097789880867897 - 2.8909763430167965j,
+                {2: 0},
+                {0: 1, -2: -1},
+                "three-term transformation overflows",
+            ),
+            (
+                -116.50864267839212 - 354.961547785728j,
+                -1.127094877360896 - 1.7681293616870994j,
+                -25.549172379986754 + 1.3044071510798982j,
+                {},
+                {1: -1},
+                "three-term transformation overflows",
+            ),
+            # the index shift's e^{2 pi i a n} times the transform's value at c + n
+            (
+                -2.1110165903286315 - 23.65215547972198j,
+                1.462748730210437 - 0.009874269611910472j,
+                -10944.735700073497 - 2.8369650144766556j,
+                {},
+                {1: -1, -1: -2},
+                "index shift of c = .* by 10945 overflows",
+            ),
+        ],
+    )
+    def test_route_names_its_product_overflow(self, s, a, c, kx, ky, family):
+        with pytest.raises(NonConvergence, match=family):
+            evaluate_on_cover(Point3(s, a, c), BranchState.from_dicts(kx, ky))
+
 
 class TestLerchValue:
     @pytest.mark.parametrize("value, err", [(complex("inf"), 0.0), (0j, float("nan"))])

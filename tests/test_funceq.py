@@ -120,8 +120,21 @@ class TestReflectionIdentity:
 
 
 class TestIteratedIdentities:
-    def test_a_reflection_plus(self):
-        assert fe_iterated_residual(SymKind.PLUS, "a_reflect", 0.3, 0.4, 0.6) < 1e-10
+    @pytest.mark.parametrize(
+        "s, a, c, bound",
+        [
+            (0.3, 0.4, 0.6, 1e-10),
+            # |factor| = 10.4: each L must meet the target over the factor, or the residual reads 4.3e-10
+            (
+                -2.5165121927991683 - 0.5081259905066906j,
+                0.5395519273152299 + 0.30670706115321j,
+                0.755423870268593 + 0.29118757575881216j,
+                1e-11,
+            ),
+        ],
+    )
+    def test_a_reflection_plus(self, s, a, c, bound):
+        assert fe_iterated_residual(SymKind.PLUS, "a_reflect", s, a, c, 1e-10) < bound
 
     @pytest.mark.parametrize(
         "kind, s",
