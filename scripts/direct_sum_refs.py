@@ -3,14 +3,17 @@
     python3 scripts/direct_sum_refs.py                    # Z_DIRECT_SUM
     python3 scripts/direct_sum_refs.py Z_INT_RE_C_SWEEP
     python3 scripts/direct_sum_refs.py Z_STRIP_SWEEP
+    python3 scripts/direct_sum_refs.py Z_TAIL_SWEEP
 
 Each block draws its points from the rng fixture's seed in the order and
 with the ranges that its test once drew them, and evaluates mpmath
-``lerchphi`` at 30 digits at each, so the test compares against constants
-and makes no mpmath call: Z_DIRECT_SUM for tests/test_evaluator_series.py's
-test_seeded_direct_sum_sweep, Z_INT_RE_C_SWEEP for tests/test_continuation.py's
+``lerchphi`` at 30 digits at each (``zeta(s, c)`` where a is a real integer),
+so the test compares against constants and makes no mpmath call:
+Z_DIRECT_SUM for tests/test_evaluator_series.py's test_seeded_direct_sum_sweep,
+Z_INT_RE_C_SWEEP for tests/test_continuation.py's
 TestRouting.test_seeded_integer_re_c_sweep, Z_STRIP_SWEEP for
-tests/test_evaluator_integral.py's TestIntegralOracle.test_seeded_strip_sweep.
+tests/test_evaluator_integral.py's TestIntegralOracle.test_seeded_strip_sweep,
+Z_TAIL_SWEEP for tests/test_evaluator_series.py's TestTailOracle.test_seeded_tail_sweep.
 """
 
 from __future__ import annotations
@@ -53,14 +56,32 @@ def strip_points(rng: random.Random, n: int = 40) -> Iterator[tuple[complex, com
         yield s, a, c
 
 
-BLOCKS = {"Z_DIRECT_SUM": direct_sum_points, "Z_INT_RE_C_SWEEP": integer_re_c_points, "Z_STRIP_SWEEP": strip_points}
+def tail_points(rng: random.Random, n: int = 40) -> Iterator[tuple[complex, complex, complex]]:
+    """Points where the series takes its Abel-Plana tail: real a (k % 5 = 0, 1) with Re s > 0, integer a
+    (k % 5 = 2) with Re s > 1, and 0 < Im a <= 1e-6 (k % 5 = 3, 4)."""
+    for k in range(n):
+        kind = k % 5
+        s = complex(rng.uniform(1.1 if kind == 2 else 0.1, 3.0), rng.uniform(-15.0, 15.0))
+        if kind == 2:
+            a = complex(rng.randint(-1, 2), 0.0)
+        else:
+            a = complex(rng.uniform(-1.0, 2.0), 0.0 if kind < 2 else 10 ** rng.uniform(-9.0, -6.0))
+        c = complex(rng.uniform(0.1, 2.0), rng.uniform(-0.5, 0.5))
+        yield s, a, c
+
+
+BLOCKS = {"Z_DIRECT_SUM": direct_sum_points, "Z_INT_RE_C_SWEEP": integer_re_c_points, "Z_STRIP_SWEEP": strip_points,
+          "Z_TAIL_SWEEP": tail_points}
 
 
 def refs(block: str) -> list[tuple[tuple[complex, complex, complex], mpmath.mpc]]:
     out = []
     for s, a, c in BLOCKS[block](random.Random(_SEED)):
         with mpmath.workdps(30):
-            want = mpmath.lerchphi(mpmath.exp(2j * mpmath.pi * mpmath.mpc(a)), mpmath.mpc(s), mpmath.mpc(c))
+            if a.imag == 0.0 and a.real == round(a.real):
+                want = mpmath.zeta(mpmath.mpc(s), mpmath.mpc(c))
+            else:
+                want = mpmath.lerchphi(mpmath.exp(2j * mpmath.pi * mpmath.mpc(a)), mpmath.mpc(s), mpmath.mpc(c))
         out.append(((s, a, c), want))
     return out
 

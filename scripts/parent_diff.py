@@ -42,7 +42,10 @@ interpreter, removes the directory and prints, item by item,
   and both ``fe_iterated_residual`` variants, each of both kinds, and
   ``three_term_residual`` at an sp drawn after each point as the funceq suite
   draws it, all at target 1e-10: each residual as ``float.hex``, or the
-  exception class where a call raises; reported relation by relation.
+  exception class where a call raises; reported relation by relation;
+- gamma: ``complex_gamma`` and ``reciprocal_gamma`` at 600 seeded points with
+  Re s in [-8, 8], a third each with |Im s| in [0, 5], [5, 40] and [40, 120],
+  as ``float.hex`` or the exception class, with the largest relative move.
 
 The fuzz, extreme and left items also count their ``NonConvergence`` raises
 by message family (``FAMILIES``), for REV and the working tree.
@@ -86,6 +89,7 @@ WORD_SEED, WORDS = 5, 500
 ALGEBRA_SEED, ALGEBRA_CASES = 13, 800
 COVER_SEED, COVER_POINTS = 606, 12
 FUNCEQ_SEED, FUNCEQ_DRAWS = 29, 150
+GAMMA_SEED, GAMMA_POINTS = 31, 600
 VERIFY_ARGS = ["verify", "--suite", "all", "--samples", "3", "--seed", "1"]
 # the last one has a non-ASCII digit, which the grammar's ASCII \d refuses
 MALFORMED_WORDS = ("X", "Z1", "x1", "X1^", "X1^0", "X1.5", "X1^-0", "Y--1", "X+1", "XY1", "X1^1.0", "X0 Y1^",
@@ -101,6 +105,7 @@ FAMILIES = {
     "integral overflows": ("integral overflows",),
     "index shift ... overflows": ("index shift", "overflows"),
     "monodromy ... overflows": ("monodromy", "overflows"),
+    "Gamma(s) underflows": ("Gamma(s) underflows",),
 }
 
 
@@ -312,6 +317,25 @@ def _funceq(seed: int, n: int) -> dict[str, list[str]]:
     return records
 
 
+def _gamma(seed: int, n: int) -> list[str]:
+    """Per point, one text record per function: "complex_gamma" or "reciprocal_gamma", then the real and imaginary
+    parts as float.hex, or "raise" and the exception class."""
+    from lerchzeta import complex_gamma, reciprocal_gamma
+
+    rng = random.Random(seed)
+    bands = ((0.0, 5.0), (5.0, 40.0), (40.0, 120.0))
+    texts = []
+    for i in range(n):
+        s = complex(rng.uniform(-8.0, 8.0), rng.choice((-1.0, 1.0)) * rng.uniform(*bands[i % 3]))
+        for fn in (complex_gamma, reciprocal_gamma):
+            try:
+                v = fn(s)
+                texts.append(f"{fn.__name__} {v.real.hex()} {v.imag.hex()}")
+            except Exception as exc:  # the class is the record
+                texts.append(f"{fn.__name__} raise {type(exc).__name__}")
+    return texts
+
+
 def _cli(main, argv: list[str]) -> list:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -361,6 +385,7 @@ def probe(pool_file: Path) -> dict:
         "algebra_text": _algebra_text(cases),
         "cover": _cover(COVER_SEED, COVER_POINTS),
         "funceq": _funceq(FUNCEQ_SEED, FUNCEQ_DRAWS),
+        "gamma": _gamma(GAMMA_SEED, GAMMA_POINTS),
     }
 
 
@@ -472,6 +497,17 @@ def _relation_moves(old: dict[str, list[str]], new: dict[str, list[str]]) -> lis
     return lines
 
 
+def _gamma_moves(old: list[str], new: list[str]) -> list[str]:
+    """_text_moves of the gamma records, then the largest relative move of the values that stayed values."""
+    lines = _text_moves(old, new)
+    values = lambda t: complex(*map(float.fromhex, t.split()[1:]))
+    moved = [(values(o), values(n)) for o, n in zip(old, new) if o != n and "raise" not in o + n]
+    if moved:
+        d_rel = max(abs(n - o) / abs(o) if o else math.inf for o, n in moved)
+        lines.append(f"largest relative move {d_rel:.3e}")
+    return lines
+
+
 def _tally(rows: list) -> str:
     raised = sum(r[0] == "raise" for r in rows)
     return f"{len(rows)} points: {len(rows) - raised} answered, {raised} raised, {sum(r[4] for r in rows)} warned"
@@ -504,6 +540,7 @@ def compare(old: dict, new: dict) -> list[tuple[str, str, list[str]]]:
         ),
         ("cover", f"{len(new['cover'])} records", _text_moves(old["cover"], new["cover"])),
         ("funceq", f"{FUNCEQ_DRAWS} draws, {len(new['funceq'])} relations", _relation_moves(old["funceq"], new["funceq"])),
+        ("gamma", f"{len(new['gamma'])} records", _gamma_moves(old["gamma"], new["gamma"])),
     ]
 
 

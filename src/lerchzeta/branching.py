@@ -82,9 +82,7 @@ def is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
 
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error stays below
-# ~1e-13 for Re s >= 0.5 in the tested box; the reflection formula covers the
-# left half-plane.
+# Lanczos approximation, g = 7, 9 coefficients, in log form for Re s >= 1/2; the reflection covers Re s < 1/2
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
     0.99999999999980993,
@@ -97,50 +95,46 @@ _LANCZOS_COEFFS = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_LANCZOS_TERMS = tuple(enumerate(_LANCZOS_COEFFS[1:], 1))
+_LOG_SQRT_TWO_PI, _LOG_PI = 0.5 * math.log(2.0 * math.pi), math.log(math.pi)
 
 
-def _sin_pi(s: complex) -> complex:
-    """sin(pi s) = (-1)^n sin(pi (s - n)), n = round(Re s): s - n is exact, so no rounding of pi s
-    shifts the zeros at the integers (it would cost eps |n| / |s - n| relative next to s = n)."""
+def _log_sin_pi(s: complex) -> complex:
+    """A logarithm of sin(pi s) = (-1)^n sin(pi u), u = s - n exact for n = round(Re s), so no rounding of pi s
+    shifts the zeros at the integers.  Past |Im u| = 1 it is that of +-(i/2) e^{-+i pi u} (1 - e^{+-2 pi i u}),
+    which stays in range where sin(pi u) overflows (|Im s| > 226)."""
     n = round(s.real)
-    v = cmath.sin(math.pi * (s - n))
-    return -v if n % 2 else v
+    u, sign = s - n, math.copysign(1.0, s.imag)
+    if abs(u.imag) <= 1.0:
+        return cmath.log(cmath.sin(math.pi * u)) + 1j * math.pi * n
+    w = 1j * math.pi * sign * u  # Re w = -pi |Im s|
+    return complex(-math.log(2.0), math.pi * (0.5 * sign + n)) - w + cmath.log(1.0 - cmath.exp(2.0 * w))
+
+
+def log_gamma(s: complex) -> complex:
+    """A logarithm of Gamma(s), the one place Gamma is computed (its imaginary part is not reduced to the
+    principal branch): the Lanczos sum in log form for Re s >= 1/2, else the reflection log pi - log sin(pi s)
+    - log Gamma(1 - s).  Finite at every finite s, so a factor formed as one exp of a sum of logs leaves
+    binary64 only where it does.  Raises PoleAtNonpositiveInteger at s = 0, -1, -2, ...
+    """
+    s = complex(s)
+    if s.real < 0.5:
+        if is_nonpositive_integer(s):
+            raise PoleAtNonpositiveInteger(f"Gamma pole at s = {s!r}")
+        return _LOG_PI - _log_sin_pi(s) - log_gamma(1.0 - s)
+    z = s - 1.0
+    x = complex(_LANCZOS_COEFFS[0])
+    for i, coef in _LANCZOS_TERMS:
+        x += coef / (z + i)
+    t = z + (_LANCZOS_G + 0.5)
+    return _LOG_SQRT_TWO_PI + (z + 0.5) * cmath.log(t) - t + cmath.log(x)
 
 
 def complex_gamma(s: complex) -> complex:
-    """Gamma function for complex s, poles at the nonpositive integers.
-
-    The left half-plane Re s < 1/2 takes the reflection formula with the reduced sine of
-    :func:`_sin_pi`, so Gamma keeps its relative accuracy next to the poles.  Raises
-    PoleAtNonpositiveInteger at s = 0, -1, -2, ...
-    """
-    s = complex(s)
-    if is_nonpositive_integer(s):
-        raise PoleAtNonpositiveInteger(f"Gamma pole at s = {s!r}")
-    if s.real < 0.5:
-        return math.pi / (_sin_pi(s) * complex_gamma(1.0 - s))
-    z = s - 1.0
-    x = complex(_LANCZOS_COEFFS[0])
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        x += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + (_LANCZOS_G + 0.5)
-    return _SQRT_TWO_PI * t ** (z + 0.5) * cmath.exp(-t) * x
+    """Gamma(s) = exp(log_gamma(s)): PoleAtNonpositiveInteger at s = 0, -1, -2, ..., OverflowError past binary64."""
+    return cmath.exp(log_gamma(s))
 
 
 def reciprocal_gamma(s: complex) -> complex:
-    """1/Gamma(s), entire; exactly 0 at s = 0, -1, -2, ...
-
-    Implemented directly rather than as 1/complex_gamma so the zeros at the
-    nonpositive integers are exact, not rounded.  Raises OverflowError where
-    Gamma(s) underflows to 0, as complex_gamma does where Gamma(s) overflows.
-    """
-    s = complex(s)
-    if is_nonpositive_integer(s):
-        return 0j
-    if s.real < 0.5:
-        return _sin_pi(s) * complex_gamma(1.0 - s) / math.pi
-    gam = complex_gamma(s)
-    if gam == 0:
-        raise OverflowError(f"1/Gamma(s) overflows at s = {s!r}, where Gamma(s) underflows to 0")
-    return 1.0 / gam
+    """1/Gamma(s) = exp(-log_gamma(s)), entire: exactly 0 at s = 0, -1, -2, ..., OverflowError past binary64."""
+    return 0j if is_nonpositive_integer(s) else cmath.exp(-log_gamma(s))

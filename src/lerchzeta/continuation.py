@@ -5,12 +5,11 @@ cut a-plane (downward rays below every integer) and cut c-plane (rays below
 the nonpositive integers).  The value is 1-periodic in a, so Re a is first
 reduced into [0, 1).  One answer rule then tries a table of routes in order,
 each owning its region: the Dirichlet series (Im a > 0, or real a with
-Re s > 0) at c itself; the straight-contour integral (Re s > 0, and on the
-strip -_SIGMA0 < Re s <= 0 wherever target |Gamma(s)| leaves its quadrature
-room), by an index shift of Re c <= 0.05 into [0.6, 1.6); for Re s <= 0 the
-three-term transformation formula by one into 0 < Re c <= 1, or within 0.01
-of c = 1 on Re c = 1 its Taylor series in c about 1.  The cover value adds
-the closed-form monodromy of the winding vector.
+Re s > 0) at c itself; the straight-contour integral (Re s > -_SIGMA0), by
+an index shift of Re c <= 0.05 into [0.6, 1.6); for Re s <= 0 the three-term
+transformation formula by one into 0 < Re c <= 1 (or near c = 1 its Taylor
+series in c), before the integral below the ray's floor.  The cover value
+adds the closed-form monodromy of the winding vector.
 """
 
 from __future__ import annotations
@@ -18,11 +17,11 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .branching import complex_gamma, reciprocal_gamma
+from .branching import is_nonpositive_integer, log_gamma
 from .domain import (
     ContourSpec,
     Point3,
@@ -40,7 +39,7 @@ from .errors import (
     SZero,
 )
 from .evaluator import (_EPS, _FLAT_REL_ERR, _SIGMA0, LerchValue, Method, _integral_eval_raw, _partial_sum,
-                        _route_value, _series, _window, dirichlet_series)
+                        _route_value, _series, _target_over, _window, dirichlet_series)
 from .monodromy import branch_monodromy
 from .words import BranchState
 
@@ -50,9 +49,9 @@ _NODES = 24  # trapezoid nodes on every Cauchy circle
 _TAYLOR_RADIUS = 0.01  # |Im c| on Re c = 1 below which the value is the Taylor series about c = 1
 _TAYLOR_TERMS = 60
 _RESIDUAL_TARGET = 1e-12  # target of every evaluation inside a residual check, each by _on_sheet
-# on the strip the integral runs first only where target |Gamma(s)| >= _RAY_FLOOR.  In seeded strip sweeps at
-# targets 1e-8, 1e-10 and 1e-12 the integral missed at 15-40% of the points in [3e-14, 1e-13) and still took
-# 0.83-0.89 of the transform's time there; in [1e-14, 3e-14) it missed at 50-65% and took 1.17-1.37 of it
+# the ray's floor on target |Gamma(s)|.  In seeded strip sweeps at targets 1e-8, 1e-10 and 1e-12 the integral
+# missed at 15-40% of the points in [3e-14, 1e-13) and still took 0.83-0.89 of the transform's time there; in
+# [1e-14, 3e-14) it missed at 50-65% and took 1.17-1.37 of it
 _RAY_FLOOR = 3e-14
 _Route = Callable[[complex, complex, complex, float], LerchValue]  # (s, a, c, target) -> value
 
@@ -70,15 +69,12 @@ def _anchor_check(a: complex, c: complex) -> None:
 
 
 def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
-    """The one answer rule, for an anchored point with 0 < Re a < 1 when Im a <= 0.
-
-    It tries _ROUTES in order (the transform only for Re s <= 0); each shifts
-    c itself and answers with its honest estimate or raises.  The first answer
-    that meets the target wins, else the smallest estimate (the earlier route
-    on a tie); the last error is raised only when no route answered.
+    """The one answer rule, for an anchored point with 0 < Re a < 1 when Im a <= 0: of :func:`_routes`, each
+    shifting c itself and answering with its honest estimate or raising, the first answer that meets the target
+    wins, else the smallest estimate (the earlier route on a tie); the last error is raised only if none answered.
     """
     best, error = None, None
-    for route in _ROUTES if s.real <= 0.0 else _ROUTES[:2]:
+    for route in _routes(s, target):
         try:
             lv = route(s, a, c, target)
         except LerchError as exc:
@@ -93,27 +89,27 @@ def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     return best
 
 
-def _ray_first(s: complex, target: float) -> bool:
-    """Whether the integral runs, before the transform, at Re s <= 0.
+def _routes(s: complex, target: float) -> Iterator[_Route]:
+    """Series then integral for Re s > 0, series then transform for Re s <= -_SIGMA0, and between them series,
+    integral and transform, the integral last below the ray's floor (read only once the series has not answered)."""
+    series, integral, transform = _ROUTES
+    yield series
+    if s.real > 0.0:
+        yield integral
+    elif s.real <= -_SIGMA0:
+        yield transform
+    else:
+        yield from (integral, transform) if _ray_first(s, target) else (transform, integral)
 
-    It runs on the strip -_SIGMA0 < Re s <= 0 where target |Gamma(s)| >=
-    _RAY_FLOOR.  The ray's quadrature gets the absolute target
-    0.9 target |Gamma(s)| (:func:`_integral_eval_raw`), and |Gamma(s)| falls
-    like e^{-pi |Im s| / 2}; below the floor that target sits under the
-    quadrature's roundoff, so the integral would mostly refine to its floor,
-    miss, and leave the point to the transform after it.
-    """
-    if s.real <= -_SIGMA0:
-        return False
-    try:
-        return abs(reciprocal_gamma(s)) * _RAY_FLOOR <= target
-    except OverflowError:  # 1/Gamma(s) past binary64, so Gamma(s) is far below the floor
-        return False
+
+def _ray_first(s: complex, target: float) -> bool:
+    """Whether the integral runs before the transform on the strip: where target |Gamma(s)| >= _RAY_FLOOR, in logs,
+    and at s = 0, -1, ..., where it raises at once.  Below the floor the target sits under the roundoff of its
+    integrand's 1/Gamma(s), about e^{pi |Im s| / 2}, so the integral would mostly refine to its floor and miss."""
+    return is_nonpositive_integer(s) or target > 0.0 and log_gamma(s).real >= math.log(_RAY_FLOOR / target)
 
 
 def _integral(s: complex, a: complex, c: complex, target: float) -> LerchValue:
-    if s.real <= 0.0 and not _ray_first(s, target):
-        raise InvalidRegion(f"the integral leaves s = {s!r} to the transform at target {target:.3g}")
     ray = lambda s, a, c, t: _integral_eval_raw(s, a, c, ContourSpec.STRAIGHT, t)
     return _shift_c(s, a, c, _window(c), target, ray)
 
@@ -136,12 +132,11 @@ def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _
         return inner(s, a, c, target)
     try:  # e^{2 pi i a n} and the terms may pass binary64's range
         phase = cmath.exp(2j * math.pi * a * n)
-        scale = abs(phase)
-        shifted = inner(s, a, c + n, 0.5 * target / max(scale, 1e-300))
+        shifted = inner(s, a, c + n, _target_over(0.5 * target, -_TWO_PI * a.imag * n))
         with np.errstate(over="ignore", invalid="ignore"):
             partial, partial_err = _partial_sum(s, a, c, min(n, 0), max(n, 0))
         head = phase * shifted.value
-        err = scale * shifted.abs_err_estimate + partial_err + 4.0 * _EPS * abs(head) * (1.0 + _TWO_PI * abs(a * n))
+        err = abs(phase) * shifted.abs_err_estimate + partial_err + 4.0 * _EPS * abs(head) * (1.0 + _TWO_PI * abs(a * n))
         return _route_value(head + math.copysign(1.0, n) * partial, shifted.method, err)
     except OverflowError as exc:
         raise NonConvergence(f"index shift of c = {c!r} by {n} overflows at Im a = {a.imag:.3g}") from exc
@@ -198,20 +193,21 @@ def _transform_value(s: complex, a: complex, c: complex, target: float) -> Lerch
     -2 (2 pi)^{s-1} Gamma(1-s) e^{-2 pi i a} sin(pi s/2)/s.  That needs no
     integral and holds for every s but the positive integers.  Within
     _TAYLOR_RADIUS of c = 1 on the line, :func:`_c_taylor_value` answers.
+    Each coefficient and the pole's Gamma-bearing factor is one exp of a sum of
+    logs, log Gamma(1 - s) among them, and gives its inner target from that exponent.
     """
     if c.real == 1.0 and 0.0 < abs(c.imag) < _TAYLOR_RADIUS:
         return _c_taylor_value(s, a, c, target)
     sp = 1.0 - s  # coefficients of zeta(sp, 1-c, a) and zeta(sp, c, 1-a)
-    try:  # Gamma(1 - s) and the exponentials may pass binary64's range
-        lead, gam = -sp * math.log(_TWO_PI), complex_gamma(sp)  # (2 pi)^{s-1} = e^lead and Gamma(1 - s)
-        pref = cmath.exp(lead) * gam
-        coef1 = pref * cmath.exp(0.5j * math.pi * sp - 2j * math.pi * a * c)
-        coef2 = pref * cmath.exp(-0.5j * math.pi * sp + 2j * math.pi * c * (1.0 - a))
-        target1 = 0.25 * target / max(abs(coef1), 1e-300)
-        target2 = 0.25 * target / max(abs(coef2), 1e-300)
+    try:  # the coefficients and the value may pass binary64's range
+        lead = log_gamma(sp) - sp * math.log(_TWO_PI)  # log of (2 pi)^{s-1} Gamma(1 - s)
+        e1 = lead + 0.5j * math.pi * sp - 2j * math.pi * a * c
+        e2 = lead - 0.5j * math.pi * sp + 2j * math.pi * c * (1.0 - a)
+        coef1, coef2 = cmath.exp(e1), cmath.exp(e2)
+        target1, target2 = _target_over(0.25 * target, e1.real), _target_over(0.25 * target, e2.real)
         if c == 1.0:  # the series' pole-free parts
             v1, v2 = _series(sp, 0j, a, target1), _series(sp, 0j, 1.0 - a, target2)
-            pole = -2.0 * cmath.exp(lead - 2j * math.pi * a) * gam
+            pole = -2.0 * cmath.exp(lead - 2j * math.pi * a)
             pole *= cmath.sin(0.5 * math.pi * s) / s if s != 0 else 0.5 * math.pi
         else:
             c = complex(min(max(c.real, 2.0**-53), 1.0 - 2.0**-53), c.imag)

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import quadrature
-from .branching import _principal_log_array, complex_gamma
+from .branching import _principal_log_array, log_gamma
 from .domain import ContourSpec, Point3, SymKind, checked_target, finite_coordinates, is_real_integer, on_a_cut_ray
 from .errors import (
     ContourHitsPole,
@@ -45,8 +45,8 @@ _NO_POLES = BranchState()  # the ray turns over no pole
 # the integral owns Re s > -_SIGMA0; further left t0^{Re s} cancels and the transform serves.  On seeded
 # points with |Im s| <= 3 it met 1e-10 at 85% of -4 < Re s <= -3 and at 47% of -5 < Re s <= -4
 _SIGMA0 = 4.0
-# flat relative error charged to a value that passes through Gamma (here and in continuation): it stands
-# in for complex_gamma's Lanczos error, until a charge derived from that error replaces it
+# flat relative error charged to a value that passes through Gamma (here and in continuation): it stands in for
+# log_gamma's error, at most 3.1e-13 for |Im s| <= 120, until a charge derived from that error replaces it
 _FLAT_REL_ERR = 4e-13
 _EXP_MAX = math.log(sys.float_info.max)  # e^x is finite for real x up to here
 
@@ -84,6 +84,11 @@ def _route_value(value: complex, method: Method, err: float) -> LerchValue:
     if not (cmath.isfinite(value) and math.isfinite(err)):
         raise OverflowError
     return LerchValue(value, method, err)
+
+
+def _target_over(target: float, log_factor: float) -> float:
+    """target / e^{log_factor}, a target over a factor of log modulus log_factor, saturating at float max."""
+    return math.exp(min(math.log(target) - log_factor, _EXP_MAX)) if target > 0.0 else 0.0
 
 
 def _reduce_a(a: complex) -> complex:
@@ -366,11 +371,11 @@ def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[floa
     return theta, BranchState.from_dicts(b) if b else _NO_POLES, sign, d, k
 
 
-def _pick_t_max(s: complex, a: complex, c: complex, target: float, theta: float) -> tuple[float, float]:
-    """Cutoff T on the ray arg t = theta with a certified bound on the discarded [T, inf) piece."""
+def _pick_t_max(s: complex, a: complex, c: complex, target: float, theta: float, scale: float) -> tuple[float, float]:
+    """Cutoff T on the ray arg t = theta, certifying the discarded [T, inf) piece of the integrand over e^scale."""
     # |t^{s-1} e^{-ct}| = r^{sigma-1} e^{-Im s theta - rc r}, |1 - e^{2 pi i a - t}| >= 1 - e^{log_abs_z - r cos}
     sigma, rc, cos = s.real, (c * cmath.exp(1j * theta)).real, math.cos(theta)
-    log_abs_z, phase = -_TWO_PI * a.imag, s.imag * theta
+    log_abs_z, phase = -_TWO_PI * a.imag, s.imag * theta + scale
     # the bound holds once d >= 1/2 and, for sigma > 1, past the peak of r^{sigma-1} e^{-rc r}
     near, peak, factor = log_abs_z + math.log(2.0), 2.0 * (sigma - 1.0), 2.0 if sigma > 1.0 else 1.0
     t = max(2.0, (log_abs_z + 1.0) / cos, peak / rc if sigma > 1.0 else 0.0)
@@ -385,7 +390,7 @@ def _pick_t_max(s: complex, a: complex, c: complex, target: float, theta: float)
 
 
 def _h(za: complex, c: complex, t: np.ndarray, lead: complex | np.ndarray = 0.0) -> np.ndarray:
-    """e^{lead - ct} / (1 - e^{za - t}): h(t) itself, or t^{s-1} h(t) for lead = (s-1) log t.
+    """e^{lead - ct} / (1 - e^{za - t}): h(t) itself, or t^{s-1} h(t) / Gamma(s) for lead = (s-1) log t - log Gamma(s).
 
     Where e^w, w = za - t, would leave binary64 (Re w > _EXP_MAX), 1/(1 - e^w) is e^{-w} / expm1(-w), with e^{-w}
     folded into the exponent.  The integral samples t with Re t > -1, so a scalar za with Re za < _EXP_MAX - 1
@@ -414,9 +419,10 @@ def _outer_max(za: complex, c: complex, t0: float, radius: float) -> float:
 
 
 def _contour_integral(
-    s: complex, a: complex, c: complex, theta: float, tol: float, d: float, k: int
+    s: complex, a: complex, c: complex, theta: float, tol: float, d: float, k: int, lg: complex
 ) -> tuple[complex, float]:
-    """Integral of t^{s-1} h(t), h = e^{-ct} / (1 - e^{2*pi*i*a} e^{-t}), over the ray t = r e^{i theta}.
+    """Integral of t^{s-1} h(t) / Gamma(s), h = e^{-ct} / (1 - e^{2*pi*i*a} e^{-t}), over the ray t = r e^{i theta};
+    1/Gamma(s) enters as -lg, lg = log_gamma(s), in the endpoint sum's, each sample's and the cutoff bound's exponent.
 
     h is analytic in |t| < R = 2*pi*dist(a, Z), so the piece over r in (0, t0]
     with t0 <= 0.4 R is T^s sum_{k<64} H_k / (s+k), T = t0 e^{i theta},
@@ -433,9 +439,9 @@ def _contour_integral(
     the ray (both from :func:`_ray`) is below 3.
     """
     za = 2j * math.pi * a
-    sm1 = s - 1.0
+    sm1, lead = s - 1.0, 1j * theta * (s - 1.0) - lg  # t^{s-1} / Gamma(s) = e^{sm1 log r + lead}
     rot = cmath.exp(1j * theta)
-    t_max, tail_err = _pick_t_max(s, a, c, 0.1 * tol, theta)
+    t_max, tail_err = _pick_t_max(s, a, c, 0.1 * tol, theta, lg.real)
     # a pole within 1e-3 of t = 0 has raised, so R >= 1e-3; t0 <= 2/|c| keeps
     # |e^{-ct}| <= e^4 on the circle |t| = 2 t0
     radius = _TWO_PI * abs(a - round(a.real))
@@ -445,7 +451,7 @@ def _contour_integral(
     ring = _h(za, c, t0 * rot * _ROOTS)
     inv = 1.0 / (s + _K)
     # H_k is the trapezoid rule on the circle: the FFT of the samples over _RING (a power of 2, so exact)
-    total = cmath.exp(s * log_t0) * complex((np.fft.fft(ring) * inv).sum()) / _RING
+    total = cmath.exp(s * log_t0 - lg) * complex((np.fft.fft(ring) * inv).sum()) / _RING
     # |H_k| <= M 2^{-k}, M >= max |h| on |t| = 2 t0, bounds aliasing and truncation;
     # then the roundoff of the samples (max |h| on |t| = t0) and of the phase s log T, then the cutoff tail
     # below binary64's normal range a sample keeps absolute digits only: each is exact to 4 eps max(|h|, tiny),
@@ -455,8 +461,8 @@ def _contour_integral(
     nearest = abs(s + min(max(round(-s.real), 0), _RING - 1))
     alias = _outer_max(za, c, t0, radius) * 2.0**-_RING * (4.0 / nearest + 2.0 / (_RING + min(s.real, 0.0)))
     roundoff = 4.0 * _EPS * float(h_max * np.sum(np.abs(inv))) * (1.0 + abs(s) * abs(log_t0))
-    err = t0**s.real * math.exp(-s.imag * theta) * (alias + roundoff) + tail_err
-    f = lambda r: _h(za, c, r * rot, sm1 * (np.log(r) + 1j * theta)) * rot
+    err = math.exp(s.real * log_t0.real - s.imag * theta - lg.real) * (alias + roundoff) + tail_err
+    f = lambda r: _h(za, c, r * rot, sm1 * np.log(r) + lead) * rot
     # t^{s-1} turns its phase by |Im s| per unit of log t; a pole within 3 of the ray adds edges at
     # its foot and d 2^j to either side, graded to its distance d
     m = min(max(16, math.ceil(0.5 * abs(s.imag) * math.log(t_max / t0))), _MAX_RAY_PANELS // 2)
@@ -481,7 +487,7 @@ def integral_eval(
     """Contour-integral evaluation, valid for Re s > -_SIGMA0, Re c > 0.
 
     The endpoint series of :func:`_contour_integral` continues the integral
-    in s past Re s = 0; at s = 0, -1, -2, ... Gamma(s) raises
+    in s past Re s = 0; at s = 0, -1, -2, ... log Gamma(s) raises
     PoleAtNonpositiveInteger.
 
     The straight contour runs along the positive real t-axis; a detoured
@@ -506,6 +512,9 @@ def _integral_eval_raw(
     contour: ContourSpec = ContourSpec.STRAIGHT,
     target_abs_err: float = 1e-10,
 ) -> LerchValue:
+    """:func:`integral_eval` unchecked: the ray's integral of t^{s-1} h(t) / Gamma(s) at 0.9 target (1/Gamma(s) in
+    its exponents), Gamma's error charged as _FLAT_REL_ERR |value|, plus the poles it turns over.  NonConvergence
+    where the cutoff's bound, the integrand or the value passes binary64; PoleAtNonpositiveInteger at s = -k."""
     s, a, c = complex(s), complex(a), complex(c)
     if s.real <= -_SIGMA0:
         raise InvalidRegion(f"integral needs Re s > -{_SIGMA0:g}, got s = {s!r}")
@@ -515,19 +524,14 @@ def _integral_eval_raw(
         # conj zeta(s, a, c) = zeta(conj s, 1 - conj a, conj c)
         lv = _integral_eval_raw(s.conjugate(), 1.0 - a.conjugate(), c.conjugate(), contour, target_abs_err)
         return LerchValue(lv.value.conjugate(), lv.method, lv.abs_err_estimate)
-    try:  # Gamma(s) (or, for Re s < 1/2, the reflection's sin(pi s)) and the cutoff's bound may overflow
-        gam = complex_gamma(s)
-        if gam == 0:  # no tolerance to give the quadrature
-            raise NonConvergence(f"Gamma(s) underflows at s = {s!r}")
+    lg = log_gamma(s)
+    try:  # the cutoff's bound and t^{s-1} e^{-ct} / Gamma(s) may pass binary64's range
         theta, b, sign, d, k = _ray(s, a, c, contour)
-        scale = abs(gam)
-        with np.errstate(over="ignore", invalid="ignore"):  # t^{s-1} e^{-ct} may pass binary64's range
-            raw, raw_err = _contour_integral(s, a, c, theta, 0.9 * target_abs_err * scale, d, k)
-        if not cmath.isfinite(raw):  # its integrand passed binary64's range
-            raise OverflowError
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw, raw_err = _contour_integral(s, a, c, theta, 0.9 * target_abs_err, d, k, lg)
         poles, poles_err = branch_monodromy(b, s, a, c)
-        value = raw / gam + sign * poles
-        return LerchValue(value, Method.INTEGRAL, raw_err / scale + _FLAT_REL_ERR * abs(value) + poles_err)
+        value = raw + sign * poles  # not finite where the integrand passed binary64's range
+        return _route_value(value, Method.INTEGRAL, raw_err + _FLAT_REL_ERR * abs(value) + poles_err)
     except OverflowError as exc:
         raise NonConvergence(f"integral overflows at s = {s!r}") from exc
 

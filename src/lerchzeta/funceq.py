@@ -33,10 +33,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .branching import complex_gamma, is_nonpositive_integer
+from .branching import is_nonpositive_integer, log_gamma
 from .continuation import evaluate_principal, transform_eval
 from .domain import Point3, SymKind
 from .errors import NonConvergence
+from .evaluator import _target_over
 from .monodromy import monodromy_of_word
 from .words import Word
 
@@ -51,7 +52,7 @@ def l_pm(kind: SymKind | str, s: complex, a: complex, c: complex, target_abs_err
     sign = 1.0 if kind is SymKind.PLUS else -1.0
     coef = cmath.exp(-2j * math.pi * a)
     v1 = evaluate_principal(s, a, c, 0.5 * target_abs_err)
-    v2 = evaluate_principal(s, 1.0 - a, 1.0 - c, 0.5 * target_abs_err / max(abs(coef), 1e-300))
+    v2 = evaluate_principal(s, 1.0 - a, 1.0 - c, _target_over(0.5 * target_abs_err, 2.0 * math.pi * a.imag))
     return v1.value + sign * coef * v2.value
 
 
@@ -70,11 +71,11 @@ class CompletedL:
 
 
 def archimedean_factor(kind: SymKind | str, s: complex) -> complex:
-    """pi^{-(s+k)/2} Gamma((s+k)/2); poles at s+k in {0, -2, -4, ...}.  Raises NonConvergence where it overflows."""
+    """pi^{-(s+k)/2} Gamma((s+k)/2) as one exp; poles at s+k in {0, -2, -4, ...}; NonConvergence where it overflows."""
     k = SymKind(kind).k
     half = 0.5 * (complex(s) + k)
     try:
-        return cmath.exp(-half * math.log(math.pi)) * complex_gamma(half)
+        return cmath.exp(log_gamma(half) - half * math.log(math.pi))
     except OverflowError as exc:
         raise NonConvergence(f"archimedean factor overflows at s = {s!r}") from exc
 

@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .branching import branched_pow, principal_log, reciprocal_gamma
+from .branching import log_gamma, principal_log
 from .domain import finite_coordinates, is_real_integer
 from .errors import NonConvergence
 from .words import BranchState, Generator, Word, abelianize, generator_of
@@ -34,19 +34,19 @@ def _cexp_minus_one(s: complex, sign: int, k: int = 1) -> complex:
     return cmath.exp(sign * 2j * math.pi * sk) - 1.0
 
 
-def _geometric_ratio(k: int, s: complex, sign: int, lam_m1: complex | None) -> complex:
-    """(lambda^k - 1)/(lambda - 1) for lambda = exp(sign*2*pi*i*s), nonzero k and non-integer s.
+def _geometric_ratio(k: int, s: complex, sign: int, lam_m1: complex | None, scale: float = 0.0) -> complex:
+    """(lambda^k - 1)/(lambda - 1) e^{-scale} for lambda = exp(sign*2*pi*i*s), nonzero k and non-integer s.
 
-    Up to 64 loops it is the sum of powers sum_{j} lambda^j, which leaves lam_m1 unread; beyond, it is
-    the closed ratio over lam_m1 = lambda - 1, unless lambda is within 1e-8 of 1, where the sum is exact.
+    Up to 64 loops it is the sum of powers sum_{j} lambda^j e^{-scale}, which leaves lam_m1 unread; beyond, it
+    is the closed ratio over lam_m1 = lambda - 1, unless lambda is within 1e-8 of 1, where the sum is exact.
     """
+    w = sign * 2j * math.pi * s
     if abs(k) <= 64 or abs(lam_m1) < 1e-8:
-        w = sign * 2j * math.pi * s
         if k > 0:
-            return sum(cmath.exp(w * j) for j in range(k))
+            return sum(cmath.exp(w * j - scale) for j in range(k))
         # (lambda^{-m} - 1)/(lambda - 1) = -sum_{j=1..m} lambda^{-j}
-        return -sum(cmath.exp(-w * j) for j in range(1, -k + 1))
-    return _cexp_minus_one(s, sign, k) / lam_m1
+        return -sum(cmath.exp(-w * j - scale) for j in range(1, -k + 1))
+    return (_cexp_minus_one(s, sign, k) if scale == 0.0 else cmath.exp(w * k - scale) - math.exp(-scale)) / lam_m1
 
 
 def _overflow(what: str, s: complex, a: complex, c: complex) -> NonConvergence:
@@ -59,35 +59,38 @@ def monodromy_terms(b: BranchState, s: complex, a: complex, c: complex) -> list[
     The one closed form: X_n^k adds pref_X (a-n)^{s-1} e^{-2*pi*i*c*(a-n)} and Y_n^k, n <= 0, adds
     pref_Y e^{-2*pi*i*n*a} (c-n)^{-s}, each times (lambda^k - 1)/(lambda - 1), with lambda = e^{2*pi*i*s}
     for X and e^{-2*pi*i*s} for Y; Y_n with n >= 1 adds nothing.  pref_X = -(2*pi)^s e^{i*pi*s/2} / Gamma(s)
-    is exactly 0 at s = 0, -1, -2, ...; pref_Y = e^{-2*pi*i*s} - 1 is Y's lambda - 1.  A call tests s for
-    an integer once (there the geometric factor is k); each axis forms its prefactor once, Y's only when
-    some n <= 0 and s is no integer, and X forms its lambda - 1 only for a term of more than 64 loops.
-    Raises InvalidPoint for a non-finite s, a or c, and NonConvergence where a factor overflows or a term
-    is not finite (a complex product overflows without raising).
+    is exactly 0 at s = 0, -1, -2, ...; pref_Y = e^{-2*pi*i*s} - 1 is Y's lambda - 1.  A term is one exp of its
+    logs (log Gamma(s) among X's) and of the log modulus of its geometric factor's largest power, so it leaves
+    binary64 only where it does itself or pref_Y does.  A call tests s for an integer once (there the geometric
+    factor is k); each axis forms its prefactor once, Y's only when some n <= 0 and s is no integer, and X its
+    lambda - 1 only past 64 loops.  Raises InvalidPoint for a non-finite s, a or c, and NonConvergence where a
+    factor overflows or a term is not finite (a complex product overflows without raising).
     """
     s, a, c = finite_coordinates(s, a, c)
     terms = []
     if not (b.kx or b.ky):
         return terms
     finite = True
-    try:  # 1/Gamma(s), (2 pi)^s, a kernel or a geometric factor may overflow
+    try:  # a term, pref_Y or lambda - 1 may overflow
         integer_s = bool(b.kx or b.ky[0][0] < 1) and is_real_integer(s)  # a Y part of n >= 1 alone forms no factor
         for axis, sign, pairs in (("X", 1, b.kx), ("Y", -1, b.ky)):
             if not pairs:
                 continue
-            if axis == "X":
-                rg = reciprocal_gamma(s)
-                pref = 0j if rg == 0 else -cmath.exp(s * math.log(_TWO_PI) + 0.5j * math.pi * s) * rg
+            if axis == "X":  # the log of -pref_X, None where pref_X is exactly 0
+                log_pref = None if integer_s and s.real <= 0.0 else s * _LOG_2PI_I - log_gamma(s)
                 lam_m1 = None
             else:
-                pref = lam_m1 = 0j if integer_s or pairs[0][0] >= 1 else _cexp_minus_one(s, -1)
+                lam_m1 = 0j if integer_s or pairs[0][0] >= 1 else _cexp_minus_one(s, -1)
+                log_pref = cmath.log(lam_m1) if lam_m1 else None
             for n, k in pairs:
-                if axis == "X":
-                    term = pref * (branched_pow(a - n, s - 1.0) * cmath.exp(-2j * math.pi * c * (a - n)))
-                elif n >= 1 or pref == 0:
+                # one exp of the sum of the term's logs and the log modulus of its geometric factor's largest power
+                scale = 0.0 if integer_s else max(0.0, -sign * _TWO_PI * s.imag * (k - 1 if k > 0 else k))
+                if log_pref is None or axis == "Y" and n >= 1:
                     term = 0j
+                elif axis == "X":
+                    term = -cmath.exp(log_pref + (s - 1.0) * principal_log(a - n) - 2j * math.pi * c * (a - n) + scale)
                 else:
-                    term = pref * cmath.exp(-2j * math.pi * n * a) * branched_pow(c - n, -s)
+                    term = cmath.exp(log_pref - 2j * math.pi * n * a - s * principal_log(c - n) + scale)
                 if term == 0:
                     term = 0j
                 elif integer_s:
@@ -95,7 +98,7 @@ def monodromy_terms(b: BranchState, s: complex, a: complex, c: complex) -> list[
                 else:
                     if lam_m1 is None and abs(k) > 64:
                         lam_m1 = _cexp_minus_one(s, sign)
-                    term = _geometric_ratio(k, s, sign, lam_m1) * term
+                    term = _geometric_ratio(k, s, sign, lam_m1, scale) * term
                 finite = finite and cmath.isfinite(term)
                 terms.append((generator_of(axis, n), k, term))
     except OverflowError as exc:
@@ -126,10 +129,11 @@ def monodromy_of_branch(b: BranchState, s: complex, a: complex, c: complex) -> c
 
 
 def branch_monodromy(b: BranchState, s: complex, a: complex, c: complex) -> tuple[complex, float]:
-    """(monodromy_of_branch, its roundoff 4 eps sum |term| (1 + size of the exponents the term passes to exp)).
+    """(monodromy_of_branch, its roundoff: the sum of 4 eps |term| (1 + size of the exponents the term passes to exp)).
 
-    One pass over :func:`monodromy_terms`, summed in order.  X_n passes (s-1) log(a-n), s log(2 pi i) and
-    2 pi i c (a-n); Y_n passes 2 pi i s, 2 pi i n a and s log(c-n); k loops of either pass at most 2 pi i s k.
+    One pass over :func:`monodromy_terms`, summed and charged term by term, so the charge is finite where the terms
+    are.  X_n passes (s-1) log(a-n), s log(2 pi i) and 2 pi i c (a-n) (and -log Gamma(s), uncharged here); Y_n
+    passes 2 pi i s, 2 pi i n a and s log(c-n); k loops of either pass at most 2 pi i s k.
     """
     s, a, c = complex(s), complex(a), complex(c)
     total, roundoff = 0j, 0.0
@@ -141,8 +145,8 @@ def branch_monodromy(b: BranchState, s: complex, a: complex, c: complex) -> tupl
                 phase = abs((s - 1.0) * principal_log(a - n)) + abs(s * _LOG_2PI_I) + _TWO_PI * abs(c * (a - n))
             else:
                 phase = _TWO_PI * (abs(s) + abs(n * a)) + abs(s * principal_log(c - n))
-            roundoff += abs(term) * (1.0 + phase + _TWO_PI * abs(s * k))
-    return total, 4.0 * _EPS * roundoff
+            roundoff += 4.0 * _EPS * abs(term) * (1.0 + phase + _TWO_PI * abs(s * k))
+    return total, roundoff
 
 
 def monodromy_of_word(w: Word, s: complex, a: complex, c: complex) -> complex:

@@ -14,6 +14,7 @@ from lerchzeta import (
     principal_log,
     reciprocal_gamma,
 )
+from lerchzeta.evaluator import _FLAT_REL_ERR
 from conftest import GAMMA_GRID, GAMMA_HALF, RGAMMA_2_5
 
 off_cut = st.complex_numbers(
@@ -134,6 +135,22 @@ class TestGamma:
         for _ in range(50):
             s = complex(rng.uniform(0.5, 20), rng.uniform(-20, 20))
             assert complex_gamma(s + 1) == pytest.approx(s * complex_gamma(s), rel=1e-12)
+
+    @pytest.mark.parametrize("band", [(0.0, 5.0), (5.0, 40.0), (40.0, 120.0)])
+    def test_error_within_the_routes_charge(self, rng, band):
+        # the integral, transform and Taylor routes charge Gamma's error as _FLAT_REL_ERR |value|: it must
+        # cover complex_gamma and reciprocal_gamma against mpmath over Re s in [-8, 8] in each band of |Im s|,
+        # off the poles by 0.1 (400 points a band)
+        checked = 0
+        while checked < 400:
+            s = complex(rng.uniform(-8.0, 8.0), rng.choice((-1.0, 1.0)) * rng.uniform(*band))
+            if abs(s - round(s.real)) < 0.1:
+                continue
+            with mpmath.workdps(40):
+                want, rwant = complex(mpmath.gamma(s)), complex(mpmath.rgamma(s))
+            assert abs(complex_gamma(s) - want) <= _FLAT_REL_ERR * abs(want), (s, complex_gamma(s), want)
+            assert abs(reciprocal_gamma(s) - rwant) <= _FLAT_REL_ERR * abs(rwant), (s, reciprocal_gamma(s), rwant)
+            checked += 1
 
 
 class TestReciprocalGamma:

@@ -17,7 +17,7 @@ from lerchzeta.cli import build_parser, main
 from lerchzeta.suites import SUITE_NAMES, _worst_on_cover, run_suite
 from lerchzeta import LerchError, Word, errors, monodromy_generator
 from lerchzeta.words import Generator
-from conftest import PI2_12
+from conftest import M_X0_500, PI2_12, Z_COVER_500
 
 
 def run(capsys, *argv):
@@ -157,22 +157,35 @@ class TestErrorRecord:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("eval", "--s", "0.5,500", "--a", "0.3,0.2", "--c", "0.4,0", "--branch", "X0"),
-            ("monodromy", "--word", "X0", "--s", "0.5,500", "--a", "0.3,0", "--c", "0.4,0"),
-            ("monodromy", "--word", "X0", "--s", "400,0", "--a", "0.3,0", "--c", "0.4,0"),
             ("monodromy", "--word", "X0", "--s", "-400.5,0", "--a", "0.3,0", "--c", "0.4,0"),
             ("monodromy", "--word", "Y-1^2 X-3 Y-1", "--s=59.07131841728972,47.953892785364815",
              "--a=-1.0617544967082417,0.5344863371278934", "--c=0.4472378374730761,-0.9170495795344269"),
         ],
     )
     def test_overflow_is_a_record(self, capsys, argv):
-        # 1/Gamma(s) in M(X_0) overflows at the first two s, Gamma(s) itself at the next two;
+        # M(X_0)'s prefactor (2 pi)^s e^{i pi s/2} / Gamma(s) overflows at the first s;
         # the last word's Y_-1^3 term is inf + nan j, from a complex product that raises nothing
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "NonConvergence"
+
+    def test_gamma_past_binary64_answers(self, capsys):
+        # 1/Gamma(s) passes binary64's range at s = 0.5 + 500i and Gamma(s) at s = 400, where M(X_0)'s prefactor
+        # does not: it is one exp of s log(2 pi i) - log Gamma(s), and at s = 400 it underflows to 0 (the true
+        # M(X_0) is 2.7e-756)
+        code, out, _ = run(capsys, "eval", "--s", "0.5,500", "--a", "0.3,0.2", "--c", "0.4,0", "--branch", "X0")
+        rec = json.loads(out)
+        assert code == 0
+        assert abs(complex(rec["value"]["re"], rec["value"]["im"]) - Z_COVER_500) <= rec["abs_err"]
+        code, out, _ = run(capsys, "monodromy", "--word", "X0", "--s", "0.5,500", "--a", "0.3,0", "--c", "0.4,0")
+        rec = json.loads(out)
+        assert code == 0
+        assert abs(complex(rec["value"]["re"], rec["value"]["im"]) - M_X0_500) <= 1e-12 * abs(M_X0_500)
+        code, out, _ = run(capsys, "monodromy", "--word", "X0", "--s", "400,0", "--a", "0.3,0", "--c", "0.4,0")
+        assert code == 0
+        assert json.loads(out)["value"] == {"re": 0, "im": 0}
 
     def test_verify_non_convergence_is_a_record(self, capsys, monkeypatch):
         def fails(*args):

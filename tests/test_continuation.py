@@ -41,6 +41,8 @@ from conftest import (
     Z_C2,
     Z_EDGE_A_0,
     Z_EDGE_A_1,
+    Z_COVER_500,
+    Z_FAR_LEFT_TRANSFORM,
     Z_INNER_SHIFT,
     Z_NEAR_CUT,
     Z_1_I_1,
@@ -137,9 +139,17 @@ class TestTransform:
         assert abs(lv.value - Z_M3_05_05) < 1e-9
 
     def test_gamma_overflow_raises(self):
-        # the coefficients at s = -200.5 carry Gamma(201.5), past binary64
+        # at s = -200.5 the value, about e^{734}, is past binary64 (its coefficients, about e^{492}, are not)
         with pytest.raises(NonConvergence, match="overflows"):
             transform_eval(Point3(-200.5, 0.3, 0.4))
+
+    @pytest.mark.parametrize("s, want", Z_FAR_LEFT_TRANSFORM)
+    def test_far_left_coefficients_in_log_scale(self, s, want):
+        # Gamma(1 - s) is past binary64 at s = -175.5, and so is (2 pi)^{s-1} Gamma(1 - s) at s = -160.5; each
+        # coefficient is one exp of a sum of logs, and the value is in range
+        lv = evaluate_principal(s, 0.3 + 0.1j, 0.4)
+        assert lv.method is Method.TRANSFORM
+        assert abs(lv.value - want) <= lv.abs_err_estimate <= 1e-11 * abs(want)
 
     def test_outside_polycylinder_rejected(self):
         with pytest.raises(InvalidRegion):
@@ -424,21 +434,45 @@ class TestRouting:
 
     @pytest.mark.parametrize("c", [0.02 + 0.1j, -0.7 + 0.3j, 1.5])
     def test_strip_below_the_ray_floor_is_the_transform(self, monkeypatch, c):
-        # 1e-10 |Gamma(-0.5 + 8i)| = 1.1e-16 is below the ray's floor: the integral at s declines
-        # without a quadrature (the transform's inner evaluations at 1 - s still take it), and the
-        # dispatch is the transform after one index shift of c, bit for bit
+        # 1e-10 |Gamma(-0.5 + 8i)| = 1.1e-16 is below the ray's floor: the transform runs first (its inner
+        # evaluations at 1 - s take the integral), and where it meets the target the dispatch is the transform
+        # after one index shift of c, bit for bit; the integral at s runs only after a transform that misses
+        # (at the first c), and the smaller estimate answers
         s, a = -0.5 + 8j, 0.3 - 0.1j
         assert not continuation._ray_first(s, 1e-10)
-        assert not continuation._ray_first(-0.5 + 460j, 1e-10)  # 1/Gamma(s) overflows
-        integral = continuation._integral_eval_raw
+        assert not continuation._ray_first(-0.5 + 460j, 1e-10)  # 1/Gamma(s) is past binary64
+        calls, integral, transform = [], continuation._integral_eval_raw, continuation._transform_value
 
-        def no_ray_at_s(s_, *args):
-            assert s_ != s, "the integral ran below the ray's floor"
+        def ray(s_, *args):
+            if s_ == s:
+                calls.append("integral")
             return integral(s_, *args)
 
-        monkeypatch.setattr(continuation, "_integral_eval_raw", no_ray_at_s)
-        lv, want = evaluate_principal(s, a, c, 1e-10), by_transform(s, a, c, 1e-10)
-        assert (lv.value, lv.abs_err_estimate, lv.method) == (want.value, want.abs_err_estimate, Method.TRANSFORM)
+        def three_term(s_, *args):
+            if s_ == s:
+                calls.append("transform")
+            return transform(s_, *args)
+
+        monkeypatch.setattr(continuation, "_integral_eval_raw", ray)
+        monkeypatch.setattr(continuation, "_transform_value", three_term)
+        want = by_transform(s, a, c, 1e-10)
+        calls.clear()
+        lv = evaluate_principal(s, a, c, 1e-10)
+        if want.abs_err_estimate <= 1e-10:
+            assert calls == ["transform"]
+            assert (lv.value, lv.abs_err_estimate, lv.method) == (want.value, want.abs_err_estimate, Method.TRANSFORM)
+        else:
+            assert calls == ["transform", "integral"]
+            assert lv.abs_err_estimate <= want.abs_err_estimate
+
+    def test_ray_floor_orders_the_routes(self):
+        # below the floor the transform misses here (estimate 4.7e-7) and the integral after it answers
+        (s, a, c), want = Z_NEXT_TO_RE_C[45]
+        assert not continuation._ray_first(s, 1e-10)
+        lv = evaluate_principal(s, a, c, 1e-10)
+        assert lv.method is Method.INTEGRAL
+        assert lv.abs_err_estimate <= 1e-9
+        assert abs(lv.value - want) <= 1e-11
 
     @staticmethod
     def _one_shift(monkeypatch, s, a, c):
@@ -723,12 +757,23 @@ class TestEvaluateOnCover:
         with pytest.raises(NonConvergence):
             evaluate_on_cover(p, BranchState.from_dicts(kx))
 
-    def test_reciprocal_gamma_overflow_raises(self):
-        # Gamma(0.5 + 500i) underflows to 0, so M(X_0)'s 1/Gamma(s) overflows
-        p = Point3(0.5 + 500j, 0.3 + 0.2j, 0.4)
-        assert cmath.isfinite(evaluate_on_cover(p, BranchState.zero()).value)
-        with pytest.raises(NonConvergence, match="overflows"):
-            evaluate_on_cover(p, BranchState.from_dicts({0: 1}))
+    def test_reciprocal_gamma_past_binary64_answers(self):
+        # 1/Gamma(0.5 + 500i), about e^{784}, is past binary64; M(X_0)'s prefactor is one exp of
+        # s log(2 pi i) - log Gamma(s) and stays in range.  X's prefactor still overflows at s = -400.5
+        # (tests/test_monodromy.py's TestOverflowRule)
+        lv = evaluate_on_cover(Point3(0.5 + 500j, 0.3 + 0.2j, 0.4), BranchState.from_dicts({0: 1}))
+        assert abs(lv.value - Z_COVER_500) <= lv.abs_err_estimate <= 1e-11
+
+    def test_summed_charge_stays_finite(self):
+        # extreme record #1269: the Y_-1^2 term is about 5.4e306, so a sum of |term| (1 + phase) taken before the
+        # factor 4 eps would pass binary64 while the value does not; the charge is taken term by term.  The
+        # monodromy is the closed form in mpmath at 50 digits (the principal value is about 1e123)
+        s, a = -38.86464415269049 + 33.63567505632778j, -1.4227785774192392 + 5.342108239541162e-06j
+        c = -97.73098014591643 - 0.7101695721993773j
+        lv = evaluate_on_cover(Point3(s, a, c), BranchState.from_dicts({}, {-1: 2}))
+        want = complex(-1.9737782651047753459e306, 5.0556550705469675436e306)
+        assert math.isfinite(lv.abs_err_estimate)
+        assert abs(lv.value - want) <= lv.abs_err_estimate <= 1e-11 * abs(want)
 
     @pytest.mark.parametrize(
         "s, a, c, kx, ky, family",
@@ -758,14 +803,15 @@ class TestEvaluateOnCover:
                 {1: -1},
                 "three-term transformation overflows",
             ),
-            # the index shift's e^{2 pi i a n} times the transform's value at c + n
+            # the index shift's e^{2 pi i a n} times the route's value at c + n: below the ray's floor the
+            # transform's shift by 10945 raises first, then the integral's by 10946
             (
                 -2.1110165903286315 - 23.65215547972198j,
                 1.462748730210437 - 0.009874269611910472j,
                 -10944.735700073497 - 2.8369650144766556j,
                 {},
                 {1: -1, -1: -2},
-                "index shift of c = .* by 10945 overflows",
+                "index shift of c = .* by 10946 overflows",
             ),
         ],
     )

@@ -21,6 +21,7 @@ from lerchzeta import (
     residue_discrepancy,
 )
 from lerchzeta import evaluator, quadrature
+from lerchzeta.branching import log_gamma
 from lerchzeta.evaluator import _MAX_RAY_PANELS, _contour_integral, _pick_t_max, _ray
 from lerchzeta.words import BranchState, Generator
 from conftest import (
@@ -28,12 +29,17 @@ from conftest import (
     Z_AXIS_POLE,
     Z_BASE,
     Z_COMPLEX_S,
+    Z_CUTOFF_100,
+    Z_GAMMA_400,
+    Z_GAMMA_TINY,
     Z_INTEGRAL_RAY,
     Z_INTEGRAL_ROUTE,
     Z_LINE_2_RIGHT,
     Z_NEAR_AXIS,
     Z_NEAR_RAY_POLE,
+    Z_PEAK_141,
     Z_PHASE_PANELS,
+    Z_REFLECTION_277,
     Z_STRIP_SWEEP,
     by_transform,
 )
@@ -87,30 +93,35 @@ class TestStraightContour:
         with pytest.raises(ContourHitsPole):
             integral_eval(Point3(1.0, 1e-4 - 1e-5j, 1.0))
 
-    @pytest.mark.parametrize("s,c", [(0.5 + 500j, 0.5), (1.5 + 600j, 0.7)])
-    def test_gamma_underflow_raises(self, s, c):
-        # complex_gamma(s) underflows to 0 here, so the integral cannot divide by it
-        with pytest.raises(NonConvergence):
-            evaluate_principal(s, 0.3 - 0.1j, c)
-        with pytest.raises(NonConvergence):
-            integral_eval(Point3(s, 0.3 - 0.1j, c))
+    @pytest.mark.parametrize("point, want", Z_GAMMA_TINY)
+    def test_gamma_underflow_answers(self, point, want):
+        # Gamma(s) is below binary64's range here (e^{-785} and e^{-940}); 1/Gamma(s) enters the integrand's
+        # exponent as -log Gamma(s), so the integral answers, and the dispatch by it
+        s, c = point
+        for lv in (evaluate_principal(s, 0.3 - 0.1j, c), integral_eval(Point3(s, 0.3 - 0.1j, c))):
+            assert lv.method is Method.INTEGRAL
+            assert abs(lv.value - want) <= lv.abs_err_estimate <= 1e-10 * abs(want)
 
-    def test_gamma_overflow_says_so(self):
-        # Gamma(400) is about 1e846: it overflows, it does not underflow
-        with pytest.raises(NonConvergence, match="overflows") as info:
-            integral_eval(Point3(400, 0.3 - 0.1j, 0.4))
-        assert "underflows" not in str(info.value)
+    @pytest.mark.parametrize("point, want", [((400, 0.3 - 0.1j, 0.4), Z_GAMMA_400), ((100, 0.3 - 0.1j, 0.01), Z_CUTOFF_100)])
+    def test_gamma_overflow_answers(self, point, want):
+        # Gamma(400) is about 1e846, and at Re c = 0.01 t^{99} e^{-ct} peaks near e^{812}: both past binary64,
+        # while t^{s-1} e^{-ct} / Gamma(s) and the value are not
+        lv = integral_eval(Point3(*point))
+        assert abs(lv.value - want) <= lv.abs_err_estimate <= 1e-10 * abs(want)
 
     def test_cutoff_bound_overflow_raises(self):
-        # at Re c = 0.01 the cutoff's bound t^{99} e^{-ct} passes math.exp's range before it decays
+        # at Re c = 0.01 the cutoff's bound t^{199} e^{-ct} / Gamma(200) passes math.exp's range before it decays
+        s, a, c = 200, 0.3 - 0.1j, 0.01 + 1j
+        with pytest.raises(OverflowError):
+            _pick_t_max(s, a, c, 1e-11, 0.0, log_gamma(s).real)
         with pytest.raises(NonConvergence, match="overflows"):
-            integral_eval(Point3(100, 0.3 - 0.1j, 0.01))
+            integral_eval(Point3(s, a, c))
 
-    def test_gamma_reflection_overflow_raises(self):
-        # Re s < 1/2: Gamma(s) comes from the reflection formula, whose
-        # sin(pi s) overflows at |Im s| = 277 before Gamma(s) reaches 0
-        with pytest.raises(NonConvergence):
-            integral_eval(Point3(0.430 - 277.3j, 0.704 - 0.175j, 0.741 + 2.513j))
+    def test_gamma_reflection_in_log_scale(self):
+        # Re s < 1/2: Gamma(s) comes from the reflection formula, whose sin(pi s) overflows at |Im s| = 277;
+        # its logarithm does not
+        lv = integral_eval(Point3(0.430 - 277.3j, 0.704 - 0.175j, 0.741 + 2.513j))
+        assert abs(lv.value - Z_REFLECTION_277) <= lv.abs_err_estimate <= 1e-10 * abs(Z_REFLECTION_277)
 
     def test_cutoff_skips_a_start_below_its_bound_condition(self):
         # the start t = 2(sigma - 1)/Re c rounds so that Re c t < 2(sigma - 1), where the tail bound
@@ -120,7 +131,7 @@ class TestStraightContour:
         c = 0.26329590311798645 - 0.2525751961521374j
         start = 2.0 * (s.real - 1.0) / c.real
         assert c.real * start < 2.0 * (s.real - 1.0)
-        t, bound = _pick_t_max(s, a, c, 1e3, 0.0)
+        t, bound = _pick_t_max(s, a, c, 1e3, 0.0, 0.0)
         assert c.real * t >= 2.0 * (s.real - 1.0)
         assert t == pytest.approx(1.3 * start) and bound <= 1e3
 
@@ -262,19 +273,24 @@ class TestPhasePanels:
         assert [len(e) - 1 for e in first] == [16]
 
     def test_first_panels_stay_within_the_cap(self, monkeypatch):
-        # at Im s = 600 the phase turns about 1800 radians over the ray; Gamma(s) underflows
-        # there, so the ray's integral is called directly
+        # at Im s = 600 the phase turns about 1800 radians over the ray
         s, a, c = 2 + 600j, 0.3 + 1j, 0.4
         theta, _, _, d, k = _ray(s, a, c, ContourSpec.STRAIGHT)
         assert d >= 3.0  # no edge is graded toward a pole
         first = first_edges(monkeypatch, stop=True)
-        _contour_integral(s, a, c, theta, 1e-10, d, k)
+        _contour_integral(s, a, c, theta, 1e-10, d, k, log_gamma(s))
         assert [len(e) - 1 for e in first] == [_MAX_RAY_PANELS // 2]
 
+    def test_peak_past_binary64_answers(self):
+        # t^{s-1} e^{-ct} peaks near e^{720} on the ray at s = 141.5; over Gamma(s), near e^{163}
+        lv = integral_eval(Point3(141.5, 0.6, 0.3 + 0.1j))
+        assert abs(lv.value - Z_PEAK_141) <= lv.abs_err_estimate <= 1e-10 * abs(Z_PEAK_141)
+
     def test_overflow_raises(self):
-        # t^{s-1} e^{-ct} peaks near e^{720} on the ray at s = 141.5
+        # at Re c = 6e-4, t^{99} e^{-ct} / Gamma(100) peaks near e^{731} on the ray, as the value c^{-100} passes
+        # binary64's range
         with pytest.raises(NonConvergence, match="overflows"):
-            integral_eval(Point3(141.5, 0.6, 0.3 + 0.1j))
+            integral_eval(Point3(100, 0.3 - 0.1j, 6e-4))
 
 
 class TestEndpointRing:

@@ -45,6 +45,7 @@ from conftest import (
     Z_SMALL_IM_A_1,
     Z_SMALL_IM_A_2,
     Z_SMALL_IM_A_3,
+    Z_TAIL_SWEEP,
     by_transform,
 )
 
@@ -161,29 +162,16 @@ class TestSeriesValues:
 
 
 class TestTailOracle:
-    def test_seeded_tail_sweep(self, rng):
-        """The Abel-Plana tail against mpmath at 30 digits: true error <= abs_err_estimate.
+    def test_seeded_tail_sweep(self):
+        """The Abel-Plana tail against frozen mpmath values at 30 digits: true error <= abs_err_estimate.
 
         Every point takes the tail: real a with Re s > 0, integer a with
         Re s > 1 (oracle zeta(s, c)), and 0 < Im a <= 1e-6, where the direct
         sum cannot reach the target.
         """
-        for k in range(40):
-            kind = k % 5  # 0, 1: real a; 2: integer a; 3, 4: small Im a
-            s = complex(rng.uniform(1.1 if kind == 2 else 0.1, 3.0), rng.uniform(-15.0, 15.0))
-            if kind == 2:
-                a = complex(rng.randint(-1, 2), 0.0)
-            else:
-                a = complex(rng.uniform(-1.0, 2.0), 0.0 if kind < 2 else 10 ** rng.uniform(-9.0, -6.0))
-            c = complex(rng.uniform(0.1, 2.0), rng.uniform(-0.5, 0.5))
+        for k, ((s, a, c), want) in enumerate(Z_TAIL_SWEEP):
             lv = dirichlet_series(s, a, c, 1e-10)
-            with mpmath.workdps(30):
-                if kind == 2:
-                    want = mpmath.zeta(mpmath.mpc(s), mpmath.mpc(c))
-                else:
-                    z = mpmath.exp(2j * mpmath.pi * mpmath.mpc(a))
-                    want = mpmath.lerchphi(z, mpmath.mpc(s), mpmath.mpc(c))
-            err = abs(lv.value - complex(want))
+            err = abs(lv.value - want)
             assert err <= lv.abs_err_estimate, (k, s, a, c, err, lv.abs_err_estimate)
 
 
@@ -276,13 +264,13 @@ class TestDirectOrAbelPlana:
             (
                 (-99.80344504412413 - 0.011105409967784008j, -1.4368727437487032 + 0.0003346572595215068j,
                  11.204031509065635 - 0.44634950442973187j),
-                ("-0x1.447a5ed0b039bp+376", "-0x1.50b945ea3d5f9p+378", "0x1.3fb305dc25954p+338"),
+                ("-0x1.447a5ed0b0705p+376", "-0x1.50b945ea3d597p+378", "0x1.3fa0ac837f151p+338"),
                 complex(-1.9508490801472624592e113, -8.0978944230998134309e113),
             ),
             (
                 (-102.62239329105572 + 2.411146907822711j, 0.5778815891100955 + 1.9494742608508472e-05j,
                  -0.02559797684156229 + 0.9492217541718502j),
-                ("-0x1.0dabe49acee88p+386", "-0x1.1cd743f671ee0p+387", "0x1.4fb147b6326a4p+346"),
+                ("-0x1.0dabe49acf03cp+386", "-0x1.1cd743f672019p+387", "0x1.4fb147b62b954p+346"),
                 complex(-1.660249440463241491e116, -3.5072819216896702696e116),
             ),
             (

@@ -26,6 +26,7 @@ from lerchzeta import (
 from lerchzeta import monodromy
 from lerchzeta.cli import main
 from lerchzeta.words import BranchState, Generator, abelianize, generator_of
+from conftest import M_X0_500
 
 
 def random_word(rng, max_len=16, index_range=(-2, 2)):
@@ -265,18 +266,51 @@ class TestPerCallFactors:
 class TestOverflowRule:
     @pytest.mark.parametrize("axis", ["X", "Y"])
     def test_generator_and_power_raise_nonconvergence(self, axis):
-        # 1/Gamma(s) and e^{-2 pi i s} - 1 overflow at s = 0.5 + 500i
-        g = Generator(axis, 0)
-        for f in (lambda: monodromy_generator(g, 0.5 + 500j, 0.3, 0.4), lambda: monodromy_power(g, 3, 0.5 + 500j, 0.3, 0.4)):
+        # X's prefactor (2 pi)^s e^{i pi s/2} / Gamma(s) is about e^{1269} at s = -400.5, and Y's
+        # e^{-2 pi i s} - 1 overflows at s = 0.5 + 500i
+        g, s = Generator(axis, 0), -400.5 if axis == "X" else 0.5 + 500j
+        for f in (lambda: monodromy_generator(g, s, 0.3, 0.4), lambda: monodromy_power(g, 3, s, 0.3, 0.4)):
             with pytest.raises(NonConvergence, match="overflows"):
                 f()
 
     def test_fold_overflow_raises_nonconvergence(self):
-        # 1/Gamma(s) overflows at s = 0.5 + 500i
+        # X_0's prefactor overflows at s = -400.5
         with pytest.raises(NonConvergence, match="overflows"):
-            word_fold_monodromy(Word.parse("X0"), 0.5 + 500j, 0.3, 0.4)
+            word_fold_monodromy(Word.parse("X0"), -400.5, 0.3, 0.4)
         with pytest.raises(NonConvergence, match="overflows"):
-            monodromy_of_word(Word.parse("X0"), 0.5 + 500j, 0.3, 0.4)
+            monodromy_of_word(Word.parse("X0"), -400.5, 0.3, 0.4)
+
+    def test_x_prefactor_in_log_scale(self):
+        # at s = 0.5 + 500i, 1/Gamma(s) (about e^{784}) passes binary64's range while the prefactor (about 0.9)
+        # does not: it is one exp of s log(2 pi i) - log Gamma(s).  The error is log Gamma(s)'s rounding,
+        # eps |log Gamma(s)| = 5.8e-13 relative
+        g, s = Generator("X", 0), 0.5 + 500j
+        for v in (monodromy_generator(g, s, 0.3, 0.4), monodromy_power(g, 3, s, 0.3, 0.4),
+                  word_fold_monodromy(Word.parse("X0"), s, 0.3, 0.4), monodromy_of_word(Word.parse("X0"), s, 0.3, 0.4)):
+            assert abs(v - M_X0_500) <= 1e-12 * abs(M_X0_500)
+
+    @pytest.mark.parametrize(
+        "g, k, s, a, c, want",
+        [
+            # extreme record #976 of scripts/parent_diff.py: X_1's prefactor and kernel are about e^{-1132},
+            # lambda^{-1} and lambda^{-2} about e^{792} and e^{1583}
+            (Generator("X", 1), k, 140.48554182376523 + 125.98858468455485j, 1.0482124469961844 + 0.16694792017262125j,
+             -271.2152674721703 - 1.0351743535476747j, want)
+            for k, want in ((-1, complex(-4.0323833350515158104e-149, -3.817132074159456187e-149)),
+                            (-2, complex(2.271407865149807882e195, 2.5795050205888838428e195)))
+        ] + [
+            # records #1409 and #212: (c - n)^{-s} is about e^{-989} and e^{-720}, lambda^{-1} about e^{1549} and e^{143}
+            (Generator("Y", 0), -1, 24.18154761312573 - 246.47791175070884j, 1.5677902506206012 + 0.1254969336430195j,
+             -7104.0801383884445 + 1.4381950602796145j, complex(1.4879913254023081e243, -1.5301091103639538e242)),
+            (Generator("Y", 0), -1, 100.09084044960917 - 22.7735893714568j, 1.699010540332465 - 0.012092833615646633j,
+             1331.1699317103019 - 2.3239028353618227j, complex(9.9863174319336496e-252, 2.6601620272937585e-251)),
+        ],
+    )
+    def test_term_in_log_scale(self, g, k, s, a, c, want):
+        # a term is one exp of its logs and of the log modulus of its geometric factor's largest power, so it is no
+        # product of an underflow and an overflow (0 for the first three) and keeps more than a subnormal kernel's
+        # digits (#212).  References: the closed form in mpmath at 50 and 60 digits
+        assert abs(monodromy_power(g, k, s, a, c) - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("s, what", [(0.5 - 80j, "monodromy of"), (0.5 - 60j, "composition of")])
     def test_compose_nested_overflow_raises_nonconvergence(self, s, what):
