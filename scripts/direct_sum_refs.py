@@ -1,9 +1,11 @@
-"""Print one of tests/conftest.py's frozen sweep blocks: 40 seeded points, each with its 30-digit reference.
+"""Print one of tests/conftest.py's frozen sweep blocks: 20 or 40 seeded points, each with its 30-digit reference.
 
     python3 scripts/direct_sum_refs.py                    # Z_DIRECT_SUM
     python3 scripts/direct_sum_refs.py Z_INT_RE_C_SWEEP
     python3 scripts/direct_sum_refs.py Z_STRIP_SWEEP
     python3 scripts/direct_sum_refs.py Z_TAIL_SWEEP
+    python3 scripts/direct_sum_refs.py Z_NEAR_INT_RE_C_SWEEP
+    python3 scripts/direct_sum_refs.py Z_INTEGRAL_SWEEP
 
 Each block draws its points from the rng fixture's seed in the order and
 with the ranges that its test once drew them, and evaluates mpmath
@@ -13,7 +15,10 @@ Z_DIRECT_SUM for tests/test_evaluator_series.py's test_seeded_direct_sum_sweep,
 Z_INT_RE_C_SWEEP for tests/test_continuation.py's
 TestRouting.test_seeded_integer_re_c_sweep, Z_STRIP_SWEEP for
 tests/test_evaluator_integral.py's TestIntegralOracle.test_seeded_strip_sweep,
-Z_TAIL_SWEEP for tests/test_evaluator_series.py's TestTailOracle.test_seeded_tail_sweep.
+Z_TAIL_SWEEP for tests/test_evaluator_series.py's TestTailOracle.test_seeded_tail_sweep,
+Z_NEAR_INT_RE_C_SWEEP for tests/test_continuation.py's
+TestRouting.test_seeded_near_integer_re_c_sweep and Z_INTEGRAL_SWEEP for
+tests/test_evaluator_integral.py's TestIntegralOracle.test_seeded_integral_sweep.
 """
 
 from __future__ import annotations
@@ -70,8 +75,30 @@ def tail_points(rng: random.Random, n: int = 40) -> Iterator[tuple[complex, comp
         yield s, a, c
 
 
+def near_integer_re_c_points(rng: random.Random, n: int = 20) -> Iterator[tuple[complex, complex, complex]]:
+    """0 < |Im c| < 0.01 on Re c in {1, 2, 3}; every second a next to 0 or 1, with Im a = 0, 1e-7 or 0.3."""
+    for k in range(n):
+        s = complex(rng.uniform(-1.5, 0.0), rng.uniform(-8.0, 8.0))
+        if k % 2:
+            a = complex(rng.choice([1e-6, 0.999999]), rng.choice([0.0, 1e-7, 0.3]))
+        else:
+            a = complex(rng.uniform(0.15, 0.85), rng.uniform(-0.25, 0.0))
+        c = complex(rng.randint(1, 3), rng.choice([-1, 1]) * 10.0 ** rng.uniform(-10.0, -2.0))
+        yield s, a, c
+
+
+def integral_points(rng: random.Random, n: int = 20) -> Iterator[tuple[complex, complex, complex]]:
+    """The integral route at 6 <= |Im s| <= 30, Im a < 0 and real c."""
+    for _ in range(n):
+        s = complex(rng.uniform(0.1, 3.0), rng.choice((-1.0, 1.0)) * rng.uniform(6.0, 30.0))
+        a = complex(rng.uniform(0.05, 0.95), rng.uniform(-0.4, -0.02))
+        c = rng.uniform(0.1, 2.0)
+        yield s, a, c
+
+
 BLOCKS = {"Z_DIRECT_SUM": direct_sum_points, "Z_INT_RE_C_SWEEP": integer_re_c_points, "Z_STRIP_SWEEP": strip_points,
-          "Z_TAIL_SWEEP": tail_points}
+          "Z_TAIL_SWEEP": tail_points, "Z_NEAR_INT_RE_C_SWEEP": near_integer_re_c_points,
+          "Z_INTEGRAL_SWEEP": integral_points}
 
 
 def refs(block: str) -> list[tuple[tuple[complex, complex, complex], mpmath.mpc]]:

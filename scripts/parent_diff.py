@@ -57,7 +57,11 @@ estimate plus the new one.  Each item that moved counts its records by
 kind: answers whose estimate grew, answers that became raises, raises that
 changed class, answers that moved by more than the old estimate plus the
 new one, raises that became answers, and label-only moves (same value and
-estimate, another method).  The exit
+estimate, another method).  Records that moved past their estimates or
+became raises are listed by index and point (s, a, c and, on the cover,
+the windings), up to NAMED per kind and item.  The pool also reads its
+answers against the oracle values of its file: met (error within 1e-10),
+missed, and violations (error above the estimate).  The exit
 code is 0 when every item is bit-identical, 1 when one moved and 2 when
 git cannot extract REV.
 """
@@ -95,6 +99,7 @@ VERIFY_ARGS = ["verify", "--suite", "all", "--samples", "3", "--seed", "1"]
 MALFORMED_WORDS = ("X", "Z1", "x1", "X1^", "X1^0", "X1.5", "X1^-0", "Y--1", "X+1", "XY1", "X1^1.0", "X0 Y1^",
                    "X1 Y", "X\u0661")
 SHOWN = 5  # changed records printed per item
+NAMED = 10  # records named per kind and item where they moved past their estimates or became raises
 # counted in every item that moved: the first four are regressions, a label-only move keeps value and estimate
 KINDS = ("estimate grew", "answer became raise", "raise changed class", "moved past estimates", "raise became answer",
          "label only")
@@ -406,8 +411,9 @@ def extract(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def _moves(old: list, new: list) -> list[str]:
-    """Lines describing what moved between two lists of outcome rows; empty when bit-identical."""
+def _moves(old: list, new: list, points: list[str] | None = None) -> list[str]:
+    """Lines describing what moved between two lists of outcome rows, naming points[i] for a record i that moved past
+    its estimates or became a raise; empty when bit-identical."""
     changed = [i for i, (o, n) in enumerate(zip(old, new)) if json.dumps(o) != json.dumps(n)]  # NaN equals NaN
     if not changed:
         return []
@@ -416,6 +422,7 @@ def _moves(old: list, new: list) -> list[str]:
     d_frac = None  # largest move over (old estimate + new estimate); None where the records carry no estimate
     classes, methods, warned = [], [], []
     kinds = dict.fromkeys(KINDS, 0)
+    named = {"answer became raise": [], "moved past estimates": []}
     for i in changed:
         o, n = old[i], new[i]
         if (o[0] == "raise") != (n[0] == "raise") or (o[0] == "raise" and o[1] != n[1]):
@@ -423,6 +430,8 @@ def _moves(old: list, new: list) -> list[str]:
                 kinds["raise changed class"] += 1
             else:
                 kinds["raise became answer" if o[0] == "raise" else "answer became raise"] += 1
+                if n[0] == "raise":
+                    named["answer became raise"].append(i)
             classes.append(f"  #{i}: {o[1] if o[0] == 'raise' else o[3]} -> {n[1] if n[0] == 'raise' else n[3]}")
             continue
         if o[4] != n[4]:
@@ -443,9 +452,16 @@ def _moves(old: list, new: list) -> list[str]:
             frac = move / both if both else math.inf if move else 0.0
             d_frac = max(d_frac or 0.0, frac)
             kinds["moved past estimates"] += frac > 1.0
+            if frac > 1.0:
+                named["moved past estimates"].append(i)
     largest = f"largest moves: absolute {d_abs:.3e}, relative {d_rel:.3e}, estimate (relative) {d_est:.3e}"
     lines.append(largest + ("" if d_frac is None else f", of old + new estimate {d_frac:.3e}"))
     lines.append("by kind: " + ", ".join(f"{kind} {count}" for kind, count in kinds.items()))
+    for kind, indices in named.items():
+        if indices:
+            lines.append(f"{kind}:")
+            lines += [f"  #{i}" + (f" {points[i]}" if points else "") for i in indices[:NAMED]]
+            lines += ["  ..."] if len(indices) > NAMED else []
     for title, items in (("exception classes", classes), ("methods", methods), ("warnings", warned)):
         if items:
             lines.append(f"{len(items)} changed {title}:")
@@ -520,16 +536,39 @@ def _families(old: list, new: list) -> str:
     return "NonConvergence by family: " + ", ".join(shown)
 
 
+def _point_text(s: complex, a: complex, c: complex, kx: dict | None = None, ky: dict | None = None) -> str:
+    return f"s={s!r} a={a!r} c={c!r}" + ("" if kx is None else f" kx={kx} ky={ky}")
+
+
+def _against_oracle(rows: list, records: list[dict]) -> str:
+    """The pool's answers against its oracle values: met (error within TARGET), missed, and violations (error
+    above the estimate)."""
+    errors = [(abs(complex(r[0], r[1]) - complex(*rec["value"])), r[2]) for r, rec in zip(rows, records) if r[0] != "raise"]
+    met = sum(err <= TARGET for err, _ in errors)
+    return f"{met} met, {len(errors) - met} missed, {sum(err > est for err, est in errors)} violations"
+
+
 def compare(old: dict, new: dict) -> list[tuple[str, str, list[str]]]:
     """(item, what the working tree gave, lines of what moved) per item."""
+    with open(POOL_FILE, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    points = {
+        "pool": [_point_text(complex(*r["s"]), complex(*r["a"]), complex(*r["c"]), dict(r["kx"]), dict(r["ky"]))
+                 for r in records],
+        "fuzz": [_point_text(*p) for p in _fuzz_points(FUZZ_SEED, FUZZ_POINTS)],
+        "extreme": [_point_text(*p) for p in _extreme_points(EXTREME_SEED, EXTREME_POINTS)],
+        "left": [_point_text(*p) for p in _left_points(LEFT_SEED, LEFT_POINTS)],
+    }
     work = new["pool_work"]
-    pool = _moves(old["pool"], new["pool"])
+    pool = _moves(old["pool"], new["pool"], points["pool"])
     if old["pool_work"] != work:
         pool.append(f"work: {old['pool_work']} -> {work}")
+    oracle = [_against_oracle(tree["pool"], records) for tree in (old, new)]
     verify = new["verify"]
     return [
-        ("pool", f"{_tally(new['pool'])}; {work['integrate_calls']} integrate calls, {work['panels']} panels", pool),
-        *[(item, f"{_tally(new[item])}; {_families(old[item], new[item])}", _moves(old[item], new[item]))
+        ("pool", f"{_tally(new['pool'])}; {work['integrate_calls']} integrate calls, {work['panels']} panels;"
+                 f" oracle {oracle[0]} -> {oracle[1]}", pool),
+        *[(item, f"{_tally(new[item])}; {_families(old[item], new[item])}", _moves(old[item], new[item], points[item]))
           for item in ("fuzz", "extreme", "left")],
         ("verify", f"{len(verify[1].splitlines())} lines, exit {verify[0]}", _byte_moves([old["verify"]], [verify])),
         ("monodromy", f"{len(new['monodromy'])} calls", _byte_moves(old["monodromy"], new["monodromy"])),

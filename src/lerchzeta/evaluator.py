@@ -101,8 +101,9 @@ def _reduce_a(a: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-# first edges of the Abel-Plana tail in u = y / y_max: 8 equal panels, the first split at 1/64, 1/32 and 1/16
-_TAIL_EDGES = [0.0, 1 / 64, 1 / 32, 1 / 16] + [k / 8 for k in range(1, 9)]
+# first edges of the Abel-Plana tail in u = y / y_max: 4 equal panels, the first split at 1/32 and 1/8 toward
+# u = 0, where the integrand varies fastest
+_TAIL_EDGES = [0.0, 1 / 32, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 1.0]
 
 
 def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) -> tuple[complex, float]:
@@ -116,7 +117,8 @@ def _osc_tail(s: complex, alpha: complex, c: complex, n0: int, target: float) ->
     when Re alpha = 0); for alpha = 0 it is (n0+c)^{1-s}/(s-1), returned less
     its pole 1/(s-1).  The second decays like e^{-2 pi (1 - |Re alpha|) y}.
     Each is cut at its own y_max with its own truncation bound; both run as
-    one quadrature in u = y / y_max at the sum of their tolerances.
+    one quadrature in u = y / y_max from the first edges _TAIL_EDGES, at the
+    sum of their tolerances.
     """
     x0, beta = alpha.real, alpha.imag
     sigma = s.real
@@ -432,11 +434,11 @@ def _contour_integral(
     s = -k (a pole 1/Gamma(s) cancels), and the alias and truncation bound
     divides by min_k |s + k|, not |s|.  One adaptive quadrature takes
     the rest up to a certified cutoff t_max.  Its first edges are equal in
-    log t, max(16, ceil(|Im s| log(t_max / t0) / 2)) panels so the phase of
-    t^{s-1} turns at most 2 radians over each, and at most half of
-    _MAX_RAY_PANELS; edges graded toward the foot of the pole
-    t_k = 2*pi*i*(a - k) on the ray join them when that pole's distance d to
-    the ray (both from :func:`_ray`) is below 3.
+    log t, max(8, ceil(|Im s| log(t_max / t0) / 4)) panels so the phase of
+    t^{s-1} turns at most 4 radians over each, which a G10/K21 panel
+    resolves, and at most half of _MAX_RAY_PANELS; edges graded toward the
+    foot of the pole t_k = 2*pi*i*(a - k) on the ray join them when that
+    pole's distance d to the ray (both from :func:`_ray`) is below 3.
     """
     za = 2j * math.pi * a
     sm1, lead = s - 1.0, 1j * theta * (s - 1.0) - lg  # t^{s-1} / Gamma(s) = e^{sm1 log r + lead}
@@ -465,7 +467,7 @@ def _contour_integral(
     f = lambda r: _h(za, c, r * rot, sm1 * np.log(r) + lead) * rot
     # t^{s-1} turns its phase by |Im s| per unit of log t; a pole within 3 of the ray adds edges at
     # its foot and d 2^j to either side, graded to its distance d
-    m = min(max(16, math.ceil(0.5 * abs(s.imag) * math.log(t_max / t0))), _MAX_RAY_PANELS // 2)
+    m = min(max(8, math.ceil(0.25 * abs(s.imag) * math.log(t_max / t0))), _MAX_RAY_PANELS // 2)
     inner = {t0 * (t_max / t0) ** (j / m) for j in range(1, m)}
     foot = (2j * math.pi * (a - k) / rot).real
     if d < 3.0 and t0 < foot < t_max:

@@ -1,24 +1,27 @@
-"""Adaptive Gauss-Kronrod (G7/K15) panels for complex-valued integrands.
+"""Adaptive Gauss-Kronrod (G10/K21) panels for complex-valued integrands.
 
 Integrands map a real-parameter numpy array, of any shape, elementwise to a
 complex array; contour pieces are handled by the callers via
-parameterization.  The returned error is the accumulated |K15 - G7| panel
+parameterization.  The returned error is the accumulated |K21 - G10| panel
 estimate plus a roundoff floor, intended as an upper-bound style estimate,
 not a proof.
 
 The caller chooses the first panels, matched to its integrand (QUADPACK's
 ``dqagpe`` starts from user breakpoints at known trouble spots the same
 way); a single panel over the whole interval needs several sweeps before
-the panels fit.  The integrand is called once on the 15 nodes of every
-first panel, then once per sweep on the 15 nodes of every piece of the
-panels the sweep splits.  A G7 panel's error falls like h^15, so a sweep
-splits each panel it picks into q = 2, 4 or 8 equal pieces, the fewest
-whose q^15 covers the ratio of the total error to the goal: an error far
-above the goal takes one deep sweep, not several bisections.
-Panels come back as three numpy arrays (K15 values, errors, resabs), and
+the panels fit.  The rule is QUADPACK's ``dqk21``, the one ``dqags`` uses:
+K21 is exact through degree 31 and its G10 estimator through degree 19,
+so at the same estimate a panel may be about twice as wide as under the
+15-point rule.  The integrand is called once on the 21 nodes of every first
+panel, then once per sweep on the 21 nodes of every piece of the panels
+the sweep splits.  A G10 panel's error falls like h^21, so a sweep splits
+each panel it picks into q = 2, 4 or 8 equal pieces, the fewest whose
+q^21 covers the ratio of the total error to the goal: an error far above
+the goal takes one deep sweep, not several bisections.
+Panels come back as three numpy arrays (K21 values, errors, resabs), and
 each row is bit-identical to evaluating that panel alone: the rows are
 reduced by an elementwise product and a per-row sum (a matrix product
-rounds differently), and the panel error takes ``np.hypot`` of K15 - G7,
+rounds differently), and the panel error takes ``np.hypot`` of K21 - G10,
 which gives the bits of Python's ``abs`` of a complex (``np.abs`` differs
 in the last bit).  A first pass that meets its goal returns at once, with
 the Python sums of those arrays in edge order; only a sweep builds the list
@@ -27,68 +30,75 @@ of live panels.
 The quadrature stops at a roundoff floor of 16 eps times the first panels'
 summed resabs (the integral of |f|), as ``dqagse`` stops at its roundoff
 limit.  Each panel's error already charges 4 eps times its resabs, and the
-K15 - G7 difference adds roundoff noise on top, so a tolerance below
+K21 - G10 difference adds roundoff noise on top, so a tolerance below
 binary64's reach stalls at about 1.06-1.3 times an 8 eps floor and would
 run to max_panels.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
 
-# QUADPACK dqk15 nodes and weights.
+# QUADPACK dqk21 nodes and weights.
 _XGK_POS = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
     0.0,
 )
 _WGK_POS = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077600525452578,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
 )
 _WG_POS = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
 )
 
 _XGK = np.array([-x for x in _XGK_POS[:-1]] + [0.0] + [x for x in reversed(_XGK_POS[:-1])])
-_WGK = np.array(list(_WGK_POS[:-1]) + [_WGK_POS[-1]] + list(reversed(_WGK_POS[:-1])))
-# Gauss-7 nodes sit at the odd Kronrod positions 1,3,...,13.
-_WG = np.array(
-    [_WG_POS[0], _WG_POS[1], _WG_POS[2], _WG_POS[3], _WG_POS[2], _WG_POS[1], _WG_POS[0]]
-)
+_WGK = np.array(list(_WGK_POS) + list(reversed(_WGK_POS[:-1])))
+# Gauss-10 nodes sit at the odd Kronrod positions 1,3,...,19.
+_WG = np.array(list(_WG_POS) + list(reversed(_WG_POS)))
 
 _EPS = 2.220446049250313e-16
+_BY_ERROR = operator.itemgetter(0)  # a live panel is (error, lo, hi, value, resabs)
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 
 def _panels(f: Integrand, lo: list[float], hi: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K15 values, errors and resabs of the panels [lo[i], hi[i]], from one call of f."""
+    """K21 values, errors and resabs of the panels [lo[i], hi[i]], from one call of f."""
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     y = np.asarray(f(mid[:, None] + half[:, None] * _XGK), dtype=np.complex128)
-    k15 = half * (_WGK * y).sum(axis=1)
-    d = k15 - half * (_WG * y[:, 1::2]).sum(axis=1)
+    k21 = half * (_WGK * y).sum(axis=1)
+    d = k21 - half * (_WG * y[:, 1::2]).sum(axis=1)
     resabs = half * (_WGK * np.abs(y)).sum(axis=1)
-    return k15, np.hypot(d.real, d.imag) + 4.0 * _EPS * resabs, resabs
+    return k21, np.hypot(d.real, d.imag) + 4.0 * _EPS * resabs, resabs
 
 
 def integrate(
@@ -106,7 +116,7 @@ def integrate(
     errors at most twice their own 4 eps resabs charge, and taking at most
     half the panels left in max_panels (at least one); with none to pick it
     stops.  It splits every picked panel into q equal pieces by repeated bisection, all in one
-    call of f, where q is the smallest of 2, 4, 8 with q^15 >= total error /
+    call of f, where q is the smallest of 2, 4, 8 with q^21 >= total error /
     goal (8 if none is), lowered while q times the picked panels exceeds the panels left,
     down to 2; so n_panels passes max_panels by at most one, unless the
     first panels alone do.  The floor is at least 16 eps times the first panels'
@@ -128,43 +138,50 @@ def integrate(
     live = list(zip(errs, los, his, values.tolist(), resabs.tolist()))
     min_width = 1e-14 * (abs(hi - lo) + 1.0)
     while total_err > max(tol, floor) and n < max_panels:
-        live.sort(key=lambda p: p[0], reverse=True)
+        live.sort(key=_BY_ERROR, reverse=True)
         goal = max(tol, floor)
         excess = total_err - goal
         cap = max(1, (max_panels - n) // 2)
         picked, kept = [], []
-        for p in live:
-            if excess > 0.0 and len(picked) < cap and p[2] - p[1] >= min_width and p[0] > 8.0 * _EPS * p[4]:
+        for i, p in enumerate(live):
+            if not (excess > 0.0 and len(picked) < cap):  # the pick is complete: the rest stay, in order
+                kept += live[i:]
+                break
+            if p[2] - p[1] >= min_width and p[0] > 8.0 * _EPS * p[4]:
                 picked.append(p)
                 excess -= p[0]
             else:
                 kept.append(p)
         if not picked:  # every panel that would count is too narrow to refine, or on its roundoff floor
             break
-        # a panel's error falls like h^15: split deep enough to meet the goal in one sweep
+        # a panel's error falls like h^21: split deep enough to meet the goal in one sweep
         ratio = total_err / goal
-        q = 2 if ratio <= 2.0**15 else 4 if ratio <= 2.0**30 else 8
+        q = 2 if ratio <= 2.0**21 else 4 if ratio <= 2.0**42 else 8
         while q > 2 and q * len(picked) > max_panels - n:
             q //= 2
-        los, his = [], []
-        for _, a, b, _, _ in picked:
-            cuts = _split(a, b, q)
-            los += cuts[:-1]
-            his += cuts[1:]
+        cuts = _split(np.array([p[1] for p in picked]), np.array([p[2] for p in picked]), q)
+        los, his = cuts[:, :-1].ravel().tolist(), cuts[:, 1:].ravel().tolist()
         values, errs, resabs = _panels(f, los, his)
-        resabs = resabs.tolist()
-        kept += zip(errs.tolist(), los, his, values.tolist(), resabs)
-        for i in range(0, len(resabs), q):
-            floor = max(floor, 16.0 * _EPS * sum(resabs[i : i + q]))
+        kept += zip(errs.tolist(), los, his, values.tolist(), resabs.tolist())
+        # each split panel's pieces' resabs summed left to right, as Python's sum adds them; fmax passes over a NaN
+        pieces = resabs.reshape(-1, q)
+        summed = pieces[:, 0]
+        for j in range(1, q):
+            summed = summed + pieces[:, j]
+        floor = max(floor, 16.0 * _EPS * float(np.fmax.reduce(summed)))
         live = kept
         total_err = sum(p[0] for p in live)
-        n += len(resabs)
+        n += len(los)
     return sum(p[3] for p in live), max(total_err, floor), n
 
 
-def _split(a: float, b: float, q: int) -> list[float]:
-    """Edges of q = 2, 4 or 8 equal pieces of [a, b] by repeated bisection; q = 2 gives [a, (a+b)/2, b]."""
-    cuts = [a, b]
-    while len(cuts) <= q:
-        cuts = [x for lo, hi in zip(cuts, cuts[1:]) for x in (lo, 0.5 * (lo + hi))] + [b]
+def _split(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Row i: the edges of q = 2, 4 or 8 equal pieces of [a[i], b[i]] by repeated bisection, each midpoint
+    0.5 * (lo + hi) as in Python floats; q = 2 gives [a, (a+b)/2, b]."""
+    cuts = np.stack([a, b], axis=1)
+    while cuts.shape[1] <= q:
+        finer = np.empty((len(cuts), 2 * cuts.shape[1] - 1))
+        finer[:, ::2] = cuts
+        finer[:, 1::2] = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+        cuts = finer
     return cuts

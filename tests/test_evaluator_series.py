@@ -264,13 +264,13 @@ class TestDirectOrAbelPlana:
             (
                 (-99.80344504412413 - 0.011105409967784008j, -1.4368727437487032 + 0.0003346572595215068j,
                  11.204031509065635 - 0.44634950442973187j),
-                ("-0x1.447a5ed0b0705p+376", "-0x1.50b945ea3d597p+378", "0x1.3fa0ac837f151p+338"),
+                ("-0x1.447a5ed0b0715p+376", "-0x1.50b945ea3d5a3p+378", "0x1.3f83bf9b69843p+338"),
                 complex(-1.9508490801472624592e113, -8.0978944230998134309e113),
             ),
             (
                 (-102.62239329105572 + 2.411146907822711j, 0.5778815891100955 + 1.9494742608508472e-05j,
                  -0.02559797684156229 + 0.9492217541718502j),
-                ("-0x1.0dabe49acf03cp+386", "-0x1.1cd743f672019p+387", "0x1.4fb147b62b954p+346"),
+                ("-0x1.0dabe49acf03cp+386", "-0x1.1cd743f672019p+387", "0x1.4fb147b637393p+346"),
                 complex(-1.660249440463241491e116, -3.5072819216896702696e116),
             ),
             (

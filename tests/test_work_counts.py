@@ -1,6 +1,6 @@
 """Work counts over the benchmark's point-scan pool.
 
-Counts of integrand calls, partial-sum terms and three-term transforms repeat exactly on every
+Counts of integrand calls, quadrature panels, partial-sum terms and three-term transforms repeat exactly on every
 machine, so unlike timings they can gate a change in Tier-1.  The pool is
 read from bench/data/point_scan_oracle.jsonl and never written.
 """
@@ -26,7 +26,8 @@ def pool_points():
 
 @pytest.fixture(scope="module")
 def pool_counts():
-    """Integrand calls, partial-sum terms and three-term transforms by stratum over one pass at the benchmark's 1e-10."""
+    """Integrand calls, quadrature panels, partial-sum terms and three-term transforms by stratum over one pass at the
+    benchmark's 1e-10."""
     counts = {}
     stratum = None
     integrate, partial_sum, transform = quadrature.integrate, evaluator._partial_sum, continuation._transform_value
@@ -36,7 +37,9 @@ def pool_counts():
             counts[stratum]["integrand_calls"] += 1
             return f(x)
 
-        return integrate(g, *args, **kwargs)
+        result = integrate(g, *args, **kwargs)
+        counts[stratum]["panels"] += result[2]
+        return result
 
     def counted_partial_sum(s, alpha, c, lo, hi):
         counts[stratum]["terms"] += hi - lo
@@ -58,12 +61,19 @@ def pool_counts():
 
 def test_integral_stratum_integrand_calls(pool_counts):
     # 524 from 16 first panels on every ray; 366 with first panels sized to the phase of t^{s-1}
-    assert pool_counts["integral"]["integrand_calls"] <= 400
+    # (2 radians each, G7/K15); 296 with G10/K21 panels of 4 radians
+    assert pool_counts["integral"]["integrand_calls"] <= 310
 
 
 def test_real_a_stratum_integrand_calls(pool_counts):
-    # 528 when each Abel-Plana tail ran its two integrals as two quadratures; 267 as one in u = y / y_max
-    assert pool_counts["real_a"]["integrand_calls"] <= 280
+    # 528 when each Abel-Plana tail ran its two integrals as two quadratures; 267 as one in u = y / y_max;
+    # 259 from 6 first G10/K21 panels
+    assert pool_counts["real_a"]["integrand_calls"] <= 265
+
+
+def test_pool_quadrature_panels(pool_counts):
+    # 25,603 G7/K15 panels; 13,305 G10/K21 panels, whose estimator lets a panel be about twice as wide
+    assert sum(c["panels"] for c in pool_counts.values()) <= 14_000
 
 
 def test_pool_partial_sum_terms(pool_counts):
