@@ -111,13 +111,39 @@ def _log_sin_pi(s: complex) -> complex:
     return complex(-math.log(2.0), math.pi * (0.5 * sign + n)) - w + cmath.log(1.0 - cmath.exp(2.0 * w))
 
 
+# log_gamma's last few values, newest first: one evaluation asks for log Gamma(s) up to four times (the ray's floor,
+# the ray, the monodromy of the poles it turns over and the cover's), and the transform's inner route again at 1 - s
+_RECENT = 4
+_recent: tuple[tuple[complex, complex], ...] = ()
+
+
+def _same(z: complex, w: complex) -> bool:
+    """z and w are the same binary64 pair, signed zeros included (== ignores their sign; log_gamma does not)."""
+    return z == w and math.copysign(1.0, z.real) == math.copysign(1.0, w.real) and (
+        math.copysign(1.0, z.imag) == math.copysign(1.0, w.imag))
+
+
 def log_gamma(s: complex) -> complex:
     """A logarithm of Gamma(s), the one place Gamma is computed (its imaginary part is not reduced to the
     principal branch): the Lanczos sum in log form for Re s >= 1/2, else the reflection log pi - log sin(pi s)
     - log Gamma(1 - s).  Finite at every finite s, so a factor formed as one exp of a sum of logs leaves
     binary64 only where it does.  Raises PoleAtNonpositiveInteger at s = 0, -1, -2, ...
+
+    One evaluation computes it once per s: the last _RECENT values are kept, enough for one evaluation's repeats
+    (an evaluation at another s finds none of them), and a repeated s returns the same bits without the sum.
     """
+    global _recent
     s = complex(s)
+    for z, lg in _recent:
+        if _same(z, s):
+            return lg
+    lg = _log_gamma(s)
+    _recent = ((s, lg), *_recent[: _RECENT - 1])  # one assignment: a concurrent caller loses an entry, no more
+    return lg
+
+
+def _log_gamma(s: complex) -> complex:
+    """:func:`log_gamma` computed."""
     if s.real < 0.5:
         if is_nonpositive_integer(s):
             raise PoleAtNonpositiveInteger(f"Gamma pole at s = {s!r}")

@@ -25,6 +25,7 @@ from .branching import is_nonpositive_integer, log_gamma
 from .domain import (
     ContourSpec,
     Point3,
+    checked_point,
     checked_target,
     cut_distances,
     on_a_cut_ray,
@@ -38,8 +39,8 @@ from .errors import (
     NonConvergence,
     SZero,
 )
-from .evaluator import (_EPS, _FLAT_REL_ERR, _SIGMA0, LerchValue, Method, _integral_eval_raw, _partial_sum,
-                        _route_value, _series, _target_over, _window, dirichlet_series)
+from .evaluator import (_EPS, _FLAT_REL_ERR, _SIGMA0, _TERM_CAP, LerchValue, Method, _divergence, _integral_eval_raw,
+                        _partial_sum, _route_value, _series, _target_over, _window, dirichlet_series)
 from .monodromy import branch_monodromy
 from .words import BranchState
 
@@ -74,7 +75,7 @@ def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     wins, else the smallest estimate (the earlier route on a tie); the last error is raised only if none answered.
     """
     best, error = None, None
-    for route in _routes(s, target):
+    for route in _routes(s, a, target):
         try:
             lv = route(s, a, c, target)
         except LerchError as exc:
@@ -89,11 +90,13 @@ def _core_eval(s: complex, a: complex, c: complex, target: float) -> LerchValue:
     return best
 
 
-def _routes(s: complex, target: float) -> Iterator[_Route]:
+def _routes(s: complex, a: complex, target: float) -> Iterator[_Route]:
     """Series then integral for Re s > 0, series then transform for Re s <= -_SIGMA0, and between them series,
-    integral and transform, the integral last below the ray's floor (read only once the series has not answered)."""
+    integral and transform, the integral last below the ray's floor (read only once the series has not answered);
+    the series only where it converges (:func:`_divergence`), as it raises DivergentSeries elsewhere."""
     series, integral, transform = _ROUTES
-    yield series
+    if not _divergence(s, a):
+        yield series
     if s.real > 0.0:
         yield integral
     elif s.real <= -_SIGMA0:
@@ -126,10 +129,13 @@ def _shift_c(s: complex, a: complex, c: complex, n: int, target: float, inner: _
 
     zeta(s,a,c) = e^{2pi i n a} zeta(s,a,c+n) + sign(n) sum_j e^{2pi i j a}(j+c)^{-s}, j over [0, n) for n > 0
     and over [n, 0) for n < 0, is the series' split at n: the sum is :func:`_partial_sum`, and the first term
-    is charged by its rule, with the exponent 2 pi i a n.
+    is charged by its rule, with the exponent 2 pi i a n.  A shift by more than _TERM_CAP terms raises
+    NonConvergence.
     """
     if n == 0:
         return inner(s, a, c, target)
+    if abs(n) > _TERM_CAP:
+        raise NonConvergence(f"index shift of c = {c!r} by {float(n):.4g} terms exceeds the cap of {_TERM_CAP}")
     try:  # e^{2 pi i a n} and the terms may pass binary64's range
         phase = cmath.exp(2j * math.pi * a * n)
         shifted = inner(s, a, c + n, _target_over(0.5 * target, -_TWO_PI * a.imag * n))
@@ -150,10 +156,12 @@ def evaluate_principal(s: complex, a: complex, c: complex, target_abs_err: float
     rounds to 1 keeps a when Im a > 0 and raises CutViolation when Im a <= 0,
     where it lands on a cut.  The dispatch :func:`_core_eval` does the rest;
     each route ends an overflow in NonConvergence (see :class:`LerchValue`).
-    A NaN, infinite or negative target raises InvalidPoint.
+    The point is validated by :func:`~lerchzeta.domain.checked_point`, the
+    test :class:`Point3` makes, without building one: a NaN or infinite
+    coordinate, an integer a or a nonpositive integer c raises InvalidPoint,
+    as does a NaN, infinite or negative target.
     """
-    s, a, c = complex(s), complex(a), complex(c)
-    Point3(s, a, c)  # validity
+    s, a, c = checked_point(s, a, c)
     checked_target(target_abs_err)
     _anchor_check(a, c)
     reduced = complex(a.real - math.floor(a.real), a.imag)
@@ -203,7 +211,10 @@ def _transform_value(s: complex, a: complex, c: complex, target: float) -> Lerch
         lead = log_gamma(sp) - sp * math.log(_TWO_PI)  # log of (2 pi)^{s-1} Gamma(1 - s)
         e1 = lead + 0.5j * math.pi * sp - 2j * math.pi * a * c
         e2 = lead - 0.5j * math.pi * sp + 2j * math.pi * c * (1.0 - a)
-        coef1, coef2 = cmath.exp(e1), cmath.exp(e2)
+        try:
+            coef1, coef2 = cmath.exp(e1), cmath.exp(e2)
+        except ValueError as exc:  # cmath's exp of an infinite phase: a c too large for binary64
+            raise OverflowError from exc
         target1, target2 = _target_over(0.25 * target, e1.real), _target_over(0.25 * target, e2.real)
         if c == 1.0:  # the series' pole-free parts
             v1, v2 = _series(sp, 0j, a, target1), _series(sp, 0j, 1.0 - a, target2)

@@ -43,6 +43,17 @@ def finite_coordinates(s: complex, a: complex, c: complex) -> tuple[complex, com
     return s, a, c
 
 
+def checked_point(s: complex, a: complex, c: complex) -> tuple[complex, complex, complex]:
+    """(s, a, c) as complex numbers, if they make a point of the punctured domain (see :class:`Point3`, which
+    validates by it); else InvalidPoint."""
+    s, a, c = finite_coordinates(s, a, c)
+    if is_real_integer(a):
+        raise InvalidPoint(f"a = {a!r} is an integer puncture")
+    if is_nonpositive_integer(c):
+        raise InvalidPoint(f"c = {c!r} is a nonpositive integer puncture")
+    return s, a, c
+
+
 def checked_target(target: float, shown: str | None = None) -> float:
     """target, if it is a finite nonnegative number; else InvalidPoint, naming it as shown (by default
     "target_abs_err = " and its repr)."""
@@ -90,12 +101,8 @@ class Point3:
     c: complex
 
     def __post_init__(self) -> None:
-        for name, z in zip("sac", finite_coordinates(self.s, self.a, self.c)):
+        for name, z in zip("sac", checked_point(self.s, self.a, self.c)):
             object.__setattr__(self, name, z)
-        if is_real_integer(self.a):
-            raise InvalidPoint(f"a = {self.a!r} is an integer puncture")
-        if is_nonpositive_integer(self.c):
-            raise InvalidPoint(f"c = {self.c!r} is a nonpositive integer puncture")
 
 
 @dataclass(frozen=True)

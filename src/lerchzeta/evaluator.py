@@ -35,9 +35,19 @@ from .words import BranchState
 _EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
 _SPLIT_CAP = 40_000  # largest split point the series tail starts from
+# the longest index shift in c, and the longest window of the series, in terms: above every shift of the seeded
+# boxes (|Re c| <= 1e5) and the 1e6 terms of c = -1e6 + 0.5i
+_TERM_CAP = 2**21
 _DIRECT_MARGIN = 1024  # a direct sum this much longer than the split point costs more than the Abel-Plana tail
 _MAX_RAY_PANELS = 3000  # quadrature panels on the integral's ray; its first panels take at most half
 _POLE_CLEARANCE = 1e-3  # least distance from an integrand pole to the ray or a detour
+# the most decay lengths of e^{-ct} the ray's first panel may span: its first K21 node, 0.00217 of the way in, then
+# sees e^{-ct} above e^{-2.2}, so the panel's error estimate sees the mass there.  At 2e5 lengths (c = 1e40, s = 0.3)
+# every node sees e^{-ct} decayed and the quadrature answered 2% off with an estimate of 1e-12 of the value; at 630
+# (c = 1e20) it answered within its estimate.  Seeded boxes with |c| <= 1e5 reach 6.4
+_DECAY_SPAN = 1000.0
+# the most poles the integral's ray may turn over, one monodromy term each; seeded boxes turn over at most 162
+_POLE_CAP = 4096
 _RING = 64  # samples on the endpoint circle, and terms of the endpoint series
 _K = np.arange(_RING, dtype=np.float64)
 _ROOTS = np.exp((2j * math.pi / _RING) * _K)
@@ -229,13 +239,22 @@ def _split_point(s: complex, alpha: complex) -> int | None:
     pi or more.  Where Re alpha != 0 it also keeps the phase growth
     |Im s| / n0 of (t+c)^{-s} on the rotated contour below pi |Re alpha|.
     """
-    n0 = max(1, int(math.ceil(abs(s.imag) / math.pi)))
+    split = abs(s.imag) / math.pi
     if alpha.real != 0.0:
-        split = 2.0 * abs(s.imag) / (_TWO_PI * abs(alpha.real))
-        if split > _SPLIT_CAP:
-            return None
-        n0 = max(n0, int(math.ceil(split)))
-    return n0
+        split = max(split, 2.0 * abs(s.imag) / (_TWO_PI * abs(alpha.real)))
+    return None if split > _SPLIT_CAP else max(1, int(math.ceil(split)))
+
+
+def _divergence(s: complex, a: complex) -> str | None:
+    """Why the series diverges at (s, a), or None where it converges: the one test of :func:`dirichlet_series`
+    and of the dispatch, which tries the series only where it converges."""
+    if a.imag < 0.0:
+        return "series diverges for Im a < 0"
+    if is_real_integer(a) and (s.real < 1.0 or s == 1):
+        return "integer a requires Re s >= 1 and s != 1"
+    if a.imag == 0.0 and s.real <= 0.0:
+        return "real a requires Re s > 0"
+    return None
 
 
 def dirichlet_series(s: complex, a: complex, c: complex, target_abs_err: float = 1e-12) -> LerchValue:
@@ -253,12 +272,9 @@ def dirichlet_series(s: complex, a: complex, c: complex, target_abs_err: float =
     """
     s, a, c = finite_coordinates(s, a, c)
     checked_target(target_abs_err)
-    if a.imag < 0.0:
-        raise DivergentSeries("series diverges for Im a < 0")
-    if is_real_integer(a) and (s.real < 1.0 or s == 1):
-        raise DivergentSeries("integer a requires Re s >= 1 and s != 1")
-    if a.imag == 0.0 and s.real <= 0.0:
-        raise DivergentSeries("real a requires Re s > 0")
+    diverges = _divergence(s, a)
+    if diverges:
+        raise DivergentSeries(diverges)
     lv = _series(s, _reduce_a(a), c, target_abs_err)
     pole = 1.0 / (s - 1.0) if is_real_integer(a) else 0.0
     return LerchValue(lv.value + pole, Method.SERIES, lv.abs_err_estimate + 4.0 * _EPS * abs(pole))
@@ -273,11 +289,15 @@ def _series(s: complex, alpha: complex, c: complex, target_abs_err: float) -> Le
     split point exceeds _SPLIT_CAP; the Abel-Plana tail from the split point
     serves otherwise.  It returns what it
     has with its honest estimate, however far above the target, and raises
-    NonConvergence only where it has no value: a split point past _SPLIT_CAP
-    with no direct sum, a tail that decays too slowly, or an overflow.
+    NonConvergence only where it has no value: a window longer than
+    _TERM_CAP terms, a split point past _SPLIT_CAP with no direct sum, a tail
+    that decays too slowly, or an overflow.
     """
+    lo = _window(c)
+    if lo > _TERM_CAP:
+        raise NonConvergence(f"series window of c = {c!r}, {float(lo):.4g} terms, exceeds the cap of {_TERM_CAP}")
     try:  # far left in s the terms, tail bounds and tail integrands may pass binary64's range
-        lo, split = _window(c), _split_point(s, alpha)
+        split = _split_point(s, alpha)
         limit = 300_000 if split is None else split + _DIRECT_MARGIN
         direct = _direct_length(s, alpha, c, lo, 0.5 * target_abs_err, limit)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -315,17 +335,18 @@ def _nearest_pole(a: complex, theta: float, contour: ContourSpec) -> tuple[float
     ones it turns over.  A detour's semicircle is nearest radially above the axis and at an end below it.
     """
     to_ray = lambda q: abs(q.imag) if q.real >= 0.0 else abs(q)
-
-    def distance(p: complex) -> float:
-        d = to_ray(p * cmath.exp(-1j * theta))
-        if contour.is_straight:
-            return d
-        w, eps = p - contour.u, contour.epsilon
-        arc = abs(abs(w) - eps) if w.imag >= 0.0 else min(abs(w - eps), abs(w + eps))
-        return min(d, arc, to_ray(p) if abs(w.real) >= eps else arc)
-
-    ks = {f(x) for x in (a.real, a.real + a.imag * math.tan(theta)) for f in (math.floor, math.ceil)}
-    return min((distance(2j * math.pi * (a - k)), k) for k in ks)
+    turn = cmath.exp(-1j * theta)
+    nearest = None
+    for k in {f(x) for x in (a.real, a.real + a.imag * math.tan(theta)) for f in (math.floor, math.ceil)}:
+        p = 2j * math.pi * (a - k)
+        d = to_ray(p * turn)
+        if not contour.is_straight:
+            w, eps = p - contour.u, contour.epsilon
+            arc = abs(abs(w) - eps) if w.imag >= 0.0 else min(abs(w - eps), abs(w + eps))
+            d = min(d, arc, to_ray(p) if abs(w.real) >= eps else arc)
+        if nearest is None or (d, k) < nearest:
+            nearest = (d, k)
+    return nearest
 
 
 def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[float, BranchState, float, float, int]:
@@ -336,8 +357,9 @@ def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[floa
     e^{pi Im s / 2}.  Within 1e-3 of a pole it steps toward the axis, onto it
     if still that close.  An axis still that close to a pole tilts away from
     it, by at most half the angle that keeps Re(c e^{i theta}) > 0.  b = one
-    X_k per pole turned over.  A detour's ray passes over the pole n it
-    encloses, halfway to the nearer of the next pole's angle and
+    X_k per pole turned over; more than _POLE_CAP raise NonConvergence.  A
+    detour's ray passes over the pole n it encloses, halfway to the nearer of
+    the next pole's angle and
     pi/2 - arg c; else it is the axis, b = X_n and sign = +1.  A pole within
     1e-3 of the ray or the detour raises ContourHitsPole.  (d, k) is the
     pole nearest the final ray, as :func:`_nearest_pole` gives it.
@@ -359,8 +381,10 @@ def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[floa
             side = math.copysign(1.0, a.real - k)  # +1: the pole lies above the axis
             theta = -side * min(math.atan2(0.25 * math.pi, x0), 0.5 * (0.5 * math.pi + side * cmath.phase(c)))
             d, k = _nearest_pole(a, theta, contour)
-        first = math.floor(a.real + a.imag * math.tan(theta)) + 1
-        b = dict.fromkeys(range(first, math.ceil(a.real)), 1)
+        first, end = math.floor(a.real + a.imag * math.tan(theta)) + 1, math.ceil(a.real)
+        if end - first > _POLE_CAP:  # a Python int: len(range) would overflow past 2^63
+            raise NonConvergence(f"the ray turns over {float(end - first):.4g} poles, more than the cap of {_POLE_CAP}")
+        b = dict.fromkeys(range(first, end), 1)
     else:
         n = round(a.real)
         w = 2j * math.pi * (a - n) - contour.u
@@ -374,37 +398,42 @@ def _ray(s: complex, a: complex, c: complex, contour: ContourSpec) -> tuple[floa
 
 
 def _pick_t_max(s: complex, a: complex, c: complex, target: float, theta: float, scale: float) -> tuple[float, float]:
-    """Cutoff T on the ray arg t = theta, certifying the discarded [T, inf) piece of the integrand over e^scale."""
+    """Cutoff T on the ray arg t = theta, certifying the discarded [T, inf) piece of the integrand over e^scale;
+    NonConvergence where e^{-ct} does not decay along the ray (Re(c e^{i theta}) <= 0, the bound's divisor)."""
     # |t^{s-1} e^{-ct}| = r^{sigma-1} e^{-Im s theta - rc r}, |1 - e^{2 pi i a - t}| >= 1 - e^{log_abs_z - r cos}
     sigma, rc, cos = s.real, (c * cmath.exp(1j * theta)).real, math.cos(theta)
+    if not rc > 0.0:
+        raise NonConvergence("could not certify an integral cutoff")
     log_abs_z, phase = -_TWO_PI * a.imag, s.imag * theta + scale
     # the bound holds once d >= 1/2 and, for sigma > 1, past the peak of r^{sigma-1} e^{-rc r}
     near, peak, factor = log_abs_z + math.log(2.0), 2.0 * (sigma - 1.0), 2.0 if sigma > 1.0 else 1.0
     t = max(2.0, (log_abs_z + 1.0) / cos, peak / rc if sigma > 1.0 else 0.0)
     for _ in range(400):
         if t * cos >= near and (sigma <= 1.0 or rc * t >= peak):
-            d = 1.0 - math.exp(log_abs_z - t * cos)
-            b = factor * (math.exp((sigma - 1.0) * math.log(t) - rc * t - phase) / rc) / d
+            d = 1.0 - math.exp(log_abs_z - t * cos)  # >= 1/2, unless rounding at |log_abs_z| ~ 1e300 leaves 0
+            b = factor * (math.exp((sigma - 1.0) * math.log(t) - rc * t - phase) / rc) / d if d > 0.0 else math.inf
             if b <= target:
                 return t, b
         t *= 1.3
     raise NonConvergence("could not certify an integral cutoff")
 
 
-def _h(za: complex, c: complex, t: np.ndarray, lead: complex | np.ndarray = 0.0) -> np.ndarray:
-    """e^{lead - ct} / (1 - e^{za - t}): h(t) itself, or t^{s-1} h(t) / Gamma(s) for lead = (s-1) log t - log Gamma(s).
+def _h(za: complex, c: complex, t: np.ndarray, lead: complex | np.ndarray | None = None) -> np.ndarray:
+    """-h(t) = e^{lead - ct} / (e^{za - t} - 1), so callers fold the sign into a scalar: with no lead -h(t) itself,
+    or -t^{s-1} h(t) / Gamma(s) for lead = (s-1) log t - log Gamma(s).
 
-    Where e^w, w = za - t, would leave binary64 (Re w > _EXP_MAX), 1/(1 - e^w) is e^{-w} / expm1(-w), with e^{-w}
+    Where e^w, w = za - t, would leave binary64 (Re w > _EXP_MAX), 1/(e^w - 1) is e^{-w} / -expm1(-w), with e^{-w}
     folded into the exponent.  The integral samples t with Re t > -1, so a scalar za with Re za < _EXP_MAX - 1
     needs no such node.
     """
     # complex expm1 is accurate for the float za - t near each pole 2 pi i k; reducing by fl(2 pi k) adds eps pi |k|
+    exponent = -c * t if lead is None else lead - c * t
     if isinstance(za, complex) and za.real < _EXP_MAX - 1.0:
-        return np.exp(lead - c * t) / (-np.expm1(za - t))
+        return np.exp(exponent) / np.expm1(za - t)
     w = za - t
     with np.errstate(over="ignore", invalid="ignore"):  # np.where forms both quotients at every node
-        far = np.exp(lead - c * t - w) / np.expm1(-w)
-        return np.where(w.real > _EXP_MAX, far, np.exp(lead - c * t) / (-np.expm1(w)))
+        far = np.exp(exponent - w) / -np.expm1(-w)
+        return np.where(w.real > _EXP_MAX, far, np.exp(exponent) / np.expm1(w))
 
 
 def _outer_max(za: complex, c: complex, t0: float, radius: float) -> float:
@@ -450,10 +479,10 @@ def _contour_integral(
     t0 = min(0.5, 0.25 * t_max, 0.4 * radius, 2.0 / abs(c))
     log_t0 = complex(math.log(t0), theta)
 
-    ring = _h(za, c, t0 * rot * _ROOTS)
+    ring = _h(za, c, t0 * rot * _ROOTS)  # -h on the circle
     inv = 1.0 / (s + _K)
     # H_k is the trapezoid rule on the circle: the FFT of the samples over _RING (a power of 2, so exact)
-    total = cmath.exp(s * log_t0 - lg) * complex((np.fft.fft(ring) * inv).sum()) / _RING
+    total = -cmath.exp(s * log_t0 - lg) * complex((np.fft.fft(ring) * inv).sum()) / _RING
     # |H_k| <= M 2^{-k}, M >= max |h| on |t| = 2 t0, bounds aliasing and truncation;
     # then the roundoff of the samples (max |h| on |t| = t0) and of the phase s log T, then the cutoff tail
     # below binary64's normal range a sample keeps absolute digits only: each is exact to 4 eps max(|h|, tiny),
@@ -462,9 +491,12 @@ def _contour_integral(
     # sum_k 2^{-k} / |s + k| <= 2 / min_{k<64} |s + k| (|s| for Re s > 0) and, past k = 64, 2 / (64 + min(Re s, 0))
     nearest = abs(s + min(max(round(-s.real), 0), _RING - 1))
     alias = _outer_max(za, c, t0, radius) * 2.0**-_RING * (4.0 / nearest + 2.0 / (_RING + min(s.real, 0.0)))
-    roundoff = 4.0 * _EPS * float(h_max * np.sum(np.abs(inv))) * (1.0 + abs(s) * abs(log_t0))
+    roundoff = 4.0 * _EPS * float(h_max * np.abs(inv).sum()) * (1.0 + abs(s) * abs(log_t0))
     err = math.exp(s.real * log_t0.real - s.imag * theta - lg.real) * (alias + roundoff) + tail_err
-    f = lambda r: _h(za, c, r * rot, sm1 * np.log(r) + lead) * rot
+    back = -rot  # _h gives -h
+    f = lambda r: _h(za, c, r * rot, sm1 * np.log(r) + lead) * back
+    if t_max / t0 == math.inf:  # the ray's ends lie further apart than binary64 reaches (t0 = 2/|c| at |c| ~ 1e300)
+        raise OverflowError
     # t^{s-1} turns its phase by |Im s| per unit of log t; a pole within 3 of the ray adds edges at
     # its foot and d 2^j to either side, graded to its distance d
     m = min(max(8, math.ceil(0.25 * abs(s.imag) * math.log(t_max / t0))), _MAX_RAY_PANELS // 2)
@@ -477,6 +509,9 @@ def _contour_integral(
             inner.update((foot - step, foot + step))
             step *= 2.0
     edges = [t0, *sorted(t for t in inner if t0 < t < t_max), t_max]
+    span = (c * rot).real * (edges[1] - t0)  # of the first panel, in decay lengths of e^{-ct}
+    if span > _DECAY_SPAN:
+        raise NonConvergence(f"the integral's first panel spans {span:.3g} decay lengths of e^(-ct) at c = {c!r}")
     val, e, _ = quadrature.integrate(f, edges, tol=0.4 * tol, max_panels=_MAX_RAY_PANELS)
     return total + val, err + e + 4.0 * _EPS * sys.float_info.min * (t_max - t0)
 
@@ -531,7 +566,7 @@ def _integral_eval_raw(
         theta, b, sign, d, k = _ray(s, a, c, contour)
         with np.errstate(over="ignore", invalid="ignore"):
             raw, raw_err = _contour_integral(s, a, c, theta, 0.9 * target_abs_err, d, k, lg)
-        poles, poles_err = branch_monodromy(b, s, a, c)
+        poles, poles_err = (0j, 0.0) if b.is_zero else branch_monodromy(b, s, a, c)
         value = raw + sign * poles  # not finite where the integrand passed binary64's range
         return _route_value(value, Method.INTEGRAL, raw_err + _FLAT_REL_ERR * abs(value) + poles_err)
     except OverflowError as exc:

@@ -101,7 +101,7 @@ def monodromy_terms(b: BranchState, s: complex, a: complex, c: complex) -> list[
                     term = _geometric_ratio(k, s, sign, lam_m1, scale) * term
                 finite = finite and cmath.isfinite(term)
                 terms.append((generator_of(axis, n), k, term))
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:  # cmath raises ValueError for exp of an infinite phase
         raise _overflow(f"monodromy of {b!r}", s, a, c) from exc
     if not finite:
         raise _overflow(f"monodromy of {b!r}", s, a, c)

@@ -88,10 +88,10 @@ _BY_ERROR = operator.itemgetter(0)  # a live panel is (error, lo, hi, value, res
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 
-def _panels(f: Integrand, lo: list[float], hi: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _panels(f: Integrand, lo: Sequence[float], hi: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """K21 values, errors and resabs of the panels [lo[i], hi[i]], from one call of f."""
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     y = np.asarray(f(mid[:, None] + half[:, None] * _XGK), dtype=np.complex128)
@@ -127,15 +127,15 @@ def integrate(
     lo, hi = edges[0], edges[-1]
     if hi == lo:
         return 0j, 0.0, 0
-    los, his = list(edges[:-1]), list(edges[1:])
-    values, errs, resabs = _panels(f, los, his)
+    first = np.array(edges, dtype=float)
+    values, errs, resabs = _panels(f, first[:-1], first[1:])
     errs = errs.tolist()
     total_err = sum(errs)
     floor = 16.0 * _EPS * sum(resabs.tolist())
     n = len(errs)
     if not (total_err > max(tol, floor) and n < max_panels):  # the loop's own exit test, before any sweep
         return sum(values.tolist()), max(total_err, floor), n
-    live = list(zip(errs, los, his, values.tolist(), resabs.tolist()))
+    live = list(zip(errs, first[:-1].tolist(), first[1:].tolist(), values.tolist(), resabs.tolist()))
     min_width = 1e-14 * (abs(hi - lo) + 1.0)
     while total_err > max(tol, floor) and n < max_panels:
         live.sort(key=_BY_ERROR, reverse=True)

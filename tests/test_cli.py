@@ -187,6 +187,35 @@ class TestErrorRecord:
         assert code == 0
         assert json.loads(out)["value"] == {"re": 0, "im": 0}
 
+    @pytest.mark.parametrize(
+        "s, a, c, word",
+        [
+            # the cutoff bound of the transform's inner ray divided by Re(c e^{i theta}) = 0 (ZeroDivisionError)
+            (-1 + 1e300j, -2.456111286148779 - 1.949553244611852j, -4.411021634493531 + 1e-12j, ""),
+            # the three-term coefficients' phase 2 pi i a c passed binary64, where cmath.exp raises ValueError
+            (-2 + 0.5j, 1e300 + 1e300j, 0.9999999999999999 + 1e300j, ""),
+            # an index shift in c by 1e300 terms, more than numpy can make an array of (ValueError)
+            (complex(-0.7130034175697695, 0.0), complex(-1.1976193789174627, -0.0), 1e300 - 2j, ""),
+            # a series window of 1e300 terms, where n + Re c rounds to 0 (ZeroDivisionError)
+            (23.291976475744796 + 1e-16j, 2.5770762032150376 + 0.999999999j, -1e300 + 1j, ""),
+            # rounding at log|e^{2 pi i a}| = 6e300 left the cutoff bound's divisor at 0 (ZeroDivisionError)
+            (1e-16 + 1e-16j, 0.5 - 1e300j, 11.896463263052027 - 1e-300j, ""),
+            # a monodromy term's phase passed binary64 (ValueError)
+            (2 + 1e-16j, 200 + 1e300j, 0.5 + 1e300j, "X2^-2 Y0^-2 Y1^-2"),
+            # the ray's ends t0 = 2/|c| and t_max lay 1e308 apart, and its phase count was 0 * inf (ValueError)
+            (1e300 + 0j, -2.280477643067659 - 1.5506224583265076j, 4.400443591121629 - 1e300j, "X1^-1"),
+        ],
+    )
+    def test_edge_points_are_records(self, capsys, s, a, c, word):
+        # each of these raised a Python error past the package's own, and lerchz eval printed a traceback
+        with pytest.raises(LerchError):
+            lerchzeta.evaluate_on_cover(lerchzeta.Point3(s, a, c), lerchzeta.parse_branch(word))
+        flags = [f"--{name}={z.real!r},{z.imag!r}" for name, z in zip("sac", (s, a, c))]
+        code, out, err = run(capsys, "eval", *flags, "--branch", word)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert issubclass(getattr(errors, json.loads(err)["error"]), LerchError)
+
     def test_verify_non_convergence_is_a_record(self, capsys, monkeypatch):
         def fails(*args):
             raise errors.NonConvergence("no suite converged")

@@ -11,6 +11,7 @@ from lerchzeta import (
     ContourHitsPole,
     CutViolation,
     DerivativeCircleLeavesDomain,
+    DivergentSeries,
     InvalidPoint,
     InvalidRegion,
     LerchError,
@@ -475,6 +476,31 @@ class TestRouting:
         assert lv.method is Method.INTEGRAL
         assert lv.abs_err_estimate <= 1e-9
         assert abs(lv.value - want) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "s, a",
+        [
+            # Im a = +0.0 and -0.0 are both real a; just off the axis the sign of Im a decides
+            (0.5, complex(0.3, 0.0)), (0.5, complex(0.3, -0.0)), (-0.5, complex(0.3, 0.0)), (-0.5, complex(0.3, -0.0)),
+            (-0.5, 0.3 + 1e-300j), (-0.5, 0.3 - 1e-300j), (0.5, 0.3 - 1e-300j),
+            # integer a needs Re s >= 1 and s != 1
+            (1.0, 0j), (1 + 2j, 0j), (0.999, 0j), (2.0, 0j), (1 + 0j, complex(0.0, -0.0)),
+            # real a needs Re s > 0
+            (0j, 0.3), (2j, 0.3), (1e-300 + 2j, 0.3), (1e-300, 0.3), (-1e-300 + 2j, 0.3),
+        ],
+    )
+    def test_routes_try_the_series_exactly_where_it_converges(self, s, a):
+        # the dispatch and dirichlet_series read one predicate: the series is among the routes where it raises no
+        # DivergentSeries, and absent where it does
+        try:
+            dirichlet_series(s, a, 0.5, 1e-10)
+            diverges = False
+        except DivergentSeries:
+            diverges = True
+        except LerchError:
+            diverges = False
+        tried = continuation._ROUTES[0] in list(continuation._routes(complex(s), complex(a), 1e-10))
+        assert tried is not diverges
 
     @staticmethod
     def _one_shift(monkeypatch, s, a, c):

@@ -118,6 +118,25 @@ class TestStraightContour:
         with pytest.raises(NonConvergence, match="overflows"):
             integral_eval(Point3(s, a, c))
 
+    @pytest.mark.parametrize("c", [1j, -1.0 + 0.5j])
+    def test_cutoff_needs_decay_along_the_ray(self, c):
+        # Re(c e^{i theta}) <= 0: e^{-ct} does not decay, so no cutoff bound exists (it divided by 0, or
+        # came out negative)
+        with pytest.raises(NonConvergence, match="could not certify an integral cutoff"):
+            _pick_t_max(0.5, 0.3 - 0.1j, c, 1e-11, 0.0, log_gamma(0.5).real)
+
+    def test_cutoff_survives_rounding_at_huge_im_a(self):
+        # at Im a = -1e300 the bound's factor 1 - |e^{2 pi i a - t}| rounded to 0 at the first t it read
+        t, b = _pick_t_max(1e-16 + 1e-16j, 0.5 - 1e300j, 11.9, 1e-11, 0.0, 0.0)
+        assert t > 6e300 and 0.0 <= b <= 1e-11
+
+    def test_first_panel_past_the_decay_of_e_ct_raises(self):
+        # at c = 1e300 - 2i e^{-ct} decays within 1e-298 of t = 0, and the first panel, 1.3e-262 wide, has no
+        # node there: the quadrature saw none of the integrand's mass and answered 0.56% from the value
+        # c^{-s} / (1 - e^{2 pi i a}) (its next term is 1e-300 smaller) with an estimate of 4.5e-12 of it
+        with pytest.raises(NonConvergence, match="decay lengths"):
+            integral_eval(Point3(-0.7130034175697695, 0.8023806210825373, 1e300 - 2j))
+
     def test_gamma_reflection_in_log_scale(self):
         # Re s < 1/2: Gamma(s) comes from the reflection formula, whose sin(pi s) overflows at |Im s| = 277;
         # its logarithm does not
@@ -290,8 +309,8 @@ class TestPhasePanels:
 
 class TestEndpointRing:
     def test_h_near_its_poles(self, rng):
-        # w = fl(za - t) 1e-3 to 1e-1 from 2 pi i k, |k| <= 200, against mpmath at that same w: within
-        # 8 eps; reducing w by fl(2 pi k) first added an absolute error of up to eps pi |k|
+        # -h = 1 / expm1(w) at c = 0, w = fl(za - t) 1e-3 to 1e-1 from 2 pi i k, |k| <= 200, against mpmath at
+        # that same w: within 8 eps; reducing w by fl(2 pi k) first added an absolute error of up to eps pi |k|
         za, t = [], []
         for _ in range(300):
             a = complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
@@ -303,7 +322,7 @@ class TestEndpointRing:
         got = evaluator._h(za, 0j, t)
         with mpmath.workdps(30):
             for w, h in zip((za - t).tolist(), got.tolist()):
-                want = -1 / mpmath.expm1(mpmath.mpc(w))
+                want = 1 / mpmath.expm1(mpmath.mpc(w))
                 assert abs(h - want) <= 8 * EPS * abs(want), (w, h)
 
     @staticmethod
@@ -439,6 +458,14 @@ class TestPoleOnAxis:
         assert theta > 0.0 and b == BranchState.from_dicts({0: 1})
         theta, b, *_ = _ray(1.5 + 8j, inside(1 - 0.2j), 0.3 - 0.1j, ContourSpec.STRAIGHT)
         assert theta > 0.0 and b.is_zero
+
+    def test_ray_turns_over_at_most_the_pole_cap(self):
+        # at Im s = 600 the ray turns up to tan theta ~ 75, so at Im a = -67 it would pass over 5025 poles, one
+        # monodromy term each (at Im a = -1e300, 1e300 of them)
+        with pytest.raises(NonConvergence, match="cap of 4096"):
+            _ray(0.5 + 600j, 0.5 - 67j, 0.5, ContourSpec.STRAIGHT)
+        _, b, *_ = _ray(0.5 + 600j, 0.5 - 54j, 0.5, ContourSpec.STRAIGHT)
+        assert 4000 < len(b.kx) <= 4096
 
     @pytest.mark.parametrize("a, sign", [(-0.2j, -1.0), (1 - 0.2j, 1.0)])
     def test_ray_tilts_away_from_the_pole(self, a, sign):

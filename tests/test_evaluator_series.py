@@ -236,6 +236,20 @@ class TestDirectOrAbelPlana:
         assert lengths and max(lengths) > evaluator._SPLIT_CAP + evaluator._DIRECT_MARGIN
         assert abs(lv.value - want) <= min(lv.abs_err_estimate, 1e-13)
 
+    def test_split_point_cap_holds_for_imaginary_alpha(self):
+        # |Im s| / pi alone sets the split point where Re alpha = 0; past _SPLIT_CAP there is none either (at
+        # s = 1e300i the series summed 1e299 terms, more than numpy can make an array of)
+        assert evaluator._split_point(1.2e5j, 0.4j) == 38198
+        assert evaluator._split_point(1.3e5j, 0.4j) is None
+        assert evaluator._split_point(1e300j, 0.4j) is None
+
+    def test_window_past_the_term_cap_raises(self):
+        # at Re c = -1e300 the terms before Re(j + c) reaches 0.6 number 1e300, where n + Re c rounds to 0
+        with pytest.raises(NonConvergence, match="window"):
+            dirichlet_series(23.3, 0.3 + 0.5j, -1e300 + 1j)
+        with pytest.raises(NonConvergence, match="window"):  # a window of _TERM_CAP + 1 terms
+            dirichlet_series(2.0, 0.3 + 0.5j, -evaluator._TERM_CAP + 0.5j)
+
     def test_small_im_a_answers_by_series(self):
         # a direct sum would need 32768 terms; while any up to 300 000 terms served, the series
         # missed its target there and the transform answered

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from lerchzeta import BranchState, Point3, continuation, evaluate_on_cover, evaluator, quadrature
+from lerchzeta import (BranchState, DivergentSeries, Point3, branching, continuation, evaluate_on_cover, evaluator,
+                       quadrature)
 
 POOL = Path(__file__).resolve().parents[1] / "bench" / "data" / "point_scan_oracle.jsonl"
 
@@ -26,11 +27,13 @@ def pool_points():
 
 @pytest.fixture(scope="module")
 def pool_counts():
-    """Integrand calls, quadrature panels, partial-sum terms and three-term transforms by stratum over one pass at the
-    benchmark's 1e-10."""
+    """Integrand calls, quadrature panels, partial-sum terms, three-term transforms, the dispatch's DivergentSeries
+    raises, branch_monodromy calls (and those with an empty winding vector) and log Gamma computations by stratum over
+    one pass at the benchmark's 1e-10."""
     counts = {}
     stratum = None
     integrate, partial_sum, transform = quadrature.integrate, evaluator._partial_sum, continuation._transform_value
+    series, monodromy, log_gamma = continuation.dirichlet_series, evaluator.branch_monodromy, branching._log_gamma
 
     def counted_integrate(f, *args, **kwargs):
         def g(x):
@@ -49,10 +52,30 @@ def pool_counts():
         counts[stratum]["transforms"] += 1
         return transform(*args)
 
+    def counted_series(*args):
+        try:
+            return series(*args)
+        except DivergentSeries:
+            counts[stratum]["divergent_series"] += 1
+            raise
+
+    def counted_monodromy(b, *args):
+        counts[stratum]["monodromy_calls"] += 1
+        counts[stratum]["empty_monodromy"] += b.is_zero
+        return monodromy(b, *args)
+
+    def counted_log_gamma(s):
+        counts[stratum]["log_gamma"] += 1
+        return log_gamma(s)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "integrate", counted_integrate)
         mp.setattr(evaluator, "_partial_sum", counted_partial_sum)
         mp.setattr(continuation, "_transform_value", counted_transform)
+        mp.setattr(continuation, "dirichlet_series", counted_series)
+        for module in (evaluator, continuation):
+            mp.setattr(module, "branch_monodromy", counted_monodromy)
+        mp.setattr(branching, "_log_gamma", counted_log_gamma)
         for stratum, point, branch in pool_points():
             counts.setdefault(stratum, Counter())
             evaluate_on_cover(point, branch, 1e-10)
@@ -87,3 +110,23 @@ def test_pool_transforms(pool_counts):
     # 585 three-term transforms (one per point of the transform and ladder strata, 72 in c_shift)
     # while the transform owned Re s <= 0; 1 once the integral owns -4 < Re s <= 0
     assert sum(c["transforms"] for c in pool_counts.values()) <= 40
+
+
+def test_dispatch_tries_the_series_only_where_it_converges(pool_counts):
+    # 896 series calls only raised DivergentSeries (Im a < 0, or real a with Re s <= 0) while the dispatch tried
+    # the series first at every point
+    assert sum(c["divergent_series"] for c in pool_counts.values()) == 0
+
+
+def test_monodromy_only_of_poles_turned_over(pool_counts):
+    # 826 of the integral's 898 branch_monodromy calls were of the empty winding vector of a ray that turns over no
+    # pole (1155 calls in all with the cover's)
+    assert sum(c["empty_monodromy"] for c in pool_counts.values()) == 0
+    assert sum(c["monodromy_calls"] for c in pool_counts.values()) <= 340
+
+
+def test_pool_log_gamma_computations(pool_counts):
+    # 3134 (the reflection's inner call included) while each of the ray's floor, the ray, the monodromy of the poles
+    # it turns over, the cover's monodromy and the transform's inner routes computed log Gamma anew; 1578 once an
+    # evaluation computes it once per s
+    assert sum(c["log_gamma"] for c in pool_counts.values()) <= 1700
